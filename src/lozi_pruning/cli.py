@@ -30,7 +30,7 @@ from .geometry import (
     stable_manifold,
     unstable_manifold,
 )
-from .pruning import Params, admissible_word_count, pruned_region_raster
+from .pruning import ENTROPY_HEADER, Params, entropy_rows, pruned_region_raster
 from .symbolic import Word
 
 _CODE_TO_VERDICT = {code: name for name, code in ZERO_ENTROPY_CODES.items()}
@@ -38,7 +38,6 @@ _CODE_TO_VERDICT = {code: name for name, code in ZERO_ENTROPY_CODES.items()}
 _UNSTABLE_BRANCHES = ("p1_right", "p1_left", "p2")
 _STABLE_BRANCHES = ("p1_plus", "p1_minus")
 
-ENTROPY_HEADER = ("a", "b", "n", "depth", "count_lower", "count_upper", "h_lower", "h_upper")
 DERIVATIVES_HEADER = (
     "a",
     "dq_db_b0",
@@ -162,25 +161,6 @@ def cmd_pruned_region(config: RunConfig) -> int:
         f"{raster.pruned_count} pruned, {raster.admissible_count} admissible -> {out}"
     )
     return 0
-
-
-def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
-    """Bracket rows per block length; the last row is the final estimate.
-
-    Upper counts are submultiplicative so the running min over log(upper)/n
-    is a valid upper bound at every n; the lower bound uses only the current
-    length and is clamped into [0, h_upper].
-    """
-    rows = []
-    h_upper = math.inf
-    for n in range(1, n_max + 1):
-        lower, upper = admissible_word_count(params, n, depth)
-        h_upper = min(h_upper, math.log(upper) / n if upper > 0 else 0.0)
-        h_up = max(h_upper, 0.0)
-        h_lo = math.log(lower) / n if lower > 0 else 0.0
-        h_lo = min(max(h_lo, 0.0), h_up)
-        rows.append((params.a, params.b, n, depth, lower, upper, h_lo, h_up))
-    return rows
 
 
 def _emit_csv(config: RunConfig, header, rows) -> None:

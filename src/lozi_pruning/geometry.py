@@ -579,7 +579,7 @@ class ZeroEntropyVerdict:
             raise ValueError("analytic_zero needs case i, ii, or iii")
 
 
-def _numeric_zero_check(params: Params, arc_budget: float) -> bool:
+def _numeric_zero_check(params: Params) -> bool:
     fd = fixed_data(params)
     if fd.n1 is None or not fd.period2_attracting:
         return False
@@ -640,7 +640,7 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
     if hom.tangency:
         return ZeroEntropyVerdict(kind="unknown")
     try:
-        if _numeric_zero_check(params, arc_budget):
+        if _numeric_zero_check(params):
             return ZeroEntropyVerdict(kind="numeric_zero")
     except (NoFixedPoint, NonInvertible):
         pass

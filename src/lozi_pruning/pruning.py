@@ -1,14 +1,23 @@
 """Pruning pair (p, q) with certified truncation bounds, cylinder verdicts,
 pruned-region rasters, and admissible-word counting.
 
-Evaluation strategy: every continued-fraction level and every series term is
-computed in interval form.  The innermost, unknown continuation of a finite
-word enters as the a-priori interval [-1/(a-|b|), 1/(a-|b|)], which the level
-map 1/(±a e + b x) keeps invariant whenever a > 1 + |b|.  Endpoint arithmetic
-uses ordinary floats (no directed rounding); the enclosures are validated by
-the depth-doubling tests rather than formally proven.  By construction the
-resulting interval contains the true value for every bi-infinite extension of
-the word, and refining the word or deepening the series never widens it.
+One interval engine does every evaluation.  ``_levels`` sweeps the
+continued-fraction level map x <- 1/(+-a e + b x); ``_p_series`` and
+``_q_series`` sum the tail and head series from those levels.  The same
+three functions take float endpoints for one word (the scalar evaluators and
+``classify_cylinder``) and float64 arrays for a batch of rows (the raster and
+the block masks); only min/max over candidate endpoints and the test that a
+denominator straddles zero are picked from the endpoint type.
+
+The innermost, unknown continuation of a finite word enters as the a-priori
+interval [-1/(a-|b|), 1/(a-|b|)], which the level map keeps invariant
+whenever a > 1 + |b|.  By construction the resulting interval contains the
+true value for every bi-infinite extension of the word, and refining the
+word or deepening the series never widens it.  Endpoints are ordinary
+round-to-nearest floats with no directed rounding, so the enclosures are
+validated by the depth-doubling tests rather than formally proven; the
+checks in ``verify`` and the tests allow the absolute slack ``ULP_SLACK``
+(5e-13) for that gap.
 """
 
 from __future__ import annotations
@@ -16,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
 
 import numpy as np
 
 from .errors import BudgetExceeded, InsufficientWord, NotHyperbolic, WrongHead
-from .symbolic import MINUS, PLUS, Word, redot
+from .symbolic import MINUS, PLUS, Word, coordinate_symbols, redot
 
 
 @dataclass(frozen=True)
@@ -73,65 +83,113 @@ def special_head(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# scalar interval arithmetic (tuples of floats; no rounding control)
+# interval engine
 
-def _iv_scale(t: float, x: tuple[float, float]) -> tuple[float, float]:
-    return (t * x[0], t * x[1]) if t >= 0 else (t * x[1], t * x[0])
-
-
-def _iv_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return (min(p), max(p))
+_ARRAY_EXTREMES = (partial(reduce, np.minimum), partial(reduce, np.maximum))
 
 
-def _iv_recip_shifted(shift: float, x: tuple[float, float]) -> tuple[float, float]:
-    # 1 / (shift + x); the denominator must not straddle zero.
-    lo = shift + x[0]
-    hi = shift + x[1]
-    if lo <= 0.0 <= hi:
-        raise ArithmeticError("continued-fraction denominator straddles zero")
-    return (1.0 / hi, 1.0 / lo)
+def _extremes(levels):
+    """min and max over a tuple of candidate endpoints: the builtins when the
+    levels hold floats, elementwise reductions when they hold arrays."""
+    if levels and isinstance(levels[0][0], np.ndarray):
+        return _ARRAY_EXTREMES
+    return min, max
 
 
-def _radius(params: Params) -> float:
-    # |s_n|, |r_n| <= 1/(a-|b|): the level map preserves this disc when
-    # a > 1 + |b|, and the truncation seed 1/a lies inside it.
-    return 1.0 / (params.a - abs(params.b))
+def _levels(shifts, params: Params) -> list:
+    """Enclosures of the continued-fraction levels x <- 1/(shift + b x).
 
-
-# ---------------------------------------------------------------------------
-# continued-fraction chains
-
-def _s_chain(tail: tuple[int, ...], params: Params, want_max_j: int) -> dict[int, tuple[float, float]]:
-    """Enclosures of s_{-j} for j = 2..want_max_j from one bottom-up sweep.
-
-    The sweep starts at the unknown continuation below the word's deepest
-    symbol and climbs to the dot, so every returned interval is uniform over
-    all extensions of the tail.
+    Each shift is +-a times a symbol.  The sweep starts from the a-priori
+    interval [-1/(a-|b|), 1/(a-|b|)], which stands for the unknown
+    continuation beyond the first shift, and returns one enclosure per shift
+    in sweep order; every one is uniform over all such continuations.
     """
-    a, b = params.a, params.b
-    rad = _radius(params)
-    m = len(tail)
-    x = (-rad, rad)
-    out: dict[int, tuple[float, float]] = {}
-    for j in range(m, 1, -1):
-        x = _iv_recip_shifted(-a * tail[-j], _iv_scale(b, x))
-        if j <= want_max_j:
-            out[j] = x
+    b = params.b
+    rad = 1.0 / (params.a - abs(b))
+    lo, hi = -rad, rad
+    out = []
+    for shift in shifts:
+        if b >= 0:
+            den_lo, den_hi = shift + b * lo, shift + b * hi
+        else:
+            den_lo, den_hi = shift + b * hi, shift + b * lo
+        if isinstance(den_lo, np.ndarray):
+            straddles = not np.all((den_lo > 0.0) | (den_hi < 0.0))
+        else:
+            straddles = den_lo <= 0.0 <= den_hi
+        if straddles:
+            raise ArithmeticError("continued-fraction denominator straddles zero")
+        lo, hi = 1.0 / den_hi, 1.0 / den_lo
+        out.append((lo, hi))
     return out
 
 
-def _r_chain(head: tuple[int, ...], params: Params, want_max_j: int) -> dict[int, tuple[float, float]]:
-    """Enclosures of r_j for j = 0..want_max_j, swept from the head's far end."""
-    a, b = params.a, params.b
-    rad = _radius(params)
-    x = (-rad, rad)
-    out: dict[int, tuple[float, float]] = {}
-    for j in range(len(head) - 1, -1, -1):
-        x = _iv_recip_shifted(a * head[j], _iv_scale(b, x))
-        if j <= want_max_j:
-            out[j] = x
-    return out
+def _p_series(s_levels, params: Params):
+    """Enclosure of p from the levels s_{-2}, s_{-3}, ... of its taken terms.
+
+    Term k is the product of the factors (-b s_{-j}), j = 2..k+1.  Every
+    untaken term extends the last partial product by factors of magnitude
+    <= |b|/(a-|b|), so the remainder is geometric from that product
+    (infinite when the ratio reaches 1).
+    """
+    lowest, highest = _extremes(s_levels)
+    b = params.b
+    lo = hi = prod_lo = prod_hi = 1.0
+    for s_lo, s_hi in s_levels:
+        f_lo, f_hi = (-b * s_lo, -b * s_hi) if b <= 0 else (-b * s_hi, -b * s_lo)
+        p = (prod_lo * f_lo, prod_lo * f_hi, prod_hi * f_lo, prod_hi * f_hi)
+        prod_lo, prod_hi = lowest(p), highest(p)
+        lo += prod_lo
+        hi += prod_hi
+    ratio = abs(b) / (params.a - abs(b))
+    if ratio < 1.0:
+        bound = highest((abs(prod_lo), abs(prod_hi))) * (ratio / (1.0 - ratio))
+    else:
+        bound = math.inf
+    return lo - bound, hi + bound
+
+
+def _q_series(r_levels, params: Params):
+    """Enclosure of q from the levels r_0, r_1, ... of its taken terms.
+
+    Term n is (-1)^n r_0 ... r_n.  The term majorant (a-|b|)^-(n+1) always
+    sums geometrically in the hyperbolic region, so the remainder after the
+    last partial product is at most that product over (a-|b|-1); the
+    enclosure is finite even with no terms taken.
+    """
+    lowest, highest = _extremes(r_levels)
+    lo = hi = 0.0
+    prod_lo = prod_hi = 1.0
+    for n, (r_lo, r_hi) in enumerate(r_levels):
+        p = (prod_lo * r_lo, prod_lo * r_hi, prod_hi * r_lo, prod_hi * r_hi)
+        prod_lo, prod_hi = lowest(p), highest(p)
+        if n % 2 == 0:
+            lo += prod_lo
+            hi += prod_hi
+        else:
+            lo -= prod_hi
+            hi -= prod_lo
+    bound = highest((abs(prod_lo), abs(prod_hi))) / (params.a - abs(params.b) - 1.0)
+    return lo - bound, hi + bound
+
+
+def _p_enclosure(tail_outward, depth: int, params: Params):
+    """Enclosure of p over all extensions of a tail, series depth capped by
+    the symbols held.  tail_outward[k] is the symbol at index -(k+1): an int
+    for one word, or row k of a transposed symbol matrix for a batch."""
+    m = len(tail_outward)
+    d = max(0, min(depth, m - 1))
+    levels = _levels([-params.a * tail_outward[k] for k in range(m - 1, 0, -1)], params)
+    return _p_series(levels[::-1][:d], params)
+
+
+def _q_enclosure(head, depth: int, params: Params):
+    """Enclosure of q over all extensions of a head, series depth capped by
+    the symbols held.  head[k] is the symbol at index k, as in _p_enclosure."""
+    n = len(head)
+    d = min(depth, n - 1)
+    levels = _levels([params.a * head[k] for k in range(n - 1, -1, -1)], params)
+    return _q_series(levels[::-1][: d + 1], params)
 
 
 def eval_s(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
@@ -146,12 +204,8 @@ def eval_s(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
         raise InsufficientWord(
             f"tail of length {w.tail_len} cannot supply symbols down to index {n - depth}"
         )
-    a, b = params.a, params.b
-    rad = _radius(params)
-    x = (-rad, rad)
-    for j in range(j0 + depth, j0 - 1, -1):
-        x = _iv_recip_shifted(-a * w.tail[-j], _iv_scale(b, x))
-    return BoundedValue.from_interval(*x)
+    shifts = [-params.a * w.tail[-j] for j in range(j0 + depth, j0 - 1, -1)]
+    return BoundedValue.from_interval(*_levels(shifts, params)[-1])
 
 
 def eval_r(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
@@ -165,58 +219,8 @@ def eval_r(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
         raise InsufficientWord(
             f"head of length {w.head_len} cannot supply symbols up to index {n + depth}"
         )
-    a, b = params.a, params.b
-    rad = _radius(params)
-    x = (-rad, rad)
-    for j in range(n + depth, n - 1, -1):
-        x = _iv_recip_shifted(a * w.head[j], _iv_scale(b, x))
-    return BoundedValue.from_interval(*x)
-
-
-def _p_interval(tail: tuple[int, ...], depth: int, params: Params) -> tuple[float, float]:
-    """Enclosure of p over all extensions of the tail; series depth capped by
-    the available symbols.  Terms are products of (-b * s_{-j}) intervals;
-    the untaken part of the series is covered by the geometric majorant with
-    ratio |b|/(a-|b|) (infinite when that ratio reaches 1)."""
-    a, b = params.a, params.b
-    c = a - abs(b)
-    d_eff = max(0, min(depth, len(tail) - 1))
-    lo, hi = 1.0, 1.0
-    prod = (1.0, 1.0)
-    if d_eff >= 1:
-        chain = _s_chain(tail, params, d_eff + 1)
-        for j in range(2, d_eff + 2):
-            prod = _iv_mul(prod, _iv_scale(-b, chain[j]))
-            lo += prod[0]
-            hi += prod[1]
-    # Every untaken term extends the last partial product by factors of
-    # magnitude <= |b|/c, so the remainder is geometric from that product.
-    ratio = abs(b) / c
-    prod_max = max(abs(prod[0]), abs(prod[1]))
-    tail_bound = prod_max * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return (lo - tail_bound, hi + tail_bound)
-
-
-def _q_interval(head: tuple[int, ...], depth: int, params: Params) -> tuple[float, float]:
-    """Enclosure of q over all extensions of the head; series depth capped.
-
-    The term majorant (a-|b|)^-(n+1) always sums geometrically in the
-    hyperbolic region, so the enclosure is finite even for an empty head."""
-    c = params.a - abs(params.b)
-    d_eff = min(depth, len(head) - 1)
-    lo, hi = 0.0, 0.0
-    prod = (1.0, 1.0)
-    if d_eff >= 0:
-        chain = _r_chain(head, params, d_eff)
-        for n in range(d_eff + 1):
-            prod = _iv_mul(prod, chain[n])
-            term = prod if n % 2 == 0 else (-prod[1], -prod[0])
-            lo += term[0]
-            hi += term[1]
-    # Remainder: the last partial product times factors of magnitude <= 1/c.
-    prod_max = max(abs(prod[0]), abs(prod[1]))
-    tail_bound = prod_max / (c - 1.0)
-    return (lo - tail_bound, hi + tail_bound)
+    shifts = [params.a * w.head[j] for j in range(n + depth, n - 1, -1)]
+    return BoundedValue.from_interval(*_levels(shifts, params)[-1])
 
 
 def eval_p(w: Word, depth: int, params: Params) -> BoundedValue:
@@ -231,7 +235,7 @@ def eval_p(w: Word, depth: int, params: Params) -> BoundedValue:
         raise ValueError("depth must be >= 0")
     if w.tail_len < depth + 2:
         raise InsufficientWord(f"tail length {w.tail_len} < depth + 2 = {depth + 2}")
-    return BoundedValue.from_interval(*_p_interval(w.tail, depth, params))
+    return BoundedValue.from_interval(*_p_enclosure(w.tail[::-1], depth, params))
 
 
 def eval_q(w: Word, depth: int, params: Params) -> BoundedValue:
@@ -245,7 +249,7 @@ def eval_q(w: Word, depth: int, params: Params) -> BoundedValue:
         raise ValueError("depth must be >= 0")
     if w.head_len < depth + 1:
         raise InsufficientWord(f"head length {w.head_len} < depth + 1 = {depth + 1}")
-    return BoundedValue.from_interval(*_q_interval(w.head, depth, params))
+    return BoundedValue.from_interval(*_q_enclosure(w.head, depth, params))
 
 
 def closed_form_q(params: Params, head: tuple[int, ...] | None = None) -> float:
@@ -274,8 +278,8 @@ def eval_pq_cylinder(w: Word, depth: int, params: Params) -> tuple[float, float]
     empty sides simply widen the enclosure, they never raise.
     """
     params.require_hyperbolic()
-    plo, phi = _p_interval(w.tail, depth, params)
-    qlo, qhi = _q_interval(w.head, depth, params)
+    plo, phi = _p_enclosure(w.tail[::-1], depth, params)
+    qlo, qhi = _q_enclosure(w.head, depth, params)
     return (plo - qhi, phi - qlo)
 
 
@@ -306,7 +310,7 @@ def classify_cylinder(w: Word, depth: int, shift_window: int, params: Params) ->
 
 
 # ---------------------------------------------------------------------------
-# vectorized engines
+# rasters and block counts
 
 # PGM gray codes for raster cells.
 PGM_PRUNED = 0
@@ -327,123 +331,6 @@ def verdict_code(v: Verdict) -> int:
 
 def code_verdict(code: int) -> Verdict:
     return _CODE_VERDICT[code]
-
-
-def _vec_recip_shifted(shift: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    den_lo = shift + lo
-    den_hi = shift + hi
-    if not bool(np.all((den_lo > 0.0) | (den_hi < 0.0))):
-        raise ArithmeticError("continued-fraction denominator straddles zero")
-    return 1.0 / den_hi, 1.0 / den_lo
-
-
-def _vec_scale(b: float, lo: np.ndarray, hi: np.ndarray):
-    return (b * lo, b * hi) if b >= 0 else (b * hi, b * lo)
-
-
-def _vec_mul(alo, ahi, blo, bhi):
-    p1 = alo * blo
-    p2 = alo * bhi
-    p3 = ahi * blo
-    p4 = ahi * bhi
-    return np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)), np.maximum(
-        np.maximum(p1, p2), np.maximum(p3, p4)
-    )
-
-
-def _heads_matrix_coordinate_order(n: int) -> np.ndarray:
-    """Symbols (+-1) of all length-n heads, row rank = head_coordinate order."""
-    codes = np.arange(1 << n, dtype=np.int64)
-    sym = np.empty((1 << n, n), dtype=np.int8)
-    parity = np.zeros(1 << n, dtype=np.int64)
-    for k in range(n):
-        bit = (codes >> (n - 1 - k)) & 1
-        s_bit = bit ^ parity
-        sym[:, k] = (2 * s_bit - 1).astype(np.int8)
-        parity = parity ^ s_bit
-    return sym
-
-
-def _tails_matrix_coordinate_order(m: int, b_sign: int = PLUS) -> np.ndarray:
-    """Symbols of all length-m tails, row rank = tail_coordinate order.
-
-    Column d holds the symbol at index -(d+1): depth-major layout, matching
-    the order the continued-fraction sweep consumes symbols.
-    """
-    codes = np.arange(1 << m, dtype=np.int64)
-    sym = np.empty((1 << m, m), dtype=np.int8)
-    parity = np.zeros(1 << m, dtype=np.int64)
-    counted_bit = 0 if b_sign >= 0 else 1
-    for k in range(m):
-        bit = (codes >> (m - 1 - k)) & 1
-        s_bit = bit ^ parity
-        sym[:, k] = (2 * s_bit - 1).astype(np.int8)
-        parity = parity ^ (s_bit ^ counted_bit ^ 1)
-    return sym
-
-
-def _p_intervals_for_tails(sym_by_depth: np.ndarray, depth: int, params: Params):
-    """Vectorized _p_interval over tail rows; column d = symbol at index -(d+1)."""
-    a, b = params.a, params.b
-    c = a - abs(b)
-    rad = 1.0 / c
-    rows, m = sym_by_depth.shape
-    d_eff = max(0, min(depth, m - 1))
-    shape = (rows,)
-    xlo = np.full(shape, -rad)
-    xhi = np.full(shape, rad)
-    chain = {}
-    for j in range(m, 1, -1):
-        slo, shi = _vec_scale(b, xlo, xhi)
-        xlo, xhi = _vec_recip_shifted(-a * sym_by_depth[:, j - 1].astype(np.float64), slo, shi)
-        if j <= d_eff + 1:
-            chain[j] = (xlo, xhi)
-    plo = np.ones(shape)
-    phi = np.ones(shape)
-    prod_lo = np.ones(shape)
-    prod_hi = np.ones(shape)
-    for j in range(2, d_eff + 2):
-        flo, fhi = _vec_scale(-b, *chain[j])
-        prod_lo, prod_hi = _vec_mul(prod_lo, prod_hi, flo, fhi)
-        plo += prod_lo
-        phi += prod_hi
-    ratio = abs(b) / c
-    prod_max = np.maximum(np.abs(prod_lo), np.abs(prod_hi))
-    tail_bound = prod_max * (ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
-    return plo - tail_bound, phi + tail_bound
-
-
-def _q_intervals_for_heads(sym: np.ndarray, depth: int, params: Params):
-    """Vectorized _q_interval over head rows; column i = symbol at index i."""
-    a, b = params.a, params.b
-    c = a - abs(b)
-    rad = 1.0 / c
-    rows, n = sym.shape
-    d_eff = min(depth, n - 1)
-    shape = (rows,)
-    xlo = np.full(shape, -rad)
-    xhi = np.full(shape, rad)
-    chain = {}
-    for j in range(n - 1, -1, -1):
-        slo, shi = _vec_scale(b, xlo, xhi)
-        xlo, xhi = _vec_recip_shifted(a * sym[:, j].astype(np.float64), slo, shi)
-        if j <= d_eff:
-            chain[j] = (xlo, xhi)
-    qlo = np.zeros(shape)
-    qhi = np.zeros(shape)
-    prod_lo = np.ones(shape)
-    prod_hi = np.ones(shape)
-    for t in range(d_eff + 1):
-        prod_lo, prod_hi = _vec_mul(prod_lo, prod_hi, *chain[t])
-        if t % 2 == 0:
-            qlo += prod_lo
-            qhi += prod_hi
-        else:
-            qlo -= prod_hi
-            qhi -= prod_lo
-    prod_max = np.maximum(np.abs(prod_lo), np.abs(prod_hi))
-    tail_bound = prod_max / (c - 1.0)
-    return qlo - tail_bound, qhi + tail_bound
 
 
 @dataclass(frozen=True)
@@ -495,10 +382,11 @@ def pruned_region_raster(
     cells_total = 1 << (2 * word_len)
     if cells_total > cell_limit:
         raise BudgetExceeded(f"4^{word_len} = {cells_total} cells exceed limit {cell_limit}")
-    tails = _tails_matrix_coordinate_order(word_len, PLUS if params.b >= 0 else MINUS)
-    heads = _heads_matrix_coordinate_order(word_len)
-    plo, phi = _p_intervals_for_tails(tails, depth, params)
-    qlo, qhi = _q_intervals_for_heads(heads, depth, params)
+    tails = coordinate_symbols(word_len, MINUS if params.b >= 0 else PLUS)
+    heads = coordinate_symbols(word_len, PLUS)
+    # With depth 0 the p enclosure is one interval shared by every tail.
+    plo, phi = (np.broadcast_to(v, len(tails)) for v in _p_enclosure(tails.T, depth, params))
+    qlo, qhi = _q_enclosure(heads.T, depth, params)
     diff_lo = plo[:, None] - qhi[None, :]
     diff_hi = phi[:, None] - qlo[None, :]
     cells = np.full(diff_lo.shape, PGM_UNKNOWN, dtype=np.uint8)
@@ -507,86 +395,30 @@ def pruned_region_raster(
     return Raster(params=params, word_len=word_len, depth=depth, cells=cells)
 
 
-def _binary_symbols(n: int) -> np.ndarray:
-    codes = np.arange(1 << n, dtype=np.int64)
-    sym = np.empty((1 << n, n), dtype=np.int8)
-    for k in range(n):
-        sym[:, k] = (2 * ((codes >> k) & 1) - 1).astype(np.int8)
-    return sym
-
-
 def _window_masks(params: Params, n: int, depth: int):
-    """Per-word masks over all 2^n symbol blocks of length n.
+    """Per-block masks over all 2^n symbol blocks of length n.
 
     pruned_any[w]: some dot placement inside the block has an entirely
     negative enclosure, so the block cannot occur in any admissible sequence.
     cert_all[w]: every placement has an entirely non-negative enclosure.
+    Rows follow the head coordinate order; a block count ignores row order.
     """
-    a, b = params.a, params.b
-    c = a - abs(b)
-    rad = 1.0 / c
-    count = 1 << n
-    sym = _binary_symbols(n).astype(np.float64)
-
-    # R[j] encloses the ascending continued fraction r_j of the suffix j..n-1.
-    r_chain: list[tuple[np.ndarray, np.ndarray]] = [None] * n
-    xlo = np.full(count, -rad)
-    xhi = np.full(count, rad)
-    for j in range(n - 1, -1, -1):
-        slo, shi = _vec_scale(b, xlo, xhi)
-        xlo, xhi = _vec_recip_shifted(a * sym[:, j], slo, shi)
-        r_chain[j] = (xlo, xhi)
-
-    # Y[t] encloses the descending continued fraction ending at position t,
+    a = params.a
+    cols = coordinate_symbols(n, PLUS).T
+    # r[j] encloses the ascending continued fraction r_j of the suffix j..n-1.
+    r = _levels([a * cols[j] for j in range(n - 1, -1, -1)], params)[::-1]
+    # y[t] encloses the descending continued fraction ending at position t,
     # i.e. s_{-(k-t)} for the placement with the dot at k.
-    y_chain: list[tuple[np.ndarray, np.ndarray]] = [None] * n
-    ylo = np.full(count, -rad)
-    yhi = np.full(count, rad)
-    for t in range(n):
-        slo, shi = _vec_scale(b, ylo, yhi)
-        ylo, yhi = _vec_recip_shifted(-a * sym[:, t], slo, shi)
-        y_chain[t] = (ylo, yhi)
+    y = _levels([-a * cols[t] for t in range(n)], params)
 
-    ratio = abs(b) / c
-    pruned_any = np.zeros(count, dtype=bool)
-    cert_all = np.ones(count, dtype=bool)
+    pruned_any = np.zeros(1 << n, dtype=bool)
+    cert_all = np.ones(1 << n, dtype=bool)
     for k in range(n):
-        # q side of the placement: head = positions k..n-1.
-        dq = min(depth, n - k - 1)
-        qlo = np.zeros(count)
-        qhi = np.zeros(count)
-        prod_lo = np.ones(count)
-        prod_hi = np.ones(count)
-        for t in range(dq + 1):
-            prod_lo, prod_hi = _vec_mul(prod_lo, prod_hi, *r_chain[k + t])
-            if t % 2 == 0:
-                qlo += prod_lo
-                qhi += prod_hi
-            else:
-                qlo -= prod_hi
-                qhi -= prod_lo
-        q_tail = np.maximum(np.abs(prod_lo), np.abs(prod_hi)) / (c - 1.0)
-        qlo -= q_tail
-        qhi += q_tail
-
-        # p side: tail = positions 0..k-1; term k' uses s_{-(k'+1)} = Y[k-k'-1].
+        # q side: head = positions k..n-1, term t uses r_t = r[k + t].
+        qlo, qhi = _q_series(r[k : k + min(depth, n - k - 1) + 1], params)
+        # p side: tail = positions 0..k-1, term j uses s_{-(j+1)} = y[k - j - 1].
         dp = max(0, min(depth, k - 1))
-        plo = np.ones(count)
-        phi = np.ones(count)
-        prod_lo = np.ones(count)
-        prod_hi = np.ones(count)
-        for kk in range(1, dp + 1):
-            flo, fhi = _vec_scale(-b, *y_chain[k - kk - 1])
-            prod_lo, prod_hi = _vec_mul(prod_lo, prod_hi, flo, fhi)
-            plo += prod_lo
-            phi += prod_hi
-        if ratio < 1.0:
-            p_tail = np.maximum(np.abs(prod_lo), np.abs(prod_hi)) * (ratio / (1.0 - ratio))
-        else:
-            p_tail = math.inf
-        plo -= p_tail
-        phi += p_tail
-
+        plo, phi = _p_series(y[k - 1 - dp : k - 1][::-1], params)
         pruned_any |= (phi - qlo) < 0.0
         cert_all &= (plo - qhi) >= 0.0
     return pruned_any, cert_all
@@ -613,19 +445,31 @@ def admissible_word_count(
     return lower, upper
 
 
-def entropy_estimate(params: Params, n_max: int, depth: int) -> tuple[float, float]:
-    """Entropy bracket from admissible block counts.
+ENTROPY_HEADER = ("a", "b", "n", "depth", "count_lower", "count_upper", "h_lower", "h_upper")
 
-    h_upper = min over n <= n_max of log(upper_n)/n (upper counts are
-    submultiplicative, so every n gives an upper bound); h_lower =
-    log(lower_{n_max})/n_max, clamped into [0, h_upper].
+
+def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
+    """Entropy bracket rows per block length n = 1..n_max, laid out as
+    ENTROPY_HEADER; the last row is the final estimate.
+
+    Upper counts are submultiplicative so the running min over log(upper)/n
+    is a valid upper bound at every n; the lower bound uses only the current
+    length and is clamped into [0, h_upper].
     """
-    counts = [admissible_word_count(params, n, depth) for n in range(1, n_max + 1)]
+    rows = []
     h_upper = math.inf
-    for n, (_, upper) in enumerate(counts, start=1):
+    for n in range(1, n_max + 1):
+        lower, upper = admissible_word_count(params, n, depth)
         h_upper = min(h_upper, math.log(upper) / n if upper > 0 else 0.0)
-    h_upper = max(h_upper, 0.0)
-    lower = counts[-1][0]
-    h_lower = math.log(lower) / n_max if lower > 0 else 0.0
-    h_lower = min(max(h_lower, 0.0), h_upper)
+        h_up = max(h_upper, 0.0)
+        h_lo = math.log(lower) / n if lower > 0 else 0.0
+        h_lo = min(max(h_lo, 0.0), h_up)
+        rows.append((params.a, params.b, n, depth, lower, upper, h_lo, h_up))
+    return rows
+
+
+def entropy_estimate(params: Params, n_max: int, depth: int) -> tuple[float, float]:
+    """Entropy bracket (h_lower, h_upper) from admissible block counts up to
+    n_max: the last row of entropy_rows."""
+    h_lower, h_upper = entropy_rows(params, n_max, depth)[-1][-2:]
     return h_lower, h_upper

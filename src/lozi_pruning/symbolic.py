@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import EmptyHead, Incomparable
 
 MINUS = -1
@@ -186,14 +188,14 @@ def tail_coordinate(tail: tuple[int, ...], b_sign: int = PLUS) -> float:
 
 def enumerate_heads(n: int) -> Iterator[tuple[int, ...]]:
     """All 2^n heads of length n, in increasing head_coordinate order."""
-    for code in range(1 << n):
-        yield _head_from_coordinate_code(code, n)
+    for row in coordinate_symbols(n, PLUS).tolist():
+        yield tuple(row)
 
 
 def enumerate_tails(m: int, b_sign: int = PLUS) -> Iterator[tuple[int, ...]]:
     """All 2^m tails of length m, in increasing tail_coordinate order."""
-    for code in range(1 << m):
-        yield _tail_from_coordinate_code(code, m, b_sign)
+    for row in coordinate_symbols(m, MINUS if b_sign >= 0 else PLUS).tolist():
+        yield tuple(reversed(row))
 
 
 def enumerate_words(m: int, n: int) -> Iterator[Word]:
@@ -206,32 +208,22 @@ def enumerate_words(m: int, n: int) -> Iterator[Word]:
             yield Word(tail, head)
 
 
-def _head_from_coordinate_code(code: int, n: int) -> tuple[int, ...]:
-    # Invert the coordinate folding: bit k of code (MSB first) is the k-th
-    # binary digit of the coordinate.
-    head = []
-    flips = 0
+def coordinate_symbols(n: int, counted: int) -> np.ndarray:
+    """Symbols (int8 +-1) of all 2^n one-sided words of length n.
+
+    Row r inverts coordinate code r: bit k of r (MSB first) is the k-th
+    binary digit of the coordinate, flipped while an odd number of
+    ``counted`` symbols precede it.  Column k is the k-th symbol read outward
+    from the dot.  With counted = +1 the rows are the heads in head_coordinate
+    order; with the counted symbol of ``tail_coordinate`` they are the tails
+    in tail_coordinate order, column k holding the symbol at index -(k+1).
+    """
+    codes = np.arange(1 << n, dtype=np.int64)
+    sym = np.empty((1 << n, n), dtype=np.int8)
+    parity = np.zeros(1 << n, dtype=np.int64)
+    counted_bit = 1 if counted == PLUS else 0
     for k in range(n):
-        bit = (code >> (n - 1 - k)) & 1
-        if flips % 2:
-            bit ^= 1
-        s = PLUS if bit else MINUS
-        head.append(s)
-        if s == PLUS:
-            flips += 1
-    return tuple(head)
-
-
-def _tail_from_coordinate_code(code: int, m: int, b_sign: int) -> tuple[int, ...]:
-    counted = MINUS if b_sign >= 0 else PLUS
-    rev = []
-    flips = 0
-    for k in range(m):
-        bit = (code >> (m - 1 - k)) & 1
-        if flips % 2:
-            bit ^= 1
-        s = PLUS if bit else MINUS
-        rev.append(s)
-        if s == counted:
-            flips += 1
-    return tuple(reversed(rev))
+        bit = ((codes >> (n - 1 - k)) & 1) ^ parity
+        sym[:, k] = 2 * bit - 1
+        parity ^= bit == counted_bit
+    return sym

@@ -38,16 +38,18 @@ from .geometry import (
     scan_zero_entropy,
 )
 from .pruning import (
+    ENTROPY_HEADER,
     Params,
     Verdict,
     classify_cylinder,
     closed_form_q,
+    entropy_rows,
     eval_q,
     pruned_region_raster,
     special_head,
 )
-from .pruning import _p_intervals_for_tails, _tails_matrix_coordinate_order
-from .symbolic import Word
+from .pruning import _p_enclosure
+from .symbolic import MINUS, Word, coordinate_symbols
 from .tent import (
     check_identity_shifted,
     check_identity_sum,
@@ -185,9 +187,9 @@ def check_bound_lemmas(config, _=None) -> CheckResult:
         worst_excess = max(worst_excess, da.lo - fd_a, fd_a - da.hi)
 
         fd_q_b = (qv(a, _FD_H) - qv(a, -_FD_H)) / (2 * _FD_H)
-        sym = _tails_matrix_coordinate_order(14)
-        plo1, phi1 = _p_intervals_for_tails(sym, 12, Params(a, _FD_H))
-        plo2, phi2 = _p_intervals_for_tails(sym, 12, Params(a, -_FD_H))
+        sym = coordinate_symbols(14, MINUS)
+        plo1, phi1 = _p_enclosure(sym.T, 12, Params(a, _FD_H))
+        plo2, phi2 = _p_enclosure(sym.T, 12, Params(a, -_FD_H))
         fd_b = ((plo1 + phi1) - (plo2 + phi2)) / (4 * _FD_H) - fd_q_b
         eps2 = sym[:, 1]
         for e in (1, -1):
@@ -232,8 +234,6 @@ def check_kneading_identities(config, _=None) -> CheckResult:
 
 def check_entropy_brackets(config, _=None) -> CheckResult:
     """Count brackets trap the known entropy values; lap oracle concurs."""
-    from .cli import entropy_rows
-
     n_max = config.n_max if config.n_max is not None else 16
     depth = config.depth if config.depth is not None else 12
     details = []
@@ -252,16 +252,12 @@ def check_entropy_brackets(config, _=None) -> CheckResult:
     details.append(f"lap oracle {lap:.4f}")
     path = _artifact(config, "entropy.csv")
     if path:
-        from .cli import ENTROPY_HEADER
-
         formats.write_csv(path, ENTROPY_HEADER, all_rows, force=config.force)
     return CheckResult(7, "entropy-brackets", bool(passed), "; ".join(details))
 
 
 def check_upper_bound_monotone(config, _=None) -> CheckResult:
     """The upper entropy bound grows with the slope along a fold-free line."""
-    from .cli import ENTROPY_HEADER, entropy_rows
-
     n_max = config.n_max if config.n_max is not None else 12
     depth = config.depth if config.depth is not None else 12
     uppers = []

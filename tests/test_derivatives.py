@@ -28,8 +28,8 @@ from lozi_pruning import (
     special_head,
 )
 from lozi_pruning.derivatives import CONE_TABLE_HEADER, D_A, D_B, DerivBounds, MonotoneCone
-from lozi_pruning.pruning import _p_intervals_for_tails, _tails_matrix_coordinate_order
-from lozi_pruning.symbolic import MINUS, PLUS, Word
+from lozi_pruning.pruning import _p_enclosure
+from lozi_pruning.symbolic import MINUS, PLUS, Word, coordinate_symbols
 
 SLOPES = (1.3, 1.5, 1.7, 2.0)
 H = 1e-6
@@ -184,9 +184,9 @@ def test_fd_derivatives_within_bounds_all_tails(a):
     da = a_derivative_bounds(a)
     assert da.contains(fd_a, slack=1e-3)
 
-    sym = _tails_matrix_coordinate_order(14)
-    plo1, phi1 = _p_intervals_for_tails(sym, 12, Params(a, H))
-    plo2, phi2 = _p_intervals_for_tails(sym, 12, Params(a, -H))
+    sym = coordinate_symbols(14, MINUS)
+    plo1, phi1 = _p_enclosure(sym.T, 12, Params(a, H))
+    plo2, phi2 = _p_enclosure(sym.T, 12, Params(a, -H))
     fd_b = ((plo1 + phi1) - (plo2 + phi2)) / (4 * H) - fd_q_b
     eps2 = sym[:, 1]
     for e in (1, -1):

@@ -47,13 +47,10 @@ from lozi_pruning.pruning import (
     PGM_ADMISSIBLE,
     PGM_PRUNED,
     PGM_UNKNOWN,
-    _heads_matrix_coordinate_order,
-    _p_interval,
-    _p_intervals_for_tails,
-    _q_interval,
-    _q_intervals_for_heads,
-    _tails_matrix_coordinate_order,
+    _p_enclosure,
+    _q_enclosure,
 )
+from lozi_pruning.symbolic import coordinate_symbols, head_coordinate, tail_coordinate
 
 # Endpoint arithmetic carries no directed rounding, so containment and
 # nesting assertions allow an ulp-scale absolute slack.
@@ -348,26 +345,32 @@ def test_raster_matches_scalar_classifier():
 
 def test_raster_vector_rows_match_symbol_enumeration():
     L = 6
-    tails_m = _tails_matrix_coordinate_order(L, PLUS)
-    heads_m = _heads_matrix_coordinate_order(L)
-    for rank, tail in enumerate(enumerate_tails(L, PLUS)):
-        assert tuple(int(x) for x in tails_m[rank]) == tuple(reversed(tail))
+    heads_m = coordinate_symbols(L, PLUS)
     for rank, head in enumerate(enumerate_heads(L)):
         assert tuple(int(x) for x in heads_m[rank]) == head
+        assert head_coordinate(head) == rank / (1 << L)
+    for b_sign, counted in ((PLUS, MINUS), (MINUS, PLUS)):
+        tails_m = coordinate_symbols(L, counted)
+        for rank, tail in enumerate(enumerate_tails(L, b_sign)):
+            assert tuple(int(x) for x in tails_m[rank]) == tuple(reversed(tail))
+            assert tail_coordinate(tail, b_sign) == rank / (1 << L)
 
 
 def test_vectorized_intervals_bitwise_match_scalar():
-    par = Params(1.8, -0.4)
-    L, d = 6, 5
-    tails_m = _tails_matrix_coordinate_order(L, MINUS)
-    heads_m = _heads_matrix_coordinate_order(L)
-    plo, phi = _p_intervals_for_tails(tails_m, d, par)
-    qlo, qhi = _q_intervals_for_heads(heads_m, d, par)
-    tails = list(enumerate_tails(L, MINUS))
-    heads = list(enumerate_heads(L))
-    for rank in (0, 1, 17, 32, 45, 63):
-        assert _p_interval(tails[rank], d, par) == (plo[rank], phi[rank])
-        assert _q_interval(heads[rank], d, par) == (qlo[rank], qhi[rank])
+    # Every rank at L = 8; (2.0, 0.9) and (1.9, -0.8) are parameters where a
+    # different rounding order of the geometric remainder shows in the last bit.
+    L, d = 8, 6
+    for par in (Params(2.0, 0.9), Params(1.7, 0.3), Params(2.0, 0.0),
+                Params(1.8, -0.4), Params(1.9, -0.8)):
+        b_sign = PLUS if par.b >= 0 else MINUS
+        tails_m = coordinate_symbols(L, MINUS if par.b >= 0 else PLUS)
+        heads_m = coordinate_symbols(L, PLUS)
+        plo, phi = _p_enclosure(tails_m.T, d, par)
+        qlo, qhi = _q_enclosure(heads_m.T, d, par)
+        for rank, tail in enumerate(enumerate_tails(L, b_sign)):
+            assert _p_enclosure(tail[::-1], d, par) == (plo[rank], phi[rank])
+        for rank, head in enumerate(enumerate_heads(L)):
+            assert _q_enclosure(head, d, par) == (qlo[rank], qhi[rank])
 
 
 def test_raster_budget_gate():
