@@ -25,6 +25,7 @@ from . import formats
 from .derivatives import CONE_TABLE_HEADER, cone_table, dp_db_at_b0, dq_db_at_b0
 from .errors import LoziError
 from .geometry import (
+    MANIFOLD_BRANCHES,
     ZERO_ENTROPY_CODES,
     scan_zero_entropy,
     stable_manifold,
@@ -34,9 +35,6 @@ from .pruning import ENTROPY_HEADER, Params, entropy_rows, pruned_region_raster
 from .symbolic import Word
 
 _CODE_TO_VERDICT = {code: name for name, code in ZERO_ENTROPY_CODES.items()}
-
-_UNSTABLE_BRANCHES = ("p1_right", "p1_left", "p2")
-_STABLE_BRANCHES = ("p1_plus", "p1_minus")
 
 DERIVATIVES_HEADER = (
     "a",
@@ -181,27 +179,18 @@ def cmd_entropy(config: RunConfig) -> int:
 
 def cmd_derivatives(config: RunConfig) -> int:
     """Closed-form derivative anchors and two-sided bound intervals per slope."""
-    from .derivatives import a_derivative_bounds, b_derivative_bounds
-
-    rows = []
-    for a in _a_sweep(config, 1.2, 2.0, _or(config.grid, 32)):
-        da = a_derivative_bounds(a)
-        bp = b_derivative_bounds(a, +1)
-        bm = b_derivative_bounds(a, -1)
-        rows.append(
-            (
-                a,
-                dq_db_at_b0(a),
-                dp_db_at_b0(Word((+1, +1), (+1,)), a),
-                dp_db_at_b0(Word((-1, +1), (+1,)), a),
-                da.lo,
-                da.hi,
-                bp.lo,
-                bp.hi,
-                bm.lo,
-                bm.hi,
-            )
+    rows = [
+        (
+            a,
+            dq_db_at_b0(a),
+            dp_db_at_b0(Word((+1, +1), (+1,)), a),
+            dp_db_at_b0(Word((-1, +1), (+1,)), a),
+            *bounds,  # lo/hi of d_a, d_b at eps_-2 = +1, d_b at eps_-2 = -1
         )
+        for a, *bounds, _n1, _n2 in cone_table(
+            _a_sweep(config, 1.2, 2.0, _or(config.grid, 32))
+        )
+    ]
     _emit_csv(config, DERIVATIVES_HEADER, rows)
     return 0
 
@@ -262,13 +251,11 @@ def cmd_manifolds(config: RunConfig) -> int:
     out = _require_out(config)
     params = Params(config.a, config.b)
     arc_budget = _or(config.arc_budget, 50.0)
-    if config.branch in _UNSTABLE_BRANCHES:
-        line = unstable_manifold(params, seed=config.branch, arc_budget=arc_budget)
-    elif config.branch in _STABLE_BRANCHES:
-        line = stable_manifold(params, seed=config.branch, arc_budget=arc_budget)
-    else:
-        choices = ", ".join(_UNSTABLE_BRANCHES + _STABLE_BRANCHES)
-        raise ValueError(f"branch must be one of {choices}")
+    if config.branch not in MANIFOLD_BRANCHES:
+        raise ValueError(f"branch must be one of {', '.join(MANIFOLD_BRANCHES)}")
+    _, inverse, _, _ = MANIFOLD_BRANCHES[config.branch]
+    grow = stable_manifold if inverse else unstable_manifold
+    line = grow(params, seed=config.branch, arc_budget=arc_budget)
     rows = [(v.x, v.y) for v in line.vertices]
     formats.write_csv(out, MANIFOLD_HEADER, rows, force=config.force)
     formats.write_sidecar(

@@ -183,6 +183,28 @@ def _max_depth_for(f: str, w: Word) -> int:
     return max(w.tail_len - 2, w.head_len - 1, 0)
 
 
+def _central_difference(
+    f: str,
+    w: Word,
+    params: Params,
+    direction: tuple[float, float],
+    h: float,
+    depth: int | None,
+) -> tuple[float, float]:
+    """Central difference at step h and the larger truncation radius of its
+    two series evaluations."""
+    d = _max_depth_for(f, w) if depth is None else depth
+    da, db = direction
+    plus = Params(params.a + h * da, params.b + h * db)
+    minus = Params(params.a - h * da, params.b - h * db)
+    for pt in (plus, minus):
+        if not pt.hyperbolic:
+            raise NotHyperbolic(f"step leaves the hyperbolic region at {pt}")
+    hi_v = _eval_selected(f, w, plus, d)
+    lo_v = _eval_selected(f, w, minus, d)
+    return (hi_v.value - lo_v.value) / (2.0 * h), max(hi_v.err, lo_v.err)
+
+
 def fd_derivative(
     f: str,
     w: Word,
@@ -197,16 +219,7 @@ def fd_derivative(
     f selects the series: 'p' (tail), 'q' (head), or 'pq' (difference).
     Uses the full word depth unless an explicit depth is given.
     """
-    da, db = direction
-    plus = Params(params.a + h * da, params.b + h * db)
-    minus = Params(params.a - h * da, params.b - h * db)
-    for pt in (plus, minus):
-        if not pt.hyperbolic:
-            raise NotHyperbolic(f"step leaves the hyperbolic region at {pt}")
-    d = _max_depth_for(f, w) if depth is None else depth
-    hi_v = _eval_selected(f, w, plus, d)
-    lo_v = _eval_selected(f, w, minus, d)
-    return (hi_v.value - lo_v.value) / (2.0 * h)
+    return _central_difference(f, w, params, direction, h, depth)[0]
 
 
 def fd_report(
@@ -219,21 +232,11 @@ def fd_report(
 ) -> FdReport:
     """fd_derivative at h and h/2 with the Richardson-extrapolated value
     and the worst series truncation radius met along the way."""
-    da, db = direction
-    d = _max_depth_for(f, w) if depth is None else depth
-    errs = []
-    vals = []
-    for step in (h, 0.5 * h):
-        plus = Params(params.a + step * da, params.b + step * db)
-        minus = Params(params.a - step * da, params.b - step * db)
-        for pt in (plus, minus):
-            if not pt.hyperbolic:
-                raise NotHyperbolic(f"step leaves the hyperbolic region at {pt}")
-        hi_v = _eval_selected(f, w, plus, d)
-        lo_v = _eval_selected(f, w, minus, d)
-        errs.extend([hi_v.err, lo_v.err])
-        vals.append((hi_v.value - lo_v.value) / (2.0 * step))
-    rich = (4.0 * vals[1] - vals[0]) / 3.0
+    value, err = _central_difference(f, w, params, direction, h, depth)
+    halved, err_halved = _central_difference(f, w, params, direction, 0.5 * h, depth)
     return FdReport(
-        value=vals[0], halved=vals[1], richardson=rich, max_series_err=max(errs)
+        value=value,
+        halved=halved,
+        richardson=(4.0 * halved - value) / 3.0,
+        max_series_err=max(err, err_halved),
     )

@@ -1,6 +1,13 @@
 """Plane dynamics of the Lozi family: fixed points and period-2 sinks,
 piecewise-affine invariant-manifold polylines, the quartic-step Lyapunov
-certificate, homoclinic detection, and the zero-entropy classifier/scan."""
+certificate, homoclinic detection, and the zero-entropy classifier/scan.
+
+Each manifold branch is one row of ``MANIFOLD_BRANCHES``: its saddle, whether
+it grows under the inverse map, the sign of its seed eigenvector (lambda, 1),
+and its kind. The period-2 orbit n1, n2 is attracting iff b^2 < 1 and
+|a^2 s1 s2 + 2b| < 1 + b^2 (s_i the sign of n_i.x): the Jury criterion on
+J(n2) J(n1), whose determinant is b^2 and whose trace is a^2 s1 s2 + 2b.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFixedPoint, NonInvertible, NotInvariant, WrongParams
+from .errors import LoziError, NoFixedPoint, NonInvertible, NotInvariant, WrongParams
 from .pruning import Params
 
 
@@ -19,9 +26,6 @@ from .pruning import Params
 class PlanePoint:
     x: float
     y: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
     def dist(self, other: "PlanePoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -70,9 +74,9 @@ class FixedData:
     period2_attracting: bool | None
 
 
-def _residual2(params: Params, p: PlanePoint) -> float:
-    q = lozi_apply_n(params, p, 2)
-    return p.dist(q)
+def _two_cycle_attracting(a: float, b: float, s1: float, s2: float) -> bool:
+    """Jury test on J(n2) J(n1), where J(n) = [[-a sign(n.x), b], [1, 0]]."""
+    return b * b < 1.0 and abs(a * a * s1 * s2 + 2.0 * b) < 1.0 + b * b
 
 
 def fixed_data(params: Params) -> FixedData:
@@ -115,12 +119,13 @@ def fixed_data(params: Params) -> FixedData:
         cand1 = PlanePoint(big_n, (1.0 - a * big_n) / (1.0 - b))
         cand2 = PlanePoint(cand1.y, cand1.x)
         genuine = cand1.dist(cand2) > 1e-10  # otherwise it collapses onto p1
-        if genuine and _residual2(params, cand1) <= 1e-10 and _residual2(params, cand2) <= 1e-10:
+        if genuine and all(
+            c.dist(lozi_apply_n(params, c, 2)) <= 1e-10 for c in (cand1, cand2)
+        ):
             n1, n2 = cand1, cand2
-            jac1 = np.array([[-a * math.copysign(1.0, n1.x), b], [1.0, 0.0]])
-            jac2 = np.array([[-a * math.copysign(1.0, n2.x), b], [1.0, 0.0]])
-            eig = np.linalg.eigvals(jac2 @ jac1)
-            attracting = bool(np.max(np.abs(eig)) < 1.0)
+            attracting = _two_cycle_attracting(
+                a, b, math.copysign(1.0, n1.x), math.copysign(1.0, n2.x)
+            )
     return FixedData(
         p1=p1,
         p2=p2,
@@ -156,39 +161,49 @@ class Polyline:
 
     def point_distance(self, q: PlanePoint) -> float:
         """Distance from q to the polyline (exact over segments)."""
-        pts = np.array([(v.x, v.y) for v in self.vertices])
-        if len(pts) == 1:
-            return float(math.hypot(pts[0][0] - q.x, pts[0][1] - q.y))
-        a0 = pts[:-1]
-        d = pts[1:] - a0
-        rel = np.array([q.x, q.y]) - a0
-        denom = np.einsum("ij,ij->i", d, d)
+        if len(self.vertices) == 1:
+            return self.vertices[0].dist(q)
+        return float(_segment_distances(np.array([[q.x, q.y]]), self.segments())[0])
+
+
+def _segment_distances(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest segment (exact projection)."""
+    a0 = segs[:, 0, :]
+    d = segs[:, 1, :] - a0
+    denom = np.einsum("ij,ij->i", d, d)
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 4096):
+        p = points[lo : lo + 4096]
+        rel = p[:, None, :] - a0[None, :, :]
         t = np.clip(
             np.divide(
-                np.einsum("ij,ij->i", rel, d),
-                denom,
-                out=np.zeros_like(denom),
-                where=denom > 0,
+                np.einsum("pij,ij->pi", rel, d),
+                denom[None, :],
+                out=np.zeros((len(p), len(a0))),
+                where=denom[None, :] > 0,
             ),
             0.0,
             1.0,
         )
-        near = a0 + t[:, None] * d
-        return float(np.min(np.hypot(near[:, 0] - q.x, near[:, 1] - q.y)))
+        near = a0[None, :, :] + t[:, :, None] * d[None, :, :]
+        dist = np.hypot(near[:, :, 0] - p[:, None, 0], near[:, :, 1] - p[:, None, 1])
+        out[lo : lo + 4096] = dist.min(axis=1)
+    return out
 
 
-def _map_polyline(pts, step, kink_coord):
-    """Image of a polyline under one piecewise-affine step, inserting an
-    exact vertex wherever a segment crosses the step's fold line."""
+def _map_polyline(params: Params, pts, inverse: bool):
+    """Image of a polyline under one forward or inverse step, inserting an
+    exact vertex wherever a segment crosses the step's fold (x = 0 or y = 0)."""
+    step = lozi_apply_inverse if inverse else lozi_apply
     out = []
-    for i, u in enumerate(pts[:-1]):
-        w = pts[i + 1]
-        out.append(step(u))
-        cu, cw = kink_coord(u), kink_coord(w)
+    for u, w in zip(pts, pts[1:]):
+        out.append(step(params, u))
+        cu, cw = (u.y, w.y) if inverse else (u.x, w.x)
         if cu * cw < 0.0:
             t = cu / (cu - cw)
-            out.append(step(PlanePoint(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y))))
-    out.append(step(pts[-1]))
+            cut = PlanePoint(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y))
+            out.append(step(params, cut))
+    out.append(step(params, pts[-1]))
     return out
 
 
@@ -225,17 +240,11 @@ def _grow_branch(
 ) -> Polyline:
     if inverse and params.b == 0.0:
         raise NonInvertible("stable side needs the inverse map; b = 0")
-    step = (lambda p: lozi_apply_inverse(params, p)) if inverse else (
-        lambda p: lozi_apply(params, p)
-    )
-    kink_coord = (lambda p: p.y) if inverse else (lambda p: p.x)
-
     norm = math.hypot(*direction)
     ux, uy = direction[0] / norm, direction[1] / norm
     # Stay strictly inside the starting affine piece: the eigenline is the
     # exact local manifold there, so the seed is on the manifold.
-    coord0 = kink_coord(start)
-    dcoord = uy if inverse else ux
+    coord0, dcoord = (start.y, uy) if inverse else (start.x, ux)
     t_kink = abs(coord0 / dcoord) if dcoord != 0.0 and coord0 != 0.0 else math.inf
     t0 = min(1e-4, 0.5 * t_kink)
     pts = [start, PlanePoint(start.x + t0 * ux, start.y + t0 * uy)]
@@ -245,8 +254,8 @@ def _grow_branch(
     for _ in range(max_passes):
         # Double step keeps a branch on its own side when the eigenvalue
         # is negative and the two branches swap under a single step.
-        pts = _map_polyline(pts, step, kink_coord)
-        pts = _map_polyline(pts, step, kink_coord)
+        pts = _map_polyline(params, pts, inverse)
+        pts = _map_polyline(params, pts, inverse)
         # The anchor is exactly fixed; re-pin it so rounding drift does not
         # get amplified along the expanding direction pass after pass.
         pts[0] = start
@@ -265,11 +274,30 @@ def _grow_branch(
     )
 
 
-_UNSTABLE_KINDS = {
-    "p1_right": "unstable_right",
-    "p1_left": "unstable_left_halfline",
-    "p2": "unstable_right",
+# branch -> (saddle, grown with the inverse map, seed eigenvector sign, kind)
+MANIFOLD_BRANCHES = {
+    "p1_right": ("p1", False, -1, "unstable_right"),
+    "p1_left": ("p1", False, +1, "unstable_left_halfline"),
+    "p2": ("p2", False, +1, "unstable_right"),
+    "p1_plus": ("p1", True, +1, "stable_halfline"),
+    "p1_minus": ("p1", True, -1, "stable_right"),
 }
+
+
+def _manifold(
+    params: Params, seed: str, inverse: bool, arc_budget: float, flat_tol: float
+) -> Polyline:
+    if seed not in MANIFOLD_BRANCHES or MANIFOLD_BRANCHES[seed][1] != inverse:
+        names = sorted(k for k, row in MANIFOLD_BRANCHES.items() if row[1] == inverse)
+        raise ValueError(f"seed must be one of {names}")
+    saddle, _, sign, kind = MANIFOLD_BRANCHES[seed]
+    fd = fixed_data(params)
+    start = getattr(fd, saddle)
+    lam = getattr(fd, f"{'stable' if inverse else 'unstable'}_slope_{saddle}")
+    if start is None or lam is None:
+        raise NoFixedPoint(f"{saddle} missing or non-real eigenvalues")
+    direction = (sign * lam, float(sign))
+    return _grow_branch(params, start, direction, inverse, kind, arc_budget, flat_tol)
 
 
 def unstable_manifold(
@@ -283,23 +311,7 @@ def unstable_manifold(
     seed is one of p1_right (the branch through the x-axis crossing),
     p1_left (the opposite branch), or p2.
     """
-    if seed not in _UNSTABLE_KINDS:
-        raise ValueError(f"seed must be one of {sorted(_UNSTABLE_KINDS)}")
-    fd = fixed_data(params)
-    if seed == "p2":
-        if fd.p2 is None or fd.unstable_slope_p2 is None:
-            raise NoFixedPoint("p2 missing or non-real eigenvalues")
-        start, lam = fd.p2, fd.unstable_slope_p2
-        direction = (lam, 1.0)
-    else:
-        if fd.p1 is None or fd.unstable_slope_p1 is None:
-            raise NoFixedPoint("p1 missing or non-real eigenvalues")
-        start, lam = fd.p1, fd.unstable_slope_p1
-        # The right branch runs through the x-axis: negated eigenvector.
-        direction = (-lam, -1.0) if seed == "p1_right" else (lam, 1.0)
-    return _grow_branch(
-        params, start, direction, False, _UNSTABLE_KINDS[seed], arc_budget, flat_tol
-    )
+    return _manifold(params, seed, False, arc_budget, flat_tol)
 
 
 def stable_manifold(
@@ -313,15 +325,7 @@ def stable_manifold(
     p1_plus follows (stable_slope, 1) into the half-plane x > 0 (straight
     whenever it never meets the fold); p1_minus is the opposite branch.
     """
-    if seed not in ("p1_plus", "p1_minus"):
-        raise ValueError("seed must be p1_plus or p1_minus")
-    fd = fixed_data(params)
-    if fd.p1 is None or fd.stable_slope_p1 is None:
-        raise NoFixedPoint("p1 missing or non-real eigenvalues")
-    lam = fd.stable_slope_p1
-    direction = (lam, 1.0) if seed == "p1_plus" else (-lam, -1.0)
-    kind = "stable_halfline" if seed == "p1_plus" else "stable_right"
-    return _grow_branch(params, fd.p1, direction, True, kind, arc_budget, flat_tol)
+    return _manifold(params, seed, True, arc_budget, flat_tol)
 
 
 # ------------------------------------------------------------- lyapunov
@@ -424,11 +428,9 @@ def polygon_invariance(params: Params, double_steps: int = 1) -> PolygonReport:
     is typically exactly zero. Raises NotInvariant on genuine escape.
     """
     poly = _corner_polygon(params)
-    step = lambda p: lozi_apply(params, p)
-    kink = lambda p: p.x
     boundary = poly + [poly[0]]
     for _ in range(2 * double_steps):
-        boundary = _map_polyline(boundary, step, kink)
+        boundary = _map_polyline(params, boundary, False)
     boundary = _drop_collinear(boundary)
 
     worst = math.inf
@@ -467,31 +469,6 @@ class HomoclinicResult:
 def _seg_array(*polylines) -> np.ndarray:
     segs = [pl.segments() for pl in polylines if len(pl.vertices) >= 2]
     return np.concatenate(segs, axis=0) if segs else np.empty((0, 2, 2))
-
-
-def _points_on_polyline(points: np.ndarray, segs: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of points lying within tol of any segment."""
-    a0 = segs[:, 0, :]
-    d = segs[:, 1, :] - a0
-    denom = np.einsum("ij,ij->i", d, d)
-    hit = np.zeros(len(points), dtype=bool)
-    for lo in range(0, len(points), 4096):
-        p = points[lo : lo + 4096]
-        rel = p[:, None, :] - a0[None, :, :]
-        t = np.clip(
-            np.divide(
-                np.einsum("pij,ij->pi", rel, d),
-                denom[None, :],
-                out=np.zeros((len(p), len(a0))),
-                where=denom[None, :] > 0,
-            ),
-            0.0,
-            1.0,
-        )
-        near = a0[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.hypot(near[:, :, 0] - p[:, None, 0], near[:, :, 1] - p[:, None, 1])
-        hit[lo : lo + 4096] = dist.min(axis=1) <= tol
-    return hit
 
 
 def homoclinic_intersects(
@@ -552,15 +529,12 @@ def homoclinic_intersects(
                     return HomoclinicResult(True, witness, False)
 
     # No proper crossing: flag grazing contact away from the saddle.
-    uverts = np.unique(np.concatenate([useg[:, 0, :], useg[-1:, 1, :]]), axis=0)
-    sverts = np.unique(np.concatenate([sseg[:, 0, :], sseg[-1:, 1, :]]), axis=0)
-    uverts = uverts[np.hypot(*(uverts - p1).T) > 1e-8]
-    sverts = sverts[np.hypot(*(sverts - p1).T) > 1e-8]
-    tangency = bool(
-        _points_on_polyline(uverts, sseg, touch_tol).any()
-        or _points_on_polyline(sverts, useg, touch_tol).any()
-    )
-    return HomoclinicResult(False, None, tangency)
+    def grazes(segs: np.ndarray, other: np.ndarray) -> bool:
+        verts = np.unique(np.concatenate([segs[:, 0, :], segs[-1:, 1, :]]), axis=0)
+        verts = verts[np.hypot(*(verts - p1).T) > 1e-8]
+        return bool((_segment_distances(verts, other) <= touch_tol).any())
+
+    return HomoclinicResult(False, None, grazes(useg, sseg) or grazes(sseg, useg))
 
 
 # ----------------------------------------------------------- zero entropy
@@ -673,19 +647,22 @@ class ZeroEntropyScan:
     witnesses: np.ndarray
 
     def a_of(self, j: int) -> float:
-        lo, hi = self.a_range
-        return lo + (j + 0.5) * (hi - lo) / self.resolution
+        return _cell_centre(self.a_range, j, self.resolution)
 
     def b_of(self, i: int) -> float:
-        lo, hi = self.b_range
-        return lo + (i + 0.5) * (hi - lo) / self.resolution
+        return _cell_centre(self.b_range, i, self.resolution)
+
+
+def _cell_centre(span: tuple[float, float], k: int, resolution: int) -> float:
+    lo, hi = span
+    return lo + (k + 0.5) * (hi - lo) / resolution
 
 
 def _scan_pixel(args) -> tuple[int, float, float]:
     a, b, arc_budget = args
     try:
         verdict = classify_zero_entropy(Params(a, b), arc_budget)
-    except Exception:
+    except LoziError:
         return ZERO_ENTROPY_CODES["unknown"], math.nan, math.nan
     if verdict.witness is None:
         return _verdict_code(verdict), math.nan, math.nan
@@ -698,7 +675,8 @@ def scan_zero_entropy(
     resolution: int,
     arc_budget: float = 20.0,
 ) -> ZeroEntropyScan:
-    """Classify a parameter grid; pixel errors score as unknown.
+    """Classify a parameter grid; pixels whose classification raises a
+    LoziError score as unknown, and any other error propagates.
 
     Evaluates cell centers. Set LOZI_THREADS > 1 to fan pixels out over
     processes; results are deterministic either way.
@@ -709,10 +687,9 @@ def scan_zero_entropy(
         raise ValueError("resolution must be positive")
     jobs = []
     for i in range(resolution):
-        b = b_range[0] + (i + 0.5) * (b_range[1] - b_range[0]) / resolution
+        b = _cell_centre(b_range, i, resolution)
         for j in range(resolution):
-            a = a_range[0] + (j + 0.5) * (a_range[1] - a_range[0]) / resolution
-            jobs.append((a, b, arc_budget))
+            jobs.append((_cell_centre(a_range, j, resolution), b, arc_budget))
     workers = int(os.environ.get("LOZI_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -101,6 +101,21 @@ def redot(w: Word, k: int) -> Word:
     return Word(block[:cut], block[cut:])
 
 
+def _compare_outward(u, v, counted: int, side: str) -> int:
+    """Order of two one-sided words read outward from the dot, flipping the
+    base order -1 < +1 after each ``counted`` symbol."""
+    flips = 0
+    for s, t in zip(u, v):
+        if s != t:
+            base = -1 if s < t else 1
+            return -base if flips % 2 else base
+        if s == counted:
+            flips += 1
+    if len(u) == len(v):
+        return 0
+    raise Incomparable(f"{side} agree on their common range but differ in length")
+
+
 def compare_heads(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     """Order heads: base order -1 < +1 at the first disagreement i, flipped
     when the count of +1 symbols before i is odd.
@@ -109,16 +124,7 @@ def compare_heads(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     different lengths are Incomparable (neither determines the other's
     cylinder order).
     """
-    flips = 0
-    for i in range(min(len(u), len(v))):
-        if u[i] != v[i]:
-            base = -1 if u[i] < v[i] else 1
-            return -base if flips % 2 else base
-        if u[i] == PLUS:
-            flips += 1
-    if len(u) == len(v):
-        return 0
-    raise Incomparable("heads agree on their common range but differ in length")
+    return _compare_outward(u, v, PLUS, "heads")
 
 
 def compare_tails(u: tuple[int, ...], v: tuple[int, ...], b_sign: int = PLUS) -> int:
@@ -130,16 +136,23 @@ def compare_tails(u: tuple[int, ...], v: tuple[int, ...], b_sign: int = PLUS) ->
     of +1 symbols for b_sign < 0.
     """
     counted = MINUS if b_sign >= 0 else PLUS
+    return _compare_outward(u[::-1], v[::-1], counted, "tails")
+
+
+def _coordinate_outward(symbols, counted: int) -> float:
+    """Dyadic coordinate of a one-sided word read outward from the dot."""
+    x = 0.0
+    scale = 0.5
     flips = 0
-    for j in range(1, min(len(u), len(v)) + 1):
-        if u[-j] != v[-j]:
-            base = -1 if u[-j] < v[-j] else 1
-            return -base if flips % 2 else base
-        if u[-j] == counted:
+    for s in symbols:
+        bit = 1 if s == PLUS else 0
+        if flips % 2:
+            bit ^= 1
+        x += bit * scale
+        scale *= 0.5
+        if s == counted:
             flips += 1
-    if len(u) == len(v):
-        return 0
-    raise Incomparable("tails agree on their common range but differ in length")
+    return x
 
 
 def head_coordinate(head: tuple[int, ...]) -> float:
@@ -149,18 +162,7 @@ def head_coordinate(head: tuple[int, ...]) -> float:
     i); folding the flip parity into the bits makes the expansion monotone for
     the head order.  Exact in binary floating point for lengths <= 52.
     """
-    x = 0.0
-    scale = 0.5
-    flips = 0
-    for s in head:
-        bit = 1 if s == PLUS else 0
-        if flips % 2:
-            bit ^= 1
-        x += bit * scale
-        scale *= 0.5
-        if s == PLUS:
-            flips += 1
-    return x
+    return _coordinate_outward(head, PLUS)
 
 
 def tail_coordinate(tail: tuple[int, ...], b_sign: int = PLUS) -> float:
@@ -170,20 +172,7 @@ def tail_coordinate(tail: tuple[int, ...], b_sign: int = PLUS) -> float:
     (-1 for b_sign >= 0, +1 for b_sign < 0) seen so far, mirroring
     ``compare_tails``.
     """
-    counted = MINUS if b_sign >= 0 else PLUS
-    x = 0.0
-    scale = 0.5
-    flips = 0
-    for j in range(1, len(tail) + 1):
-        s = tail[-j]
-        bit = 1 if s == PLUS else 0
-        if flips % 2:
-            bit ^= 1
-        x += bit * scale
-        scale *= 0.5
-        if s == counted:
-            flips += 1
-    return x
+    return _coordinate_outward(reversed(tail), MINUS if b_sign >= 0 else PLUS)
 
 
 def enumerate_heads(n: int) -> Iterator[tuple[int, ...]]:

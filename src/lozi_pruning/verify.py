@@ -37,6 +37,7 @@ from .geometry import (
     polygon_invariance,
     scan_zero_entropy,
 )
+from .geometry import _axis_crossing_of_unstable_line, _signed_dist_to_convex
 from .pruning import (
     ENTROPY_HEADER,
     Params,
@@ -174,19 +175,14 @@ def check_bound_lemmas(config, _=None) -> CheckResult:
     if not (full.lo == 0.75 and full.hi == 1.0):
         return CheckResult(5, "bound-lemmas", False, "full-slope interval moved")
     for a in _BOUND_SLOPES:
-        head = kneading(a, 14).symbols
-        hw = Word((), head)
-
-        def qv(aa: float, bb: float) -> float:
-            return eval_q(hw, 13, Params(aa, bb)).value
-
+        hw = Word((), kneading(a, 14).symbols)
         # the tail series is identically 1 at b = 0, so the slope derivative
         # of the difference is the same number for every tail
-        fd_a = -(qv(a + _FD_H, 0.0) - qv(a - _FD_H, 0.0)) / (2 * _FD_H)
+        fd_a = -fd_derivative("q", hw, Params(a, 0.0), (1.0, 0.0), h=_FD_H, depth=13)
         da = a_derivative_bounds(a)
         worst_excess = max(worst_excess, da.lo - fd_a, fd_a - da.hi)
 
-        fd_q_b = (qv(a, _FD_H) - qv(a, -_FD_H)) / (2 * _FD_H)
+        fd_q_b = fd_derivative("q", hw, Params(a, 0.0), (0.0, 1.0), h=_FD_H, depth=13)
         sym = coordinate_symbols(14, MINUS)
         plo1, phi1 = _p_enclosure(sym.T, 12, Params(a, _FD_H))
         plo2, phi2 = _p_enclosure(sym.T, 12, Params(a, -_FD_H))
@@ -296,21 +292,12 @@ def check_plane_anchors(config, _=None) -> CheckResult:
     poly = list(report.corners)
     xs = [c.x for c in poly]
     ys = [c.y for c in poly]
-
-    def inside(q: PlanePoint) -> bool:
-        n = len(poly)
-        for k in range(n):
-            c1, c2 = poly[k], poly[(k + 1) % n]
-            if (c2.x - c1.x) * (q.y - c1.y) - (c2.y - c1.y) * (q.x - c1.x) < 0.0:
-                return False
-        return True
-
     rng = random.Random(config.seed + 99)
     worst_identity = -math.inf
     checked = 0
     while checked < 1000:
         q = PlanePoint(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
-        if not inside(q):
+        if _signed_dist_to_convex(poly, q) < 0.0:
             continue
         v = (q.x - 1.2) ** 2 + (q.y + 0.4) ** 2
         worst_identity = max(
@@ -318,7 +305,7 @@ def check_plane_anchors(config, _=None) -> CheckResult:
         )
         checked += 1
 
-    z = PlanePoint(fd.p1.x - fd.unstable_slope_p1 * fd.p1.y, 0.0)
+    z = _axis_crossing_of_unstable_line(fd)
     corner_gap = lozi_apply_n(params, z, 8).dist(PlanePoint(1.223, -0.375))
     passed = (
         residual <= 1e-12

@@ -15,7 +15,7 @@ from lozi_pruning.cli import (
     main,
 )
 from lozi_pruning.derivatives import CONE_TABLE_HEADER, dq_db_at_b0
-from lozi_pruning.geometry import ZERO_ENTROPY_CODES, fixed_data
+from lozi_pruning.geometry import MANIFOLD_BRANCHES, ZERO_ENTROPY_CODES, fixed_data
 from lozi_pruning.pruning import (
     PGM_ADMISSIBLE,
     PGM_PRUNED,
@@ -239,6 +239,16 @@ def test_manifolds_stable_branch(tmp_path):
                  "p1_plus", "--arc-budget", "5", "--out", str(out)]) == 0
     sidecar = formats.read_config(str(out) + ".txt")
     assert sidecar["kind"] == "stable_halfline"
+
+
+@pytest.mark.parametrize("branch", sorted(MANIFOLD_BRANCHES))
+def test_manifolds_accepts_every_table_branch(tmp_path, branch):
+    out = tmp_path / f"{branch}.csv"
+    assert main(["manifolds", "--a", "1.4", "--b", "0.3", "--branch", branch,
+                 "--arc-budget", "5", "--out", str(out)]) == 0
+    sidecar = formats.read_config(str(out) + ".txt")
+    assert sidecar["branch"] == branch
+    assert sidecar["kind"] == MANIFOLD_BRANCHES[branch][3]
 
 
 def test_manifolds_rejects_unknown_branch(capsys):

@@ -5,12 +5,12 @@ classification, and the period-four line."""
 from __future__ import annotations
 
 import math
-import os
 import random
 
 import numpy as np
 import pytest
 
+from lozi_pruning import geometry
 from lozi_pruning.errors import (
     NoFixedPoint,
     NonInvertible,
@@ -34,7 +34,7 @@ from lozi_pruning.geometry import (
     stable_manifold,
     unstable_manifold,
 )
-from lozi_pruning.geometry import _signed_dist_to_convex
+from lozi_pruning.geometry import _signed_dist_to_convex, _two_cycle_attracting
 from lozi_pruning.pruning import Params
 
 CENTER = Params(1.0, 0.5)
@@ -167,6 +167,27 @@ def test_eigen_slopes_satisfy_characteristic_equations():
             assert abs(fd.stable_slope_p2 - 0.5 * (a - root)) <= 1e-14
             for lam in (fd.stable_slope_p2, fd.unstable_slope_p2):
                 assert abs(a * lam + b - lam * lam) <= 1e-12
+
+
+def test_two_cycle_jury_test_matches_eigenvalues():
+    # Reference: the multipliers of J(n2) J(n1), J(n) = [[-a s, b], [1, 0]].
+    # Grid points where the spectral radius is within rounding of 1 are
+    # left out: there the float eigenvalues cannot decide either way.
+    decided = 0
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            for a in np.linspace(0.0, 2.5, 126)[1:]:
+                for b in np.linspace(-1.0, 1.0, 101):
+                    jac1 = np.array([[-a * s1, b], [1.0, 0.0]])
+                    jac2 = np.array([[-a * s2, b], [1.0, 0.0]])
+                    radius = np.max(np.abs(np.linalg.eigvals(jac2 @ jac1)))
+                    if abs(radius - 1.0) <= 1e-9:
+                        continue
+                    assert _two_cycle_attracting(a, b, s1, s2) == (radius < 1.0), (
+                        a, b, s1, s2,
+                    )
+                    decided += 1
+    assert decided >= 45_000
 
 
 def test_period_two_closed_form_at_center():
@@ -490,13 +511,23 @@ def test_scan_grid_axes_and_guards():
         scan_zero_entropy((1.0, 2.0), (0.0, 0.5), 0)
 
 
-def test_scan_parallel_matches_serial():
+def test_scan_other_errors_propagate(monkeypatch):
+    # Only the library's own LoziError types score as unknown (the b = 0
+    # pixel above raises NonInvertible); anything else is a defect.
+    def broken(params, arc_budget):
+        raise RuntimeError("defect")
+
+    monkeypatch.delenv("LOZI_THREADS", raising=False)
+    monkeypatch.setattr(geometry, "classify_zero_entropy", broken)
+    with pytest.raises(RuntimeError):
+        scan_zero_entropy((1.2, 1.4), (0.4, 0.5), 1, arc_budget=5.0)
+
+
+def test_scan_parallel_matches_serial(monkeypatch):
+    monkeypatch.delenv("LOZI_THREADS", raising=False)
     serial = scan_zero_entropy((0.95, 1.05), (0.45, 0.55), 3, arc_budget=15.0)
-    os.environ["LOZI_THREADS"] = "2"
-    try:
-        parallel = scan_zero_entropy((0.95, 1.05), (0.45, 0.55), 3, arc_budget=15.0)
-    finally:
-        del os.environ["LOZI_THREADS"]
+    monkeypatch.setenv("LOZI_THREADS", "2")
+    parallel = scan_zero_entropy((0.95, 1.05), (0.45, 0.55), 3, arc_budget=15.0)
     assert (serial.codes == parallel.codes).all()
 
 
