@@ -24,6 +24,7 @@ import numpy as np
 from . import formats
 from .derivatives import CONE_TABLE_HEADER, cone_table, dp_db_at_b0, dq_db_at_b0
 from .errors import LoziError
+from .formats import or_default
 from .geometry import (
     MANIFOLD_BRANCHES,
     ZERO_ENTROPY_CODES,
@@ -96,10 +97,6 @@ def _field_type(name: str) -> type:
     return _TYPE_BY_NAME[str(noted).split(" | ")[0]]
 
 
-def _or(value, default):
-    return default if value is None else value
-
-
 def config_from_sources(
     command: str,
     file_settings: dict[str, str] | None = None,
@@ -127,8 +124,8 @@ def _require_out(config: RunConfig) -> str:
 
 def _a_sweep(config: RunConfig, lo: float, hi: float, grid: int) -> list[float]:
     """grid points over the half-open interval (lo, hi], right endpoint kept."""
-    a_lo = _or(config.a_min, lo)
-    a_hi = _or(config.a_max, hi)
+    a_lo = or_default(config.a_min, lo)
+    a_hi = or_default(config.a_max, hi)
     step = (a_hi - a_lo) / grid
     return [a_lo + (k + 1) * step for k in range(grid)]
 
@@ -136,8 +133,8 @@ def _a_sweep(config: RunConfig, lo: float, hi: float, grid: int) -> list[float]:
 def cmd_pruned_region(config: RunConfig) -> int:
     """Classify every two-sided cylinder and write the verdict raster."""
     out = _require_out(config)
-    word_len = _or(config.word_len, 8)
-    depth = _or(config.depth, 12)
+    word_len = or_default(config.word_len, 8)
+    depth = or_default(config.depth, 12)
     raster = pruned_region_raster(Params(config.a, config.b), word_len, depth)
     formats.write_pgm(out, raster.cells, force=config.force)
     formats.write_sidecar(
@@ -151,6 +148,7 @@ def cmd_pruned_region(config: RunConfig) -> int:
             "height": raster.height,
             "pruned": raster.pruned_count,
             "admissible": raster.admissible_count,
+            "unknown": raster.unknown_count,
         },
         force=config.force,
     )
@@ -171,7 +169,9 @@ def _emit_csv(config: RunConfig, header, rows) -> None:
 
 def cmd_entropy(config: RunConfig) -> int:
     rows = entropy_rows(
-        Params(config.a, config.b), _or(config.n_max, 12), _or(config.depth, 12)
+        Params(config.a, config.b),
+        or_default(config.n_max, 12),
+        or_default(config.depth, 12),
     )
     _emit_csv(config, ENTROPY_HEADER, rows)
     return 0
@@ -188,7 +188,7 @@ def cmd_derivatives(config: RunConfig) -> int:
             *bounds,  # lo/hi of d_a, d_b at eps_-2 = +1, d_b at eps_-2 = -1
         )
         for a, *bounds, _n1, _n2 in cone_table(
-            _a_sweep(config, 1.2, 2.0, _or(config.grid, 32))
+            _a_sweep(config, 1.2, 2.0, or_default(config.grid, 32))
         )
     ]
     _emit_csv(config, DERIVATIVES_HEADER, rows)
@@ -196,7 +196,7 @@ def cmd_derivatives(config: RunConfig) -> int:
 
 
 def cmd_cones(config: RunConfig) -> int:
-    rows = cone_table(_a_sweep(config, 1.2, 2.0, _or(config.grid, 32)))
+    rows = cone_table(_a_sweep(config, 1.2, 2.0, or_default(config.grid, 32)))
     _emit_csv(config, CONE_TABLE_HEADER, rows)
     return 0
 
@@ -204,10 +204,10 @@ def cmd_cones(config: RunConfig) -> int:
 def cmd_zero_scan(config: RunConfig) -> int:
     """Verdict-coded raster over a parameter rectangle plus a CSV listing."""
     out = _require_out(config)
-    a_range = (_or(config.a_min, 0.0), _or(config.a_max, 2.5))
-    b_range = (_or(config.b_min, 0.0), _or(config.b_max, 1.0))
-    resolution = _or(config.grid, 64)
-    arc_budget = _or(config.arc_budget, 20.0)
+    a_range = (or_default(config.a_min, 0.0), or_default(config.a_max, 2.5))
+    b_range = (or_default(config.b_min, 0.0), or_default(config.b_max, 1.0))
+    resolution = or_default(config.grid, 64)
+    arc_budget = or_default(config.arc_budget, 20.0)
     scan = scan_zero_entropy(a_range, b_range, resolution, arc_budget)
     formats.write_pgm(out, scan.codes, force=config.force)
     formats.write_sidecar(
@@ -250,7 +250,7 @@ def cmd_manifolds(config: RunConfig) -> int:
     """Dump one manifold branch as a vertex CSV for external plotting."""
     out = _require_out(config)
     params = Params(config.a, config.b)
-    arc_budget = _or(config.arc_budget, 50.0)
+    arc_budget = or_default(config.arc_budget, 50.0)
     if config.branch not in MANIFOLD_BRANCHES:
         raise ValueError(f"branch must be one of {', '.join(MANIFOLD_BRANCHES)}")
     _, inverse, _, _ = MANIFOLD_BRANCHES[config.branch]

@@ -103,18 +103,26 @@ def monotone_cone(a: float, margin: float = 1e-6) -> MonotoneCone:
     margin exactly; any larger slope gives strictly more slack.
     """
     _require_slope(a)
+    return _cone(
+        a,
+        a_derivative_bounds(a),
+        b_derivative_bounds(a, +1),
+        b_derivative_bounds(a, -1),
+        margin,
+    )
+
+
+def _cone(
+    a: float, da: DerivBounds, bp: DerivBounds, bm: DerivBounds, margin: float
+) -> MonotoneCone:
+    """The cone of monotone_cone from the slope's three bound intervals."""
     if margin <= 0.0:
         raise ValueError("margin must be positive")
-    lo_a = a_derivative_bounds(a).lo
-    if lo_a <= 0.0:
+    if da.lo <= 0.0:
         raise DegenerateBounds(
-            f"a-derivative lower bound {lo_a:.6f} <= 0 at a={a}; no cone certified"
+            f"a-derivative lower bound {da.lo:.6f} <= 0 at a={a}; no cone certified"
         )
-    hi_b = b_derivative_bounds(a, +1).hi
-    lo_b = b_derivative_bounds(a, -1).lo
-    n1 = (hi_b + margin) / lo_a
-    n2 = (-lo_b + margin) / lo_a
-    return MonotoneCone(a=a, N1=n1, N2=n2)
+    return MonotoneCone(a=a, N1=(bp.hi + margin) / da.lo, N2=(-bm.lo + margin) / da.lo)
 
 
 CONE_TABLE_HEADER = (
@@ -144,7 +152,7 @@ def cone_table(
         bp = b_derivative_bounds(a, +1)
         bm = b_derivative_bounds(a, -1)
         try:
-            cone = monotone_cone(a, margin)
+            cone = _cone(a, da, bp, bm, margin)
             n1, n2 = cone.N1, cone.N2
         except DegenerateBounds:
             n1 = n2 = math.nan

@@ -52,6 +52,12 @@ def parse_value(text: str, kind: type) -> object:
     return text
 
 
+def or_default(value, default):
+    """value, or default when value is None: how an unset config knob
+    resolves to a command's own default."""
+    return default if value is None else value
+
+
 def atomic_write_bytes(path: str, data: bytes, force: bool = False) -> None:
     """Write via a temp file in the target directory plus rename.
 

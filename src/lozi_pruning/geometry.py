@@ -192,40 +192,48 @@ def _segment_distances(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
 
 
 def _map_polyline(params: Params, pts, inverse: bool):
-    """Image of a polyline under one forward or inverse step, inserting an
-    exact vertex wherever a segment crosses the step's fold (x = 0 or y = 0)."""
-    step = lozi_apply_inverse if inverse else lozi_apply
-    out = []
+    """Image of an (x, y) polyline under one forward or inverse step,
+    inserting an exact vertex wherever a segment crosses the step's fold
+    (x = 0 forward, y = 0 inverse). The steps are lozi_apply and
+    lozi_apply_inverse written out on floats."""
+    k = 1 if inverse else 0
+    split = []
     for u, w in zip(pts, pts[1:]):
-        out.append(step(params, u))
-        cu, cw = (u.y, w.y) if inverse else (u.x, w.x)
+        split.append(u)
+        cu, cw = u[k], w[k]
         if cu * cw < 0.0:
             t = cu / (cu - cw)
-            cut = PlanePoint(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y))
-            out.append(step(params, cut))
-    out.append(step(params, pts[-1]))
-    return out
+            split.append((u[0] + t * (w[0] - u[0]), u[1] + t * (w[1] - u[1])))
+    split.append(pts[-1])
+    a, b = params.a, params.b
+    if inverse:
+        return [(y, (x - 1.0 + a * abs(y)) / b) for x, y in split]
+    return [(1.0 - a * abs(x) + b * y, x) for x, y in split]
 
 
 def _drop_collinear(pts, tol=1e-13):
     if len(pts) <= 2:
         return pts
     kept = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        u, v, w = kept[-1], pts[i], pts[i + 1]
-        if v.dist(u) == 0.0:
+    ux, uy = pts[0]
+    for v, (wx, wy) in zip(pts[1:-1], pts[2:]):
+        vx, vy = v
+        if math.hypot(vx - ux, vy - uy) == 0.0:
             continue
-        cross = (v.x - u.x) * (w.y - u.y) - (v.y - u.y) * (w.x - u.x)
-        span = max(u.dist(w), 1e-30)
+        cross = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
+        span = max(math.hypot(ux - wx, uy - wy), 1e-30)
         if abs(cross) <= tol * span:
             continue
         kept.append(v)
+        ux, uy = vx, vy
     kept.append(pts[-1])
     return kept
 
 
 def _arc(pts) -> float:
-    return float(sum(pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1)))
+    return float(
+        sum(math.hypot(ux - wx, uy - wy) for (ux, uy), (wx, wy) in zip(pts, pts[1:]))
+    )
 
 
 def _grow_branch(
@@ -247,9 +255,11 @@ def _grow_branch(
     coord0, dcoord = (start.y, uy) if inverse else (start.x, ux)
     t_kink = abs(coord0 / dcoord) if dcoord != 0.0 and coord0 != 0.0 else math.inf
     t0 = min(1e-4, 0.5 * t_kink)
-    pts = [start, PlanePoint(start.x + t0 * ux, start.y + t0 * uy)]
+    anchor = (start.x, start.y)
+    pts = [anchor, (start.x + t0 * ux, start.y + t0 * uy)]
 
     truncated = False
+    arc = _arc(pts)  # the seed segment's, should no pass run
     prev_arc = 0.0
     for _ in range(max_passes):
         # Double step keeps a branch on its own side when the eigenvalue
@@ -258,7 +268,7 @@ def _grow_branch(
         pts = _map_polyline(params, pts, inverse)
         # The anchor is exactly fixed; re-pin it so rounding drift does not
         # get amplified along the expanding direction pass after pass.
-        pts[0] = start
+        pts[0] = anchor
         pts = _drop_collinear(pts)
         arc = _arc(pts)
         if arc >= arc_budget:
@@ -270,7 +280,10 @@ def _grow_branch(
             break
         prev_arc = arc
     return Polyline(
-        vertices=tuple(pts), kind=kind, truncated=truncated, arc_length=_arc(pts)
+        vertices=tuple(PlanePoint(x, y) for x, y in pts),
+        kind=kind,
+        truncated=truncated,
+        arc_length=arc,
     )
 
 
@@ -428,7 +441,7 @@ def polygon_invariance(params: Params, double_steps: int = 1) -> PolygonReport:
     is typically exactly zero. Raises NotInvariant on genuine escape.
     """
     poly = _corner_polygon(params)
-    boundary = poly + [poly[0]]
+    boundary = [(c.x, c.y) for c in poly + [poly[0]]]
     for _ in range(2 * double_steps):
         boundary = _map_polyline(params, boundary, False)
     boundary = _drop_collinear(boundary)
@@ -436,13 +449,13 @@ def polygon_invariance(params: Params, double_steps: int = 1) -> PolygonReport:
     worst = math.inf
     witness = None
     for q in boundary:
-        d = _signed_dist_to_convex(poly, q)
+        d = _signed_dist_to_convex(poly, PlanePoint(*q))
         if d < worst:
             worst, witness = d, q
     if worst < -_MARGIN_DUST:
         raise NotInvariant(
             f"boundary image escapes the polygon by {-worst:.3e}",
-            witness=(witness.x, witness.y),
+            witness=witness,
             margin=worst,
         )
     return PolygonReport(
@@ -529,12 +542,20 @@ def homoclinic_intersects(
                     return HomoclinicResult(True, witness, False)
 
     # No proper crossing: flag grazing contact away from the saddle.
-    def grazes(segs: np.ndarray, other: np.ndarray) -> bool:
-        verts = np.unique(np.concatenate([segs[:, 0, :], segs[-1:, 1, :]]), axis=0)
-        verts = verts[np.hypot(*(verts - p1).T) > 1e-8]
+    def grazes(lines, other: np.ndarray) -> bool:
+        verts = _contact_vertices(lines, p1)
         return bool((_segment_distances(verts, other) <= touch_tol).any())
 
-    return HomoclinicResult(False, None, grazes(useg, sseg) or grazes(sseg, useg))
+    return HomoclinicResult(False, None, grazes(un, sseg) or grazes(st, useg))
+
+
+def _contact_vertices(polylines, p1: np.ndarray) -> np.ndarray:
+    """Every vertex of the polylines, without repeats, farther than 1e-8
+    from the saddle p1: the points the tangency test measures."""
+    verts = np.unique(
+        np.concatenate([[(v.x, v.y) for v in pl.vertices] for pl in polylines]), axis=0
+    )
+    return verts[np.hypot(*(verts - p1).T) > 1e-8]
 
 
 # ----------------------------------------------------------- zero entropy
@@ -553,6 +574,11 @@ class ZeroEntropyVerdict:
             raise ValueError("analytic_zero needs case i, ii, or iii")
 
 
+# Polygon samples are drawn this many (x, y) pairs at a time; the draws are
+# the same stream as one rng.uniform call per coordinate.
+_SAMPLE_BLOCK = 256
+
+
 def _numeric_zero_check(params: Params) -> bool:
     fd = fixed_data(params)
     if fd.n1 is None or not fd.period2_attracting:
@@ -561,36 +587,38 @@ def _numeric_zero_check(params: Params) -> bool:
         report = polygon_invariance(params)
     except (NotInvariant, WrongParams, NoFixedPoint):
         return False
+    a, b = params.a, params.b
+    n1x, n1y, n2x, n2y = fd.n1.x, fd.n1.y, fd.n2.x, fd.n2.y
     z = _axis_crossing_of_unstable_line(fd)
-    targets = (fd.n1, fd.n2)
     for q0 in (z, lozi_apply(params, z)):
-        q = q0
-        hit = False
+        x, y = q0.x, q0.y
         for _ in range(10_000):
-            q = lozi_apply_n(params, q, 4)
-            if min(q.dist(t) for t in targets) < 1e-8:
-                hit = True
+            for _ in range(4):
+                x, y = 1.0 - a * abs(x) + b * y, x
+            if math.hypot(x - n1x, y - n1y) < 1e-8 or math.hypot(x - n2x, y - n2y) < 1e-8:
                 break
-        if not hit:
+        else:
             return False
-    # Contraction of the squared distance to the sink on polygon samples.
+    # Contraction of the squared distance to the sink on polygon samples,
+    # drawn a block at a time from the corners' bounding box. The interior
+    # test is _signed_dist_to_convex over the whole block.
     rng = np.random.default_rng(1815)
-    poly = list(report.corners)
-    xs = [c.x for c in poly]
-    ys = [c.y for c in poly]
+    box = np.array([(c.x, c.y) for c in report.corners])
+    ux, uy = box.T
+    ex, ey = np.roll(ux, -1) - ux, np.roll(uy, -1) - uy
+    elen = np.array([math.hypot(dx, dy) for dx, dy in zip(ex.tolist(), ey.tolist())])
     checked = 0
-    while checked < 64:
-        q = PlanePoint(
-            float(rng.uniform(min(xs), max(xs))), float(rng.uniform(min(ys), max(ys)))
-        )
-        if _signed_dist_to_convex(poly, q) <= 1e-9:
-            continue
-        if q.dist(fd.n1) < 1e-9 or q.dist(fd.n2) < 1e-9:
-            continue
-        if lyapunov_delta(params, q) >= 0.0:
-            return False
-        checked += 1
-    return True
+    while True:
+        q = rng.uniform(box.min(axis=0), box.max(axis=0), size=(_SAMPLE_BLOCK, 2))
+        inside = ((ex * (q[:, 1:] - uy) - ey * (q[:, :1] - ux)) / elen).min(axis=1) > 1e-9
+        for x, y in q[inside].tolist():
+            if math.hypot(x - n1x, y - n1y) < 1e-9 or math.hypot(x - n2x, y - n2y) < 1e-9:
+                continue
+            if lyapunov_delta(params, PlanePoint(x, y)) >= 0.0:
+                return False
+            checked += 1
+            if checked == 64:
+                return True
 
 
 def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntropyVerdict:

@@ -26,6 +26,7 @@ from .derivatives import (
     dq_db_at_b0,
     fd_derivative,
 )
+from .formats import or_default
 from .geometry import (
     ZERO_ENTROPY_CODES,
     PlanePoint,
@@ -128,8 +129,8 @@ def check_head_maximum(config, _=None) -> CheckResult:
 
 def check_full_slope_raster(config, _=None) -> CheckResult:
     """Nothing is pruned at full slope: the region degenerates to nothing."""
-    word_len = config.word_len if config.word_len is not None else 10
-    depth = config.depth if config.depth is not None else 12
+    word_len = or_default(config.word_len, 10)
+    depth = or_default(config.depth, 12)
     raster = pruned_region_raster(Params(2.0, 0.0), word_len, depth)
     path = _artifact(config, "full_slope_raster.pgm")
     if path:
@@ -230,8 +231,8 @@ def check_kneading_identities(config, _=None) -> CheckResult:
 
 def check_entropy_brackets(config, _=None) -> CheckResult:
     """Count brackets trap the known entropy values; lap oracle concurs."""
-    n_max = config.n_max if config.n_max is not None else 16
-    depth = config.depth if config.depth is not None else 12
+    n_max = or_default(config.n_max, 16)
+    depth = or_default(config.depth, 12)
     details = []
     passed = True
     all_rows = []
@@ -254,8 +255,8 @@ def check_entropy_brackets(config, _=None) -> CheckResult:
 
 def check_upper_bound_monotone(config, _=None) -> CheckResult:
     """The upper entropy bound grows with the slope along a fold-free line."""
-    n_max = config.n_max if config.n_max is not None else 12
-    depth = config.depth if config.depth is not None else 12
+    n_max = or_default(config.n_max, 12)
+    depth = or_default(config.depth, 12)
     uppers = []
     rows = []
     for k in range(13):
@@ -290,13 +291,13 @@ def check_plane_anchors(config, _=None) -> CheckResult:
     )
     report = polygon_invariance(params)
     poly = list(report.corners)
-    xs = [c.x for c in poly]
-    ys = [c.y for c in poly]
+    x_lo, x_hi = min(c.x for c in poly), max(c.x for c in poly)
+    y_lo, y_hi = min(c.y for c in poly), max(c.y for c in poly)
     rng = random.Random(config.seed + 99)
     worst_identity = -math.inf
     checked = 0
     while checked < 1000:
-        q = PlanePoint(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
+        q = PlanePoint(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
         if _signed_dist_to_convex(poly, q) < 0.0:
             continue
         v = (q.x - 1.2) ** 2 + (q.y + 0.4) ** 2
@@ -324,13 +325,13 @@ def check_plane_anchors(config, _=None) -> CheckResult:
 
 def check_zero_entropy_atlas(config, _=None) -> CheckResult:
     """Classifier anchors plus the parameter-plane scan's three zones."""
-    arc_budget = config.arc_budget if config.arc_budget is not None else 20.0
+    arc_budget = or_default(config.arc_budget, 20.0)
     anchors = (
         classify_zero_entropy(Params(1.0, 0.5), arc_budget).kind == "numeric_zero",
         classify_zero_entropy(Params(0.2, 0.5), arc_budget).case == "ii",
         classify_zero_entropy(Params(1.7, 0.5), arc_budget).kind == "homoclinic",
     )
-    resolution = config.grid if config.grid is not None else 100
+    resolution = or_default(config.grid, 100)
     scan = scan_zero_entropy((0.0, 2.5), (0.0, 1.0), resolution, arc_budget)
     zone_bad = 0
     zone_hits = [0, 0, 0]

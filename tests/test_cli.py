@@ -19,6 +19,7 @@ from lozi_pruning.geometry import MANIFOLD_BRANCHES, ZERO_ENTROPY_CODES, fixed_d
 from lozi_pruning.pruning import (
     PGM_ADMISSIBLE,
     PGM_PRUNED,
+    PGM_UNKNOWN,
     Params,
     entropy_estimate,
 )
@@ -91,6 +92,19 @@ def test_pruned_region_nonempty_inside_front(tmp_path):
     ) == 0
     grid = formats.read_pgm(str(out))
     assert np.count_nonzero(grid == PGM_PRUNED) > 0
+
+
+def test_pruned_region_sidecar_counts_every_cell(tmp_path):
+    out = tmp_path / "front.pgm"
+    assert main(
+        ["pruned-region", "--a", "1.7", "--b", "0.5", "--word-len", "6",
+         "--depth", "8", "--out", str(out)]
+    ) == 0
+    side = formats.read_config(str(out) + ".txt")
+    grid = formats.read_pgm(str(out))
+    assert int(side["unknown"]) == np.count_nonzero(grid == PGM_UNKNOWN) > 0
+    counted = sum(int(side[k]) for k in ("pruned", "admissible", "unknown"))
+    assert counted == int(side["width"]) * int(side["height"]) == grid.size
 
 
 def test_pruned_region_identical_config_identical_bytes(tmp_path):

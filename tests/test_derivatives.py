@@ -290,6 +290,31 @@ def test_cone_table_rows():
     assert rows[2][1] == pytest.approx(0.75)
 
 
+
+def test_cone_table_evaluates_each_bound_once_per_slope(monkeypatch):
+    from lozi_pruning import derivatives
+
+    counts = {"a": 0, "b": 0}
+    bound_a, bound_b = derivatives.a_derivative_bounds, derivatives.b_derivative_bounds
+
+    def count_a(a):
+        counts["a"] += 1
+        return bound_a(a)
+
+    def count_b(a, eps):
+        counts["b"] += 1
+        return bound_b(a, eps)
+
+    monkeypatch.setattr(derivatives, "a_derivative_bounds", count_a)
+    monkeypatch.setattr(derivatives, "b_derivative_bounds", count_b)
+    slopes = [1.3, 1.5, 2.0]
+    rows = cone_table(slopes)
+    assert counts == {"a": 3, "b": 6}
+    for a, row in zip(slopes[1:], rows[1:]):
+        cone = monotone_cone(a)
+        assert row[7:] == (cone.N1, cone.N2)
+
+
 # -------------------------------------------------------------- FD oracle
 
 

@@ -34,7 +34,14 @@ from lozi_pruning.geometry import (
     stable_manifold,
     unstable_manifold,
 )
-from lozi_pruning.geometry import _signed_dist_to_convex, _two_cycle_attracting
+from lozi_pruning.geometry import (
+    MANIFOLD_BRANCHES,
+    _axis_crossing_of_unstable_line,
+    _contact_vertices,
+    _numeric_zero_check,
+    _signed_dist_to_convex,
+    _two_cycle_attracting,
+)
 from lozi_pruning.pruning import Params
 
 CENTER = Params(1.0, 0.5)
@@ -286,6 +293,81 @@ def test_manifold_seed_and_invertibility_guards():
         stable_manifold(Params(1.5, 0.0), "p1_plus")
 
 
+# Scalar reference for manifold growth: the same passes written on PlanePoint
+# with lozi_apply / lozi_apply_inverse and PlanePoint.dist. The library grows
+# on (x, y) float pairs and must reproduce these vertices bit for bit.
+
+
+def _ref_map_polyline(params, pts, inverse):
+    step = lozi_apply_inverse if inverse else lozi_apply
+    out = []
+    for u, w in zip(pts, pts[1:]):
+        out.append(step(params, u))
+        cu, cw = (u.y, w.y) if inverse else (u.x, w.x)
+        if cu * cw < 0.0:
+            t = cu / (cu - cw)
+            out.append(step(params, PlanePoint(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y))))
+    out.append(step(params, pts[-1]))
+    return out
+
+
+def _ref_drop_collinear(pts, tol=1e-13):
+    if len(pts) <= 2:
+        return pts
+    kept = [pts[0]]
+    for i in range(1, len(pts) - 1):
+        u, v, w = kept[-1], pts[i], pts[i + 1]
+        if v.dist(u) == 0.0:
+            continue
+        cross = (v.x - u.x) * (w.y - u.y) - (v.y - u.y) * (w.x - u.x)
+        if abs(cross) <= tol * max(u.dist(w), 1e-30):
+            continue
+        kept.append(v)
+    kept.append(pts[-1])
+    return kept
+
+
+def _ref_arc(pts):
+    return float(sum(pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1)))
+
+
+def _ref_manifold(params, seed, arc_budget, flat_tol=1e-9):
+    saddle, inverse, sign, _ = MANIFOLD_BRANCHES[seed]
+    fd = fixed_data(params)
+    start = getattr(fd, saddle)
+    lam = getattr(fd, f"{'stable' if inverse else 'unstable'}_slope_{saddle}")
+    norm = math.hypot(sign * lam, float(sign))
+    ux, uy = sign * lam / norm, sign / norm
+    coord0, dcoord = (start.y, uy) if inverse else (start.x, ux)
+    t_kink = abs(coord0 / dcoord) if dcoord != 0.0 and coord0 != 0.0 else math.inf
+    t0 = min(1e-4, 0.5 * t_kink)
+    pts = [start, PlanePoint(start.x + t0 * ux, start.y + t0 * uy)]
+    prev_arc = 0.0
+    for _ in range(60):
+        pts = _ref_map_polyline(params, _ref_map_polyline(params, pts, inverse), inverse)
+        pts[0] = start
+        pts = _ref_drop_collinear(pts)
+        arc = _ref_arc(pts)
+        if arc >= arc_budget or abs(arc - prev_arc) < flat_tol:
+            break
+        prev_arc = arc
+    return pts, arc
+
+
+@pytest.mark.parametrize(
+    "ab", [(1.0, 0.5), (1.4, 0.3), (1.7, 0.5), (1.9, -0.3), (1.8, -0.5)]
+)
+@pytest.mark.parametrize("seed", sorted(MANIFOLD_BRANCHES))
+def test_float_growth_matches_planepoint_reference(ab, seed):
+    params = Params(*ab)
+    inverse = MANIFOLD_BRANCHES[seed][1]
+    grow = stable_manifold if inverse else unstable_manifold
+    pl = grow(params, seed, arc_budget=30.0)
+    pts, arc = _ref_manifold(params, seed, 30.0)
+    assert [(v.x, v.y) for v in pl.vertices] == [(v.x, v.y) for v in pts]
+    assert pl.arc_length == arc
+
+
 def test_polyline_point_distance_basics():
     pl = unstable_manifold(CENTER, "p1_right", arc_budget=10.0)
     v = pl.vertices[len(pl.vertices) // 2]
@@ -429,6 +511,31 @@ def test_homoclinic_no_false_positive_near_certified_params():
         assert not res.tangency
 
 
+def test_tangency_test_covers_every_branch_end_vertex(monkeypatch):
+    # Each branch's last vertex is tested, not only the last one of the
+    # concatenated segment array.
+    un = [unstable_manifold(CHAOTIC, s, arc_budget=30.0) for s in ("p1_right", "p1_left")]
+    p1 = fixed_data(CHAOTIC).p1
+    tested = {tuple(v) for v in _contact_vertices(un, np.array([p1.x, p1.y]))}
+    end = un[0].vertices[-1]
+    assert (end.x, end.y) in tested
+    # and homoclinic_intersects hands that set to the distance kernel
+    seen = []
+    kernel = geometry._segment_distances
+
+    def spy(points, segs):
+        seen.extend(map(tuple, points))
+        return kernel(points, segs)
+
+    monkeypatch.setattr(geometry, "_segment_distances", spy)
+    assert not homoclinic_intersects(CENTER, arc_budget=30.0).found
+    for seed in ("p1_right", "p1_left"):
+        end = unstable_manifold(CENTER, seed, arc_budget=30.0).vertices[-1]
+        assert (end.x, end.y) in seen
+    end = stable_manifold(CENTER, "p1_plus", arc_budget=30.0).vertices[-1]
+    assert (end.x, end.y) in seen
+
+
 # ----------------------------------------------------------- zero entropy
 
 
@@ -436,6 +543,81 @@ def test_classify_certified_params_numeric_zero():
     v = classify_zero_entropy(CENTER, arc_budget=30.0)
     assert v.kind == "numeric_zero"
     assert v.case is None
+
+
+def _ref_numeric_zero_check(params):
+    """The sink certificate on PlanePoint, one rng.uniform call per
+    coordinate and _signed_dist_to_convex per sample."""
+    fd = fixed_data(params)
+    if fd.n1 is None or not fd.period2_attracting:
+        return False
+    try:
+        report = polygon_invariance(params)
+    except (NotInvariant, WrongParams, NoFixedPoint):
+        return False
+    z = _axis_crossing_of_unstable_line(fd)
+    for q in (z, lozi_apply(params, z)):
+        for _ in range(10_000):
+            q = lozi_apply_n(params, q, 4)
+            if min(q.dist(fd.n1), q.dist(fd.n2)) < 1e-8:
+                break
+        else:
+            return False
+    rng = np.random.default_rng(1815)
+    poly = list(report.corners)
+    xs = [c.x for c in poly]
+    ys = [c.y for c in poly]
+    checked = 0
+    while checked < 64:
+        q = PlanePoint(
+            float(rng.uniform(min(xs), max(xs))), float(rng.uniform(min(ys), max(ys)))
+        )
+        if _signed_dist_to_convex(poly, q) <= 1e-9:
+            continue
+        if q.dist(fd.n1) < 1e-9 or q.dist(fd.n2) < 1e-9:
+            continue
+        if geometry.lyapunov_delta(params, q) >= 0.0:
+            return False
+        checked += 1
+    return True
+
+
+def test_numeric_zero_check_matches_scalar_sampler(monkeypatch):
+    calls = []
+    delta = geometry.lyapunov_delta
+
+    def spy(params, q):
+        calls.append((q.x, q.y))
+        return delta(params, q)
+
+    monkeypatch.setattr(geometry, "lyapunov_delta", spy)
+    outcomes = []
+    for b in (0.35, 0.5, 0.65):
+        for k in range(6):
+            params = Params(0.9 + 0.1 * k, b)
+            calls.clear()
+            got = _numeric_zero_check(params)
+            library_calls = list(calls)
+            calls.clear()
+            want = _ref_numeric_zero_check(params)
+            assert got == want, params
+            # same samples, in the same order, reach the Lyapunov test
+            assert library_calls == calls, params
+            outcomes.append((got, len(calls)))
+    assert (True, 64) in outcomes
+    # some pixels fail on a sampled Lyapunov increase, not before sampling
+    assert any(not ok and n > 0 for ok, n in outcomes)
+
+
+def test_block_uniform_draws_match_scalar_stream():
+    lo, hi = np.array([-0.7, -1.3]), np.array([1.9, 0.4])
+    block = np.random.default_rng(1815)
+    scalar = np.random.default_rng(1815)
+    for _ in range(4):
+        pairs = block.uniform(lo, hi, size=(geometry._SAMPLE_BLOCK, 2))
+        for x, y in pairs.tolist():
+            assert x == float(scalar.uniform(lo[0], hi[0]))
+            assert y == float(scalar.uniform(lo[1], hi[1]))
 
 
 def test_classify_analytic_strip():
