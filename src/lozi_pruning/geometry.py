@@ -79,6 +79,15 @@ def _two_cycle_attracting(a: float, b: float, s1: float, s2: float) -> bool:
     return b * b < 1.0 and abs(a * a * s1 * s2 + 2.0 * b) < 1.0 + b * b
 
 
+def _residual(a: float, b: float, x: float, y: float, steps: int) -> float:
+    """|L^steps (x, y) - (x, y)| with the float expressions of lozi_apply and
+    PlanePoint.dist, in the same order."""
+    u, v = x, y
+    for _ in range(steps):
+        u, v = 1.0 - a * abs(u) + b * v, u
+    return math.hypot(x - u, y - v)
+
+
 def fixed_data(params: Params) -> FixedData:
     """Fixed and period-2 points with eigen-slopes, by the closed formulas.
 
@@ -94,17 +103,15 @@ def fixed_data(params: Params) -> FixedData:
     s1 = u1 = s2 = u2 = None
     if 1.0 + a - b > 0.0:
         x = 1.0 / (1.0 + a - b)
-        cand = PlanePoint(x, x)
-        if cand.dist(lozi_apply(params, cand)) <= 1e-10:
-            p1 = cand
+        if _residual(a, b, x, x, 1) <= 1e-10:
+            p1 = PlanePoint(x, x)
             if root is not None:
                 s1 = 0.5 * (-a + root)
                 u1 = 0.5 * (-a - root)
     if 1.0 - a - b < 0.0:
         x = 1.0 / (1.0 - a - b)
-        cand = PlanePoint(x, x)
-        if cand.dist(lozi_apply(params, cand)) <= 1e-10:
-            p2 = cand
+        if _residual(a, b, x, x, 1) <= 1e-10:
+            p2 = PlanePoint(x, x)
             if root is not None:
                 s2 = 0.5 * (a - root)
                 u2 = 0.5 * (a + root)
@@ -115,16 +122,17 @@ def fixed_data(params: Params) -> FixedData:
     attracting = None
     den = (b - 1.0) ** 2 + a * a
     if b != 1.0 and den > 0.0:
-        big_n = (1.0 + a - b) / den
-        cand1 = PlanePoint(big_n, (1.0 - a * big_n) / (1.0 - b))
-        cand2 = PlanePoint(cand1.y, cand1.x)
-        genuine = cand1.dist(cand2) > 1e-10  # otherwise it collapses onto p1
-        if genuine and all(
-            c.dist(lozi_apply_n(params, c, 2)) <= 1e-10 for c in (cand1, cand2)
+        x = (1.0 + a - b) / den
+        y = (1.0 - a * x) / (1.0 - b)
+        genuine = math.hypot(x - y, y - x) > 1e-10  # otherwise it collapses onto p1
+        if (
+            genuine
+            and _residual(a, b, x, y, 2) <= 1e-10
+            and _residual(a, b, y, x, 2) <= 1e-10
         ):
-            n1, n2 = cand1, cand2
+            n1, n2 = PlanePoint(x, y), PlanePoint(y, x)
             attracting = _two_cycle_attracting(
-                a, b, math.copysign(1.0, n1.x), math.copysign(1.0, n2.x)
+                a, b, math.copysign(1.0, x), math.copysign(1.0, y)
             )
     return FixedData(
         p1=p1,
@@ -146,8 +154,9 @@ def fixed_data(params: Params) -> FixedData:
 class Polyline:
     """Piecewise-linear manifold approximation grown from a saddle.
 
-    truncated marks growth stopped by the arc budget; otherwise the arc
-    length stagnated (the branch converged, e.g. into a sink).
+    truncated marks growth stopped before the branch converged, by the arc
+    budget or by the pass cap; otherwise the newest fundamental-domain piece
+    became shorter than flat_tol (the branch converged, e.g. into a sink).
     """
 
     vertices: tuple[PlanePoint, ...]
@@ -239,48 +248,61 @@ def _arc(pts) -> float:
 def _grow_branch(
     params: Params,
     start: PlanePoint,
-    direction: tuple[float, float],
+    lam: float,
+    sign: int,
     inverse: bool,
     kind: str,
     arc_budget: float,
     flat_tol: float,
     max_passes: int = 60,
 ) -> Polyline:
+    """Grow the branch of the saddle start along sign * (lam, 1), where lam
+    is the eigenvalue of that eigenvector: mu = lam forward, 1/lam inverse.
+
+    Fundamental-domain growth: piece0 = [p + (t0/mu^2) u, p + t0 u] and each
+    pass maps only the newest piece by the double step, which is exact
+    because the map is piecewise affine. A branch with mu^2 <= 1 does not
+    expand and has no fundamental domain; it returns the seed segment
+    [p, p + t0 u], not truncated.
+    """
     if inverse and params.b == 0.0:
         raise NonInvertible("stable side needs the inverse map; b = 0")
-    norm = math.hypot(*direction)
-    ux, uy = direction[0] / norm, direction[1] / norm
+    dx, dy = sign * lam, float(sign)
+    norm = math.hypot(dx, dy)
+    ux, uy = dx / norm, dy / norm
     # Stay strictly inside the starting affine piece: the eigenline is the
     # exact local manifold there, so the seed is on the manifold.
     coord0, dcoord = (start.y, uy) if inverse else (start.x, ux)
     t_kink = abs(coord0 / dcoord) if dcoord != 0.0 and coord0 != 0.0 else math.inf
     t0 = min(1e-4, 0.5 * t_kink)
     anchor = (start.x, start.y)
-    pts = [anchor, (start.x + t0 * ux, start.y + t0 * uy)]
+    seed = (start.x + t0 * ux, start.y + t0 * uy)
+    arc = _arc([anchor, seed])
+    lam2 = lam * lam
+    if (lam2 >= 1.0) if inverse else (lam2 <= 1.0):
+        return Polyline((start, PlanePoint(*seed)), kind, False, arc)
+    shrink = lam2 if inverse else 1.0 / lam2  # 1 / mu^2
+    piece = [(start.x + t0 * shrink * ux, start.y + t0 * shrink * uy), seed]
+    pts = [anchor, *piece]
 
-    truncated = False
-    arc = _arc(pts)  # the seed segment's, should no pass run
-    prev_arc = 0.0
+    truncated = True
     for _ in range(max_passes):
         # Double step keeps a branch on its own side when the eigenvalue
         # is negative and the two branches swap under a single step.
-        pts = _map_polyline(params, pts, inverse)
-        pts = _map_polyline(params, pts, inverse)
-        # The anchor is exactly fixed; re-pin it so rounding drift does not
-        # get amplified along the expanding direction pass after pass.
-        pts[0] = anchor
-        pts = _drop_collinear(pts)
-        arc = _arc(pts)
+        piece = _map_polyline(params, _map_polyline(params, piece, inverse), inverse)
+        piece = _drop_collinear(piece)
+        # The piece starts at the image of the last one's start, which is
+        # that piece's end up to rounding.
+        pts += piece[1:]
+        step = _arc(piece)
+        arc += step
         if arc >= arc_budget:
-            truncated = True
             break
-        # Collinear dropping can shave the measured arc, so compare by
-        # magnitude; converged spirals are the only true stagnation.
-        if abs(arc - prev_arc) < flat_tol:
+        if step < flat_tol:
+            truncated = False
             break
-        prev_arc = arc
     return Polyline(
-        vertices=tuple(PlanePoint(x, y) for x, y in pts),
+        vertices=tuple(PlanePoint(x, y) for x, y in _drop_collinear(pts)),
         kind=kind,
         truncated=truncated,
         arc_length=arc,
@@ -309,8 +331,7 @@ def _manifold(
     lam = getattr(fd, f"{'stable' if inverse else 'unstable'}_slope_{saddle}")
     if start is None or lam is None:
         raise NoFixedPoint(f"{saddle} missing or non-real eigenvalues")
-    direction = (sign * lam, float(sign))
-    return _grow_branch(params, start, direction, inverse, kind, arc_budget, flat_tol)
+    return _grow_branch(params, start, lam, sign, inverse, kind, arc_budget, flat_tol)
 
 
 def unstable_manifold(
@@ -349,12 +370,12 @@ def lyapunov_delta(params: Params, q: PlanePoint) -> float:
     fd = fixed_data(params)
     if fd.n1 is None:
         raise NoFixedPoint("period-2 pair absent; no Lyapunov center")
-    img = lozi_apply_n(params, q, 4)
-
-    def v(p: PlanePoint) -> float:
-        return (p.x - fd.n1.x) ** 2 + (p.y - fd.n1.y) ** 2
-
-    return v(img) - v(q)
+    a, b = params.a, params.b
+    cx, cy = fd.n1.x, fd.n1.y
+    x, y = q.x, q.y
+    for _ in range(4):
+        x, y = 1.0 - a * abs(x) + b * y, x
+    return ((x - cx) ** 2 + (y - cy) ** 2) - ((q.x - cx) ** 2 + (q.y - cy) ** 2)
 
 
 # --------------------------------------------------------------- polygon

@@ -4,6 +4,7 @@ classification, and the period-four line."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -204,6 +205,70 @@ def test_period_two_closed_form_at_center():
     assert abs((1.0 - a * big_n) / (1.0 - b) - (-2.0 / 5.0)) <= 1e-15
 
 
+def _ref_fixed_data(params):
+    """fixed_data on PlanePoint, validating candidates with lozi_apply,
+    lozi_apply_n and PlanePoint.dist."""
+    a, b = params.a, params.b
+    disc = a * a + 4.0 * b
+    root = math.sqrt(disc) if disc >= 0.0 else None
+    p1 = p2 = None
+    s1 = u1 = s2 = u2 = None
+    if 1.0 + a - b > 0.0:
+        x = 1.0 / (1.0 + a - b)
+        cand = PlanePoint(x, x)
+        if cand.dist(lozi_apply(params, cand)) <= 1e-10:
+            p1 = cand
+            if root is not None:
+                s1, u1 = 0.5 * (-a + root), 0.5 * (-a - root)
+    if 1.0 - a - b < 0.0:
+        x = 1.0 / (1.0 - a - b)
+        cand = PlanePoint(x, x)
+        if cand.dist(lozi_apply(params, cand)) <= 1e-10:
+            p2 = cand
+            if root is not None:
+                s2, u2 = 0.5 * (a - root), 0.5 * (a + root)
+    if p1 is None and p2 is None:
+        raise NoFixedPoint("no fixed point")
+    n1 = n2 = attracting = None
+    den = (b - 1.0) ** 2 + a * a
+    if b != 1.0 and den > 0.0:
+        big_n = (1.0 + a - b) / den
+        cand1 = PlanePoint(big_n, (1.0 - a * big_n) / (1.0 - b))
+        cand2 = PlanePoint(cand1.y, cand1.x)
+        if cand1.dist(cand2) > 1e-10 and all(
+            c.dist(lozi_apply_n(params, c, 2)) <= 1e-10 for c in (cand1, cand2)
+        ):
+            n1, n2 = cand1, cand2
+            attracting = _two_cycle_attracting(
+                a, b, math.copysign(1.0, n1.x), math.copysign(1.0, n2.x)
+            )
+    return geometry.FixedData(p1, p2, n1, n2, s1, u1, s2, u2, attracting)
+
+
+def test_fixed_data_matches_planepoint_reference():
+    # repr tells every float bit apart, signed zeros included.
+    rng = random.Random(7)
+    grid = [(1.0, 0.5), (1.0, 1.0), (0.5, 0.5), (0.0, 0.0), (2.0, 0.0), (-0.5, 0.5)]
+    grid += [(rng.uniform(-0.5, 3.0), rng.uniform(-1.2, 1.2)) for _ in range(50_000)]
+    # Near a = 1 - b the 2-cycle candidate sits within 1e-8 of the fold, so
+    # its residual lands around the 1e-10 acceptance threshold.
+    for _ in range(2000):
+        b = rng.uniform(-1.2, 0.99)
+        grid.append((1.0 - b + rng.choice((-1, 1)) * 10 ** rng.uniform(-13, -8), b))
+    raised = 0
+    for ab in grid:
+        params = Params(*ab)
+        try:
+            want = repr(_ref_fixed_data(params))
+        except Exception as exc:  # the library must raise the same type
+            with pytest.raises(type(exc)):
+                fixed_data(params)
+            raised += 1
+            continue
+        assert repr(fixed_data(params)) == want, ab
+    assert raised > 1000
+
+
 # ---------------------------------------------------------------- manifolds
 
 
@@ -284,6 +349,21 @@ def test_stable_other_branch_bends():
     assert len(pl.vertices) > 2
 
 
+@pytest.mark.parametrize("ab", [(0.5, 0.5), (0.3, 0.5)], ids=["unit", "contracting"])
+def test_non_expanding_branch_returns_seed_segment(ab):
+    # At a = 1 - b the unstable eigenvalue at p1 is exactly -1, and below it
+    # |lambda| < 1: no fundamental domain, so the seed segment comes back.
+    params = Params(*ab)
+    fd = fixed_data(params)
+    pl = unstable_manifold(params, "p1_right", arc_budget=20.0)
+    assert len(pl.vertices) == 2 and pl.vertices[0] == fd.p1
+    assert not pl.truncated
+    assert abs(pl.arc_length - 1e-4) <= 1e-15
+    lam = fd.unstable_slope_p1
+    d = (pl.vertices[1].x - fd.p1.x, pl.vertices[1].y - fd.p1.y)
+    assert abs(d[0] * 1.0 - d[1] * lam) <= 1e-15  # along (lam, 1)
+
+
 def test_manifold_seed_and_invertibility_guards():
     with pytest.raises(ValueError):
         unstable_manifold(CENTER, "p3")
@@ -293,9 +373,11 @@ def test_manifold_seed_and_invertibility_guards():
         stable_manifold(Params(1.5, 0.0), "p1_plus")
 
 
-# Scalar reference for manifold growth: the same passes written on PlanePoint
-# with lozi_apply / lozi_apply_inverse and PlanePoint.dist. The library grows
-# on (x, y) float pairs and must reproduce these vertices bit for bit.
+# Scalar references for manifold growth, written on PlanePoint with
+# lozi_apply / lozi_apply_inverse and PlanePoint.dist. _ref_manifold is the
+# whole-polyline scheme (every pass re-maps every vertex and re-pins the
+# saddle), kept as a geometric oracle; _ref_piece_manifold is the library's
+# fundamental-domain scheme, which the float growth must match bit for bit.
 
 
 def _ref_map_polyline(params, pts, inverse):
@@ -331,7 +413,8 @@ def _ref_arc(pts):
     return float(sum(pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1)))
 
 
-def _ref_manifold(params, seed, arc_budget, flat_tol=1e-9):
+def _ref_seed(params, seed):
+    """Saddle, eigenvalue, unit direction and seed length t0 of a branch."""
     saddle, inverse, sign, _ = MANIFOLD_BRANCHES[seed]
     fd = fixed_data(params)
     start = getattr(fd, saddle)
@@ -340,7 +423,14 @@ def _ref_manifold(params, seed, arc_budget, flat_tol=1e-9):
     ux, uy = sign * lam / norm, sign / norm
     coord0, dcoord = (start.y, uy) if inverse else (start.x, ux)
     t_kink = abs(coord0 / dcoord) if dcoord != 0.0 and coord0 != 0.0 else math.inf
-    t0 = min(1e-4, 0.5 * t_kink)
+    return start, lam, ux, uy, min(1e-4, 0.5 * t_kink)
+
+
+def _ref_manifold(params, seed, arc_budget, flat_tol=1e-9):
+    """Whole-polyline growth; returns the vertices, the arc and the stop
+    reason: budget, flat (the arc stagnated) or cap (60 passes)."""
+    inverse = MANIFOLD_BRANCHES[seed][1]
+    start, _, ux, uy, t0 = _ref_seed(params, seed)
     pts = [start, PlanePoint(start.x + t0 * ux, start.y + t0 * uy)]
     prev_arc = 0.0
     for _ in range(60):
@@ -348,24 +438,119 @@ def _ref_manifold(params, seed, arc_budget, flat_tol=1e-9):
         pts[0] = start
         pts = _ref_drop_collinear(pts)
         arc = _ref_arc(pts)
-        if arc >= arc_budget or abs(arc - prev_arc) < flat_tol:
-            break
+        if arc >= arc_budget:
+            return pts, arc, "budget"
+        if abs(arc - prev_arc) < flat_tol:
+            return pts, arc, "flat"
         prev_arc = arc
-    return pts, arc
+    return pts, arc, "cap"
 
 
-@pytest.mark.parametrize(
-    "ab", [(1.0, 0.5), (1.4, 0.3), (1.7, 0.5), (1.9, -0.3), (1.8, -0.5)]
-)
+def _ref_piece_manifold(params, seed, arc_budget, flat_tol=1e-9):
+    """Fundamental-domain growth; returns the vertices, the arc and the
+    truncated flag."""
+    inverse = MANIFOLD_BRANCHES[seed][1]
+    start, lam, ux, uy, t0 = _ref_seed(params, seed)
+    end = PlanePoint(start.x + t0 * ux, start.y + t0 * uy)
+    arc = _ref_arc([start, end])
+    shrink = lam * lam if inverse else 1.0 / (lam * lam)
+    piece = [PlanePoint(start.x + t0 * shrink * ux, start.y + t0 * shrink * uy), end]
+    pts = [start] + piece
+    truncated = True
+    for _ in range(60):
+        piece = _ref_map_polyline(params, _ref_map_polyline(params, piece, inverse), inverse)
+        piece = _ref_drop_collinear(piece)
+        pts += piece[1:]
+        step = _ref_arc(piece)
+        arc += step
+        if arc >= arc_budget:
+            break
+        if step < flat_tol:
+            truncated = False
+            break
+    return _ref_drop_collinear(pts), arc, truncated
+
+
+GROWTH_POINTS = [
+    (1.0, 0.5),
+    (1.4, 0.3),
+    (1.7, 0.5),
+    (1.9, -0.3),
+    (1.8, -0.5),
+    (1.2, 0.1),
+    (1.5, -0.2),
+    (1.95, 0.45),
+]
+
+
+def _grow(params, seed, arc_budget):
+    grow = stable_manifold if MANIFOLD_BRANCHES[seed][1] else unstable_manifold
+    return grow(params, seed, arc_budget=arc_budget)
+
+
+@pytest.mark.parametrize("ab", GROWTH_POINTS)
 @pytest.mark.parametrize("seed", sorted(MANIFOLD_BRANCHES))
 def test_float_growth_matches_planepoint_reference(ab, seed):
     params = Params(*ab)
-    inverse = MANIFOLD_BRANCHES[seed][1]
-    grow = stable_manifold if inverse else unstable_manifold
-    pl = grow(params, seed, arc_budget=30.0)
-    pts, arc = _ref_manifold(params, seed, 30.0)
+    pl = _grow(params, seed, 30.0)
+    pts, arc, truncated = _ref_piece_manifold(params, seed, 30.0)
     assert [(v.x, v.y) for v in pl.vertices] == [(v.x, v.y) for v in pts]
     assert pl.arc_length == arc
+    assert pl.truncated == truncated
+
+
+def _far_side(points, line):
+    """Largest distance from the points to the polyline."""
+    pts = np.array([(v.x, v.y) for v in points])
+    segs = np.array([[(u.x, u.y), (w.x, w.y)] for u, w in zip(line, line[1:])])
+    return max(
+        float(geometry._segment_distances(pts[lo : lo + 256], segs).max())
+        for lo in range(0, len(pts), 256)
+    )
+
+
+@pytest.mark.parametrize("ab", GROWTH_POINTS)
+@pytest.mark.parametrize("seed", sorted(MANIFOLD_BRANCHES))
+def test_piece_growth_matches_whole_polyline_oracle(ab, seed):
+    params = Params(*ab)
+    for budget in (20.0, 30.0, 50.0):
+        pl = _grow(params, seed, budget)
+        pts, arc, stop = _ref_manifold(params, seed, budget)
+        assert _far_side(pl.vertices, pts) <= 1e-12, budget
+        assert _far_side(pts, pl.vertices) <= 1e-12, budget
+        assert abs(pl.arc_length - arc) <= 1e-9 * arc, budget
+        assert (pl.arc_length >= budget) == (stop == "budget"), budget
+        assert pl.truncated == (stop != "flat"), budget
+
+
+def test_pass_cap_marks_branch_truncated():
+    # Near (1, 0) the branch crawls: 60 passes leave it far below the budget
+    # and still growing, which is a truncation, not convergence.
+    pl = unstable_manifold(Params(1.03125, 0.0125), "p1_right", arc_budget=20.0)
+    assert pl.truncated
+    assert pl.arc_length < 20.0
+
+
+@pytest.mark.parametrize(
+    "ab", [(1.03125, 0.0125), (1.0, 0.5)], ids=["crawl", "spiral"]
+)
+def test_growth_maps_each_vertex_once(monkeypatch, ab):
+    # Only the newest piece is mapped, so the vertices mapped per branch grow
+    # linearly in the passes. At the spiral into the sink, re-mapping the
+    # whole polyline would map about 25 vertices per pass.
+    mapped = []
+    step = geometry._map_polyline
+
+    def spy(params, pts, inverse):
+        mapped.append(len(pts))
+        return step(params, pts, inverse)
+
+    monkeypatch.setattr(geometry, "_map_polyline", spy)
+    for seed in sorted(MANIFOLD_BRANCHES):
+        mapped.clear()
+        _grow(Params(*ab), seed, 20.0)
+        passes = len(mapped) // 2
+        assert sum(mapped) <= 8 * passes, (seed, passes, sum(mapped))
 
 
 def test_polyline_point_distance_basics():
@@ -425,6 +610,18 @@ def test_lyapunov_spot_values():
 def test_lyapunov_needs_period_two_center():
     with pytest.raises(NoFixedPoint):
         lyapunov_delta(Params(0.3, 0.5), PlanePoint(0.0, 0.0))
+
+
+@pytest.mark.parametrize("ab", [(1.0, 0.5), (1.2, 0.3), (1.05, 0.6)])
+def test_lyapunov_delta_matches_planepoint_reference(ab):
+    params = Params(*ab)
+    n1 = fixed_data(params).n1
+    for q in _rand_points(1000, seed=11):
+        img = lozi_apply_n(params, q, 4)
+        want = ((img.x - n1.x) ** 2 + (img.y - n1.y) ** 2) - (
+            (q.x - n1.x) ** 2 + (q.y - n1.y) ** 2
+        )
+        assert repr(lyapunov_delta(params, q)) == repr(want), q
 
 
 # ------------------------------------------------------------------ polygon
@@ -673,6 +870,21 @@ def test_scan_high_slope_block_uniform_homoclinic():
 def test_scan_analytic_strip_uniform():
     scan = scan_zero_entropy((0.05, 0.25), (0.5, 0.7), 3, arc_budget=10.0)
     assert (scan.codes == ZERO_ENTROPY_CODES["analytic_zero_ii"]).all()
+
+
+def test_scan_atlas_regression_pin():
+    # Every pixel of the 40x40 atlas, not only criterion 10's three zones.
+    scan = scan_zero_entropy((0.0, 2.5), (0.0, 1.0), 40, arc_budget=20.0)
+    counts = {code: int((scan.codes == code).sum()) for code in np.unique(scan.codes)}
+    assert counts == {
+        ZERO_ENTROPY_CODES["analytic_zero_ii"]: 320,
+        ZERO_ENTROPY_CODES["homoclinic"]: 662,
+        ZERO_ENTROPY_CODES["unknown"]: 447,
+        ZERO_ENTROPY_CODES["numeric_zero"]: 171,
+    }
+    assert hashlib.sha256(scan.codes.tobytes()).hexdigest() == (
+        "873d1e6d60d86048ccca80f802f5f20662c4ae42f707a12739ae2577527b7921"
+    )
 
 
 def test_scan_b_zero_pixel_scores_unknown():
