@@ -323,7 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--word-len", dest="word_len", type=int, help="symbols per side")
         sp.add_argument("--depth", type=int, help="series truncation depth")
         sp.add_argument("--n-max", dest="n_max", type=int, help="largest block length")
-        sp.add_argument("--arc-budget", dest="arc_budget", type=float, help="manifold arc cap")
+        sp.add_argument(
+            "--arc-budget",
+            dest="arc_budget",
+            type=float,
+            help="manifold arc threshold: growth stops after the first pass that reaches"
+            " it, so the arc can exceed it by a factor of up to about 1 + mu^2",
+        )
         sp.add_argument("--grid", type=int, help="sweep points / scan resolution")
         sp.add_argument("--a-min", dest="a_min", type=float, help="sweep lower a")
         sp.add_argument("--a-max", dest="a_max", type=float, help="sweep upper a")

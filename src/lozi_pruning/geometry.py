@@ -264,6 +264,12 @@ def _grow_branch(
     because the map is piecewise affine. A branch with mu^2 <= 1 does not
     expand and has no fundamental domain; it returns the seed segment
     [p, p + t0 u], not truncated.
+
+    arc_budget is a stopping threshold, not a cap: growth stops after the
+    first pass whose running arc reaches it, and that pass's piece is about
+    mu^2 times the one before, so the arc returned can exceed the budget by
+    up to about a factor 1 + mu^2.  mu^2 is large on stable branches (28 at
+    (1.4, 0.3), where p1_minus ends at arc 945.5 for a budget of 50).
     """
     if inverse and params.b == 0.0:
         raise NonInvertible("stable side needs the inverse map; b = 0")
@@ -343,7 +349,9 @@ def unstable_manifold(
     """Unstable branch polyline seeded at a saddle.
 
     seed is one of p1_right (the branch through the x-axis crossing),
-    p1_left (the opposite branch), or p2.
+    p1_left (the opposite branch), or p2.  Growth stops after the first pass
+    whose arc reaches arc_budget, so the arc returned can exceed the budget
+    by up to about a factor 1 + mu^2, mu the unstable eigenvalue.
     """
     return _manifold(params, seed, False, arc_budget, flat_tol)
 
@@ -358,6 +366,10 @@ def stable_manifold(
 
     p1_plus follows (stable_slope, 1) into the half-plane x > 0 (straight
     whenever it never meets the fold); p1_minus is the opposite branch.
+    Growth stops after the first pass whose arc reaches arc_budget, so the
+    arc returned can exceed the budget by up to about a factor 1 + mu^2,
+    mu = 1/stable eigenvalue, which is large: p1_minus at (1.4, 0.3) ends at
+    arc 945.5 for a budget of 50.
     """
     return _manifold(params, seed, True, arc_budget, flat_tol)
 

@@ -5,8 +5,10 @@ One interval engine does every evaluation.  ``_levels`` sweeps the
 continued-fraction level map x <- 1/(+-a e + b x); ``_p_series`` and
 ``_q_series`` sum the tail and head series from those levels.  The same
 three functions take float endpoints for one word (the scalar evaluators and
-``classify_cylinder``) and float64 arrays for a batch of rows (the raster and
-the block masks); only min/max over candidate endpoints and the test that a
+``classify_cylinder``) and float64 arrays for a batch of rows (the raster),
+or broadcastable per-axis arrays, one length-2 axis per symbol position (the
+block masks, so each level and series is computed once per distinct prefix
+or suffix); only min/max over candidate endpoints and the test that a
 denominator straddles zero are picked from the endpoint type.
 
 The innermost, unknown continuation of a finite word enters as the a-priori
@@ -401,18 +403,28 @@ def _window_masks(params: Params, n: int, depth: int):
     pruned_any[w]: some dot placement inside the block has an entirely
     negative enclosure, so the block cannot occur in any admissible sequence.
     cert_all[w]: every placement has an entirely non-negative enclosure.
-    Rows follow the head coordinate order; a block count ignores row order.
+
+    The blocks live on n numpy axes of length 2: axis j holds the symbol at
+    position j, index 0 for +1 and index 1 for -1, so the flattened masks are
+    in plain binary order, w = sum_j [symbol j is -1] 2^(n-1-j).  Every
+    enclosure spans only the axes of the positions it reads, and
+    broadcasting computes it once per distinct prefix or suffix: at the
+    placement with the dot at k the q series runs on the 2^(n-k) suffixes
+    and the p series on at most 2^(k-1) prefixes, about 3 * depth * 2^n
+    series terms in all, and only the two compares span all 2^n blocks.
     """
     a = params.a
-    cols = coordinate_symbols(n, PLUS).T
+    cols = [np.array([1.0, -1.0]).reshape((1,) * j + (2,) + (1,) * (n - 1 - j)) for j in range(n)]
     # r[j] encloses the ascending continued fraction r_j of the suffix j..n-1.
     r = _levels([a * cols[j] for j in range(n - 1, -1, -1)], params)[::-1]
     # y[t] encloses the descending continued fraction ending at position t,
     # i.e. s_{-(k-t)} for the placement with the dot at k.
     y = _levels([-a * cols[t] for t in range(n)], params)
 
-    pruned_any = np.zeros(1 << n, dtype=bool)
-    cert_all = np.ones(1 << n, dtype=bool)
+    pruned_any = np.zeros((2,) * n, dtype=bool)
+    cert_all = np.ones((2,) * n, dtype=bool)
+    # Each series reads its widest level first (r[k], then y[k - 2]), so the
+    # in-place sums in _p_series and _q_series never have to grow a shape.
     for k in range(n):
         # q side: head = positions k..n-1, term t uses r_t = r[k + t].
         qlo, qhi = _q_series(r[k : k + min(depth, n - k - 1) + 1], params)
@@ -421,7 +433,7 @@ def _window_masks(params: Params, n: int, depth: int):
         plo, phi = _p_series(y[k - 1 - dp : k - 1][::-1], params)
         pruned_any |= (phi - qlo) < 0.0
         cert_all &= (plo - qhi) >= 0.0
-    return pruned_any, cert_all
+    return pruned_any.ravel(), cert_all.ravel()
 
 
 def admissible_word_count(

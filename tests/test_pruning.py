@@ -8,8 +8,10 @@ of the series on periodic bi-infinite words.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -43,12 +45,19 @@ from lozi_pruning import (
     special_head,
     verdict_code,
 )
+from lozi_pruning import formats
 from lozi_pruning.pruning import (
+    ENTROPY_HEADER,
     PGM_ADMISSIBLE,
     PGM_PRUNED,
     PGM_UNKNOWN,
+    _levels,
     _p_enclosure,
+    _p_series,
     _q_enclosure,
+    _q_series,
+    _window_masks,
+    entropy_rows,
 )
 from lozi_pruning.symbolic import coordinate_symbols, head_coordinate, tail_coordinate
 
@@ -409,6 +418,73 @@ def test_counting_detects_pruning_at_small_b():
 def test_counting_budget_gate():
     with pytest.raises(BudgetExceeded):
         admissible_word_count(Params(2.0, 0.0), 24, 4)
+
+
+def _ref_window_masks(params, n, depth):
+    """Block masks on the full (2^n, n) symbol matrix, every series run on
+    all 2^n blocks at every placement; rows in head coordinate order."""
+    a = params.a
+    cols = coordinate_symbols(n, PLUS).T
+    r = _levels([a * cols[j] for j in range(n - 1, -1, -1)], params)[::-1]
+    y = _levels([-a * cols[t] for t in range(n)], params)
+    pruned_any = np.zeros(1 << n, dtype=bool)
+    cert_all = np.ones(1 << n, dtype=bool)
+    for k in range(n):
+        qlo, qhi = _q_series(r[k : k + min(depth, n - k - 1) + 1], params)
+        dp = max(0, min(depth, k - 1))
+        plo, phi = _p_series(y[k - 1 - dp : k - 1][::-1], params)
+        pruned_any |= (phi - qlo) < 0.0
+        cert_all &= (plo - qhi) >= 0.0
+    return pruned_any, cert_all
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1.7, 0.0), (1.7, 0.2), (2.1, 0.05), (1.9, -0.3), (1.3, 0.1), (1.55, -0.45), (1.21, 0.2)],
+)
+def test_window_masks_match_full_matrix_reference_per_block(a, b):
+    # Block w of the broadcast masks has symbol -1 at position j exactly when
+    # bit n-1-j of w is set; the reference's row i holds the block
+    # coordinate_symbols(n, PLUS)[i].
+    par = Params(a, b)
+    for n in (1, 2, 5, 9, 13, 16):
+        rows = coordinate_symbols(n, PLUS)
+        w = (rows == MINUS).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+        for depth in (0, 3, 12):
+            pruned, cert = _window_masks(par, n, depth)
+            ref_pruned, ref_cert = _ref_window_masks(par, n, depth)
+            assert pruned.shape == cert.shape == (1 << n,)
+            np.testing.assert_array_equal(pruned[w], ref_pruned, err_msg=f"n={n} depth={depth}")
+            np.testing.assert_array_equal(cert[w], ref_cert, err_msg=f"n={n} depth={depth}")
+
+
+@pytest.mark.parametrize(
+    "a, b, digest",
+    [
+        (1.7, 0.0, "be03520596f4d8501feb7da3e58299d7c658330c11f7fbbcf4b323474bc61fb1"),
+        (2.1, 0.05, "c26d463b0658bbfdef143cf549bbb4590b700e3bc19057a27cc6bfd25ef834e3"),
+        (1.62, -0.31, "f694613b29e1be8578d2da3fa9fb1438fa9cf57bf901aad462203c1852647794"),
+    ],
+    ids=["1.7,0", "2.1,0.05", "1.62,-0.31"],
+)
+def test_entropy_rows_regression_pin(a, b, digest):
+    # Digests of the entropy CSV bytes, n_max 16 and depth 12, taken before
+    # the block masks moved to broadcast symbol axes.
+    data = formats.csv_bytes(ENTROPY_HEADER, entropy_rows(Params(a, b), 16, 12))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_word_count_peak_memory():
+    # The broadcast masks hold each level and series once per distinct
+    # prefix or suffix (about 10 MiB traced at n = 16); a (2^n, n) symbol
+    # matrix or full-width levels would take over 40 MiB.
+    tracemalloc.start()
+    try:
+        admissible_word_count(Params(1.7, 0.2), 16, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
 
 
 def test_entropy_exact_log2_on_full_shift():
