@@ -1,5 +1,7 @@
 """Pruning-theoretic symbolic dynamics of the hyperbolic Lozi family."""
 
+import importlib
+
 from .errors import (
     BudgetExceeded,
     DegenerateBounds,
@@ -97,7 +99,22 @@ from .tent import (
     tent_lap_count,
     tent_orbit,
 )
-from .cli import RunConfig
-from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
+
+# The front ends load on first use, so that ``python -m lozi_pruning.cli``
+# does not find its own module already imported by the package.
+_LAZY = {
+    "cli": "cli",
+    "verify": "verify",
+    "RunConfig": "cli",
+    "CheckResult": "verify",
+    "run_checks": "verify",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

@@ -256,8 +256,7 @@ def cmd_manifolds(config: RunConfig) -> int:
     _, inverse, _, _ = MANIFOLD_BRANCHES[config.branch]
     grow = stable_manifold if inverse else unstable_manifold
     line = grow(params, seed=config.branch, arc_budget=arc_budget)
-    rows = [(v.x, v.y) for v in line.vertices]
-    formats.write_csv(out, MANIFOLD_HEADER, rows, force=config.force)
+    formats.write_csv(out, MANIFOLD_HEADER, line.vertices, force=config.force)
     formats.write_sidecar(
         out + ".txt",
         {
@@ -273,7 +272,7 @@ def cmd_manifolds(config: RunConfig) -> int:
         force=config.force,
     )
     print(
-        f"manifolds: {config.branch} ({line.kind}), {len(rows)} vertices, "
+        f"manifolds: {config.branch} ({line.kind}), {len(line.vertices)} vertices, "
         f"arc {line.arc_length:.6g}{' (truncated)' if line.truncated else ''} -> {out}"
     )
     return 0

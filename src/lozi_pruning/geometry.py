@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .errors import LoziError, NoFixedPoint, NonInvertible, NotInvariant, WrongP
 from .pruning import Params
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(NamedTuple):
+    """A point of the plane. It is an (x, y) float pair, so the float kernels
+    below read and build points with no conversion."""
+
     x: float
     y: float
 
@@ -156,7 +159,7 @@ class Polyline:
 
     truncated marks growth stopped before the branch converged, by the arc
     budget or by the pass cap; otherwise the newest fundamental-domain piece
-    became shorter than flat_tol (the branch converged, e.g. into a sink).
+    became shorter than _FLAT_TOL (the branch converged, e.g. into a sink).
     """
 
     vertices: tuple[PlanePoint, ...]
@@ -165,14 +168,14 @@ class Polyline:
     arc_length: float
 
     def segments(self) -> np.ndarray:
-        pts = np.array([(v.x, v.y) for v in self.vertices])
+        pts = np.array(self.vertices)
         return np.stack([pts[:-1], pts[1:]], axis=1)
 
     def point_distance(self, q: PlanePoint) -> float:
         """Distance from q to the polyline (exact over segments)."""
         if len(self.vertices) == 1:
             return self.vertices[0].dist(q)
-        return float(_segment_distances(np.array([[q.x, q.y]]), self.segments())[0])
+        return float(_segment_distances(np.array([q]), self.segments())[0])
 
 
 def _segment_distances(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
@@ -245,6 +248,12 @@ def _arc(pts) -> float:
     )
 
 
+# A branch converges once its newest piece is shorter than _FLAT_TOL, and is
+# cut off as truncated after _MAX_PASSES double steps.
+_FLAT_TOL = 1e-9
+_MAX_PASSES = 60
+
+
 def _grow_branch(
     params: Params,
     start: PlanePoint,
@@ -253,8 +262,6 @@ def _grow_branch(
     inverse: bool,
     kind: str,
     arc_budget: float,
-    flat_tol: float,
-    max_passes: int = 60,
 ) -> Polyline:
     """Grow the branch of the saddle start along sign * (lam, 1), where lam
     is the eigenvalue of that eigenvector: mu = lam forward, 1/lam inverse.
@@ -281,18 +288,17 @@ def _grow_branch(
     coord0, dcoord = (start.y, uy) if inverse else (start.x, ux)
     t_kink = abs(coord0 / dcoord) if dcoord != 0.0 and coord0 != 0.0 else math.inf
     t0 = min(1e-4, 0.5 * t_kink)
-    anchor = (start.x, start.y)
-    seed = (start.x + t0 * ux, start.y + t0 * uy)
-    arc = _arc([anchor, seed])
+    seed = PlanePoint(start.x + t0 * ux, start.y + t0 * uy)
+    arc = start.dist(seed)
     lam2 = lam * lam
     if (lam2 >= 1.0) if inverse else (lam2 <= 1.0):
-        return Polyline((start, PlanePoint(*seed)), kind, False, arc)
+        return Polyline((start, seed), kind, False, arc)
     shrink = lam2 if inverse else 1.0 / lam2  # 1 / mu^2
     piece = [(start.x + t0 * shrink * ux, start.y + t0 * shrink * uy), seed]
-    pts = [anchor, *piece]
+    pts = [start, *piece]
 
     truncated = True
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         # Double step keeps a branch on its own side when the eigenvalue
         # is negative and the two branches swap under a single step.
         piece = _map_polyline(params, _map_polyline(params, piece, inverse), inverse)
@@ -304,11 +310,11 @@ def _grow_branch(
         arc += step
         if arc >= arc_budget:
             break
-        if step < flat_tol:
+        if step < _FLAT_TOL:
             truncated = False
             break
     return Polyline(
-        vertices=tuple(PlanePoint(x, y) for x, y in _drop_collinear(pts)),
+        vertices=tuple(map(PlanePoint._make, _drop_collinear(pts))),
         kind=kind,
         truncated=truncated,
         arc_length=arc,
@@ -325,9 +331,7 @@ MANIFOLD_BRANCHES = {
 }
 
 
-def _manifold(
-    params: Params, seed: str, inverse: bool, arc_budget: float, flat_tol: float
-) -> Polyline:
+def _manifold(params: Params, seed: str, inverse: bool, arc_budget: float) -> Polyline:
     if seed not in MANIFOLD_BRANCHES or MANIFOLD_BRANCHES[seed][1] != inverse:
         names = sorted(k for k, row in MANIFOLD_BRANCHES.items() if row[1] == inverse)
         raise ValueError(f"seed must be one of {names}")
@@ -337,15 +341,10 @@ def _manifold(
     lam = getattr(fd, f"{'stable' if inverse else 'unstable'}_slope_{saddle}")
     if start is None or lam is None:
         raise NoFixedPoint(f"{saddle} missing or non-real eigenvalues")
-    return _grow_branch(params, start, lam, sign, inverse, kind, arc_budget, flat_tol)
+    return _grow_branch(params, start, lam, sign, inverse, kind, arc_budget)
 
 
-def unstable_manifold(
-    params: Params,
-    seed: str,
-    arc_budget: float = 50.0,
-    flat_tol: float = 1e-9,
-) -> Polyline:
+def unstable_manifold(params: Params, seed: str, arc_budget: float = 50.0) -> Polyline:
     """Unstable branch polyline seeded at a saddle.
 
     seed is one of p1_right (the branch through the x-axis crossing),
@@ -353,14 +352,11 @@ def unstable_manifold(
     whose arc reaches arc_budget, so the arc returned can exceed the budget
     by up to about a factor 1 + mu^2, mu the unstable eigenvalue.
     """
-    return _manifold(params, seed, False, arc_budget, flat_tol)
+    return _manifold(params, seed, False, arc_budget)
 
 
 def stable_manifold(
-    params: Params,
-    seed: str = "p1_plus",
-    arc_budget: float = 50.0,
-    flat_tol: float = 1e-9,
+    params: Params, seed: str = "p1_plus", arc_budget: float = 50.0
 ) -> Polyline:
     """Stable branch polyline of p1, grown with the inverse map.
 
@@ -371,7 +367,7 @@ def stable_manifold(
     mu = 1/stable eigenvalue, which is large: p1_minus at (1.4, 0.3) ends at
     arc 945.5 for a budget of 50.
     """
-    return _manifold(params, seed, True, arc_budget, flat_tol)
+    return _manifold(params, seed, True, arc_budget)
 
 
 # ------------------------------------------------------------- lyapunov
@@ -383,8 +379,8 @@ def lyapunov_delta(params: Params, q: PlanePoint) -> float:
     if fd.n1 is None:
         raise NoFixedPoint("period-2 pair absent; no Lyapunov center")
     a, b = params.a, params.b
-    cx, cy = fd.n1.x, fd.n1.y
-    x, y = q.x, q.y
+    cx, cy = fd.n1
+    x, y = q
     for _ in range(4):
         x, y = 1.0 - a * abs(x) + b * y, x
     return ((x - cx) ** 2 + (y - cy) ** 2) - ((q.x - cx) ** 2 + (q.y - cy) ** 2)
@@ -414,9 +410,9 @@ def _axis_crossing_of_unstable_line(fd: FixedData) -> PlanePoint:
 
 def _convex_hull(points) -> list[PlanePoint]:
     """Monotone-chain hull, counterclockwise, no duplicates."""
-    pts = sorted(set((p.x, p.y) for p in points))
+    pts = sorted(set(points))
     if len(pts) < 3:
-        return [PlanePoint(*p) for p in pts]
+        return list(map(PlanePoint._make, pts))
 
     def chain(seq):
         out: list[tuple[float, float]] = []
@@ -432,19 +428,20 @@ def _convex_hull(points) -> list[PlanePoint]:
 
     lower = chain(pts)
     upper = chain(reversed(pts))
-    return [PlanePoint(*p) for p in lower[:-1] + upper[:-1]]
+    return list(map(PlanePoint._make, lower[:-1] + upper[:-1]))
 
 
-def _signed_dist_to_convex(poly, q: PlanePoint) -> float:
+def _signed_dist_to_convex(poly, q) -> float:
     """Positive inside a counterclockwise convex polygon; distance to the
     nearest edge line."""
     best = math.inf
     n = len(poly)
+    qx, qy = q
     for i in range(n):
-        u, w = poly[i], poly[(i + 1) % n]
-        ex, ey = w.x - u.x, w.y - u.y
+        (ux, uy), (wx, wy) = poly[i], poly[(i + 1) % n]
+        ex, ey = wx - ux, wy - uy
         elen = math.hypot(ex, ey)
-        cross = ex * (q.y - u.y) - ey * (q.x - u.x)
+        cross = ex * (qy - uy) - ey * (qx - ux)
         best = min(best, cross / elen)
     return best
 
@@ -463,7 +460,7 @@ def _corner_polygon(params: Params) -> list[PlanePoint]:
     return hull
 
 
-def polygon_invariance(params: Params, double_steps: int = 1) -> PolygonReport:
+def polygon_invariance(params: Params) -> PolygonReport:
     """Check the double-step image of the corner polygon stays inside it.
 
     P is the convex hull of Z, L^2 Z, L^4 Z, L^6 Z where Z is the x-axis
@@ -474,15 +471,14 @@ def polygon_invariance(params: Params, double_steps: int = 1) -> PolygonReport:
     is typically exactly zero. Raises NotInvariant on genuine escape.
     """
     poly = _corner_polygon(params)
-    boundary = [(c.x, c.y) for c in poly + [poly[0]]]
-    for _ in range(2 * double_steps):
-        boundary = _map_polyline(params, boundary, False)
-    boundary = _drop_collinear(boundary)
+    boundary = _drop_collinear(
+        _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
+    )
 
     worst = math.inf
     witness = None
     for q in boundary:
-        d = _signed_dist_to_convex(poly, PlanePoint(*q))
+        d = _signed_dist_to_convex(poly, q)
         if d < worst:
             worst, witness = d, q
     if worst < -_MARGIN_DUST:
@@ -517,9 +513,11 @@ def _seg_array(*polylines) -> np.ndarray:
     return np.concatenate(segs, axis=0) if segs else np.empty((0, 2, 2))
 
 
-def homoclinic_intersects(
-    params: Params, arc_budget: float = 50.0, touch_tol: float = 1e-10
-) -> HomoclinicResult:
+# A manifold vertex within this distance of the other manifold touches it.
+_TOUCH_TOL = 1e-10
+
+
+def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> HomoclinicResult:
     """Sweep for a transversal crossing of W^u(p1) with W^s(p1).
 
     Both branches of each manifold are grown to the arc budget; contacts
@@ -545,7 +543,7 @@ def homoclinic_intersects(
     if useg.size == 0 or sseg.size == 0:
         return HomoclinicResult(False, None, False)
 
-    p1 = np.array([fd.p1.x, fd.p1.y])
+    p1 = np.array(fd.p1)
 
     u1 = useg[:, 0, :]
     u2 = useg[:, 1, :]
@@ -577,7 +575,7 @@ def homoclinic_intersects(
     # No proper crossing: flag grazing contact away from the saddle.
     def grazes(lines, other: np.ndarray) -> bool:
         verts = _contact_vertices(lines, p1)
-        return bool((_segment_distances(verts, other) <= touch_tol).any())
+        return bool((_segment_distances(verts, other) <= _TOUCH_TOL).any())
 
     return HomoclinicResult(False, None, grazes(un, sseg) or grazes(st, useg))
 
@@ -585,9 +583,7 @@ def homoclinic_intersects(
 def _contact_vertices(polylines, p1: np.ndarray) -> np.ndarray:
     """Every vertex of the polylines, without repeats, farther than 1e-8
     from the saddle p1: the points the tangency test measures."""
-    verts = np.unique(
-        np.concatenate([[(v.x, v.y) for v in pl.vertices] for pl in polylines]), axis=0
-    )
+    verts = np.unique(np.concatenate([pl.vertices for pl in polylines]), axis=0)
     return verts[np.hypot(*(verts - p1).T) > 1e-8]
 
 
@@ -621,10 +617,9 @@ def _numeric_zero_check(params: Params) -> bool:
     except (NotInvariant, WrongParams, NoFixedPoint):
         return False
     a, b = params.a, params.b
-    n1x, n1y, n2x, n2y = fd.n1.x, fd.n1.y, fd.n2.x, fd.n2.y
+    (n1x, n1y), (n2x, n2y) = fd.n1, fd.n2
     z = _axis_crossing_of_unstable_line(fd)
-    for q0 in (z, lozi_apply(params, z)):
-        x, y = q0.x, q0.y
+    for x, y in (z, lozi_apply(params, z)):
         for _ in range(10_000):
             for _ in range(4):
                 x, y = 1.0 - a * abs(x) + b * y, x
@@ -636,7 +631,7 @@ def _numeric_zero_check(params: Params) -> bool:
     # drawn a block at a time from the corners' bounding box. The interior
     # test is _signed_dist_to_convex over the whole block.
     rng = np.random.default_rng(1815)
-    box = np.array([(c.x, c.y) for c in report.corners])
+    box = np.array(report.corners)
     ux, uy = box.T
     ex, ey = np.roll(ux, -1) - ux, np.roll(uy, -1) - uy
     elen = np.array([math.hypot(dx, dy) for dx, dy in zip(ex.tolist(), ey.tolist())])
@@ -727,7 +722,7 @@ def _scan_pixel(args) -> tuple[int, float, float]:
         return ZERO_ENTROPY_CODES["unknown"], math.nan, math.nan
     if verdict.witness is None:
         return _verdict_code(verdict), math.nan, math.nan
-    return _verdict_code(verdict), verdict.witness.x, verdict.witness.y
+    return (_verdict_code(verdict), *verdict.witness)
 
 
 def scan_zero_entropy(

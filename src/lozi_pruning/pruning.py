@@ -335,6 +335,10 @@ def code_verdict(code: int) -> Verdict:
     return _CODE_VERDICT[code]
 
 
+_CELL_LIMIT = 1 << 22  # largest raster: 4^11 cells
+_BLOCK_LIMIT = 1 << 20  # largest word count: its masks peak at 162 MiB at depth 12
+
+
 @dataclass(frozen=True)
 class Raster:
     """Verdict grid over all (tail, head) cylinders of a fixed word length.
@@ -369,9 +373,7 @@ class Raster:
         return int(np.count_nonzero(self.cells == PGM_UNKNOWN))
 
 
-def pruned_region_raster(
-    params: Params, word_len: int, depth: int, cell_limit: int = 1 << 22
-) -> Raster:
+def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
     """Classify all 4^word_len cylinders with word_len symbols per side.
 
     Cells certify membership of the whole cylinder: entirely negative
@@ -382,18 +384,16 @@ def pruned_region_raster(
     if word_len < 1:
         raise ValueError("word_len must be >= 1")
     cells_total = 1 << (2 * word_len)
-    if cells_total > cell_limit:
-        raise BudgetExceeded(f"4^{word_len} = {cells_total} cells exceed limit {cell_limit}")
+    if cells_total > _CELL_LIMIT:
+        raise BudgetExceeded(f"4^{word_len} = {cells_total} cells exceed limit {_CELL_LIMIT}")
     tails = coordinate_symbols(word_len, MINUS if params.b >= 0 else PLUS)
     heads = coordinate_symbols(word_len, PLUS)
     # With depth 0 the p enclosure is one interval shared by every tail.
     plo, phi = (np.broadcast_to(v, len(tails)) for v in _p_enclosure(tails.T, depth, params))
     qlo, qhi = _q_enclosure(heads.T, depth, params)
-    diff_lo = plo[:, None] - qhi[None, :]
-    diff_hi = phi[:, None] - qlo[None, :]
-    cells = np.full(diff_lo.shape, PGM_UNKNOWN, dtype=np.uint8)
-    cells[diff_hi < 0.0] = PGM_PRUNED
-    cells[diff_lo >= 0.0] = PGM_ADMISSIBLE
+    cells = np.full((len(tails), len(heads)), PGM_UNKNOWN, dtype=np.uint8)
+    cells[phi[:, None] < qlo[None, :]] = PGM_PRUNED
+    cells[plo[:, None] >= qhi[None, :]] = PGM_ADMISSIBLE
     return Raster(params=params, word_len=word_len, depth=depth, cells=cells)
 
 
@@ -436,9 +436,7 @@ def _window_masks(params: Params, n: int, depth: int):
     return pruned_any.ravel(), cert_all.ravel()
 
 
-def admissible_word_count(
-    params: Params, n: int, depth: int, budget: int = 1 << 24
-) -> tuple[int, int]:
+def admissible_word_count(params: Params, n: int, depth: int) -> tuple[int, int]:
     """Bracket the number of admissible length-n blocks.
 
     upper counts blocks with no certified-pruned dot placement; lower counts
@@ -449,8 +447,8 @@ def admissible_word_count(
     params.require_hyperbolic()
     if n < 1:
         raise ValueError("n must be >= 1")
-    if (1 << n) * n > budget:
-        raise BudgetExceeded(f"2^{n} blocks of length {n} exceed the budget {budget}")
+    if (1 << n) > _BLOCK_LIMIT:
+        raise BudgetExceeded(f"2^{n} blocks of length {n} exceed the limit {_BLOCK_LIMIT}")
     pruned_any, cert_all = _window_masks(params, n, depth)
     upper = int(np.count_nonzero(~pruned_any))
     lower = int(np.count_nonzero(cert_all & ~pruned_any))

@@ -1,11 +1,17 @@
 """Command line tests: config resolution, artifact content, determinism,
 error exit codes. Commands run in process through main()."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lozi_pruning
 from lozi_pruning import formats
 from lozi_pruning.cli import (
     ENTROPY_HEADER,
@@ -265,9 +271,55 @@ def test_manifolds_accepts_every_table_branch(tmp_path, branch):
     assert sidecar["kind"] == MANIFOLD_BRANCHES[branch][3]
 
 
+# sha256 of CSV + sidecar bytes of `lozi manifolds --a 1.4 --b 0.3` with the
+# default arc budget, taken before points became (x, y) tuples.
+MANIFOLD_DIGESTS = {
+    "p1_right": "0757ab4965f4136647f55a2a8afab152080b16b0c90588a349b6c69292348d81",
+    "p1_left": "adbab58a305edfb30169e9714c77cc9d89022ff4e7b372d66f06dca56e50d109",
+    "p2": "1469a66fb18142a8eea8b2e1cd44ca7592f270f638e7e7af80e2cd36e2bd4801",
+    "p1_plus": "f05a7309a0622f4804f718b61cd16063051b2645d5b3b1dbc5b5cbbe162e0938",
+    "p1_minus": "c9d2a73d62b17c624dcd6fd00d26a4592bfd1922fa71a9c858835b8122da24b7",
+}
+
+
+@pytest.mark.parametrize("branch", sorted(MANIFOLD_DIGESTS))
+def test_manifolds_regression_pin(tmp_path, branch):
+    out = tmp_path / f"{branch}.csv"
+    assert main(["manifolds", "--a", "1.4", "--b", "0.3", "--branch", branch,
+                 "--out", str(out)]) == 0
+    data = out.read_bytes() + (tmp_path / f"{branch}.csv.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == MANIFOLD_DIGESTS[branch]
+
+
 def test_manifolds_rejects_unknown_branch(capsys):
     assert main(["manifolds", "--branch", "p3", "--out", "/tmp/nope.csv"]) == 2
     assert "branch" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ module entry
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(lozi_pruning.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lozi_pruning.cli",
+         "entropy", "--a", "1.8", "--b", "0.1", "--n-max", "2"],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[0] == ",".join(ENTROPY_HEADER)
+
+
+def test_package_loads_front_ends_on_first_use():
+    assert lozi_pruning.RunConfig is RunConfig
+    assert lozi_pruning.cli.main is main
+    assert lozi_pruning.run_checks is lozi_pruning.verify.run_checks
+    assert lozi_pruning.CheckResult is lozi_pruning.verify.CheckResult
+    with pytest.raises(AttributeError):
+        lozi_pruning.no_such_name
 
 
 # ----------------------------------------------------------------- verify

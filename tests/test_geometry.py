@@ -54,6 +54,34 @@ def _rand_points(n, lo=-3.0, hi=3.0, seed=0):
     return [PlanePoint(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
 
 
+# ---------------------------------------------------------------- the point
+
+
+def test_plane_point_is_an_xy_pair():
+    p = PlanePoint(0.25, -1.5)
+    assert isinstance(p, tuple) and len(p) == 2
+    assert tuple(p) == (0.25, -1.5) and p == (0.25, -1.5)
+    assert hash(p) == hash((0.25, -1.5))
+    assert {p, (0.25, -1.5)} == {p}
+    assert (p.x, p.y) == (0.25, -1.5)
+    assert repr(p) == "PlanePoint(x=0.25, y=-1.5)"
+    assert p.dist(PlanePoint(3.25, 2.5)) == 5.0
+    assert sorted([PlanePoint(1.0, 0.0), PlanePoint(0.0, 2.0), PlanePoint(0.0, 1.0)]) == [
+        (0.0, 1.0),
+        (0.0, 2.0),
+        (1.0, 0.0),
+    ]
+
+
+def test_polyline_vertices_are_an_n_by_2_array():
+    for grow, seed in ((unstable_manifold, "p1_right"), (stable_manifold, "p1_minus")):
+        pl = grow(CHAOTIC, seed, arc_budget=20.0)
+        pts = np.array(pl.vertices)
+        assert pts.shape == (len(pl.vertices), 2) and pts.dtype == np.float64
+        assert all(type(v) is PlanePoint for v in pl.vertices)
+        assert pl.segments().shape == (len(pl.vertices) - 1, 2, 2)
+
+
 # ---------------------------------------------------------------- map steps
 
 

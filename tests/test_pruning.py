@@ -45,7 +45,7 @@ from lozi_pruning import (
     special_head,
     verdict_code,
 )
-from lozi_pruning import formats
+from lozi_pruning import formats, pruning
 from lozi_pruning.pruning import (
     ENTROPY_HEADER,
     PGM_ADMISSIBLE,
@@ -418,6 +418,22 @@ def test_counting_detects_pruning_at_small_b():
 def test_counting_budget_gate():
     with pytest.raises(BudgetExceeded):
         admissible_word_count(Params(2.0, 0.0), 24, 4)
+
+
+def test_counting_gate_admits_20_and_refuses_21(monkeypatch):
+    # The gate counts blocks only; the masks are stubbed, so nothing of size
+    # 2^20 is allocated here.
+    seen = []
+
+    def stub(params, n, depth):
+        seen.append(n)
+        return np.zeros(3, dtype=bool), np.ones(3, dtype=bool)
+
+    monkeypatch.setattr(pruning, "_window_masks", stub)
+    assert admissible_word_count(Params(1.7, 0.2), 20, 12) == (3, 3)
+    with pytest.raises(BudgetExceeded):
+        admissible_word_count(Params(1.7, 0.2), 21, 12)
+    assert seen == [20]
 
 
 def _ref_window_masks(params, n, depth):
