@@ -124,6 +124,8 @@ def _require_out(config: RunConfig) -> str:
 
 def _a_sweep(config: RunConfig, lo: float, hi: float, grid: int) -> list[float]:
     """grid points over the half-open interval (lo, hi], right endpoint kept."""
+    if grid < 1:
+        raise ValueError("grid must be positive")
     a_lo = or_default(config.a_min, lo)
     a_hi = or_default(config.a_max, hi)
     step = (a_hi - a_lo) / grid

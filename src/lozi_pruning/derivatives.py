@@ -95,7 +95,11 @@ def b_derivative_bounds(a: float, eps_minus2: int) -> DerivBounds:
     )
 
 
-def monotone_cone(a: float, margin: float = 1e-6) -> MonotoneCone:
+# Guaranteed directional derivative at the returned cone slopes.
+_CONE_MARGIN = 1e-6
+
+
+def monotone_cone(a: float, margin: float = _CONE_MARGIN) -> MonotoneCone:
     """Smallest cone slopes making p - q strictly increase along (N1, -1)
     and (N2, +1).
 
@@ -138,9 +142,7 @@ CONE_TABLE_HEADER = (
 )
 
 
-def cone_table(
-    a_values: list[float], margin: float = 1e-6
-) -> list[tuple[float, ...]]:
+def cone_table(a_values: list[float]) -> list[tuple[float, ...]]:
     """Direction-field rows matching CONE_TABLE_HEADER.
 
     Slopes below the lower-bound crossover get NaN cone columns instead of
@@ -152,7 +154,7 @@ def cone_table(
         bp = b_derivative_bounds(a, +1)
         bm = b_derivative_bounds(a, -1)
         try:
-            cone = _cone(a, da, bp, bm, margin)
+            cone = _cone(a, da, bp, bm, _CONE_MARGIN)
             n1, n2 = cone.N1, cone.N2
         except DegenerateBounds:
             n1 = n2 = math.nan

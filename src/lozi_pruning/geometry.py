@@ -223,7 +223,12 @@ def _map_polyline(params: Params, pts, inverse: bool):
     return [(1.0 - a * abs(x) + b * y, x) for x, y in split]
 
 
-def _drop_collinear(pts, tol=1e-13):
+# A vertex this far off the chord of its neighbours, relative to the chord's
+# length, is kept.
+_COLLINEAR_TOL = 1e-13
+
+
+def _drop_collinear(pts):
     if len(pts) <= 2:
         return pts
     kept = [pts[0]]
@@ -234,7 +239,7 @@ def _drop_collinear(pts, tol=1e-13):
             continue
         cross = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
         span = max(math.hypot(ux - wx, uy - wy), 1e-30)
-        if abs(cross) <= tol * span:
+        if abs(cross) <= _COLLINEAR_TOL * span:
             continue
         kept.append(v)
         ux, uy = vx, vy
@@ -590,17 +595,33 @@ def _contact_vertices(polylines, p1: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------- zero entropy
 
 
+# PGM gray level per verdict, keyed by kind or kind_case: the one table of
+# the valid (kind, case) pairs.
+ZERO_ENTROPY_CODES = {
+    "analytic_zero_i": 230,
+    "analytic_zero_ii": 255,
+    "analytic_zero_iii": 205,
+    "numeric_zero": 180,
+    "homoclinic": 0,
+    "unknown": 128,
+}
+
+
 @dataclass(frozen=True)
 class ZeroEntropyVerdict:
     kind: str  # analytic_zero | numeric_zero | homoclinic | unknown
     case: str | None = None  # i | ii | iii for analytic_zero
     witness: PlanePoint | None = None
 
+    @property
+    def label(self) -> str:
+        """Key of this verdict in ZERO_ENTROPY_CODES."""
+        return self.kind if self.case is None else f"{self.kind}_{self.case}"
+
     def __post_init__(self) -> None:
-        if self.kind not in ("analytic_zero", "numeric_zero", "homoclinic", "unknown"):
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
-        if self.kind == "analytic_zero" and self.case not in ("i", "ii", "iii"):
-            raise ValueError("analytic_zero needs case i, ii, or iii")
+        if self.label not in ZERO_ENTROPY_CODES:
+            valid = ", ".join(ZERO_ENTROPY_CODES)
+            raise ValueError(f"no zero-entropy verdict {self.label!r} (valid: {valid})")
 
 
 # Polygon samples are drawn this many (x, y) pairs at a time; the draws are
@@ -677,21 +698,6 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
     return ZeroEntropyVerdict(kind="unknown")
 
 
-ZERO_ENTROPY_CODES = {
-    "analytic_zero_i": 230,
-    "analytic_zero_ii": 255,
-    "analytic_zero_iii": 205,
-    "numeric_zero": 180,
-    "homoclinic": 0,
-    "unknown": 128,
-}
-
-
-def _verdict_code(v: ZeroEntropyVerdict) -> int:
-    key = v.kind if v.case is None else f"{v.kind}_{v.case}"
-    return ZERO_ENTROPY_CODES[key]
-
-
 @dataclass(frozen=True)
 class ZeroEntropyScan:
     a_range: tuple[float, float]
@@ -721,8 +727,8 @@ def _scan_pixel(args) -> tuple[int, float, float]:
     except LoziError:
         return ZERO_ENTROPY_CODES["unknown"], math.nan, math.nan
     if verdict.witness is None:
-        return _verdict_code(verdict), math.nan, math.nan
-    return (_verdict_code(verdict), *verdict.witness)
+        return ZERO_ENTROPY_CODES[verdict.label], math.nan, math.nan
+    return (ZERO_ENTROPY_CODES[verdict.label], *verdict.witness)
 
 
 def scan_zero_entropy(

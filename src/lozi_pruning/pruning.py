@@ -466,6 +466,8 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
     is a valid upper bound at every n; the lower bound uses only the current
     length and is clamped into [0, h_upper].
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     rows = []
     h_upper = math.inf
     for n in range(1, n_max + 1):

@@ -58,13 +58,17 @@ def tent_orbit(a: float, x0: float, n: int) -> list[float]:
     return xs
 
 
-def kneading(a: float, n: int, tol: float = 1e-12) -> Kneading:
-    """Signs of the orbit of 1 with fold hits within tol flagged."""
+# An orbit point this close to 0 counts as a fold hit.
+_FOLD_TOL = 1e-12
+
+
+def kneading(a: float, n: int) -> Kneading:
+    """Signs of the orbit of 1 with fold hits within _FOLD_TOL flagged."""
     TentParams(a).require_kneading_range()
     symbols = []
     hits = set()
     for i, x in enumerate(tent_orbit(a, 1.0, n)):
-        if abs(x) <= tol:
+        if abs(x) <= _FOLD_TOL:
             hits.add(i)
         symbols.append(PLUS if x >= 0.0 else MINUS)
     return Kneading(a=a, symbols=tuple(symbols), boundary_hits=frozenset(hits))
@@ -124,7 +128,10 @@ def check_identity_shifted(
     return abs(lhs - rhs)
 
 
-def tent_lap_count(a: float, n: int, max_points: int = 1 << 22) -> int:
+_LAP_POINT_LIMIT = 1 << 22  # largest turning-point partition tent_lap_count builds
+
+
+def tent_lap_count(a: float, n: int) -> int:
     """Lap number of T^n on the invariant interval [1-a, 1].
 
     Turning points of T^n are the preimages T^-k(0) for k < n, computed per
@@ -142,8 +149,8 @@ def tent_lap_count(a: float, n: int, max_points: int = 1 << 22) -> int:
         neg_ok = frontier >= 1.0 - a * a + a
         frontier = np.concatenate([pos, -pos[neg_ok]])
         total += frontier.size
-        if total > max_points:
-            raise BudgetExceeded(f"lap-count partition exceeds {max_points} points")
+        if total > _LAP_POINT_LIMIT:
+            raise BudgetExceeded(f"lap-count partition exceeds {_LAP_POINT_LIMIT} points")
         pts.append(frontier)
     allpts = np.sort(np.concatenate(pts))
     # Merge numerically coincident points and drop the interval's endpoints.

@@ -2,10 +2,15 @@
 
 Each check states one verifiable claim about the library, runs it at full
 scale by default, and reports a single pass/fail line with the measured
-quantity. The test suite calls the same functions, so the CLI report and
-the tests cannot drift apart. Checks that produce artifacts write them into
-the configured output directory; everything is deterministic given the
-config, including the sampled checks (seeded generators only).
+quantity. A check takes only the run config and returns ``(passed,
+detail)``. Its report name is its function name without ``check_``,
+hyphenated: ``check_closed_form_series`` reports as ``closed-form-series``.
+``CHECKS`` is the one list that numbers the checks, and ``run_checks`` is
+the only place that builds a ``CheckResult``; the test suite goes through
+it too, so the CLI report and the tests cannot drift apart. Checks that
+produce artifacts write them into the configured output directory;
+everything is deterministic given the config, including the sampled checks
+(seeded generators only).
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ def _artifact(config, name: str) -> str | None:
     return os.path.join(config.out, name)
 
 
-def check_closed_form_series(config, _=None) -> CheckResult:
+def check_closed_form_series(config) -> tuple[bool, str]:
     """Series evaluation matches the closed form within its own error bar."""
     w = Word((), special_head(60))
     worst = -math.inf
@@ -95,15 +100,13 @@ def check_closed_form_series(config, _=None) -> CheckResult:
             bv = eval_q(w, 40, params)
             gap = abs(bv.value - closed_form_q(params)) - bv.err
             worst = max(worst, gap)
-    return CheckResult(
-        1,
-        "closed-form-series",
+    return (
         worst <= ULP_SLACK,
         f"worst |series - closed| minus reported err = {worst:.3e} over 2500 params",
     )
 
 
-def check_head_maximum(config, _=None) -> CheckResult:
+def check_head_maximum(config) -> tuple[bool, str]:
     """At full slope the alternating head attains 1; others stay below."""
     params = Params(2.0, 0.0)
     sp = special_head(60)
@@ -118,16 +121,14 @@ def check_head_maximum(config, _=None) -> CheckResult:
         worst_other = max(worst_other, eval_q(Word((), head), 39, params).hi)
         count += 1
     passed = abs(at_max.value - 1.0) <= 1e-10 and worst_other < 1.0
-    return CheckResult(
-        2,
-        "head-maximum",
+    return (
         passed,
         f"|q(max head) - 1| = {abs(at_max.value - 1.0):.3e}, "
         f"largest of 500 other heads = {worst_other!r}",
     )
 
 
-def check_full_slope_raster(config, _=None) -> CheckResult:
+def check_full_slope_raster(config) -> tuple[bool, str]:
     """Nothing is pruned at full slope: the region degenerates to nothing."""
     word_len = or_default(config.word_len, 10)
     depth = or_default(config.depth, 12)
@@ -141,15 +142,13 @@ def check_full_slope_raster(config, _=None) -> CheckResult:
             force=config.force,
         )
     total = raster.width * raster.height
-    return CheckResult(
-        3,
-        "full-slope-raster",
+    return (
         raster.pruned_count == 0,
         f"{raster.pruned_count} pruned of {total} cells at word_len {word_len}",
     )
 
 
-def check_derivative_anchors(config, _=None) -> CheckResult:
+def check_derivative_anchors(config) -> tuple[bool, str]:
     """Finite differences land on the closed-form derivative values."""
     gaps = []
     for eps in (1, -1):
@@ -161,20 +160,15 @@ def check_derivative_anchors(config, _=None) -> CheckResult:
     gaps.append(abs(fd_q))
     closed_gap = abs(dq_db_at_b0(1.5) - (-8.0 / 9.0))
     passed = max(gaps) <= 1e-4 and closed_gap <= 1e-10
-    return CheckResult(
-        4,
-        "derivative-anchors",
-        passed,
-        f"worst fd gap {max(gaps):.3e}, closed-form gap at 1.5 = {closed_gap:.3e}",
-    )
+    return passed, f"worst fd gap {max(gaps):.3e}, closed-form gap at 1.5 = {closed_gap:.3e}"
 
 
-def check_bound_lemmas(config, _=None) -> CheckResult:
+def check_bound_lemmas(config) -> tuple[bool, str]:
     """Every depth-14 tail obeys the two-sided derivative bounds."""
     worst_excess = -math.inf
     full = a_derivative_bounds(2.0)
     if not (full.lo == 0.75 and full.hi == 1.0):
-        return CheckResult(5, "bound-lemmas", False, "full-slope interval moved")
+        return False, "full-slope interval moved"
     for a in _BOUND_SLOPES:
         hw = Word((), kneading(a, 14).symbols)
         # the tail series is identically 1 at b = 0, so the slope derivative
@@ -195,15 +189,13 @@ def check_bound_lemmas(config, _=None) -> CheckResult:
             worst_excess = max(
                 worst_excess, db.lo - float(sel.min()), float(sel.max()) - db.hi
             )
-    return CheckResult(
-        5,
-        "bound-lemmas",
+    return (
         worst_excess <= 1e-3,
         f"worst bound excess {worst_excess:.3e} over 4 slopes x 16384 tails",
     )
 
 
-def check_kneading_identities(config, _=None) -> CheckResult:
+def check_kneading_identities(config) -> tuple[bool, str]:
     """Alternating-sum and shifted identities hold under their tail bounds."""
     n = 40
     worst_ratio = -math.inf
@@ -211,9 +203,7 @@ def check_kneading_identities(config, _=None) -> CheckResult:
         a = 1.05 + k * (0.95 / 11)
         kn = kneading(a, n + 6)
         if kn.boundary_hits:
-            return CheckResult(
-                6, "kneading-identities", False, f"fold hit in prefix at a={a!r}"
-            )
+            return False, f"fold hit in prefix at a={a!r}"
         r = check_identity_sum(a, kn.symbols, n) / identity_tail_bound(a, n)
         worst_ratio = max(worst_ratio, r)
         for i in range(6):
@@ -221,15 +211,13 @@ def check_kneading_identities(config, _=None) -> CheckResult:
             worst_ratio = max(
                 worst_ratio, check_identity_shifted(a, kn.symbols, i, n) / bound
             )
-    return CheckResult(
-        6,
-        "kneading-identities",
+    return (
         worst_ratio <= 1.0,
         f"worst residual/bound = {worst_ratio:.6f} over 12 slopes, shifts <= 5",
     )
 
 
-def check_entropy_brackets(config, _=None) -> CheckResult:
+def check_entropy_brackets(config) -> tuple[bool, str]:
     """Count brackets trap the known entropy values; lap oracle concurs."""
     n_max = or_default(config.n_max, 16)
     depth = or_default(config.depth, 12)
@@ -250,10 +238,10 @@ def check_entropy_brackets(config, _=None) -> CheckResult:
     path = _artifact(config, "entropy.csv")
     if path:
         formats.write_csv(path, ENTROPY_HEADER, all_rows, force=config.force)
-    return CheckResult(7, "entropy-brackets", bool(passed), "; ".join(details))
+    return passed, "; ".join(details)
 
 
-def check_upper_bound_monotone(config, _=None) -> CheckResult:
+def check_upper_bound_monotone(config) -> tuple[bool, str]:
     """The upper entropy bound grows with the slope along a fold-free line."""
     n_max = or_default(config.n_max, 12)
     depth = or_default(config.depth, 12)
@@ -270,15 +258,10 @@ def check_upper_bound_monotone(config, _=None) -> CheckResult:
     path = _artifact(config, "entropy_sweep.csv")
     if path:
         formats.write_csv(path, ENTROPY_HEADER, rows, force=config.force)
-    return CheckResult(
-        8,
-        "upper-bound-monotone",
-        worst_drop <= 0.02,
-        f"worst h_upper drop {worst_drop:.4f} along 13 slopes at b=0.02",
-    )
+    return worst_drop <= 0.02, f"worst h_upper drop {worst_drop:.4f} along 13 slopes at b=0.02"
 
 
-def check_plane_anchors(config, _=None) -> CheckResult:
+def check_plane_anchors(config) -> tuple[bool, str]:
     """Fixed points, the quadratic certificate, and the returning corner."""
     params = Params(1.0, 0.5)
     fd = fixed_data(params)
@@ -314,16 +297,14 @@ def check_plane_anchors(config, _=None) -> CheckResult:
         and corner_gap <= 1e-3
         and report.margin >= 0.0
     )
-    return CheckResult(
-        9,
-        "plane-anchors",
+    return (
         passed,
         f"orbit residual {residual:.2e}, identity residual {worst_identity:.2e}, "
         f"corner gap {corner_gap:.2e}, polygon margin {report.margin!r}",
     )
 
 
-def check_zero_entropy_atlas(config, _=None) -> CheckResult:
+def check_zero_entropy_atlas(config) -> tuple[bool, str]:
     """Classifier anchors plus the parameter-plane scan's three zones."""
     arc_budget = or_default(config.arc_budget, 20.0)
     anchors = (
@@ -353,16 +334,14 @@ def check_zero_entropy_atlas(config, _=None) -> CheckResult:
     if path:
         formats.write_pgm(path, scan.codes, force=config.force)
     passed = all(anchors) and zone_bad == 0
-    return CheckResult(
-        10,
-        "zero-entropy-atlas",
+    return (
         passed,
         f"anchors {tuple(int(x) for x in anchors)}, {zone_bad} zone violations "
         f"(strip/block/crossing pixels {zone_hits}) at {resolution}x{resolution}",
     )
 
 
-def check_orbit_window_consistency(config, _=None) -> CheckResult:
+def check_orbit_window_consistency(config) -> tuple[bool, str]:
     """Symbol windows cut from a real bounded orbit are never pruned."""
     params = Params(1.7, 0.5)
     pt = PlanePoint(0.1, 0.1)
@@ -373,9 +352,7 @@ def check_orbit_window_consistency(config, _=None) -> CheckResult:
         symbols.append(1 if pt.x >= 0.0 else -1)
         pt = lozi_apply(params, pt)
         if abs(pt.x) > 5.0 or abs(pt.y) > 5.0:
-            return CheckResult(
-                11, "orbit-window-consistency", False, "orbit left the trapping box"
-            )
+            return False, "orbit left the trapping box"
     rng = random.Random(config.seed + 13)
     half = 6
     pruned = 0
@@ -383,15 +360,10 @@ def check_orbit_window_consistency(config, _=None) -> CheckResult:
         t = rng.randrange(half, len(symbols) - half)
         w = Word(tuple(symbols[t - half : t]), tuple(symbols[t : t + half]))
         pruned += classify_cylinder(w, 5, 3, params) is Verdict.CERTIFIED_PRUNED
-    return CheckResult(
-        11,
-        "orbit-window-consistency",
-        pruned == 0,
-        f"{pruned} of 1000 orbit windows certified pruned",
-    )
+    return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
 
 
-def check_artifact_determinism(config, _=None) -> CheckResult:
+def check_artifact_determinism(config) -> tuple[bool, str]:
     """The verify command itself is reproducible byte for byte."""
     import contextlib
     import io
@@ -417,22 +389,13 @@ def check_artifact_determinism(config, _=None) -> CheckResult:
                     ]
                 )
             if code != 0:
-                return CheckResult(
-                    12, "artifact-determinism", False, f"inner run exited {code}"
-                )
+                return False, f"inner run exited {code}"
         names = sorted(os.listdir(dirs[0]))
         if names != sorted(os.listdir(dirs[1])):
-            return CheckResult(
-                12, "artifact-determinism", False, "runs produced different files"
-            )
+            return False, "runs produced different files"
         _, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names, shallow=False)
         passed = not mismatch and not errors
-        return CheckResult(
-            12,
-            "artifact-determinism",
-            passed,
-            f"{len(names)} artifacts compared, {len(mismatch)} mismatched",
-        )
+        return passed, f"{len(names)} artifacts compared, {len(mismatch)} mismatched"
 
 
 CHECKS = {
@@ -455,11 +418,21 @@ def parse_criteria(text: str) -> list[int]:
     if text.strip().lower() == "all":
         return sorted(CHECKS)
     indices = sorted({int(part) for part in text.split(",") if part.strip()})
+    if not indices:
+        raise ValueError("no criterion selected")
     for index in indices:
         if index not in CHECKS:
-            raise ValueError(f"criterion {index} does not exist (valid: 1..12)")
+            raise ValueError(
+                f"criterion {index} does not exist (valid: {min(CHECKS)}..{max(CHECKS)})"
+            )
     return indices
 
 
 def run_checks(config) -> list[CheckResult]:
-    return [CHECKS[index](config) for index in parse_criteria(config.criteria)]
+    results = []
+    for index in parse_criteria(config.criteria):
+        check = CHECKS[index]
+        passed, detail = check(config)
+        name = check.__name__.removeprefix("check_").replace("_", "-")
+        results.append(CheckResult(index, name, bool(passed), detail))
+    return results

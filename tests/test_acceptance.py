@@ -1,13 +1,13 @@
 """Acceptance suite: one test per numbered criterion, full scale.
 
-Each test drives the same check function the verify subcommand uses, so a
-pristine checkout passing here also passes `lozi verify`. Tests assert the
-pass flag and, where the criterion carries one, the wall-clock budget.
+Each test runs its criterion through `verify.run_checks`, the same path the
+verify subcommand takes, so a pristine checkout passing here also passes
+`lozi verify`. Tests assert the pass flag and, where the criterion carries
+one, the wall-clock budget.
 """
 
+import dataclasses
 import time
-
-import pytest
 
 from lozi_pruning import verify
 from lozi_pruning.cli import RunConfig
@@ -16,8 +16,9 @@ CONFIG = RunConfig(command="verify", seed=0)
 
 
 def run(index: int, budget: float | None = None) -> verify.CheckResult:
+    config = dataclasses.replace(CONFIG, criteria=str(index))
     t0 = time.perf_counter()
-    result = verify.CHECKS[index](CONFIG)
+    (result,) = verify.run_checks(config)
     elapsed = time.perf_counter() - t0
     assert result.passed, f"criterion {index} ({result.name}): {result.detail}"
     if budget is not None:

@@ -1,6 +1,7 @@
 """Command line tests: config resolution, artifact content, determinism,
 error exit codes. Commands run in process through main()."""
 
+import functools
 import hashlib
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import lozi_pruning
-from lozi_pruning import formats
+from lozi_pruning import formats, verify
 from lozi_pruning.cli import (
     ENTROPY_HEADER,
     RunConfig,
@@ -175,6 +176,17 @@ def test_entropy_rows_reproduce_estimate_at_each_length():
         assert rows[n - 1][-2:] == entropy_estimate(params, n, 8)
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_entropy_rejects_nonpositive_n_max(tmp_path, capsys, n_max):
+    out = tmp_path / "e.csv"
+    assert main(["entropy", "--a", "1.7", "--b", "0", "--n-max", n_max,
+                 "--out", str(out)]) == 2
+    assert "n_max" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        entropy_estimate(Params(1.7, 0.0), 0, 8)
+
+
 # ---------------------------------------------------- derivatives / cones
 
 
@@ -197,6 +209,15 @@ def test_derivatives_closed_forms_in_csv(tmp_path):
         assert float(row[header.index("dq_db_b0")]) == dq_db_at_b0(a)
         assert float(row[header.index("dp_db_b0_plus")]) == 1.0 / a
         assert float(row[header.index("dp_db_b0_minus")]) == -1.0 / a
+
+
+@pytest.mark.parametrize("command", ["cones", "derivatives"])
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_sweeps_reject_nonpositive_grid(tmp_path, capsys, command, grid):
+    out = tmp_path / "sweep.csv"
+    assert main([command, "--grid", grid, "--out", str(out)]) == 2
+    assert "grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- zero scan
@@ -336,6 +357,54 @@ def test_verify_single_criterion(tmp_path, capsys):
 def test_verify_rejects_unknown_criterion(capsys):
     assert main(["verify", "--criteria", "13"]) == 2
     assert "criterion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criteria", ["", ",", " , "])
+def test_verify_rejects_empty_criteria(capsys, criteria):
+    assert main(["verify", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert "criterion" in captured.err
+    assert captured.out == ""
+
+
+REPORT_NAMES = (
+    "closed-form-series",
+    "head-maximum",
+    "full-slope-raster",
+    "derivative-anchors",
+    "bound-lemmas",
+    "kneading-identities",
+    "entropy-brackets",
+    "upper-bound-monotone",
+    "plane-anchors",
+    "zero-entropy-atlas",
+    "orbit-window-consistency",
+    "artifact-determinism",
+)
+
+
+def test_verify_report_names_in_order(monkeypatch):
+    # Stubs keep each check's function name, as the benchmark tracer's
+    # wrappers do, so nothing expensive runs.
+    for index, check in list(verify.CHECKS.items()):
+        stub = functools.wraps(check)(lambda config: (True, "stub"))
+        monkeypatch.setitem(verify.CHECKS, index, stub)
+    results = verify.run_checks(RunConfig(command="verify"))
+    assert [(r.index, r.name) for r in results] == list(enumerate(REPORT_NAMES, 1))
+    assert all(r.passed and r.detail == "stub" for r in results)
+
+
+# sha256 of report.txt from `lozi verify --criteria 2,4,6,9,11 --seed 3`, taken
+# before the checks stopped building their own results.
+VERIFY_REPORT_DIGEST = "b3337658bb78a8514c219c2fa19d8dc89ef0c24692c27ec7900843f9690e1702"
+
+
+def test_verify_report_regression_pin(tmp_path):
+    out = tmp_path / "v"
+    assert main(["verify", "--criteria", "2,4,6,9,11", "--seed", "3",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()
+    assert digest == VERIFY_REPORT_DIGEST
 
 
 def test_verify_report_regenerates_identically(tmp_path):

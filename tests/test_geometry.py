@@ -5,6 +5,7 @@ classification, and the period-four line."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -870,10 +871,22 @@ def test_classify_rejects_large_b():
 
 
 def test_verdict_type_guards():
-    with pytest.raises(ValueError):
-        ZeroEntropyVerdict(kind="certain")
-    with pytest.raises(ValueError):
-        ZeroEntropyVerdict(kind="analytic_zero", case="iv")
+    # A (kind, case) pair is a verdict exactly when its label keys
+    # ZERO_ENTROPY_CODES, so every code has a verdict and nothing else does.
+    for kind, case in (("numeric_zero", "ii"), ("unknown", "i"), ("homoclinic", "iii")):
+        with pytest.raises(ValueError):
+            ZeroEntropyVerdict(kind=kind, case=case)
+    built = set()
+    kinds = ("analytic_zero", "numeric_zero", "homoclinic", "unknown", "certain")
+    for kind, case in itertools.product(kinds, (None, "i", "ii", "iii", "iv")):
+        label = kind if case is None else f"{kind}_{case}"
+        if label in ZERO_ENTROPY_CODES:
+            assert ZeroEntropyVerdict(kind=kind, case=case).label == label
+            built.add(label)
+        else:
+            with pytest.raises(ValueError):
+                ZeroEntropyVerdict(kind=kind, case=case)
+    assert built == set(ZERO_ENTROPY_CODES)
 
 
 def test_analytic_pixels_are_never_homoclinic():
