@@ -7,10 +7,21 @@ it grows under the inverse map, the sign of its seed eigenvector (lambda, 1),
 and its kind. The period-2 orbit n1, n2 is attracting iff b^2 < 1 and
 |a^2 s1 s2 + 2b| < 1 + b^2 (s_i the sign of n_i.x): the Jury criterion on
 J(n2) J(n1), whose determinant is b^2 and whose trace is a^2 s1 s2 + 2b.
+
+When it attracts, the homoclinic sweep stops a forward branch inside a
+trapping ellipse of the sink. On the sign cell of n1, L^2 is the affine map
+z -> n1 + M (z - n1) with M = J(n2) J(n1). X solving the Stein equation
+M^T X M - X = -I makes |z - n1|_X strictly decrease under L^2, so the X-ball
+about n1 whose radius is half the X-distance to the cell's two sign lines
+maps into itself and lies in the basin of the sink. W^s(p1) cannot meet that
+basin, so a branch whose newest piece lies in such a ball (or the one built
+the same way about n2) has no crossing left to find.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -150,6 +161,13 @@ def fixed_data(params: Params) -> FixedData:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _fixed_data(params: Params) -> FixedData:
+    """fixed_data(params), kept for the last params asked for: one pixel's
+    sweep, polygon and Lyapunov samples all read the same FixedData."""
+    return fixed_data(params)
+
+
 # --------------------------------------------------------------- polylines
 
 
@@ -168,7 +186,7 @@ class Polyline:
     arc_length: float
 
     def segments(self) -> np.ndarray:
-        pts = np.array(self.vertices)
+        pts = _xy_array(self.vertices, len(self.vertices))
         return np.stack([pts[:-1], pts[1:]], axis=1)
 
     def point_distance(self, q: PlanePoint) -> float:
@@ -176,6 +194,12 @@ class Polyline:
         if len(self.vertices) == 1:
             return self.vertices[0].dist(q)
         return float(_segment_distances(np.array([q]), self.segments())[0])
+
+
+def _xy_array(points, n: int) -> np.ndarray:
+    """(n, 2) array of n (x, y) pairs; fromiter over the flat coordinates is
+    about 4x faster than np.array over a sequence of NamedTuples."""
+    return np.fromiter(itertools.chain.from_iterable(points), float, 2 * n).reshape(-1, 2)
 
 
 def _segment_distances(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
@@ -267,6 +291,7 @@ def _grow_branch(
     inverse: bool,
     kind: str,
     arc_budget: float,
+    sinks=(),
 ) -> Polyline:
     """Grow the branch of the saddle start along sign * (lam, 1), where lam
     is the eigenvalue of that eigenvector: mu = lam forward, 1/lam inverse.
@@ -282,6 +307,9 @@ def _grow_branch(
     mu^2 times the one before, so the arc returned can exceed the budget by
     up to about a factor 1 + mu^2.  mu^2 is large on stable branches (28 at
     (1.4, 0.3), where p1_minus ends at arc 945.5 for a budget of 50).
+
+    sinks holds trapping ellipses (_sink_ellipses) of a forward branch: the
+    branch stops, converged, once its newest piece lies inside one of them.
     """
     if inverse and params.b == 0.0:
         raise NonInvertible("stable side needs the inverse map; b = 0")
@@ -315,7 +343,7 @@ def _grow_branch(
         arc += step
         if arc >= arc_budget:
             break
-        if step < _FLAT_TOL:
+        if step < _FLAT_TOL or _captured(piece, sinks):
             truncated = False
             break
     return Polyline(
@@ -324,6 +352,64 @@ def _grow_branch(
         truncated=truncated,
         arc_length=arc,
     )
+
+
+def _captured(piece, sinks) -> bool:
+    """Every vertex of piece lies inside one ellipse (cx, cy, xx, xy, yy, r2),
+    i.e. has (v - c)^T X (v - c) < r2 for X = [[xx, xy], [xy, yy]]. The
+    ellipse is convex, so the whole piece then lies in it."""
+    for cx, cy, xx, xy, yy, r2 in sinks:
+        for x, y in piece:
+            dx, dy = x - cx, y - cy
+            if dx * (xx * dx + 2.0 * xy * dy) + yy * dy * dy >= r2:
+                break
+        else:
+            return True
+    return False
+
+
+def _det3(rows, cols) -> float:
+    (a, b, c), (d, e, f), (g, h, i) = ([row[k] for k in cols] for row in rows)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _trapping_ellipse(params: Params, first: PlanePoint, second: PlanePoint):
+    """Trapping ellipse (cx, cy, xx, xy, yy, r2) about the period-2 point
+    first, whose image is second (see the module docstring); None when the
+    floats give no positive definite X. first's cell is s1 x > 0,
+    s2 (1 - a s1 x + b y) > 0 with s_i the signs of the points' x, and the
+    X-distance to a line w.z = h is |w.c - h| / sqrt(w^T X^-1 w)."""
+    a, b = params.a, params.b
+    s1, s2 = math.copysign(1.0, first.x), math.copysign(1.0, second.x)
+    m11, m12, m21, m22 = a * a * s1 * s2 + b, -a * b * s2, -a * s1, b
+    # M^T X M - X = -I on (xx, xy, yy), as augmented rows; Cramer's rule
+    rows = (
+        (m11 * m11 - 1.0, 2.0 * m11 * m21, m21 * m21, -1.0),
+        (m11 * m12, m11 * m22 + m12 * m21 - 1.0, m21 * m22, 0.0),
+        (m12 * m12, 2.0 * m12 * m22, m22 * m22 - 1.0, -1.0),
+    )
+    den = _det3(rows, (0, 1, 2))
+    if den == 0.0:
+        return None
+    xx, xy, yy = (_det3(rows, cols) / den for cols in ((3, 1, 2), (0, 3, 2), (0, 1, 3)))
+    det = xx * yy - xy * xy
+    if not (xx > 0.0 and det > 0.0):
+        return None
+    # squared X-distances to x = 0 and to 1 - a s1 x + b y = 0
+    g = 1.0 - a * s1 * first.x + b * first.y
+    r2 = min(
+        first.x * first.x * det / yy,
+        g * g * det / (a * a * yy + 2.0 * a * b * s1 * xy + b * b * xx),
+    )
+    return (first.x, first.y, xx, xy, yy, 0.25 * r2)  # radius: half the nearer one
+
+
+def _sink_ellipses(params: Params, fd: FixedData) -> tuple:
+    """Trapping ellipses about n1 and n2 when the 2-cycle attracts, else none."""
+    if not fd.period2_attracting:
+        return ()
+    pairs = ((fd.n1, fd.n2), (fd.n2, fd.n1))
+    return tuple(e for e in (_trapping_ellipse(params, *pair) for pair in pairs) if e)
 
 
 # branch -> (saddle, grown with the inverse map, seed eigenvector sign, kind)
@@ -336,17 +422,19 @@ MANIFOLD_BRANCHES = {
 }
 
 
-def _manifold(params: Params, seed: str, inverse: bool, arc_budget: float) -> Polyline:
+def _manifold(
+    params: Params, seed: str, inverse: bool, arc_budget: float, sinks=()
+) -> Polyline:
     if seed not in MANIFOLD_BRANCHES or MANIFOLD_BRANCHES[seed][1] != inverse:
         names = sorted(k for k, row in MANIFOLD_BRANCHES.items() if row[1] == inverse)
         raise ValueError(f"seed must be one of {names}")
     saddle, _, sign, kind = MANIFOLD_BRANCHES[seed]
-    fd = fixed_data(params)
+    fd = _fixed_data(params)
     start = getattr(fd, saddle)
     lam = getattr(fd, f"{'stable' if inverse else 'unstable'}_slope_{saddle}")
     if start is None or lam is None:
         raise NoFixedPoint(f"{saddle} missing or non-real eigenvalues")
-    return _grow_branch(params, start, lam, sign, inverse, kind, arc_budget)
+    return _grow_branch(params, start, lam, sign, inverse, kind, arc_budget, sinks)
 
 
 def unstable_manifold(params: Params, seed: str, arc_budget: float = 50.0) -> Polyline:
@@ -380,7 +468,7 @@ def stable_manifold(
 
 def lyapunov_delta(params: Params, q: PlanePoint) -> float:
     """V(L^4 q) - V(q) with V the squared distance to the period-2 point n1."""
-    fd = fixed_data(params)
+    fd = _fixed_data(params)
     if fd.n1 is None:
         raise NoFixedPoint("period-2 pair absent; no Lyapunov center")
     a, b = params.a, params.b
@@ -452,7 +540,7 @@ def _signed_dist_to_convex(poly, q) -> float:
 
 
 def _corner_polygon(params: Params) -> list[PlanePoint]:
-    fd = fixed_data(params)
+    fd = _fixed_data(params)
     if fd.p1 is None or fd.unstable_slope_p1 is None:
         raise NoFixedPoint("polygon anchor needs the p1 saddle")
     z = _axis_crossing_of_unstable_line(fd)
@@ -528,17 +616,17 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> Homoclini
     Both branches of each manifold are grown to the arc budget; contacts
     within 1e-8 of p1 are the saddle itself and do not count. A vertex of
     one manifold landing on the other without a proper crossing anywhere
-    is reported as tangency.
+    is reported as tangency. When the period-2 orbit attracts, an unstable
+    branch stops once its newest piece lies in a trapping ellipse of the
+    sink, whose basin W^s(p1) cannot meet.
     """
     if params.b == 0.0:
         raise NonInvertible("stable manifold needs the inverse map; b = 0")
-    fd = fixed_data(params)
+    fd = _fixed_data(params)
     if fd.p1 is None:
         raise NoFixedPoint("homoclinic sweep anchored at p1")
-    un = [
-        unstable_manifold(params, s, arc_budget=arc_budget)
-        for s in ("p1_right", "p1_left")
-    ]
+    sinks = _sink_ellipses(params, fd)
+    un = [_manifold(params, s, False, arc_budget, sinks) for s in ("p1_right", "p1_left")]
     st = [
         stable_manifold(params, s, arc_budget=arc_budget)
         for s in ("p1_plus", "p1_minus")
@@ -588,7 +676,10 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> Homoclini
 def _contact_vertices(polylines, p1: np.ndarray) -> np.ndarray:
     """Every vertex of the polylines, without repeats, farther than 1e-8
     from the saddle p1: the points the tangency test measures."""
-    verts = np.unique(np.concatenate([pl.vertices for pl in polylines]), axis=0)
+    n = sum(len(pl.vertices) for pl in polylines)
+    verts = np.unique(
+        _xy_array(itertools.chain.from_iterable(pl.vertices for pl in polylines), n), axis=0
+    )
     return verts[np.hypot(*(verts - p1).T) > 1e-8]
 
 
@@ -630,7 +721,7 @@ _SAMPLE_BLOCK = 256
 
 
 def _numeric_zero_check(params: Params) -> bool:
-    fd = fixed_data(params)
+    fd = _fixed_data(params)
     if fd.n1 is None or not fd.period2_attracting:
         return False
     try:
@@ -671,8 +762,17 @@ def _numeric_zero_check(params: Params) -> bool:
 
 
 def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntropyVerdict:
-    """Zero-entropy verdict: exact analytic regions first, then certified
-    homoclinic crossings, then the numeric sink certificate."""
+    """Zero-entropy verdict: exact analytic regions first, then the numeric
+    sink certificate, then certified homoclinic crossings.
+
+    The certificate goes first because a pixel it settles then skips the
+    sweep, which finds nothing there. While both tests are right the order
+    cannot change a verdict: a transversal homoclinic point means positive
+    entropy, so the certificate cannot pass at such a pixel. A tangency,
+    or no crossing within the arc budget, is unknown. At b = 0 the 2-cycle
+    never attracts, so the certificate fails and the sweep raises
+    NonInvertible.
+    """
     a, b = params.a, params.b
     if abs(b) > 1.0:
         raise ValueError("classifier covers |b| <= 1 only")
@@ -683,18 +783,16 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
     if 0.0 < b <= 1.0 and a == 1.0 - b:
         return ZeroEntropyVerdict(kind="analytic_zero", case="iii")
     try:
+        if _numeric_zero_check(params):
+            return ZeroEntropyVerdict(kind="numeric_zero")
+    except (NoFixedPoint, NonInvertible):
+        pass
+    try:
         hom = homoclinic_intersects(params, arc_budget=arc_budget)
     except NoFixedPoint:
         return ZeroEntropyVerdict(kind="unknown")
     if hom.found:
         return ZeroEntropyVerdict(kind="homoclinic", witness=hom.witness)
-    if hom.tangency:
-        return ZeroEntropyVerdict(kind="unknown")
-    try:
-        if _numeric_zero_check(params):
-            return ZeroEntropyVerdict(kind="numeric_zero")
-    except (NoFixedPoint, NonInvertible):
-        pass
     return ZeroEntropyVerdict(kind="unknown")
 
 

@@ -383,6 +383,8 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
     params.require_hyperbolic()
     if word_len < 1:
         raise ValueError("word_len must be >= 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     cells_total = 1 << (2 * word_len)
     if cells_total > _CELL_LIMIT:
         raise BudgetExceeded(f"4^{word_len} = {cells_total} cells exceed limit {_CELL_LIMIT}")
@@ -468,6 +470,8 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     rows = []
     h_upper = math.inf
     for n in range(1, n_max + 1):

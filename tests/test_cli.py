@@ -29,6 +29,7 @@ from lozi_pruning.pruning import (
     PGM_UNKNOWN,
     Params,
     entropy_estimate,
+    pruned_region_raster,
 )
 
 
@@ -149,6 +150,23 @@ def test_pruned_region_budget_error_propagates(capsys):
     assert "BudgetExceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["-1", "-3"])
+def test_pruned_region_rejects_negative_depth(tmp_path, capsys, depth):
+    out = tmp_path / "r.pgm"
+    assert main(["pruned-region", "--a", "1.7", "--b", "0.5", "--word-len", "2",
+                 "--depth", depth, "--out", str(out)]) == 2
+    assert "depth" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        pruned_region_raster(Params(1.7, 0.5), 2, -1)
+
+
+def test_pruned_region_accepts_depth_zero(tmp_path):
+    out = tmp_path / "r.pgm"
+    assert main(["pruned-region", "--a", "1.7", "--b", "0.5", "--word-len", "2",
+                 "--depth", "0", "--out", str(out)]) == 0
+
+
 def test_pruned_region_requires_out(capsys):
     assert main(["pruned-region", "--a", "1.7", "--b", "0.5"]) == 2
     assert "--out" in capsys.readouterr().err
@@ -185,6 +203,24 @@ def test_entropy_rejects_nonpositive_n_max(tmp_path, capsys, n_max):
     assert not out.exists()
     with pytest.raises(ValueError):
         entropy_estimate(Params(1.7, 0.0), 0, 8)
+
+
+@pytest.mark.parametrize("depth", ["-1", "-3"])
+def test_entropy_rejects_negative_depth(tmp_path, capsys, depth):
+    out = tmp_path / "e.csv"
+    assert main(["entropy", "--a", "1.7", "--b", "0", "--n-max", "3",
+                 "--depth", depth, "--out", str(out)]) == 2
+    assert "depth" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        entropy_rows(Params(1.7, 0.0), 3, -1)
+
+
+def test_entropy_accepts_depth_zero(capsys):
+    assert main(["entropy", "--a", "1.7", "--b", "0", "--n-max", "3",
+                 "--depth", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0", "0", "0"]
 
 
 # ---------------------------------------------------- derivatives / cones
@@ -310,6 +346,27 @@ def test_manifolds_regression_pin(tmp_path, branch):
                  "--out", str(out)]) == 0
     data = out.read_bytes() + (tmp_path / f"{branch}.csv.txt").read_bytes()
     assert hashlib.sha256(data).hexdigest() == MANIFOLD_DIGESTS[branch]
+
+
+# The same digests at (1.0, 0.5), where the 2-cycle attracts: the unstable
+# branches spiral into the sink, and the homoclinic sweep's stop inside the
+# sink's trapping ellipses must not reach this command.
+SINK_MANIFOLD_DIGESTS = {
+    "p1_right": "4f76aa13d68e1ff16a5ca957efbb38553bbcf8729175c55b424d75972235faac",
+    "p1_left": "f128cb6ae1cedddff9608364a5dd8bf5d65d6411fbf29d04be4668ded18b968a",
+    "p2": "547a4a8b2a7356a288255ced1fd2e123782eb042ad1c69ece962d1553a278df7",
+    "p1_plus": "2f21e9029085e28473bc6f3ec5e2a9070e0d0b29d35d8fa033c77165089fd06c",
+    "p1_minus": "4c7eb8b8c6aafd13f8987e380fd58a5d7d7980829f428b561d163c2cce3b74f2",
+}
+
+
+@pytest.mark.parametrize("branch", sorted(SINK_MANIFOLD_DIGESTS))
+def test_manifolds_regression_pin_at_sink(tmp_path, branch):
+    out = tmp_path / f"{branch}.csv"
+    assert main(["manifolds", "--a", "1.0", "--b", "0.5", "--branch", branch,
+                 "--out", str(out)]) == 0
+    data = out.read_bytes() + (tmp_path / f"{branch}.csv.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SINK_MANIFOLD_DIGESTS[branch]
 
 
 def test_manifolds_rejects_unknown_branch(capsys):

@@ -745,21 +745,130 @@ def test_tangency_test_covers_every_branch_end_vertex(monkeypatch):
     tested = {tuple(v) for v in _contact_vertices(un, np.array([p1.x, p1.y]))}
     end = un[0].vertices[-1]
     assert (end.x, end.y) in tested
-    # and homoclinic_intersects hands that set to the distance kernel
+    # and homoclinic_intersects hands that set to the distance kernel. The
+    # sweep stops its unstable branches in the sink's trapping ellipses, so
+    # the branches to check are the ones it grew.
     seen = []
     kernel = geometry._segment_distances
+    grow = geometry._grow_branch
+    grown = []
 
     def spy(points, segs):
         seen.extend(map(tuple, points))
         return kernel(points, segs)
 
+    def grow_spy(*args):
+        grown.append(grow(*args))
+        return grown[-1]
+
     monkeypatch.setattr(geometry, "_segment_distances", spy)
+    monkeypatch.setattr(geometry, "_grow_branch", grow_spy)
     assert not homoclinic_intersects(CENTER, arc_budget=30.0).found
-    for seed in ("p1_right", "p1_left"):
-        end = unstable_manifold(CENTER, seed, arc_budget=30.0).vertices[-1]
+    assert [pl.kind for pl in grown] == [
+        MANIFOLD_BRANCHES[s][3] for s in ("p1_right", "p1_left", "p1_plus", "p1_minus")
+    ]
+    for pl in grown:
+        end = pl.vertices[-1]
         assert (end.x, end.y) in seen
     end = stable_manifold(CENTER, "p1_plus", arc_budget=30.0).vertices[-1]
     assert (end.x, end.y) in seen
+
+
+def _ellipse_form(ellipse):
+    cx, cy, xx, xy, yy, r2 = ellipse
+    return np.array([cx, cy]), np.array([[xx, xy], [xy, yy]]), r2
+
+
+def _ellipse_boundary(ellipse, n=256):
+    # centre + rho * X^(-1/2) (cos t, sin t) has X-norm exactly rho
+    c, x, r2 = _ellipse_form(ellipse)
+    w, v = np.linalg.eigh(x)
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    unit = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return c + math.sqrt(r2) * (unit / np.sqrt(w)) @ v.T
+
+
+def test_trapping_ellipse_at_certified_params():
+    fd = fixed_data(CENTER)
+    ellipses = geometry._sink_ellipses(CENTER, fd)
+    assert len(ellipses) == 2
+    a, b = CENTER.a, CENTER.b
+    for ellipse, (first, second) in zip(ellipses, ((fd.n1, fd.n2), (fd.n2, fd.n1))):
+        c, x, r2 = _ellipse_form(ellipse)
+        assert (c == first).all() and r2 > 0.0
+        s1, s2 = math.copysign(1.0, first.x), math.copysign(1.0, second.x)
+        j1 = np.array([[-a * s1, b], [1.0, 0.0]])
+        j2 = np.array([[-a * s2, b], [1.0, 0.0]])
+        m = j2 @ j1
+        assert np.abs(m.T @ x @ m - x + np.eye(2)).max() <= 1e-12
+        for px, py in _ellipse_boundary(ellipse):
+            # in first's L^2 sign cell, where L^2 is z -> first + M (z - first)
+            assert s1 * px > 0.0
+            assert s2 * (1.0 - a * s1 * px + b * py) > 0.0
+            q = lozi_apply_n(CENTER, PlanePoint(px, py), 2)
+            d = np.array(q) - c
+            assert d @ x @ d < r2
+
+
+def test_sink_ellipses_only_for_attracting_two_cycle():
+    fd = fixed_data(CHAOTIC)
+    assert not fd.period2_attracting
+    assert geometry._sink_ellipses(CHAOTIC, fd) == ()
+
+
+def test_numeric_zero_pixels_have_no_crossing():
+    # The zero certificate runs before the homoclinic sweep; that order can
+    # only matter at a pixel where both pass, which would be a defect.
+    passed = 0
+    for i in range(16):
+        b = 0.05 + (i + 0.5) * 0.9 / 16
+        for j in range(16):
+            params = Params(0.6 + (j + 0.5) / 16, b)
+            if not _numeric_zero_check(params):
+                continue
+            passed += 1
+            hom = homoclinic_intersects(params, arc_budget=20.0)
+            assert not hom.found and not hom.tangency, params
+    assert passed >= 20
+
+
+def test_sweep_stops_unstable_branches_in_the_sink(monkeypatch):
+    # Without the stop the sweep made 210 _map_polyline calls here: the
+    # unstable branches spiral into the 2-cycle for the whole budget.
+    calls = []
+    step = geometry._map_polyline
+
+    def spy(params, pts, inverse):
+        calls.append(inverse)
+        return step(params, pts, inverse)
+
+    monkeypatch.setattr(geometry, "_map_polyline", spy)
+    assert not homoclinic_intersects(CENTER, arc_budget=20.0).found
+    assert len(calls) < 105
+    swept_forward = calls.count(False)
+    # the public branches still run until they converge
+    calls.clear()
+    for seed in ("p1_right", "p1_left", "p1_plus", "p1_minus"):
+        _grow(CENTER, seed, 20.0)
+    assert len(calls) == 210
+    assert calls.count(False) > 2 * swept_forward
+
+
+@pytest.mark.parametrize("ab", [(1.0, 0.5), (1.7, 0.5), (1.2, 0.3)])
+def test_classify_computes_fixed_data_once(monkeypatch, ab):
+    # The sweep's branches, the polygon and the 64 Lyapunov samples share
+    # one FixedData.
+    calls = []
+    compute = geometry.fixed_data
+
+    def spy(params):
+        calls.append(params)
+        return compute(params)
+
+    monkeypatch.setattr(geometry, "fixed_data", spy)
+    geometry._fixed_data.cache_clear()
+    classify_zero_entropy(Params(*ab), arc_budget=20.0)
+    assert calls == [Params(*ab)]
 
 
 # ----------------------------------------------------------- zero entropy
@@ -925,6 +1034,11 @@ def test_scan_atlas_regression_pin():
     }
     assert hashlib.sha256(scan.codes.tobytes()).hexdigest() == (
         "873d1e6d60d86048ccca80f802f5f20662c4ae42f707a12739ae2577527b7921"
+    )
+    # the crossing points too, taken before the zero certificate ran first
+    # and before the sweep stopped branches inside the sink
+    assert hashlib.sha256(scan.witnesses.tobytes()).hexdigest() == (
+        "efe49e9546c3da9fe8cf6dbaef90e2d39038cac9bc7b5e6b0e74799e2eed6ba5"
     )
 
 
