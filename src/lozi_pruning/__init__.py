@@ -90,11 +90,11 @@ from .symbolic import (
 )
 from .tent import (
     Kneading,
-    TentParams,
     check_identity_shifted,
     check_identity_sum,
     identity_tail_bound,
     kneading,
+    require_slope,
     tent_entropy_lap,
     tent_lap_count,
     tent_orbit,

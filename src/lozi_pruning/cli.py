@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,16 +86,11 @@ class RunConfig:
         return formats.sidecar_text(entries)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_TYPE_BY_NAME = {"str": str, "float": float, "int": int, "bool": bool}
-
-
-def _field_type(name: str) -> type:
-    noted = _FIELD_TYPES[name]
-    if isinstance(noted, type):
-        return noted
-    # ``from __future__ import annotations`` leaves strings like "float | None".
-    return _TYPE_BY_NAME[str(noted).split(" | ")[0]]
+# Value type of each field; an optional field "float | None" reads as float.
+_FIELD_TYPES = {
+    name: (typing.get_args(hint) or (hint,))[0]
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def config_from_sources(
@@ -109,7 +105,7 @@ def config_from_sources(
             raise ValueError(f"unknown config key {key!r}")
         if key == "command":
             continue
-        values[key] = formats.parse_value(raw, _field_type(key))
+        values[key] = formats.parse_value(raw, _FIELD_TYPES[key])
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value

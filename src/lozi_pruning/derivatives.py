@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .errors import DegenerateBounds, InsufficientWord, NotHyperbolic
 from .pruning import BoundedValue, Params, eval_p, eval_pq_cylinder, eval_q
 from .symbolic import Word
+from .tent import require_slope
 
 D_A = "d_a"
 D_B = "d_b"
@@ -63,18 +64,13 @@ def dp_db_at_b0(w: Word, a: float) -> float:
 
 def dq_db_at_b0(a: float) -> float:
     """d(head series)/db at b = 0 for the head (+1, -1, -1, ...)."""
-    _require_slope(a)
+    require_slope(a)
     return (1.0 - 2.0 / a) / (a * (a - 1.0) ** 2)
-
-
-def _require_slope(a: float) -> None:
-    if not 1.0 < a <= 2.0:
-        raise ValueError(f"bounds hold for 1 < a <= 2, got a={a}")
 
 
 def a_derivative_bounds(a: float) -> DerivBounds:
     """Two-sided bound on d(p - q)/da at (a, 0) over kneading-headed words."""
-    _require_slope(a)
+    require_slope(a)
     den = 2.0 * a * a * (a - 1.0)
     lo = (a**3 + 2.0 * a * a - 6.0 * a + 2.0) / den
     hi = (a**3 + 2.0 * a * a - 6.0 * a + 4.0) / den
@@ -83,7 +79,7 @@ def a_derivative_bounds(a: float) -> DerivBounds:
 
 def b_derivative_bounds(a: float, eps_minus2: int) -> DerivBounds:
     """Two-sided bound on d(p - q)/db at (a, 0), split by eps_{-2}."""
-    _require_slope(a)
+    require_slope(a)
     if eps_minus2 not in (-1, 1):
         raise ValueError("eps_minus2 must be -1 or +1")
     den = 2.0 * a**3 * (a - 1.0)
@@ -99,34 +95,28 @@ def b_derivative_bounds(a: float, eps_minus2: int) -> DerivBounds:
 _CONE_MARGIN = 1e-6
 
 
-def monotone_cone(a: float, margin: float = _CONE_MARGIN) -> MonotoneCone:
+def monotone_cone(a: float) -> MonotoneCone:
     """Smallest cone slopes making p - q strictly increase along (N1, -1)
     and (N2, +1).
 
     At the returned N values the guaranteed directional derivative equals
-    margin exactly; any larger slope gives strictly more slack.
+    _CONE_MARGIN exactly; any larger slope gives strictly more slack.
     """
-    _require_slope(a)
+    require_slope(a)
     return _cone(
-        a,
-        a_derivative_bounds(a),
-        b_derivative_bounds(a, +1),
-        b_derivative_bounds(a, -1),
-        margin,
+        a, a_derivative_bounds(a), b_derivative_bounds(a, +1), b_derivative_bounds(a, -1)
     )
 
 
-def _cone(
-    a: float, da: DerivBounds, bp: DerivBounds, bm: DerivBounds, margin: float
-) -> MonotoneCone:
+def _cone(a: float, da: DerivBounds, bp: DerivBounds, bm: DerivBounds) -> MonotoneCone:
     """The cone of monotone_cone from the slope's three bound intervals."""
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
     if da.lo <= 0.0:
         raise DegenerateBounds(
             f"a-derivative lower bound {da.lo:.6f} <= 0 at a={a}; no cone certified"
         )
-    return MonotoneCone(a=a, N1=(bp.hi + margin) / da.lo, N2=(-bm.lo + margin) / da.lo)
+    return MonotoneCone(
+        a=a, N1=(bp.hi + _CONE_MARGIN) / da.lo, N2=(-bm.lo + _CONE_MARGIN) / da.lo
+    )
 
 
 CONE_TABLE_HEADER = (
@@ -154,7 +144,7 @@ def cone_table(a_values: list[float]) -> list[tuple[float, ...]]:
         bp = b_derivative_bounds(a, +1)
         bm = b_derivative_bounds(a, -1)
         try:
-            cone = _cone(a, da, bp, bm, _CONE_MARGIN)
+            cone = _cone(a, da, bp, bm)
             n1, n2 = cone.N1, cone.N2
         except DegenerateBounds:
             n1 = n2 = math.nan
@@ -172,25 +162,19 @@ class FdReport:
     max_series_err: float
 
 
-def _eval_selected(f: str, w: Word, params: Params, depth: int):
-    if f == "p":
-        return eval_p(w, depth, params)
-    if f == "q":
-        return eval_q(w, depth, params)
-    if f == "pq":
-        lo, hi = eval_pq_cylinder(w, depth, params)
-        return BoundedValue.from_interval(lo, hi)
-    raise ValueError(f"unknown series selector {f!r}; use 'p', 'q', or 'pq'")
-
-
-def _max_depth_for(f: str, w: Word) -> int:
-    # The difference evaluator caps each side separately, so hand it the
-    # larger of the two usable depths.
-    if f == "p":
-        return max(w.tail_len - 2, 0)
-    if f == "q":
-        return max(w.head_len - 1, 0)
-    return max(w.tail_len - 2, w.head_len - 1, 0)
+# Series selector -> (evaluator, full depth of a word).  The difference
+# evaluator caps each side separately, so it gets the larger of the two
+# usable depths.  Each evaluator looks its pruning function up when called,
+# so a wrapper installed on this module's names (as bench/spans.py installs
+# its tracer) sees every call.
+_SERIES = {
+    "p": (lambda w, d, at: eval_p(w, d, at), lambda w: max(w.tail_len - 2, 0)),
+    "q": (lambda w, d, at: eval_q(w, d, at), lambda w: max(w.head_len - 1, 0)),
+    "pq": (
+        lambda w, d, at: BoundedValue.from_interval(*eval_pq_cylinder(w, d, at)),
+        lambda w: max(w.tail_len - 2, w.head_len - 1, 0),
+    ),
+}
 
 
 def _central_difference(
@@ -203,15 +187,18 @@ def _central_difference(
 ) -> tuple[float, float]:
     """Central difference at step h and the larger truncation radius of its
     two series evaluations."""
-    d = _max_depth_for(f, w) if depth is None else depth
+    if f not in _SERIES:
+        raise ValueError(f"unknown series selector {f!r}; use 'p', 'q', or 'pq'")
+    evaluate, full_depth = _SERIES[f]
+    d = full_depth(w) if depth is None else depth
     da, db = direction
     plus = Params(params.a + h * da, params.b + h * db)
     minus = Params(params.a - h * da, params.b - h * db)
     for pt in (plus, minus):
         if not pt.hyperbolic:
             raise NotHyperbolic(f"step leaves the hyperbolic region at {pt}")
-    hi_v = _eval_selected(f, w, plus, d)
-    lo_v = _eval_selected(f, w, minus, d)
+    hi_v = evaluate(w, d, plus)
+    lo_v = evaluate(w, d, minus)
     return (hi_v.value - lo_v.value) / (2.0 * h), max(hi_v.err, lo_v.err)
 
 

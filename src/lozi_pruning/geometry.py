@@ -113,22 +113,20 @@ def fixed_data(params: Params) -> FixedData:
     disc = a * a + 4.0 * b
     root = math.sqrt(disc) if disc >= 0.0 else None
 
-    p1 = p2 = None
-    s1 = u1 = s2 = u2 = None
-    if 1.0 + a - b > 0.0:
-        x = 1.0 / (1.0 + a - b)
-        if _residual(a, b, x, x, 1) <= 1e-10:
-            p1 = PlanePoint(x, x)
-            if root is not None:
-                s1 = 0.5 * (-a + root)
-                u1 = 0.5 * (-a - root)
-    if 1.0 - a - b < 0.0:
-        x = 1.0 / (1.0 - a - b)
-        if _residual(a, b, x, x, 1) <= 1e-10:
-            p2 = PlanePoint(x, x)
-            if root is not None:
-                s2 = 0.5 * (a - root)
-                u2 = 0.5 * (a + root)
+    # One saddle per fold side s: p1 has s = +1 (x > 0) and p2 has s = -1.
+    saddles = []
+    for s in (1.0, -1.0):
+        point = stable = unstable = None
+        den = 1.0 + a * s - b
+        if s * den > 0.0:
+            x = 1.0 / den
+            if _residual(a, b, x, x, 1) <= 1e-10:
+                point = PlanePoint(x, x)
+                if root is not None:
+                    stable = 0.5 * (-a * s + s * root)
+                    unstable = 0.5 * (-a * s - s * root)
+        saddles.append((point, stable, unstable))
+    (p1, s1, u1), (p2, s2, u2) = saddles
     if p1 is None and p2 is None:
         raise NoFixedPoint(f"no fixed point at (a, b) = ({a}, {b})")
 
@@ -785,7 +783,7 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
     try:
         if _numeric_zero_check(params):
             return ZeroEntropyVerdict(kind="numeric_zero")
-    except (NoFixedPoint, NonInvertible):
+    except NoFixedPoint:
         pass
     try:
         hom = homoclinic_intersects(params, arc_budget=arc_budget)
@@ -891,6 +889,8 @@ class Period4Segment:
 
     def sample(self, n: int = 32) -> list[PlanePoint]:
         """Feasible points on the line, by a fine sweep over x <= 0."""
+        if n < 1:
+            raise ValueError(f"sample needs n >= 1, got {n}")
         xs = np.linspace(-4.0, 0.0, 4096)
         pts = [self.on_line(float(x)) for x in xs]
         ok = [p for p in pts if self.satisfies(p)]
@@ -900,13 +900,10 @@ class Period4Segment:
         return ok[::stride][:n]
 
 
-def period4_segment(b: float, a: float | None = None) -> Period4Segment:
+def period4_segment(b: float) -> Period4Segment:
     """Closed-form period-4 line at the boundary a = 1 + b (b > 0)."""
     if b <= 0.0:
         raise WrongParams("period-4 line needs b > 0")
-    expected = 1.0 + b
-    if a is not None and a != expected:
-        raise WrongParams(f"line exists on a = 1 + b; got a={a}, expected {expected}")
-    a_val = expected
-    intercept = (1.0 - b * b) / (a_val * (1.0 + b * b))
-    return Period4Segment(a=a_val, b=b, intercept=intercept)
+    a = 1.0 + b
+    intercept = (1.0 - b * b) / (a * (1.0 + b * b))
+    return Period4Segment(a=a, b=b, intercept=intercept)

@@ -51,6 +51,14 @@ class Params:
             raise NotHyperbolic(f"need a > 1 + |b|, got a={self.a}, b={self.b}")
 
 
+def _require_series(params: Params, depth: int) -> None:
+    """The input rule of every depth-taking entry point: hyperbolic
+    parameters and a series depth of at least 0."""
+    params.require_hyperbolic()
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+
+
 @dataclass(frozen=True)
 class BoundedValue:
     """A float with a certified absolute error bound."""
@@ -196,11 +204,9 @@ def _q_enclosure(head, depth: int, params: Params):
 
 def eval_s(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
     """Depth-truncated enclosure of s_n (n <= -2) over all extensions of w."""
-    params.require_hyperbolic()
+    _require_series(params, depth)
     if n > -2:
         raise ValueError(f"s_n is used for indices n <= -2, got {n}")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     j0 = -n
     if w.tail_len < j0 + depth:
         raise InsufficientWord(
@@ -212,11 +218,9 @@ def eval_s(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
 
 def eval_r(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
     """Depth-truncated enclosure of r_n (n >= 0) over all extensions of w."""
-    params.require_hyperbolic()
+    _require_series(params, depth)
     if n < 0:
         raise ValueError(f"r_n is defined for indices n >= 0, got {n}")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     if w.head_len < n + depth + 1:
         raise InsufficientWord(
             f"head of length {w.head_len} cannot supply symbols up to index {n + depth}"
@@ -232,9 +236,7 @@ def eval_p(w: Word, depth: int, params: Params) -> BoundedValue:
     at least depth+2 tail symbols so even the deepest term sees one refined
     continued-fraction level.
     """
-    params.require_hyperbolic()
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _require_series(params, depth)
     if w.tail_len < depth + 2:
         raise InsufficientWord(f"tail length {w.tail_len} < depth + 2 = {depth + 2}")
     return BoundedValue.from_interval(*_p_enclosure(w.tail[::-1], depth, params))
@@ -246,9 +248,7 @@ def eval_q(w: Word, depth: int, params: Params) -> BoundedValue:
     Series terms n = 0..depth use r_0..r_depth, so the head must hold at
     least depth+1 symbols.
     """
-    params.require_hyperbolic()
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _require_series(params, depth)
     if w.head_len < depth + 1:
         raise InsufficientWord(f"head length {w.head_len} < depth + 1 = {depth + 1}")
     return BoundedValue.from_interval(*_q_enclosure(w.head, depth, params))
@@ -279,7 +279,7 @@ def eval_pq_cylinder(w: Word, depth: int, params: Params) -> tuple[float, float]
     Series depths are capped by the symbols the word actually holds; short or
     empty sides simply widen the enclosure, they never raise.
     """
-    params.require_hyperbolic()
+    _require_series(params, depth)
     plo, phi = _p_enclosure(w.tail[::-1], depth, params)
     qlo, qhi = _q_enclosure(w.head, depth, params)
     return (plo - qhi, phi - qlo)
@@ -294,7 +294,7 @@ def classify_cylinder(w: Word, depth: int, shift_window: int, params: Params) ->
     within shift_window that keeps a nonempty head inside the word.  Anything
     else is Unknown.
     """
-    params.require_hyperbolic()
+    _require_series(params, depth)
     lo, hi = eval_pq_cylinder(w, depth, params)
     if hi < 0.0:
         return Verdict.CERTIFIED_PRUNED
@@ -380,11 +380,9 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
     enclosure of (p - q) at the dot -> pruned; entirely non-negative ->
     admissible window; otherwise unknown.
     """
-    params.require_hyperbolic()
+    _require_series(params, depth)
     if word_len < 1:
         raise ValueError("word_len must be >= 1")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     cells_total = 1 << (2 * word_len)
     if cells_total > _CELL_LIMIT:
         raise BudgetExceeded(f"4^{word_len} = {cells_total} cells exceed limit {_CELL_LIMIT}")
@@ -446,7 +444,7 @@ def admissible_word_count(params: Params, n: int, depth: int) -> tuple[int, int]
     in upper and leave lower, so lower <= true count <= upper holds whenever
     the enclosures do.
     """
-    params.require_hyperbolic()
+    _require_series(params, depth)
     if n < 1:
         raise ValueError("n must be >= 1")
     if (1 << n) > _BLOCK_LIMIT:
@@ -470,8 +468,7 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _require_series(params, depth)
     rows = []
     h_upper = math.inf
     for n in range(1, n_max + 1):

@@ -12,15 +12,11 @@ from .errors import BudgetExceeded
 from .symbolic import MINUS, PLUS
 
 
-@dataclass(frozen=True)
-class TentParams:
-    """Slope parameter of the tent map x -> 1 - a|x|."""
-
-    a: float
-
-    def require_kneading_range(self) -> None:
-        if not 1.0 < self.a <= 2.0:
-            raise ValueError(f"kneading operations need 1 < a <= 2, got a={self.a}")
+def require_slope(a: float) -> None:
+    """The slope range 1 < a <= 2 of the tent map x -> 1 - a|x|, where its
+    kneading theory and the b = 0 derivative bounds hold."""
+    if not 1.0 < a <= 2.0:
+        raise ValueError(f"need slope 1 < a <= 2, got a={a}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ _FOLD_TOL = 1e-12
 
 def kneading(a: float, n: int) -> Kneading:
     """Signs of the orbit of 1 with fold hits within _FOLD_TOL flagged."""
-    TentParams(a).require_kneading_range()
+    require_slope(a)
     symbols = []
     hits = set()
     for i, x in enumerate(tent_orbit(a, 1.0, n)):
@@ -138,7 +134,7 @@ def tent_lap_count(a: float, n: int) -> int:
     branch in closed form: a preimage of y is +-(1-y)/a, the negative branch
     existing in the interval iff y >= 1 - a^2 + a.
     """
-    TentParams(a).require_kneading_range()
+    require_slope(a)
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = [np.array([0.0])]

@@ -27,7 +27,14 @@ from lozi_pruning import (
     monotone_cone,
     special_head,
 )
-from lozi_pruning.derivatives import CONE_TABLE_HEADER, D_A, D_B, DerivBounds, MonotoneCone
+from lozi_pruning.derivatives import (
+    _CONE_MARGIN,
+    CONE_TABLE_HEADER,
+    D_A,
+    D_B,
+    DerivBounds,
+    MonotoneCone,
+)
 from lozi_pruning.pruning import _p_enclosure
 from lozi_pruning.symbolic import MINUS, PLUS, Word, coordinate_symbols
 
@@ -237,8 +244,8 @@ def test_cone_full_slope():
 
 def test_cone_guaranteed_slack_is_margin():
     for a in (1.4, 1.6, 1.8, 2.0):
-        m = 1e-4
-        cone = monotone_cone(a, margin=m)
+        m = _CONE_MARGIN
+        cone = monotone_cone(a)
         lo_a = a_derivative_bounds(a).lo
         assert cone.N1 * lo_a - b_derivative_bounds(a, +1).hi == pytest.approx(m)
         assert cone.N2 * lo_a + b_derivative_bounds(a, -1).lo == pytest.approx(m)
@@ -275,8 +282,6 @@ def test_cone_degenerate_below_crossover():
 
 
 def test_cone_guards():
-    with pytest.raises(ValueError):
-        monotone_cone(2.0, margin=0.0)
     with pytest.raises(ValueError):
         MonotoneCone(a=1.5, N1=-1.0, N2=1.0)
 

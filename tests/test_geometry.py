@@ -1143,6 +1143,6 @@ def test_period4_guards():
         period4_segment(0.0)
     with pytest.raises(WrongParams):
         period4_segment(-0.5)
-    with pytest.raises(WrongParams):
-        period4_segment(0.5, a=1.6)
-    assert period4_segment(0.5, a=1.5).intercept == pytest.approx(0.4)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            period4_segment(0.5).sample(n)

@@ -225,6 +225,12 @@ def test_insufficient_word_and_bad_arguments():
         eval_r(Word((), (PLUS,) * 5), -1, 0, par)
     with pytest.raises(ValueError):
         eval_p(Word((PLUS,) * 5, ()), -1, par)
+    with pytest.raises(ValueError):
+        eval_pq_cylinder(Word((PLUS,) * 5, (PLUS,) * 5), -1, par)
+    with pytest.raises(ValueError):
+        classify_cylinder(Word((PLUS,) * 5, (PLUS,) * 5), -1, 2, par)
+    with pytest.raises(ValueError):
+        admissible_word_count(Params(1.7, 0.2), 6, -1)
 
 
 def _random_word(rng: random.Random, m: int, n: int) -> Word:

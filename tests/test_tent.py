@@ -11,12 +11,12 @@ from lozi_pruning import (
     BudgetExceeded,
     Kneading,
     Params,
-    TentParams,
     check_identity_shifted,
     check_identity_sum,
     eval_q,
     identity_tail_bound,
     kneading,
+    require_slope,
     tent_entropy_lap,
     tent_lap_count,
     tent_orbit,
@@ -314,7 +314,9 @@ def test_full_slope_unique_straddling_head():
     assert count == 1
 
 
-def test_tent_params_guard():
-    TentParams(1.5).require_kneading_range()
-    with pytest.raises(ValueError):
-        TentParams(0.9).require_kneading_range()
+def test_slope_range_guard():
+    require_slope(1.5)
+    require_slope(2.0)
+    for a in (0.9, 1.0, 2.01):
+        with pytest.raises(ValueError):
+            require_slope(a)
