@@ -9,7 +9,10 @@ three functions take float endpoints for one word (the scalar evaluators and
 or broadcastable per-axis arrays, one length-2 axis per symbol position (the
 block masks, so each level and series is computed once per distinct prefix
 or suffix); only min/max over candidate endpoints and the test that a
-denominator straddles zero are picked from the endpoint type.
+denominator straddles zero are picked from the endpoint type.  A block's p
+enclosure depends only on its prefix and its q enclosure only on its suffix,
+never on the block length, so one sweep at the longest length serves every
+block length of an entropy run.
 
 The innermost, unknown continuation of a finite word enters as the a-priori
 interval [-1/(a-|b|), 1/(a-|b|)], which the level map keeps invariant
@@ -336,7 +339,9 @@ def code_verdict(code: int) -> Verdict:
 
 
 _CELL_LIMIT = 1 << 22  # largest raster: 4^11 cells
-_BLOCK_LIMIT = 1 << 20  # largest word count: its masks peak at 162 MiB at depth 12
+# Largest word count.  At depth 12, (1.7, 0.2), tracemalloc peaks of
+# admissible_word_count at n = 20: 128 MiB; entropy_rows at n_max = 20: 128 MiB.
+_BLOCK_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -397,43 +402,89 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
     return Raster(params=params, word_len=word_len, depth=depth, cells=cells)
 
 
-def _window_masks(params: Params, n: int, depth: int):
-    """Per-block masks over all 2^n symbol blocks of length n.
+def _require_blocks(n: int) -> None:
+    """The block budget of the word counts: 2^n blocks at most _BLOCK_LIMIT."""
+    if (1 << n) > _BLOCK_LIMIT:
+        raise BudgetExceeded(f"2^{n} blocks of length {n} exceed the limit {_BLOCK_LIMIT}")
+
+
+def _enclosure_sweep(params: Params, n_max: int, depth: int):
+    """p enclosures of every prefix and q enclosures of every suffix of the
+    symbol blocks of length n_max, as (p, q).
+
+    The blocks live on n_max numpy axes of length 2: axis j holds the symbol
+    at position j, index 0 for +1 and index 1 for -1.  p[k] encloses p for
+    the dot at k, which reads the prefix of length k; it spans only the
+    first k - 1 axes (s_{-1} takes no series term).  q[L] encloses q for the
+    suffix of length L and spans the last L axes.  An enclosure depends only
+    on its prefix or suffix word, never on the block length, so this one
+    sweep serves every block length n <= n_max (_block_masks puts it on n
+    axes).  Broadcasting computes each level and series once per distinct
+    prefix or suffix, about 3 * depth * 2^n_max series terms in all.
+    """
+    a = params.a
+    cols = [
+        np.array([1.0, -1.0]).reshape((1,) * j + (2,) + (1,) * (n_max - 1 - j))
+        for j in range(n_max)
+    ]
+    # Each series reads its widest level first (r[j], then y[k - 2]), so the
+    # in-place sums in _p_series and _q_series never have to grow a shape.
+    # r[j] encloses the ascending continued fraction r_0 of the suffix j..;
+    # the suffix of length L takes r_t from r[n_max - L + t].
+    r = _levels([a * cols[j] for j in range(n_max - 1, -1, -1)], params)[::-1]
+    # Longest suffix first, so no finished q is held while the widest
+    # series runs.
+    q = {
+        L: _q_series(r[n_max - L : n_max - L + min(depth, L - 1) + 1], params)
+        for L in range(n_max, 0, -1)
+    }
+    del r  # free the suffix levels before the prefix levels are built
+    # y[t] encloses the descending continued fraction ending at position t,
+    # i.e. s_{-(k-t)} for the dot at k; term j of p uses y[k - j - 1], so
+    # no p reads the last two positions.
+    y = _levels([-a * cols[t] for t in range(n_max - 2)], params)
+    p = []
+    for k in range(n_max):
+        dp = max(0, min(depth, k - 1))
+        p.append(_p_series(y[k - 1 - dp : k - 1][::-1], params))
+    return p, q
+
+
+def _block_masks(sweep, n: int):
+    """Per-block masks over all 2^n symbol blocks of length n, from an
+    _enclosure_sweep at any n_max >= n.
 
     pruned_any[w]: some dot placement inside the block has an entirely
     negative enclosure, so the block cannot occur in any admissible sequence.
     cert_all[w]: every placement has an entirely non-negative enclosure.
 
-    The blocks live on n numpy axes of length 2: axis j holds the symbol at
-    position j, index 0 for +1 and index 1 for -1, so the flattened masks are
-    in plain binary order, w = sum_j [symbol j is -1] 2^(n-1-j).  Every
-    enclosure spans only the axes of the positions it reads, and
-    broadcasting computes it once per distinct prefix or suffix: at the
-    placement with the dot at k the q series runs on the 2^(n-k) suffixes
-    and the p series on at most 2^(k-1) prefixes, about 3 * depth * 2^n
-    series terms in all, and only the two compares span all 2^n blocks.
+    The masks are in plain binary order, w = sum_j [symbol j is -1]
+    2^(n-1-j).  The prefix enclosures drop the sweep's trailing axes past n
+    and the suffix enclosures its leading n_max - n axes, all of length 1,
+    so only the two compares span all 2^n blocks.
     """
-    a = params.a
-    cols = [np.array([1.0, -1.0]).reshape((1,) * j + (2,) + (1,) * (n - 1 - j)) for j in range(n)]
-    # r[j] encloses the ascending continued fraction r_j of the suffix j..n-1.
-    r = _levels([a * cols[j] for j in range(n - 1, -1, -1)], params)[::-1]
-    # y[t] encloses the descending continued fraction ending at position t,
-    # i.e. s_{-(k-t)} for the placement with the dot at k.
-    y = _levels([-a * cols[t] for t in range(n)], params)
-
+    p, q = sweep
+    lead = len(p) - n
     pruned_any = np.zeros((2,) * n, dtype=bool)
     cert_all = np.ones((2,) * n, dtype=bool)
-    # Each series reads its widest level first (r[k], then y[k - 2]), so the
-    # in-place sums in _p_series and _q_series never have to grow a shape.
     for k in range(n):
-        # q side: head = positions k..n-1, term t uses r_t = r[k + t].
-        qlo, qhi = _q_series(r[k : k + min(depth, n - k - 1) + 1], params)
-        # p side: tail = positions 0..k-1, term j uses s_{-(j+1)} = y[k - j - 1].
-        dp = max(0, min(depth, k - 1))
-        plo, phi = _p_series(y[k - 1 - dp : k - 1][::-1], params)
+        plo, phi = (np.reshape(v, np.shape(v)[:n]) for v in p[k])
+        qlo, qhi = (v.reshape(v.shape[lead:]) for v in q[n - k])
         pruned_any |= (phi - qlo) < 0.0
         cert_all &= (plo - qhi) >= 0.0
     return pruned_any.ravel(), cert_all.ravel()
+
+
+def _window_masks(params: Params, n: int, depth: int):
+    """_block_masks of the blocks of length n, swept at n."""
+    return _block_masks(_enclosure_sweep(params, n, depth), n)
+
+
+def _bracket(pruned_any, cert_all) -> tuple[int, int]:
+    """(lower, upper) block counts from the masks of _block_masks."""
+    upper = int(np.count_nonzero(~pruned_any))
+    lower = int(np.count_nonzero(cert_all & ~pruned_any))
+    return lower, upper
 
 
 def admissible_word_count(params: Params, n: int, depth: int) -> tuple[int, int]:
@@ -447,12 +498,8 @@ def admissible_word_count(params: Params, n: int, depth: int) -> tuple[int, int]
     _require_series(params, depth)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if (1 << n) > _BLOCK_LIMIT:
-        raise BudgetExceeded(f"2^{n} blocks of length {n} exceed the limit {_BLOCK_LIMIT}")
-    pruned_any, cert_all = _window_masks(params, n, depth)
-    upper = int(np.count_nonzero(~pruned_any))
-    lower = int(np.count_nonzero(cert_all & ~pruned_any))
-    return lower, upper
+    _require_blocks(n)
+    return _bracket(*_window_masks(params, n, depth))
 
 
 ENTROPY_HEADER = ("a", "b", "n", "depth", "count_lower", "count_upper", "h_lower", "h_upper")
@@ -469,10 +516,12 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _require_series(params, depth)
+    _require_blocks(n_max)
+    sweep = _enclosure_sweep(params, n_max, depth)
     rows = []
     h_upper = math.inf
     for n in range(1, n_max + 1):
-        lower, upper = admissible_word_count(params, n, depth)
+        lower, upper = _bracket(*_block_masks(sweep, n))
         h_upper = min(h_upper, math.log(upper) / n if upper > 0 else 0.0)
         h_up = max(h_upper, 0.0)
         h_lo = math.log(lower) / n if lower > 0 else 0.0

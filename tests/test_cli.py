@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lozi_pruning
-from lozi_pruning import formats, verify
+from lozi_pruning import formats, pruning, verify
 from lozi_pruning.cli import (
     ENTROPY_HEADER,
     RunConfig,
@@ -22,6 +22,7 @@ from lozi_pruning.cli import (
     main,
 )
 from lozi_pruning.derivatives import CONE_TABLE_HEADER, dq_db_at_b0
+from lozi_pruning.errors import BudgetExceeded
 from lozi_pruning.geometry import MANIFOLD_BRANCHES, ZERO_ENTROPY_CODES, fixed_data
 from lozi_pruning.pruning import (
     PGM_ADMISSIBLE,
@@ -214,6 +215,22 @@ def test_entropy_rejects_negative_depth(tmp_path, capsys, depth):
     assert not out.exists()
     with pytest.raises(ValueError):
         entropy_rows(Params(1.7, 0.0), 3, -1)
+
+
+def test_entropy_refuses_n_max_past_block_limit_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # n_max 21 exceeds the block budget; the refusal must come before the
+    # first continued-fraction level is swept, not after the rows up to 20.
+    def no_levels(*args):
+        raise AssertionError("_levels called before the block budget check")
+
+    monkeypatch.setattr(pruning, "_levels", no_levels)
+    with pytest.raises(BudgetExceeded):
+        entropy_rows(Params(1.7, 0.2), 21, 12)
+    out = tmp_path / "e.csv"
+    assert main(["entropy", "--a", "1.7", "--b", "0.2", "--n-max", "21",
+                 "--depth", "12", "--out", str(out)]) == 2
+    assert "BudgetExceeded" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_entropy_accepts_depth_zero(capsys):

@@ -509,6 +509,47 @@ def test_word_count_peak_memory():
     assert peak <= 16_000_000
 
 
+@pytest.mark.parametrize("a, b", [(1.7, 0.0), (1.9, -0.3), (1.21, 0.2), (2.1, 0.05)])
+def test_entropy_rows_count_each_length_as_word_count(a, b):
+    # entropy_rows sweeps once at n_max and reads every shorter length off
+    # that sweep; admissible_word_count sweeps at n itself.
+    par = Params(a, b)
+    for depth in (0, 1, 3, 12):
+        rows = entropy_rows(par, 14, depth)
+        for n, row in enumerate(rows, start=1):
+            counts = dict(zip(ENTROPY_HEADER, row))
+            assert (counts["count_lower"], counts["count_upper"]) == admissible_word_count(
+                par, n, depth
+            ), f"n={n} depth={depth}"
+
+
+def test_entropy_rows_peak_memory():
+    # One sweep at n_max holds each prefix and suffix enclosure once (about
+    # 8 MiB traced at n_max = 16), the bound of test_word_count_peak_memory.
+    tracemalloc.start()
+    try:
+        entropy_rows(Params(1.7, 0.2), 16, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
+
+
+@pytest.mark.parametrize("n_max", [4, 12])
+def test_entropy_rows_sweep_levels_once(monkeypatch, n_max):
+    # One level sweep for the suffixes and one for the prefixes serve every
+    # block length; rebuilding per length would call _levels 2 * n_max times.
+    calls = []
+
+    def counting_levels(shifts, params):
+        calls.append(len(shifts))
+        return _levels(shifts, params)
+
+    monkeypatch.setattr(pruning, "_levels", counting_levels)
+    entropy_rows(Params(1.7, 0.2), n_max, 12)
+    assert len(calls) == 2
+
+
 def test_entropy_exact_log2_on_full_shift():
     lo, hi = entropy_estimate(Params(2.0, 0.0), 8, 8)
     assert lo == pytest.approx(math.log(2.0), abs=1e-12)
