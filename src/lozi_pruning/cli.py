@@ -61,9 +61,9 @@ class RunConfig:
     command: str
     a: float = 1.7
     b: float = 0.5
+    depth: int = 12
     # scale knobs left as None pick up per-command defaults at dispatch
     word_len: int | None = None
-    depth: int | None = None
     n_max: int | None = None
     arc_budget: float | None = None
     grid: int | None = None
@@ -132,8 +132,7 @@ def cmd_pruned_region(config: RunConfig) -> int:
     """Classify every two-sided cylinder and write the verdict raster."""
     out = _require_out(config)
     word_len = or_default(config.word_len, 8)
-    depth = or_default(config.depth, 12)
-    raster = pruned_region_raster(Params(config.a, config.b), word_len, depth)
+    raster = pruned_region_raster(Params(config.a, config.b), word_len, config.depth)
     formats.write_pgm(out, raster.cells, force=config.force)
     formats.write_sidecar(
         out + ".txt",
@@ -141,7 +140,7 @@ def cmd_pruned_region(config: RunConfig) -> int:
             "a": config.a,
             "b": config.b,
             "word_len": word_len,
-            "depth": depth,
+            "depth": config.depth,
             "width": raster.width,
             "height": raster.height,
             "pruned": raster.pruned_count,
@@ -166,11 +165,7 @@ def _emit_csv(config: RunConfig, header, rows) -> None:
 
 
 def cmd_entropy(config: RunConfig) -> int:
-    rows = entropy_rows(
-        Params(config.a, config.b),
-        or_default(config.n_max, 12),
-        or_default(config.depth, 12),
-    )
+    rows = entropy_rows(Params(config.a, config.b), or_default(config.n_max, 12), config.depth)
     _emit_csv(config, ENTROPY_HEADER, rows)
     return 0
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,9 +43,17 @@ class PlanePoint(NamedTuple):
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
+def _iterate(a: float, b: float, x: float, y: float, n: int) -> tuple[float, float]:
+    """n forward steps (x, y) -> (1 - a|x| + by, x) on floats: the one
+    written form of the map, except _map_polyline's inline copy."""
+    for _ in range(n):
+        x, y = 1.0 - a * abs(x) + b * y, x
+    return x, y
+
+
 def lozi_apply(params: Params, p: PlanePoint) -> PlanePoint:
     """One exact piecewise-affine step (x, y) -> (1 - a|x| + by, x)."""
-    return PlanePoint(1.0 - params.a * abs(p.x) + params.b * p.y, p.x)
+    return PlanePoint(*_iterate(params.a, params.b, p.x, p.y, 1))
 
 
 def lozi_apply_inverse(params: Params, p: PlanePoint) -> PlanePoint:
@@ -59,9 +65,10 @@ def lozi_apply_inverse(params: Params, p: PlanePoint) -> PlanePoint:
 
 def lozi_apply_n(params: Params, p: PlanePoint, n: int) -> PlanePoint:
     """n-fold image; negative n iterates the inverse (b != 0)."""
-    step = lozi_apply if n >= 0 else lozi_apply_inverse
-    for _ in range(abs(n)):
-        p = step(params, p)
+    if n >= 0:
+        return PlanePoint(*_iterate(params.a, params.b, p.x, p.y, n))
+    for _ in range(-n):
+        p = lozi_apply_inverse(params, p)
     return p
 
 
@@ -94,11 +101,8 @@ def _two_cycle_attracting(a: float, b: float, s1: float, s2: float) -> bool:
 
 
 def _residual(a: float, b: float, x: float, y: float, steps: int) -> float:
-    """|L^steps (x, y) - (x, y)| with the float expressions of lozi_apply and
-    PlanePoint.dist, in the same order."""
-    u, v = x, y
-    for _ in range(steps):
-        u, v = 1.0 - a * abs(u) + b * v, u
+    """|L^steps (x, y) - (x, y)| with the float expression of PlanePoint.dist."""
+    u, v = _iterate(a, b, x, y, steps)
     return math.hypot(x - u, y - v)
 
 
@@ -469,11 +473,8 @@ def lyapunov_delta(params: Params, q: PlanePoint) -> float:
     fd = _fixed_data(params)
     if fd.n1 is None:
         raise NoFixedPoint("period-2 pair absent; no Lyapunov center")
-    a, b = params.a, params.b
     cx, cy = fd.n1
-    x, y = q
-    for _ in range(4):
-        x, y = 1.0 - a * abs(x) + b * y, x
+    x, y = _iterate(params.a, params.b, q.x, q.y, 4)
     return ((x - cx) ** 2 + (y - cy) ** 2) - ((q.x - cx) ** 2 + (q.y - cy) ** 2)
 
 
@@ -731,8 +732,7 @@ def _numeric_zero_check(params: Params) -> bool:
     z = _axis_crossing_of_unstable_line(fd)
     for x, y in (z, lozi_apply(params, z)):
         for _ in range(10_000):
-            for _ in range(4):
-                x, y = 1.0 - a * abs(x) + b * y, x
+            x, y = _iterate(a, b, x, y, 4)
             if math.hypot(x - n1x, y - n1y) < 1e-8 or math.hypot(x - n2x, y - n2y) < 1e-8:
                 break
         else:
@@ -816,53 +816,42 @@ def _cell_centre(span: tuple[float, float], k: int, resolution: int) -> float:
     return lo + (k + 0.5) * (hi - lo) / resolution
 
 
-def _scan_pixel(args) -> tuple[int, float, float]:
-    a, b, arc_budget = args
-    try:
-        verdict = classify_zero_entropy(Params(a, b), arc_budget)
-    except LoziError:
-        return ZERO_ENTROPY_CODES["unknown"], math.nan, math.nan
-    if verdict.witness is None:
-        return ZERO_ENTROPY_CODES[verdict.label], math.nan, math.nan
-    return (ZERO_ENTROPY_CODES[verdict.label], *verdict.witness)
-
-
 def scan_zero_entropy(
     a_range: tuple[float, float],
     b_range: tuple[float, float],
     resolution: int,
     arc_budget: float = 20.0,
 ) -> ZeroEntropyScan:
-    """Classify a parameter grid; pixels whose classification raises a
-    LoziError score as unknown, and any other error propagates.
-
-    Evaluates cell centers. Set LOZI_THREADS > 1 to fan pixels out over
-    processes; results are deterministic either way.
+    """Classify the cell centres of a parameter grid, one pixel after
+    another in this process. Each pixel's code is its verdict's entry in
+    ZERO_ENTROPY_CODES and its witness the verdict's crossing point (NaN
+    when there is none); a pixel whose classification raises a LoziError
+    scores as unknown, and any other error propagates.
     """
     if not (-1.0 <= b_range[0] <= 1.0 and -1.0 <= b_range[1] <= 1.0):
         raise ValueError("b grid must stay within |b| <= 1")
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    jobs = []
+    codes = np.full((resolution, resolution), ZERO_ENTROPY_CODES["unknown"], np.uint8)
+    witnesses = np.full((resolution, resolution, 2), math.nan)
     for i in range(resolution):
         b = _cell_centre(b_range, i, resolution)
         for j in range(resolution):
-            jobs.append((_cell_centre(a_range, j, resolution), b, arc_budget))
-    workers = int(os.environ.get("LOZI_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_scan_pixel, jobs, chunksize=16))
-    else:
-        flat = [_scan_pixel(j) for j in jobs]
-    codes = np.array([f[0] for f in flat], dtype=np.uint8)
-    witnesses = np.array([f[1:] for f in flat], dtype=np.float64)
+            a = _cell_centre(a_range, j, resolution)
+            try:
+                verdict = classify_zero_entropy(Params(a, b), arc_budget)
+            except LoziError:
+                continue
+            codes[i, j] = ZERO_ENTROPY_CODES[verdict.label]
+            if verdict.witness is not None:
+                witnesses[i, j] = verdict.witness
     return ZeroEntropyScan(
         a_range=(float(a_range[0]), float(a_range[1])),
         b_range=(float(b_range[0]), float(b_range[1])),
         resolution=resolution,
-        codes=codes.reshape(resolution, resolution),
+        codes=codes,
         arc_budget=arc_budget,
-        witnesses=witnesses.reshape(resolution, resolution, 2),
+        witnesses=witnesses,
     )
 
 
@@ -882,9 +871,9 @@ class Period4Segment:
         return PlanePoint(x, -x + self.intercept)
 
     def satisfies(self, q: PlanePoint) -> bool:
-        a, b = self.a, self.b
-        first = 1.0 + a * q.x + b * q.y
-        second = 1.0 - a * first + b * q.x
+        """q.x <= 0, L(q).x >= 0 and L^2(q).x <= 0: the sign pattern of the
+        period-4 orbit's first three points."""
+        second, first = _iterate(self.a, self.b, q.x, q.y, 2)
         return first >= 0.0 and second <= 0.0 and q.x <= 0.0
 
     def sample(self, n: int = 32) -> list[PlanePoint]:

@@ -22,7 +22,7 @@ word or deepening the series never widens it.  Endpoints are ordinary
 round-to-nearest floats with no directed rounding, so the enclosures are
 validated by the depth-doubling tests rather than formally proven; the
 checks in ``verify`` and the tests allow the absolute slack ``ULP_SLACK``
-(5e-13) for that gap.
+for that gap.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, InsufficientWord, NotHyperbolic, WrongHead
 from .symbolic import MINUS, PLUS, Word, coordinate_symbols, redot
+
+# Absolute dust an enclosure may miss by: the rounding gap above.
+ULP_SLACK = 5e-13
 
 
 @dataclass(frozen=True)

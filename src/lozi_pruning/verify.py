@@ -46,6 +46,7 @@ from .geometry import (
 from .geometry import _axis_crossing_of_unstable_line, _signed_dist_to_convex
 from .pruning import (
     ENTROPY_HEADER,
+    ULP_SLACK,
     Params,
     Verdict,
     classify_cylinder,
@@ -64,10 +65,6 @@ from .tent import (
     kneading,
     tent_entropy_lap,
 )
-
-# interval arithmetic runs without directed rounding, so certified enclosures
-# can be short by a few ulps; comparisons allow this much absolute dust
-ULP_SLACK = 5e-13
 
 _FD_H = 1e-6
 _BOUND_SLOPES = (1.3, 1.5, 1.7, 2.0)
@@ -131,14 +128,13 @@ def check_head_maximum(config) -> tuple[bool, str]:
 def check_full_slope_raster(config) -> tuple[bool, str]:
     """Nothing is pruned at full slope: the region degenerates to nothing."""
     word_len = or_default(config.word_len, 10)
-    depth = or_default(config.depth, 12)
-    raster = pruned_region_raster(Params(2.0, 0.0), word_len, depth)
+    raster = pruned_region_raster(Params(2.0, 0.0), word_len, config.depth)
     path = _artifact(config, "full_slope_raster.pgm")
     if path:
         formats.write_pgm(path, raster.cells, force=config.force)
         formats.write_sidecar(
             path + ".txt",
-            {"a": 2.0, "b": 0.0, "word_len": word_len, "depth": depth},
+            {"a": 2.0, "b": 0.0, "word_len": word_len, "depth": config.depth},
             force=config.force,
         )
     total = raster.width * raster.height
@@ -220,12 +216,11 @@ def check_kneading_identities(config) -> tuple[bool, str]:
 def check_entropy_brackets(config) -> tuple[bool, str]:
     """Count brackets trap the known entropy values; lap oracle concurs."""
     n_max = or_default(config.n_max, 16)
-    depth = or_default(config.depth, 12)
     details = []
     passed = True
     all_rows = []
     for a, b, target in ((2.1, 0.05, math.log(2.0)), (1.7, 0.0, math.log(1.7))):
-        rows = entropy_rows(Params(a, b), n_max, depth)
+        rows = entropy_rows(Params(a, b), n_max, config.depth)
         all_rows.extend(rows)
         h_lo, h_hi = rows[-1][-2], rows[-1][-1]
         ok = h_lo - 0.05 <= target <= h_hi + 0.05
@@ -244,12 +239,11 @@ def check_entropy_brackets(config) -> tuple[bool, str]:
 def check_upper_bound_monotone(config) -> tuple[bool, str]:
     """The upper entropy bound grows with the slope along a fold-free line."""
     n_max = or_default(config.n_max, 12)
-    depth = or_default(config.depth, 12)
     uppers = []
     rows = []
     for k in range(13):
         a = 1.4 + 0.05 * k
-        sweep = entropy_rows(Params(a, 0.02), n_max, depth)
+        sweep = entropy_rows(Params(a, 0.02), n_max, config.depth)
         rows.append(sweep[-1])
         uppers.append(sweep[-1][-1])
     worst_drop = max(

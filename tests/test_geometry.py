@@ -1066,18 +1066,9 @@ def test_scan_other_errors_propagate(monkeypatch):
     def broken(params, arc_budget):
         raise RuntimeError("defect")
 
-    monkeypatch.delenv("LOZI_THREADS", raising=False)
     monkeypatch.setattr(geometry, "classify_zero_entropy", broken)
     with pytest.raises(RuntimeError):
         scan_zero_entropy((1.2, 1.4), (0.4, 0.5), 1, arc_budget=5.0)
-
-
-def test_scan_parallel_matches_serial(monkeypatch):
-    monkeypatch.delenv("LOZI_THREADS", raising=False)
-    serial = scan_zero_entropy((0.95, 1.05), (0.45, 0.55), 3, arc_budget=15.0)
-    monkeypatch.setenv("LOZI_THREADS", "2")
-    parallel = scan_zero_entropy((0.95, 1.05), (0.45, 0.55), 3, arc_budget=15.0)
-    assert (serial.codes == parallel.codes).all()
 
 
 def test_zero_codes_distinct_and_complete():

@@ -51,6 +51,7 @@ from lozi_pruning.pruning import (
     PGM_ADMISSIBLE,
     PGM_PRUNED,
     PGM_UNKNOWN,
+    ULP_SLACK,
     _levels,
     _p_enclosure,
     _p_series,
@@ -60,10 +61,6 @@ from lozi_pruning.pruning import (
     entropy_rows,
 )
 from lozi_pruning.symbolic import coordinate_symbols, head_coordinate, tail_coordinate
-
-# Endpoint arithmetic carries no directed rounding, so containment and
-# nesting assertions allow an ulp-scale absolute slack.
-ULP_SLACK = 5e-13
 
 
 def _q_series_mp(eps, a, b, levels=500, terms=200, seed=0.0):
