@@ -23,8 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -235,14 +235,16 @@ def _map_polyline(params: Params, pts, inverse: bool):
     (x = 0 forward, y = 0 inverse). The steps are lozi_apply and
     lozi_apply_inverse written out on floats."""
     k = 1 if inverse else 0
-    split = []
-    for u, w in zip(pts, pts[1:]):
-        split.append(u)
-        cu, cw = u[k], w[k]
+    u = pts[0]
+    cu = u[k]
+    split = [u]
+    for w in pts[1:]:
+        cw = w[k]
         if cu * cw < 0.0:
             t = cu / (cu - cw)
             split.append((u[0] + t * (w[0] - u[0]), u[1] + t * (w[1] - u[1])))
-    split.append(pts[-1])
+        split.append(w)
+        u, cu = w, cw
     a, b = params.a, params.b
     if inverse:
         return [(y, (x - 1.0 + a * abs(y)) / b) for x, y in split]
@@ -261,11 +263,12 @@ def _drop_collinear(pts):
     ux, uy = pts[0]
     for v, (wx, wy) in zip(pts[1:-1], pts[2:]):
         vx, vy = v
-        if math.hypot(vx - ux, vy - uy) == 0.0:
+        dx, dy = vx - ux, vy - uy
+        if dx == 0.0 and dy == 0.0:  # a repeat of the last kept vertex
             continue
-        cross = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
-        span = max(math.hypot(ux - wx, uy - wy), 1e-30)
-        if abs(cross) <= _COLLINEAR_TOL * span:
+        span = math.hypot(ux - wx, uy - wy)
+        span = 1e-30 if span < 1e-30 else span  # max(span, 1e-30) without a call
+        if abs(dx * (wy - uy) - dy * (wx - ux)) <= _COLLINEAR_TOL * span:
             continue
         kept.append(v)
         ux, uy = vx, vy
@@ -337,11 +340,17 @@ def _grow_branch(
         # Double step keeps a branch on its own side when the eigenvalue
         # is negative and the two branches swap under a single step.
         piece = _map_polyline(params, _map_polyline(params, piece, inverse), inverse)
-        piece = _drop_collinear(piece)
+        if len(piece) == 2:
+            # Most pieces meet no fold: nothing to drop, and _arc's sum of
+            # one hypot is that hypot.
+            (ux, uy), (wx, wy) = piece
+            step = math.hypot(ux - wx, uy - wy)
+        else:
+            piece = _drop_collinear(piece)
+            step = _arc(piece)
         # The piece starts at the image of the last one's start, which is
         # that piece's end up to rounding.
         pts += piece[1:]
-        step = _arc(piece)
         arc += step
         if arc >= arc_budget:
             break
@@ -424,9 +433,19 @@ MANIFOLD_BRANCHES = {
 }
 
 
+def _require_arc_budget(arc_budget: float) -> None:
+    """The input rule of every arc budget: finite and > 0. Growth stops only
+    once the arc reaches the budget, so under inf or nan every branch runs
+    all _MAX_PASSES passes, each piece about mu^2 times the one before; a
+    budget <= 0 stops every branch after its first pass."""
+    if not (math.isfinite(arc_budget) and arc_budget > 0.0):
+        raise ValueError(f"arc budget must be finite and > 0, got {arc_budget}")
+
+
 def _manifold(
     params: Params, seed: str, inverse: bool, arc_budget: float, sinks=()
 ) -> Polyline:
+    _require_arc_budget(arc_budget)
     if seed not in MANIFOLD_BRANCHES or MANIFOLD_BRANCHES[seed][1] != inverse:
         names = sorted(k for k, row in MANIFOLD_BRANCHES.items() if row[1] == inverse)
         raise ValueError(f"seed must be one of {names}")
@@ -591,9 +610,22 @@ def polygon_invariance(params: Params) -> PolygonReport:
 
 @dataclass(frozen=True)
 class HomoclinicResult:
+    """Outcome of the homoclinic sweep.
+
+    found and witness give the first proper crossing away from the saddle.
+    tangency says whether, with no such crossing, a vertex of one manifold
+    lies within _TOUCH_TOL of the other. It is measured by grazes, run on
+    the first read of tangency and cached, so a caller that reads only found
+    and witness (the classifier, hence the atlas) never pays for it.
+    """
+
     found: bool
     witness: PlanePoint | None
-    tangency: bool
+    grazes: Callable[[], bool] = field(default=lambda: False, repr=False, compare=False)
+
+    @functools.cached_property
+    def tangency(self) -> bool:
+        return self.grazes()
 
     @property
     def outcome(self) -> str:
@@ -612,10 +644,11 @@ _TOUCH_TOL = 1e-10
 def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> HomoclinicResult:
     """Sweep for a transversal crossing of W^u(p1) with W^s(p1).
 
-    Both branches of each manifold are grown to the arc budget; contacts
-    within 1e-8 of p1 are the saddle itself and do not count. A vertex of
-    one manifold landing on the other without a proper crossing anywhere
-    is reported as tangency. When the period-2 orbit attracts, an unstable
+    Both branches of each manifold are grown to the arc budget (finite and
+    > 0); contacts within 1e-8 of p1 are the saddle itself and do not count.
+    A vertex of one manifold landing on the other without a proper crossing
+    anywhere is reported as tangency; that test runs only when the result's
+    tangency is first read. When the period-2 orbit attracts, an unstable
     branch stops once its newest piece lies in a trapping ellipse of the
     sink, whose basin W^s(p1) cannot meet.
     """
@@ -633,7 +666,7 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> Homoclini
     useg = _seg_array(*un)
     sseg = _seg_array(*st)
     if useg.size == 0 or sseg.size == 0:
-        return HomoclinicResult(False, None, False)
+        return HomoclinicResult(False, None)
 
     p1 = np.array(fd.p1)
 
@@ -662,14 +695,15 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> Homoclini
                 pt = a1[i, 0, :] + t * (a2[i, 0, :] - a1[i, 0, :])
                 if np.hypot(*(pt - p1)) > 1e-8:
                     witness = PlanePoint(float(pt[0]), float(pt[1]))
-                    return HomoclinicResult(True, witness, False)
+                    return HomoclinicResult(True, witness)
 
-    # No proper crossing: flag grazing contact away from the saddle.
-    def grazes(lines, other: np.ndarray) -> bool:
+    # No proper crossing: grazing contact away from the saddle, measured
+    # only if the result's tangency is read.
+    def touches(lines, other: np.ndarray) -> bool:
         verts = _contact_vertices(lines, p1)
         return bool((_segment_distances(verts, other) <= _TOUCH_TOL).any())
 
-    return HomoclinicResult(False, None, grazes(un, sseg) or grazes(st, useg))
+    return HomoclinicResult(False, None, lambda: touches(un, sseg) or touches(st, useg))
 
 
 def _contact_vertices(polylines, p1: np.ndarray) -> np.ndarray:
@@ -771,6 +805,7 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
     never attracts, so the certificate fails and the sweep raises
     NonInvertible.
     """
+    _require_arc_budget(arc_budget)
     a, b = params.a, params.b
     if abs(b) > 1.0:
         raise ValueError("classifier covers |b| <= 1 only")
@@ -826,8 +861,13 @@ def scan_zero_entropy(
     another in this process. Each pixel's code is its verdict's entry in
     ZERO_ENTROPY_CODES and its witness the verdict's crossing point (NaN
     when there is none); a pixel whose classification raises a LoziError
-    scores as unknown, and any other error propagates.
+    scores as unknown, and any other error propagates. A grid end that is
+    not finite, or an arc budget that is not finite and > 0, raises
+    ValueError before any pixel runs.
     """
+    _require_arc_budget(arc_budget)
+    if not all(map(math.isfinite, (*a_range, *b_range))):
+        raise ValueError(f"grid ends must be finite, got a {a_range}, b {b_range}")
     if not (-1.0 <= b_range[0] <= 1.0 and -1.0 <= b_range[1] <= 1.0):
         raise ValueError("b grid must stay within |b| <= 1")
     if resolution < 1:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lozi_pruning
-from lozi_pruning import formats, pruning, verify
+from lozi_pruning import formats, geometry, pruning, verify
 from lozi_pruning.cli import (
     ENTROPY_HEADER,
     RunConfig,
@@ -307,6 +307,44 @@ def test_zero_scan_deterministic_bytes(tmp_path):
         assert main(args + ["--out", str(out)]) == 0
         blobs.append(out.read_bytes() + (tmp_path / (name + ".csv")).read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def _refuse_growth(monkeypatch):
+    # Without the input rule these runs grow branches for minutes or until
+    # memory runs out; here they fail at once instead.
+    def no_growth(*args):
+        raise AssertionError("grew a branch")
+
+    monkeypatch.setattr(geometry, "_grow_branch", no_growth)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--arc-budget", "inf"],
+        ["--arc-budget", "nan"],
+        ["--arc-budget", "0"],
+        ["--arc-budget", "-1"],
+        ["--a-min", "nan"],
+        ["--a-max", "inf"],
+    ],
+)
+def test_zero_scan_rejects_bad_budget_or_range(tmp_path, capsys, monkeypatch, flags):
+    _refuse_growth(monkeypatch)
+    out = tmp_path / "scan.pgm"
+    assert main(["zero-scan", "--grid", "4", *flags, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
+def test_manifolds_rejects_bad_arc_budget(tmp_path, capsys, monkeypatch, budget):
+    _refuse_growth(monkeypatch)
+    out = tmp_path / "wu.csv"
+    assert main(["manifolds", "--a", "1.4", "--b", "0.3", "--branch", "p1_right",
+                 "--arc-budget", budget, "--out", str(out)]) == 2
+    assert "arc budget" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------------- manifolds

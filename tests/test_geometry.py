@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -552,6 +553,44 @@ def test_piece_growth_matches_whole_polyline_oracle(ab, seed):
         assert pl.truncated == (stop != "flat"), budget
 
 
+def test_branch_growth_regression_pin():
+    # vertices, arc_length and truncated of all five branches at 20 seeded
+    # points, and of the forward branches again with the sink's trapping
+    # ellipses, as the homoclinic sweep grows them (10 of those converge).
+    # A LoziError enters the digest by name. Taken before two-vertex pieces
+    # skipped _drop_collinear and _arc.
+    rng = random.Random(2015)
+    points = []
+    while len(points) < 20:
+        a, b = rng.uniform(0.6, 2.2), rng.uniform(-0.6, 0.9)
+        if abs(b) >= 0.1:
+            points.append(Params(a, b))
+    digest = hashlib.sha256()
+    captured = 0
+    for params in points:
+        try:
+            fd = fixed_data(params)
+        except (NoFixedPoint, NonInvertible) as exc:
+            digest.update(type(exc).__name__.encode())
+            continue
+        sinks = geometry._sink_ellipses(params, fd)
+        runs = [(seed, row[1], ()) for seed, row in MANIFOLD_BRANCHES.items()]
+        runs += [(seed, False, sinks) for seed in ("p1_right", "p1_left", "p2") if sinks]
+        for seed, inverse, ellipses in runs:
+            try:
+                pl = geometry._manifold(params, seed, inverse, 50.0, ellipses)
+            except (NoFixedPoint, NonInvertible) as exc:
+                digest.update(type(exc).__name__.encode())
+                continue
+            digest.update(np.array(pl.vertices, float).tobytes())
+            digest.update(struct.pack("<d?", pl.arc_length, pl.truncated))
+            captured += bool(ellipses) and not pl.truncated
+    assert captured == 10
+    assert digest.hexdigest() == (
+        "82267006cd62ce23b0372b59d4d4ba597049a6449c23a235d80c2f894c5f83bf"
+    )
+
+
 def test_pass_cap_marks_branch_truncated():
     # Near (1, 0) the branch crawls: 60 passes leave it far below the budget
     # and still growing, which is a truncation, not convergence.
@@ -763,7 +802,8 @@ def test_tangency_test_covers_every_branch_end_vertex(monkeypatch):
 
     monkeypatch.setattr(geometry, "_segment_distances", spy)
     monkeypatch.setattr(geometry, "_grow_branch", grow_spy)
-    assert not homoclinic_intersects(CENTER, arc_budget=30.0).found
+    res = homoclinic_intersects(CENTER, arc_budget=30.0)
+    assert not res.found and not res.tangency
     assert [pl.kind for pl in grown] == [
         MANIFOLD_BRANCHES[s][3] for s in ("p1_right", "p1_left", "p1_plus", "p1_minus")
     ]
@@ -772,6 +812,54 @@ def test_tangency_test_covers_every_branch_end_vertex(monkeypatch):
         assert (end.x, end.y) in seen
     end = stable_manifold(CENTER, "p1_plus", arc_budget=30.0).vertices[-1]
     assert (end.x, end.y) in seen
+
+
+def _count_calls(monkeypatch, *names):
+    """Replace each named geometry function by a spy; returns the list of
+    names called, one entry per call."""
+    calls = []
+
+    def spy_on(name):
+        kernel = getattr(geometry, name)
+
+        def spy(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(geometry, name, spy_on(name))
+    return calls
+
+
+def test_scan_never_runs_the_tangency_test(monkeypatch):
+    # The classifier reads only found and witness, so no pixel pays for the
+    # grazing test.
+    calls = _count_calls(monkeypatch, "_contact_vertices", "_segment_distances")
+    scan = scan_zero_entropy((0.0, 2.5), (0.0, 1.0), 10, arc_budget=20.0)
+    assert (scan.codes == ZERO_ENTROPY_CODES["unknown"]).any()
+    assert calls == []
+
+
+def test_tangency_is_measured_once_on_first_read(monkeypatch):
+    calls = _count_calls(monkeypatch, "_contact_vertices", "_segment_distances")
+    res = homoclinic_intersects(CENTER, arc_budget=30.0)
+    assert not res.found and res.outcome == "no_within_budget" and calls == []
+    assert res.tangency is False
+    first = list(calls)
+    assert first.count("_contact_vertices") == 2
+    assert res.tangency is False
+    assert calls == first
+
+
+def test_tangency_reads_true_on_grazing_contact(monkeypatch):
+    # Everything within 10 of the other manifold touches it: no crossing,
+    # but a tangency.
+    monkeypatch.setattr(geometry, "_TOUCH_TOL", 10.0)
+    res = homoclinic_intersects(CENTER, arc_budget=30.0)
+    assert not res.found and res.witness is None
+    assert res.tangency is True
 
 
 def _ellipse_form(ellipse):
@@ -1069,6 +1157,46 @@ def test_scan_other_errors_propagate(monkeypatch):
     monkeypatch.setattr(geometry, "classify_zero_entropy", broken)
     with pytest.raises(RuntimeError):
         scan_zero_entropy((1.2, 1.4), (0.4, 0.5), 1, arc_budget=5.0)
+
+
+@pytest.fixture
+def no_growth(monkeypatch):
+    # Growing a branch fails the test at once: under inf or nan growth never
+    # stops short of the pass cap, so the input rule must refuse first.
+    def grow(*args):
+        raise AssertionError("grew a branch")
+
+    monkeypatch.setattr(geometry, "_grow_branch", grow)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
+def test_arc_budget_must_be_finite_and_positive(no_growth, budget):
+    # A budget <= 0 would stop every branch after one pass.
+    for seed in ("p1_right", "p1_left", "p2"):
+        with pytest.raises(ValueError, match="arc budget"):
+            unstable_manifold(CHAOTIC, seed, budget)
+    for seed in ("p1_plus", "p1_minus"):
+        with pytest.raises(ValueError, match="arc budget"):
+            stable_manifold(CHAOTIC, seed, budget)
+    with pytest.raises(ValueError, match="arc budget"):
+        homoclinic_intersects(CHAOTIC, budget)
+    for params in (CHAOTIC, Params(0.2, 0.5)):
+        with pytest.raises(ValueError, match="arc budget"):
+            classify_zero_entropy(params, budget)
+    with pytest.raises(ValueError, match="arc budget"):
+        scan_zero_entropy((0.0, 2.5), (0.0, 1.0), 4, budget)
+
+
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+def test_scan_grid_ends_must_be_finite(no_growth, end):
+    for a_range, b_range in (
+        ((end, 2.5), (0.0, 1.0)),
+        ((0.0, end), (0.0, 1.0)),
+        ((0.0, 2.5), (end, 1.0)),
+        ((0.0, 2.5), (0.0, end)),
+    ):
+        with pytest.raises(ValueError):
+            scan_zero_entropy(a_range, b_range, 4, 20.0)
 
 
 def test_zero_codes_distinct_and_complete():
