@@ -28,7 +28,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import LoziError, NoFixedPoint, NonInvertible, NotInvariant, WrongParams
+from .errors import (
+    BudgetExceeded,
+    LoziError,
+    NoFixedPoint,
+    NonInvertible,
+    NotInvariant,
+    WrongParams,
+)
 from .pruning import Params
 
 
@@ -257,23 +264,32 @@ _COLLINEAR_TOL = 1e-13
 
 
 def _drop_collinear(pts):
-    if len(pts) <= 2:
-        return pts
-    kept = [pts[0]]
-    ux, uy = pts[0]
-    for v, (wx, wy) in zip(pts[1:-1], pts[2:]):
+    """Yield the vertices of pts less each one within _COLLINEAR_TOL of the
+    chord from the last kept vertex to the next one, or a repeat of the last
+    kept one; both ends are kept. A vertex is yielded as soon as the vertex
+    after it is known, so a consumer that stops early draws from pts only
+    that far."""
+    it = iter(pts)
+    v = next(it, None)
+    if v is None:
+        return
+    yield v
+    ux, uy = v
+    v = next(it, None)
+    if v is None:
+        return
+    for w in it:
         vx, vy = v
         dx, dy = vx - ux, vy - uy
-        if dx == 0.0 and dy == 0.0:  # a repeat of the last kept vertex
-            continue
-        span = math.hypot(ux - wx, uy - wy)
-        span = 1e-30 if span < 1e-30 else span  # max(span, 1e-30) without a call
-        if abs(dx * (wy - uy) - dy * (wx - ux)) <= _COLLINEAR_TOL * span:
-            continue
-        kept.append(v)
-        ux, uy = vx, vy
-    kept.append(pts[-1])
-    return kept
+        if not (dx == 0.0 and dy == 0.0):  # else a repeat of the last kept vertex
+            wx, wy = w
+            span = math.hypot(ux - wx, uy - wy)
+            span = 1e-30 if span < 1e-30 else span  # max(span, 1e-30) without a call
+            if not abs(dx * (wy - uy) - dy * (wx - ux)) <= _COLLINEAR_TOL * span:
+                yield v
+                ux, uy = vx, vy
+        v = w
+    yield v
 
 
 def _arc(pts) -> float:
@@ -283,85 +299,127 @@ def _arc(pts) -> float:
 
 
 # A branch converges once its newest piece is shorter than _FLAT_TOL, and is
-# cut off as truncated after _MAX_PASSES double steps.
+# cut off as truncated after _MAX_PASSES double steps. Growth past
+# _MAX_VERTICES raw vertices raises BudgetExceeded: the budget rule admits any
+# finite arc budget, and a huge one would otherwise grow a branch until memory
+# runs out. The largest branch of a 100x100 atlas keeps 2,142 vertices.
 _FLAT_TOL = 1e-9
 _MAX_PASSES = 60
+_MAX_VERTICES = 100_000
 
 
-def _grow_branch(
-    params: Params,
-    start: PlanePoint,
-    lam: float,
-    sign: int,
-    inverse: bool,
-    kind: str,
-    arc_budget: float,
-    sinks=(),
-) -> Polyline:
-    """Grow the branch of the saddle start along sign * (lam, 1), where lam
-    is the eigenvalue of that eigenvector: mu = lam forward, 1/lam inverse.
+class _Growth:
+    """One branch of MANIFOLD_BRANCHES, grown pass by pass and only as far as
+    it is read: settle(n) runs passes until the branch's first n kept
+    vertices are decided, and _grow_branch runs it to its end.
 
+    The branch leaves its saddle p along sign * (lam, 1), where lam is the
+    eigenvalue of that eigenvector: mu = lam forward, 1/lam inverse.
     Fundamental-domain growth: piece0 = [p + (t0/mu^2) u, p + t0 u] and each
     pass maps only the newest piece by the double step, which is exact
     because the map is piecewise affine. A branch with mu^2 <= 1 does not
-    expand and has no fundamental domain; it returns the seed segment
+    expand and has no fundamental domain; it is the seed segment
     [p, p + t0 u], not truncated.
 
     arc_budget is a stopping threshold, not a cap: growth stops after the
     first pass whose running arc reaches it, and that pass's piece is about
-    mu^2 times the one before, so the arc returned can exceed the budget by
-    up to about a factor 1 + mu^2.  mu^2 is large on stable branches (28 at
+    mu^2 times the one before, so the arc can exceed the budget by up to
+    about a factor 1 + mu^2.  mu^2 is large on stable branches (28 at
     (1.4, 0.3), where p1_minus ends at arc 945.5 for a budget of 50).
 
     sinks holds trapping ellipses (_sink_ellipses) of a forward branch: the
     branch stops, converged, once its newest piece lies inside one of them.
     """
-    if inverse and params.b == 0.0:
-        raise NonInvertible("stable side needs the inverse map; b = 0")
-    dx, dy = sign * lam, float(sign)
-    norm = math.hypot(dx, dy)
-    ux, uy = dx / norm, dy / norm
-    # Stay strictly inside the starting affine piece: the eigenline is the
-    # exact local manifold there, so the seed is on the manifold.
-    coord0, dcoord = (start.y, uy) if inverse else (start.x, ux)
-    t_kink = abs(coord0 / dcoord) if dcoord != 0.0 and coord0 != 0.0 else math.inf
-    t0 = min(1e-4, 0.5 * t_kink)
-    seed = PlanePoint(start.x + t0 * ux, start.y + t0 * uy)
-    arc = start.dist(seed)
-    lam2 = lam * lam
-    if (lam2 >= 1.0) if inverse else (lam2 <= 1.0):
-        return Polyline((start, seed), kind, False, arc)
-    shrink = lam2 if inverse else 1.0 / lam2  # 1 / mu^2
-    piece = [(start.x + t0 * shrink * ux, start.y + t0 * shrink * uy), seed]
-    pts = [start, *piece]
 
-    truncated = True
-    for _ in range(_MAX_PASSES):
-        # Double step keeps a branch on its own side when the eigenvalue
-        # is negative and the two branches swap under a single step.
-        piece = _map_polyline(params, _map_polyline(params, piece, inverse), inverse)
-        if len(piece) == 2:
-            # Most pieces meet no fold: nothing to drop, and _arc's sum of
-            # one hypot is that hypot.
-            (ux, uy), (wx, wy) = piece
-            step = math.hypot(ux - wx, uy - wy)
-        else:
-            piece = _drop_collinear(piece)
-            step = _arc(piece)
-        # The piece starts at the image of the last one's start, which is
-        # that piece's end up to rounding.
-        pts += piece[1:]
-        arc += step
-        if arc >= arc_budget:
-            break
-        if step < _FLAT_TOL or _captured(piece, sinks):
-            truncated = False
-            break
+    def __init__(
+        self, params: Params, seed: str, inverse: bool, arc_budget: float, sinks=()
+    ):
+        _require_arc_budget(arc_budget)
+        if seed not in MANIFOLD_BRANCHES or MANIFOLD_BRANCHES[seed][1] != inverse:
+            names = sorted(k for k, row in MANIFOLD_BRANCHES.items() if row[1] == inverse)
+            raise ValueError(f"seed must be one of {names}")
+        saddle, _, sign, self.kind = MANIFOLD_BRANCHES[seed]
+        fd = _fixed_data(params)
+        start = getattr(fd, saddle)
+        lam = getattr(fd, f"{'stable' if inverse else 'unstable'}_slope_{saddle}")
+        if start is None or lam is None:
+            raise NoFixedPoint(f"{saddle} missing or non-real eigenvalues")
+        if inverse and params.b == 0.0:
+            raise NonInvertible("stable side needs the inverse map; b = 0")
+        self.arc = self.truncated = None  # set when growth ends
+        self.vertices = []  # the kept vertices decided so far
+        self.kept = _drop_collinear(
+            self._passes(params, start, lam, sign, inverse, arc_budget, sinks)
+        )
+
+    def settle(self, n: int) -> list:
+        """The first n kept vertices, or all of them on a shorter branch."""
+        if len(self.vertices) < n:
+            self.vertices += itertools.islice(self.kept, n - len(self.vertices))
+        return self.vertices[:n]
+
+    def _passes(self, params, start, lam, sign, inverse, arc_budget, sinks):
+        """The one growth loop. It yields the raw vertices as each pass makes
+        them: the saddle, the seed piece, then each mapped piece without its
+        first vertex, which is the last piece's end up to rounding. arc and
+        truncated are final once it ends."""
+        dx, dy = sign * lam, float(sign)
+        norm = math.hypot(dx, dy)
+        ux, uy = dx / norm, dy / norm
+        # Stay strictly inside the starting affine piece: the eigenline is the
+        # exact local manifold there, so the seed is on the manifold.
+        coord0, dcoord = (start.y, uy) if inverse else (start.x, ux)
+        t_kink = abs(coord0 / dcoord) if dcoord != 0.0 and coord0 != 0.0 else math.inf
+        t0 = min(1e-4, 0.5 * t_kink)
+        seed = PlanePoint(start.x + t0 * ux, start.y + t0 * uy)
+        arc = start.dist(seed)
+        lam2 = lam * lam
+        if (lam2 >= 1.0) if inverse else (lam2 <= 1.0):
+            yield from (start, seed)
+            self.arc, self.truncated = arc, False
+            return
+        shrink = lam2 if inverse else 1.0 / lam2  # 1 / mu^2
+        piece = [(start.x + t0 * shrink * ux, start.y + t0 * shrink * uy), seed]
+        yield start
+        yield from piece
+        count = 3
+        truncated = True
+        for _ in range(_MAX_PASSES):
+            # Double step keeps a branch on its own side when the eigenvalue
+            # is negative and the two branches swap under a single step.
+            piece = _map_polyline(params, _map_polyline(params, piece, inverse), inverse)
+            if len(piece) == 2:
+                # Most pieces meet no fold: nothing to drop, and _arc's sum of
+                # one hypot is that hypot.
+                (ux, uy), (wx, wy) = piece
+                step = math.hypot(ux - wx, uy - wy)
+            else:
+                piece = list(_drop_collinear(piece))
+                step = _arc(piece)
+            count += len(piece) - 1
+            if count > _MAX_VERTICES:
+                raise BudgetExceeded(
+                    f"branch passes {_MAX_VERTICES} vertices at arc {arc:.6g} "
+                    f"of a budget of {arc_budget:.6g}"
+                )
+            yield from piece[1:]
+            arc += step
+            if arc >= arc_budget:
+                break
+            if step < _FLAT_TOL or _captured(piece, sinks):
+                truncated = False
+                break
+        self.arc, self.truncated = arc, truncated
+
+
+def _grow_branch(growth: _Growth) -> Polyline:
+    """Run growth to its end: the branch as a Polyline."""
+    growth.vertices += growth.kept
     return Polyline(
-        vertices=tuple(map(PlanePoint._make, _drop_collinear(pts))),
-        kind=kind,
-        truncated=truncated,
-        arc_length=arc,
+        vertices=tuple(map(PlanePoint._make, growth.vertices)),
+        kind=growth.kind,
+        truncated=growth.truncated,
+        arc_length=growth.arc,
     )
 
 
@@ -445,17 +503,7 @@ def _require_arc_budget(arc_budget: float) -> None:
 def _manifold(
     params: Params, seed: str, inverse: bool, arc_budget: float, sinks=()
 ) -> Polyline:
-    _require_arc_budget(arc_budget)
-    if seed not in MANIFOLD_BRANCHES or MANIFOLD_BRANCHES[seed][1] != inverse:
-        names = sorted(k for k, row in MANIFOLD_BRANCHES.items() if row[1] == inverse)
-        raise ValueError(f"seed must be one of {names}")
-    saddle, _, sign, kind = MANIFOLD_BRANCHES[seed]
-    fd = _fixed_data(params)
-    start = getattr(fd, saddle)
-    lam = getattr(fd, f"{'stable' if inverse else 'unstable'}_slope_{saddle}")
-    if start is None or lam is None:
-        raise NoFixedPoint(f"{saddle} missing or non-real eigenvalues")
-    return _grow_branch(params, start, lam, sign, inverse, kind, arc_budget, sinks)
+    return _grow_branch(_Growth(params, seed, inverse, arc_budget, sinks))
 
 
 def unstable_manifold(params: Params, seed: str, arc_budget: float = 50.0) -> Polyline:
@@ -582,8 +630,10 @@ def polygon_invariance(params: Params) -> PolygonReport:
     is typically exactly zero. Raises NotInvariant on genuine escape.
     """
     poly = _corner_polygon(params)
-    boundary = _drop_collinear(
-        _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
+    boundary = list(
+        _drop_collinear(
+            _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
+        )
     )
 
     worst = math.inf
@@ -637,15 +687,65 @@ def _seg_array(*polylines) -> np.ndarray:
     return np.concatenate(segs, axis=0) if segs else np.empty((0, 2, 2))
 
 
+def _seg_columns(*lines) -> tuple[np.ndarray, ...]:
+    """x and y of the start and of the end of every segment of the vertex
+    sequences, in order: four columns over the segments."""
+    pts = [_xy_array(line, len(line)) for line in lines]
+    start = np.concatenate([p[:-1] for p in pts])
+    end = np.concatenate([p[1:] for p in pts])
+    return start[:, 0], start[:, 1], end[:, 0], end[:, 1]
+
+
+def _first_crossing(u, s, p1: PlanePoint) -> PlanePoint | None:
+    """The first proper crossing of a u segment with an s segment farther
+    than 1e-8 from the saddle p1, in u-segment order and then s-segment
+    order; None if there is none. u and s are _seg_columns. A pair crosses
+    properly when each segment's ends lie strictly on opposite sides of the
+    other's line."""
+    sx1, sy1, sx2, sy2 = s
+    sdx, sdy = sx2 - sx1, sy2 - sy1
+    chunk = max(1, int(4e6) // max(1, len(sx1)))
+    for lo in range(0, len(u[0]), chunk):
+        ux1, uy1, ux2, uy2 = (c[lo : lo + chunk, None] for c in u)
+        d1 = sdx * (uy1 - sy1) - sdy * (ux1 - sx1)
+        d2 = sdx * (uy2 - sy1) - sdy * (ux2 - sx1)
+        straddles = d1 * d2 < 0
+        if not straddles.any():  # no u segment meets the line of an s segment
+            continue
+        udx, udy = ux2 - ux1, uy2 - uy1
+        d3 = udx * (sy1 - uy1) - udy * (sx1 - ux1)
+        d4 = udx * (sy2 - uy1) - udy * (sx2 - ux1)
+        for i, j in zip(*np.nonzero(straddles & (d3 * d4 < 0))):
+            t = d1[i, j] / (d1[i, j] - d2[i, j])
+            x = ux1[i, 0] + t * (ux2[i, 0] - ux1[i, 0])
+            y = uy1[i, 0] + t * (uy2[i, 0] - uy1[i, 0])
+            if math.hypot(x - p1.x, y - p1.y) > 1e-8:
+                return PlanePoint(float(x), float(y))
+    return None
+
+
 # A manifold vertex within this distance of the other manifold touches it.
 _TOUCH_TOL = 1e-10
+
+# The sweep's first stage tests this many leading segments of p1_right
+# against W^s before the rest of W^u is grown.
+_STAGE_SEGMENTS = 2
 
 
 def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> HomoclinicResult:
     """Sweep for a transversal crossing of W^u(p1) with W^s(p1).
 
-    Both branches of each manifold are grown to the arc budget (finite and
-    > 0); contacts within 1e-8 of p1 are the saddle itself and do not count.
+    The witness is the first proper crossing in W^u's segment order (p1_right
+    then p1_left, each from the saddle out), and within a segment in W^s's
+    order (p1_plus then p1_minus); contacts within 1e-8 of p1 are the saddle
+    itself and do not count. The sweep runs in two stages, and W^u grows
+    only as far as the verdict needs. Stage 1 grows both branches of W^s to
+    the arc budget (finite and > 0), and p1_right only until its first
+    _STAGE_SEGMENTS segments are settled, and tests those. Only when they do
+    not cross does stage 2 finish p1_right, grow p1_left, and test every
+    other segment of W^u. The witness is the one a sweep over all of W^u
+    would give.
+
     A vertex of one manifold landing on the other without a proper crossing
     anywhere is reported as tangency; that test runs only when the result's
     tangency is first read. When the period-2 orbit attracts, an unstable
@@ -658,52 +758,30 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> Homoclini
     if fd.p1 is None:
         raise NoFixedPoint("homoclinic sweep anchored at p1")
     sinks = _sink_ellipses(params, fd)
-    un = [_manifold(params, s, False, arc_budget, sinks) for s in ("p1_right", "p1_left")]
     st = [
         stable_manifold(params, s, arc_budget=arc_budget)
         for s in ("p1_plus", "p1_minus")
     ]
-    useg = _seg_array(*un)
-    sseg = _seg_array(*st)
-    if useg.size == 0 or sseg.size == 0:
-        return HomoclinicResult(False, None)
-
-    p1 = np.array(fd.p1)
-
-    u1 = useg[:, 0, :]
-    u2 = useg[:, 1, :]
-    s1 = sseg[:, 0, :]
-    s2 = sseg[:, 1, :]
-    sd = s2 - s1
-    chunk = max(1, int(4e6) // max(1, sseg.shape[0]))
-    for lo in range(0, u1.shape[0], chunk):
-        a1 = u1[lo : lo + chunk][:, None, :]
-        a2 = u2[lo : lo + chunk][:, None, :]
-        ud = a2 - a1
-        r1 = a1 - s1[None, :, :]
-        r2 = a2 - s1[None, :, :]
-        d1 = sd[None, :, 0] * r1[:, :, 1] - sd[None, :, 1] * r1[:, :, 0]
-        d2 = sd[None, :, 0] * r2[:, :, 1] - sd[None, :, 1] * r2[:, :, 0]
-        q1 = s1[None, :, :] - a1
-        q2 = s2[None, :, :] - a1
-        d3 = ud[:, :, 0] * q1[:, :, 1] - ud[:, :, 1] * q1[:, :, 0]
-        d4 = ud[:, :, 0] * q2[:, :, 1] - ud[:, :, 1] * q2[:, :, 0]
-        proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if proper.any():
-            for i, j in zip(*np.nonzero(proper)):
-                t = d1[i, j] / (d1[i, j] - d2[i, j])
-                pt = a1[i, 0, :] + t * (a2[i, 0, :] - a1[i, 0, :])
-                if np.hypot(*(pt - p1)) > 1e-8:
-                    witness = PlanePoint(float(pt[0]), float(pt[1]))
-                    return HomoclinicResult(True, witness)
+    s_cols = _seg_columns(*(pl.vertices for pl in st))
+    right = _Growth(params, "p1_right", False, arc_budget, sinks)
+    head = right.settle(_STAGE_SEGMENTS + 1)
+    witness = _first_crossing(_seg_columns(head), s_cols, fd.p1)
+    if witness is not None:
+        return HomoclinicResult(True, witness)
+    # Stage 2: every segment of W^u that stage 1 did not test, in order.
+    un = [_grow_branch(right), _manifold(params, "p1_left", False, arc_budget, sinks)]
+    rest = (un[0].vertices[_STAGE_SEGMENTS:], un[1].vertices)
+    witness = _first_crossing(_seg_columns(*rest), s_cols, fd.p1)
+    if witness is not None:
+        return HomoclinicResult(True, witness)
 
     # No proper crossing: grazing contact away from the saddle, measured
     # only if the result's tangency is read.
-    def touches(lines, other: np.ndarray) -> bool:
-        verts = _contact_vertices(lines, p1)
-        return bool((_segment_distances(verts, other) <= _TOUCH_TOL).any())
+    def touches(lines, other) -> bool:
+        verts = _contact_vertices(lines, np.array(fd.p1))
+        return bool((_segment_distances(verts, _seg_array(*other)) <= _TOUCH_TOL).any())
 
-    return HomoclinicResult(False, None, lambda: touches(un, sseg) or touches(st, useg))
+    return HomoclinicResult(False, None, lambda: touches(un, st) or touches(st, un))
 
 
 def _contact_vertices(polylines, p1: np.ndarray) -> np.ndarray:

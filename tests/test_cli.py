@@ -347,6 +347,16 @@ def test_manifolds_rejects_bad_arc_budget(tmp_path, capsys, monkeypatch, budget)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_manifolds_refuses_a_branch_past_the_vertex_cap(tmp_path, capsys, monkeypatch):
+    # The cap patched low, so a modest budget reaches it at once.
+    monkeypatch.setattr(geometry, "_MAX_VERTICES", 1000)
+    out = tmp_path / "wu.csv"
+    assert main(["manifolds", "--a", "1.875", "--b", "0.25", "--branch", "p1_right",
+                 "--arc-budget", "1e6", "--out", str(out)]) == 2
+    assert "BudgetExceeded" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -------------------------------------------------------------- manifolds
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from lozi_pruning import geometry
 from lozi_pruning.errors import (
+    BudgetExceeded,
     NoFixedPoint,
     NonInvertible,
     NotInvariant,
@@ -529,6 +530,24 @@ def test_float_growth_matches_planepoint_reference(ab, seed):
     assert pl.truncated == truncated
 
 
+def test_drop_collinear_yields_each_vertex_once_its_successor_is_known():
+    # Random walks with slopes -1, 0 and 1 have collinear runs to drop. The
+    # vertex at x = i is decided once the vertex after it is drawn; the first
+    # at once and the last when the source ends.
+    rng = random.Random(17)
+    for _ in range(100):
+        ys = [0.0]
+        for _ in range(rng.randint(0, 11)):
+            ys.append(ys[-1] + rng.choice((-1.0, 0.0, 1.0)))
+        pts = [PlanePoint(float(i), y) for i, y in enumerate(ys)]
+        drawn = []
+        kept = []
+        for v in geometry._drop_collinear(drawn.append(p) or p for p in pts):
+            kept.append(v)
+            assert len(drawn) == (1 if v.x == 0.0 else min(int(v.x) + 2, len(pts)))
+        assert kept == _ref_drop_collinear(pts)
+
+
 def _far_side(points, line):
     """Largest distance from the points to the polyline."""
     pts = np.array([(v.x, v.y) for v in points])
@@ -589,6 +608,17 @@ def test_branch_growth_regression_pin():
     assert digest.hexdigest() == (
         "82267006cd62ce23b0372b59d4d4ba597049a6449c23a235d80c2f894c5f83bf"
     )
+
+
+def test_branch_growth_is_capped_in_vertices(monkeypatch):
+    # A finite but huge budget would grow one branch until memory runs out
+    # (budget 1e12 here did; 1e6 kept 730,198 vertices). With the cap
+    # patched low, a modest budget shows the refusal at once.
+    monkeypatch.setattr(geometry, "_MAX_VERTICES", 1000)
+    params = Params(1.875, 0.25)
+    assert len(unstable_manifold(params, "p1_right", 50.0).vertices) < 1000
+    with pytest.raises(BudgetExceeded, match="1000 vertices"):
+        unstable_manifold(params, "p1_right", 1e6)
 
 
 def test_pass_cap_marks_branch_truncated():
@@ -776,6 +806,29 @@ def test_homoclinic_no_false_positive_near_certified_params():
         assert not res.tangency
 
 
+def _spy_growth(monkeypatch):
+    """Spy on the one growth loop; returns one [kind, last raw vertex drawn,
+    raw vertices drawn] entry per branch whose growth started, in the order
+    they started."""
+    grown = []
+    passes = geometry._Growth._passes
+
+    def spy(self, *args):
+        entry = [self.kind, None, 0]
+        grown.append(entry)
+        for v in passes(self, *args):
+            entry[1:] = v, entry[2] + 1
+            yield v
+
+    monkeypatch.setattr(geometry._Growth, "_passes", spy)
+    return grown
+
+
+SWEEP_ORDER = [
+    MANIFOLD_BRANCHES[s][3] for s in ("p1_plus", "p1_minus", "p1_right", "p1_left")
+]
+
+
 def test_tangency_test_covers_every_branch_end_vertex(monkeypatch):
     # Each branch's last vertex is tested, not only the last one of the
     # concatenated segment array.
@@ -789,29 +842,57 @@ def test_tangency_test_covers_every_branch_end_vertex(monkeypatch):
     # the branches to check are the ones it grew.
     seen = []
     kernel = geometry._segment_distances
-    grow = geometry._grow_branch
-    grown = []
 
     def spy(points, segs):
         seen.extend(map(tuple, points))
         return kernel(points, segs)
 
-    def grow_spy(*args):
-        grown.append(grow(*args))
-        return grown[-1]
-
     monkeypatch.setattr(geometry, "_segment_distances", spy)
-    monkeypatch.setattr(geometry, "_grow_branch", grow_spy)
+    grown = _spy_growth(monkeypatch)
     res = homoclinic_intersects(CENTER, arc_budget=30.0)
     assert not res.found and not res.tangency
-    assert [pl.kind for pl in grown] == [
-        MANIFOLD_BRANCHES[s][3] for s in ("p1_right", "p1_left", "p1_plus", "p1_minus")
-    ]
-    for pl in grown:
-        end = pl.vertices[-1]
-        assert (end.x, end.y) in seen
+    assert [kind for kind, _, _ in grown] == SWEEP_ORDER
+    for _, (x, y), _ in grown:
+        assert (x, y) in seen
     end = stable_manifold(CENTER, "p1_plus", arc_budget=30.0).vertices[-1]
     assert (end.x, end.y) in seen
+
+
+def test_stage_one_hit_never_grows_p1_left(monkeypatch):
+    # The crossing lies on one of p1_right's first two segments, so the sweep
+    # grows W^s and p1_right only until those are settled. The witness bits
+    # are the ones the sweep over all of W^u gave.
+    grown = _spy_growth(monkeypatch)
+    res = homoclinic_intersects(CHAOTIC, arc_budget=20.0)
+    assert res.found
+    assert (res.witness.x.hex(), res.witness.y.hex()) == (
+        "0x1.1e8e7c6ad18dbp+0",
+        "0x1.d568f0858a7f0p-4",
+    )
+    assert [kind for kind, _, _ in grown] == SWEEP_ORDER[:3]
+    full = unstable_manifold(CHAOTIC, "p1_right", arc_budget=20.0)
+    assert grown[2][2] < len(full.vertices)  # 13 raw against 21 kept
+
+
+@pytest.mark.parametrize(
+    "ab, witness",
+    [
+        ((1.2, 0.2), None),
+        ((0.9625, 0.975), ("0x1.abd772055e4c8p-1", "-0x1.2dd0fd7f65266p+1")),
+    ],
+    ids=["no_crossing", "stage_two_hit"],
+)
+def test_sweep_grows_each_branch_once(monkeypatch, ab, witness):
+    # Past stage 1 the sweep resumes p1_right where it stopped instead of
+    # growing it again. At (0.9625, 0.975) the crossing lies on p1_right's
+    # third segment.
+    grown = _spy_growth(monkeypatch)
+    res = homoclinic_intersects(Params(*ab), arc_budget=20.0)
+    assert [kind for kind, _, _ in grown] == SWEEP_ORDER
+    if witness is None:
+        assert not res.found
+    else:
+        assert (res.witness.x.hex(), res.witness.y.hex()) == witness
 
 
 def _count_calls(monkeypatch, *names):
@@ -1127,6 +1208,39 @@ def test_scan_atlas_regression_pin():
     # and before the sweep stopped branches inside the sink
     assert hashlib.sha256(scan.witnesses.tobytes()).hexdigest() == (
         "efe49e9546c3da9fe8cf6dbaef90e2d39038cac9bc7b5e6b0e74799e2eed6ba5"
+    )
+
+
+def test_homoclinic_sweep_regression_pin():
+    # found and witness of the sweep at arc budget 20 over four 10x10 grids
+    # of (0, 2.5] x (0, 1], each shifted in a by a seeded sub-pixel phase as
+    # the benchmark's atlas grids are, and 20 seeded points with b in
+    # (0.975, 1), where crossings lie beyond p1_right's first two segments.
+    # Digest taken before the sweep ran in stages.
+    rng = random.Random(1717)
+    points = []
+    for _ in range(4):
+        shift = (rng.random() - 0.5) * 0.25
+        for i in range(10):
+            b = geometry._cell_centre((0.0, 1.0), i, 10)
+            points += [
+                Params(geometry._cell_centre((shift, 2.5 + shift), j, 10), b)
+                for j in range(10)
+            ]
+    points += [Params(rng.uniform(0.5, 1.5), rng.uniform(0.975, 1.0)) for _ in range(20)]
+    assert sum(p.a >= 2.0 for p in points) == 80
+    assert sum(p.a < 1.0 - p.b for p in points) == 80
+    digest = hashlib.sha256()
+    found = 0
+    for params in points:
+        res = homoclinic_intersects(params, 20.0)
+        found += res.found
+        digest.update(struct.pack("<?", res.found))
+        if res.found:
+            digest.update(struct.pack("<dd", *res.witness))
+    assert found == 186
+    assert digest.hexdigest() == (
+        "ee80b7ba02ef8e879bd934e964302226cd5057da96aa973038a226d6fd3b29d6"
     )
 
 
