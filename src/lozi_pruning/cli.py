@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -300,6 +301,8 @@ _COMMANDS = {
 }
 
 
+# Built once per process: parsing reads the parser and never changes it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lozi",

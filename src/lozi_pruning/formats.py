@@ -95,7 +95,8 @@ def pgm_bytes(cells: np.ndarray) -> bytes:
         grid = grid.astype(np.uint8)
     height, width = grid.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    return header + grid.tobytes()
+    # The one copy of the grid is the join itself.
+    return b"".join((header, np.ascontiguousarray(grid)))
 
 
 def write_pgm(path: str, cells: np.ndarray, force: bool = False) -> None:

@@ -9,7 +9,10 @@ three functions take float endpoints for one word (the scalar evaluators and
 or broadcastable per-axis arrays, one length-2 axis per symbol position (the
 block masks, so each level and series is computed once per distinct prefix
 or suffix); only min/max over candidate endpoints and the test that a
-denominator straddles zero are picked from the endpoint type.  A block's p
+denominator straddles zero are picked from the endpoint type.  A raster
+sums each side's series once per row or column and classifies its cells by
+integer rank compares against the sorted q endpoints, one block of rows at
+a time, so no cell-sized float or mask array is ever built.  A block's p
 enclosure depends only on its prefix and its q enclosure only on its suffix,
 never on the block length, so one sweep at the longest length serves every
 block length of an entropy run.
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -368,17 +371,57 @@ class Raster:
     def height(self) -> int:
         return int(self.cells.shape[0])
 
-    @property
+    # Each count scans the cells on its first read only.
+    @cached_property
     def pruned_count(self) -> int:
         return int(np.count_nonzero(self.cells == PGM_PRUNED))
 
-    @property
+    @cached_property
     def admissible_count(self) -> int:
         return int(np.count_nonzero(self.cells == PGM_ADMISSIBLE))
 
-    @property
+    @cached_property
     def unknown_count(self) -> int:
         return int(np.count_nonzero(self.cells == PGM_UNKNOWN))
+
+
+def _rank_split(cols, probes):
+    """Ranks r of cols in a stable argsort, and for each probe the count k of
+    cols <= it, so that probe_i < cols_j exactly when r_j >= k_i.
+
+    The cols <= a probe are the first k in sorted order, ties included, so
+    the identity holds for finite and infinite floats, but not for NaN.  Both
+    run to one raster side, at most the square root of _CELL_LIMIT.
+    """
+    rank_type = np.min_scalar_type(math.isqrt(_CELL_LIMIT))
+    order = np.argsort(cols, kind="stable")
+    ranks = np.empty(len(cols), dtype=rank_type)
+    ranks[order] = np.arange(len(cols), dtype=rank_type)
+    return ranks, np.searchsorted(cols[order], probes, side="right").astype(rank_type)
+
+
+_FILL_ROWS = 64  # two 64 x 2,048 boolean blocks stay in cache
+
+
+def _fill_cells(plo, phi, qlo, qhi):
+    """PGM codes of rows with p in [plo, phi] against columns with q in
+    [qlo, qhi]: pruned where phi < qlo, admissible where plo >= qhi, both
+    as rank compares a block of rows at a time.  The two never hold
+    together, since plo <= phi and qlo <= qhi.
+    """
+    pruned_rank, pruned_from = _rank_split(qlo, phi)  # phi_i < qlo_j
+    admissible_rank, admissible_below = _rank_split(qhi, plo)  # plo_i >= qhi_j
+    cells = np.empty((len(phi), len(qlo)), dtype=np.uint8)
+    for start in range(0, len(phi), _FILL_ROWS):
+        rows = slice(start, start + _FILL_ROWS)
+        pruned = pruned_rank >= pruned_from[rows, None]
+        admissible = admissible_rank < admissible_below[rows, None]
+        cells[rows] = (
+            PGM_UNKNOWN
+            + (PGM_ADMISSIBLE - PGM_UNKNOWN) * admissible.view(np.uint8)
+            - (PGM_UNKNOWN - PGM_PRUNED) * pruned.view(np.uint8)
+        )
+    return cells
 
 
 def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
@@ -386,7 +429,11 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
 
     Cells certify membership of the whole cylinder: entirely negative
     enclosure of (p - q) at the dot -> pruned; entirely non-negative ->
-    admissible window; otherwise unknown.
+    admissible window; otherwise unknown.  p depends only on the tail (the
+    row) and q only on the head (the column), so each series is summed once
+    per row or column, and each cell compare is a rank compare: the column's
+    rank among the sorted q endpoints against the row's count of q endpoints
+    at or below its p endpoint.
     """
     _require_series(params, depth)
     if word_len < 1:
@@ -399,9 +446,9 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
     # With depth 0 the p enclosure is one interval shared by every tail.
     plo, phi = (np.broadcast_to(v, len(tails)) for v in _p_enclosure(tails.T, depth, params))
     qlo, qhi = _q_enclosure(heads.T, depth, params)
-    cells = np.full((len(tails), len(heads)), PGM_UNKNOWN, dtype=np.uint8)
-    cells[phi[:, None] < qlo[None, :]] = PGM_PRUNED
-    cells[plo[:, None] >= qhi[None, :]] = PGM_ADMISSIBLE
+    # The q endpoints are finite and the p endpoints finite, or +-inf where
+    # the p remainder diverges (|b| > 1): no NaN reaches the rank compare.
+    cells = _fill_cells(plo, phi, qlo, qhi)
     return Raster(params=params, word_len=word_len, depth=depth, cells=cells)
 
 

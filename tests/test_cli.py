@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lozi_pruning
-from lozi_pruning import formats, geometry, pruning, verify
+from lozi_pruning import cli, formats, geometry, pruning, verify
 from lozi_pruning.cli import (
     ENTROPY_HEADER,
     RunConfig,
@@ -52,6 +52,30 @@ def test_config_precedence_defaults_file_flags():
     assert cfg.n_max == 9        # file beats default
     assert cfg.b == 0.5          # untouched default
     assert cfg.out is None
+
+
+def test_main_calls_share_no_flags(monkeypatch):
+    # The parser is built once per process; each call still resolves its
+    # own RunConfig from its own arguments.
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "entropy", lambda config: seen.append(config) or 0)
+    assert main(["entropy", "--a", "1.9", "--force", "--n-max", "3"]) == 0
+    assert main(["entropy"]) == 0
+    assert seen == [RunConfig("entropy", a=1.9, n_max=3, force=True), RunConfig("entropy")]
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pruned-region", "--help"]])
+def test_help_repeats_unchanged(capsys, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        texts.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(argv)  # a parser of its own
+    assert texts[0] == texts[1] == capsys.readouterr().out != ""
 
 
 def test_config_rejects_unknown_key():
@@ -171,6 +195,27 @@ def test_pruned_region_accepts_depth_zero(tmp_path):
 def test_pruned_region_requires_out(capsys):
     assert main(["pruned-region", "--a", "1.7", "--b", "0.5"]) == 2
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b", [(1.83, -0.31), (1.62, 0.27)])
+def test_pruned_region_sidecar_counts_match_pgm(tmp_path, capsys, a, b):
+    # The benchmark's raster check: the sidecar counts are the codes read
+    # back from the PGM, at the benchmark's word length and depth.
+    out = tmp_path / "r.pgm"
+    assert main(["pruned-region", "--a", repr(a), "--b", repr(b), "--word-len", "11",
+                 "--depth", "12", "--out", str(out)]) == 0
+    grid = formats.read_pgm(str(out))
+    side = formats.read_config(str(out) + ".txt")
+    counts = {
+        name: int(np.count_nonzero(grid == code))
+        for name, code in (("pruned", PGM_PRUNED), ("admissible", PGM_ADMISSIBLE),
+                           ("unknown", PGM_UNKNOWN))
+    }
+    assert {name: int(side[name]) for name in counts} == counts
+    assert min(counts.values()) > 0
+    assert f"{counts['pruned']} pruned, {counts['admissible']} admissible" in (
+        capsys.readouterr().out
+    )
 
 
 # ---------------------------------------------------------------- entropy

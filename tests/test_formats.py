@@ -2,6 +2,7 @@
 protection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,28 @@ def test_pgm_rejects_bad_grids():
 def test_pgm_bytes_deterministic():
     grid = np.array([[0, 128], [255, 1]], dtype=np.uint8)
     assert formats.pgm_bytes(grid) == formats.pgm_bytes(grid.copy())
+
+
+def test_pgm_bytes_of_strided_views():
+    grid = np.arange(35, dtype=np.uint8).reshape(5, 7)
+    for view in (grid.T, grid[:, ::-1], grid[::2, 1::3]):
+        assert formats.pgm_bytes(view) == formats.pgm_bytes(view.copy())
+
+
+def test_pgm_bytes_copies_the_grid_once():
+    # The bytes returned hold the one copy; the rest is object overhead.
+    # Adding the header to a tobytes() copy makes two, 8 MiB at this size.
+    grid = np.full((2048, 2048), 128, dtype=np.uint8)
+    header = b"P5\n2048 2048\n255\n"
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        data = formats.pgm_bytes(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data[: len(header)] == header
+    assert peak - base <= grid.nbytes + len(header) + 1024
 
 
 # -------------------------------------------------------------------- csv

@@ -52,6 +52,7 @@ from lozi_pruning.pruning import (
     PGM_PRUNED,
     PGM_UNKNOWN,
     ULP_SLACK,
+    _fill_cells,
     _levels,
     _p_enclosure,
     _p_series,
@@ -388,6 +389,83 @@ def test_vectorized_intervals_bitwise_match_scalar():
 def test_raster_budget_gate():
     with pytest.raises(BudgetExceeded):
         pruned_region_raster(Params(2.0, 0.0), 12, 4)
+
+
+def _raster_enclosures(par, word_len, depth):
+    tails = coordinate_symbols(word_len, MINUS if par.b >= 0 else PLUS)
+    heads = coordinate_symbols(word_len, PLUS)
+    plo, phi = (np.broadcast_to(v, len(tails)) for v in _p_enclosure(tails.T, depth, par))
+    qlo, qhi = _q_enclosure(heads.T, depth, par)
+    return plo, phi, qlo, qhi
+
+
+def _broadcast_cells(plo, phi, qlo, qhi):
+    # The float outer compare the rank fill replaces, as the reference.
+    cells = np.full((len(phi), len(qlo)), PGM_UNKNOWN, dtype=np.uint8)
+    cells[phi[:, None] < qlo[None, :]] = PGM_PRUNED
+    cells[plo[:, None] >= qhi[None, :]] = PGM_ADMISSIBLE
+    return cells
+
+
+def _seeded_points():
+    rng = random.Random(18)
+    points = [(2.0, 0.0), (rng.uniform(1.05, 2.0), 0.0)]
+    for sign in (1.0, -1.0):
+        for _ in range(2):
+            b = sign * rng.uniform(0.01, 0.5)
+            points.append((rng.uniform(1.05 + abs(b), 2.0), b))
+    return points
+
+
+@pytest.mark.parametrize("word_len", range(1, 12))
+def test_raster_rank_fill_matches_broadcast_compare(word_len):
+    for a, b in _seeded_points():
+        par = Params(a, b)
+        for depth in (0, 12):
+            cells = pruned_region_raster(par, word_len, depth).cells
+            expected = _broadcast_cells(*_raster_enclosures(par, word_len, depth))
+            assert np.array_equal(cells, expected), (a, b, depth)
+
+
+@pytest.mark.parametrize("a, b", [(2.8, 1.5), (2.3, -1.2)])
+def test_raster_rank_fill_matches_broadcast_compare_with_infinite_p(a, b):
+    # |b| > 1 makes the p remainder diverge: p is [-inf, inf] on every row,
+    # so no cell is pruned or admissible.
+    par = Params(a, b)
+    plo, phi, qlo, qhi = _raster_enclosures(par, 9, 12)
+    assert np.all(np.isneginf(plo)) and np.all(np.isposinf(phi))
+    cells = pruned_region_raster(par, 9, 12).cells
+    assert np.array_equal(cells, _broadcast_cells(plo, phi, qlo, qhi))
+    assert np.all(cells == PGM_UNKNOWN)
+
+
+def test_rank_fill_ties_and_infinities():
+    # phi == qlo is not pruned, and plo == qhi is admissible.
+    plo, phi = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    qlo, qhi = np.array([1.0, 1.0, 2.0, 0.0]), np.array([1.0, 1.5, 2.0, 0.0])
+    assert _fill_cells(plo, phi, qlo, qhi).tolist() == [
+        [PGM_UNKNOWN, PGM_UNKNOWN, PGM_PRUNED, PGM_ADMISSIBLE],
+        [PGM_ADMISSIBLE, PGM_UNKNOWN, PGM_PRUNED, PGM_ADMISSIBLE],
+    ]
+    # Endpoints drawn from a few values, so most compares are ties, over
+    # more rows than one fill block.
+    rng = np.random.default_rng(18)
+    values = np.array([-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf])
+    p = np.sort(rng.choice(values, size=(2, 150)), axis=0)
+    q = np.sort(rng.choice(values[1:-1], size=(2, 70)), axis=0)
+    assert np.array_equal(_fill_cells(*p, *q), _broadcast_cells(*p, *q))
+
+
+def test_raster_peak_memory():
+    # One uint8 cell grid (4 MiB at word_len 11) and row blocks; a float
+    # outer compare with cell-sized masks peaks at 8.23 MiB.
+    tracemalloc.start()
+    try:
+        pruned_region_raster(Params(1.7, 0.2), 11, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_counting_full_shift_exact():
