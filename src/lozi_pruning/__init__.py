@@ -5,8 +5,6 @@ import importlib
 from .errors import (
     BudgetExceeded,
     DegenerateBounds,
-    EmptyHead,
-    Incomparable,
     InsufficientWord,
     LoziError,
     NoFixedPoint,
@@ -18,7 +16,6 @@ from .errors import (
 )
 from .derivatives import (
     DerivBounds,
-    FdReport,
     MonotoneCone,
     a_derivative_bounds,
     b_derivative_bounds,
@@ -26,14 +23,11 @@ from .derivatives import (
     dp_db_at_b0,
     dq_db_at_b0,
     fd_derivative,
-    fd_report,
-    monotone_cone,
 )
 from .geometry import (
     ZERO_ENTROPY_CODES,
     FixedData,
     HomoclinicResult,
-    Period4Segment,
     PlanePoint,
     PolygonReport,
     Polyline,
@@ -46,7 +40,6 @@ from .geometry import (
     lozi_apply_inverse,
     lozi_apply_n,
     lyapunov_delta,
-    period4_segment,
     polygon_invariance,
     scan_zero_entropy,
     stable_manifold,
@@ -60,33 +53,19 @@ from .pruning import (
     Params,
     Raster,
     Verdict,
-    admissible_word_count,
     classify_cylinder,
     closed_form_q,
-    code_verdict,
-    entropy_estimate,
     eval_p,
     eval_pq_cylinder,
     eval_q,
-    eval_r,
-    eval_s,
     pruned_region_raster,
     special_head,
-    verdict_code,
 )
 from .symbolic import (
     MINUS,
     PLUS,
     Word,
-    compare_heads,
-    compare_tails,
-    enumerate_heads,
-    enumerate_tails,
-    enumerate_words,
-    head_coordinate,
     redot,
-    shift,
-    tail_coordinate,
 )
 from .tent import (
     Kneading,

@@ -91,25 +91,17 @@ def b_derivative_bounds(a: float, eps_minus2: int) -> DerivBounds:
     )
 
 
-# Guaranteed directional derivative at the returned cone slopes.
+# Guaranteed directional derivative at the cone slopes of cone_table.
 _CONE_MARGIN = 1e-6
 
 
-def monotone_cone(a: float) -> MonotoneCone:
+def _cone(a: float, da: DerivBounds, bp: DerivBounds, bm: DerivBounds) -> MonotoneCone:
     """Smallest cone slopes making p - q strictly increase along (N1, -1)
-    and (N2, +1).
+    and (N2, +1), from the slope's three bound intervals.
 
-    At the returned N values the guaranteed directional derivative equals
+    At these N values the guaranteed directional derivative equals
     _CONE_MARGIN exactly; any larger slope gives strictly more slack.
     """
-    require_slope(a)
-    return _cone(
-        a, a_derivative_bounds(a), b_derivative_bounds(a, +1), b_derivative_bounds(a, -1)
-    )
-
-
-def _cone(a: float, da: DerivBounds, bp: DerivBounds, bm: DerivBounds) -> MonotoneCone:
-    """The cone of monotone_cone from the slope's three bound intervals."""
     if da.lo <= 0.0:
         raise DegenerateBounds(
             f"a-derivative lower bound {da.lo:.6f} <= 0 at a={a}; no cone certified"
@@ -152,16 +144,6 @@ def cone_table(a_values: list[float]) -> list[tuple[float, ...]]:
     return rows
 
 
-@dataclass(frozen=True)
-class FdReport:
-    """Central difference at step h plus its step-halving diagnostics."""
-
-    value: float
-    halved: float
-    richardson: float
-    max_series_err: float
-
-
 # Series selector -> (evaluator, full depth of a word).  The difference
 # evaluator caps each side separately, so it gets the larger of the two
 # usable depths.  Each evaluator looks its pruning function up when called,
@@ -175,31 +157,6 @@ _SERIES = {
         lambda w: max(w.tail_len - 2, w.head_len - 1, 0),
     ),
 }
-
-
-def _central_difference(
-    f: str,
-    w: Word,
-    params: Params,
-    direction: tuple[float, float],
-    h: float,
-    depth: int | None,
-) -> tuple[float, float]:
-    """Central difference at step h and the larger truncation radius of its
-    two series evaluations."""
-    if f not in _SERIES:
-        raise ValueError(f"unknown series selector {f!r}; use 'p', 'q', or 'pq'")
-    evaluate, full_depth = _SERIES[f]
-    d = full_depth(w) if depth is None else depth
-    da, db = direction
-    plus = Params(params.a + h * da, params.b + h * db)
-    minus = Params(params.a - h * da, params.b - h * db)
-    for pt in (plus, minus):
-        if not pt.hyperbolic:
-            raise NotHyperbolic(f"step leaves the hyperbolic region at {pt}")
-    hi_v = evaluate(w, d, plus)
-    lo_v = evaluate(w, d, minus)
-    return (hi_v.value - lo_v.value) / (2.0 * h), max(hi_v.err, lo_v.err)
 
 
 def fd_derivative(
@@ -216,24 +173,16 @@ def fd_derivative(
     f selects the series: 'p' (tail), 'q' (head), or 'pq' (difference).
     Uses the full word depth unless an explicit depth is given.
     """
-    return _central_difference(f, w, params, direction, h, depth)[0]
-
-
-def fd_report(
-    f: str,
-    w: Word,
-    params: Params,
-    direction: tuple[float, float],
-    h: float = 1e-6,
-    depth: int | None = None,
-) -> FdReport:
-    """fd_derivative at h and h/2 with the Richardson-extrapolated value
-    and the worst series truncation radius met along the way."""
-    value, err = _central_difference(f, w, params, direction, h, depth)
-    halved, err_halved = _central_difference(f, w, params, direction, 0.5 * h, depth)
-    return FdReport(
-        value=value,
-        halved=halved,
-        richardson=(4.0 * halved - value) / 3.0,
-        max_series_err=max(err, err_halved),
-    )
+    if f not in _SERIES:
+        raise ValueError(f"unknown series selector {f!r}; use 'p', 'q', or 'pq'")
+    evaluate, full_depth = _SERIES[f]
+    d = full_depth(w) if depth is None else depth
+    da, db = direction
+    plus = Params(params.a + h * da, params.b + h * db)
+    minus = Params(params.a - h * da, params.b - h * db)
+    for pt in (plus, minus):
+        if not pt.hyperbolic:
+            raise NotHyperbolic(f"step leaves the hyperbolic region at {pt}")
+    hi_v = evaluate(w, d, plus)
+    lo_v = evaluate(w, d, minus)
+    return (hi_v.value - lo_v.value) / (2.0 * h)

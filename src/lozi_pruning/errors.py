@@ -15,14 +15,6 @@ class InsufficientWord(LoziError):
     """The word does not carry enough symbols for the requested depth."""
 
 
-class EmptyHead(LoziError):
-    """Shift requested on a word with no head symbols."""
-
-
-class Incomparable(LoziError):
-    """Order query on words that agree on their common range but differ in length."""
-
-
 class WrongHead(LoziError):
     """Closed-form evaluation requested for a head it does not cover."""
 

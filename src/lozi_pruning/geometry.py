@@ -198,12 +198,6 @@ class Polyline:
         pts = _xy_array(self.vertices, len(self.vertices))
         return np.stack([pts[:-1], pts[1:]], axis=1)
 
-    def point_distance(self, q: PlanePoint) -> float:
-        """Distance from q to the polyline (exact over segments)."""
-        if len(self.vertices) == 1:
-            return self.vertices[0].dist(q)
-        return float(_segment_distances(np.array([q]), self.segments())[0])
-
 
 def _xy_array(points, n: int) -> np.ndarray:
     """(n, 2) array of n (x, y) pairs; fromiter over the flat coordinates is
@@ -677,10 +671,6 @@ class HomoclinicResult:
     def tangency(self) -> bool:
         return self.grazes()
 
-    @property
-    def outcome(self) -> str:
-        return "yes" if self.found else "no_within_budget"
-
 
 def _seg_array(*polylines) -> np.ndarray:
     segs = [pl.segments() for pl in polylines if len(pl.vertices) >= 2]
@@ -972,45 +962,3 @@ def scan_zero_entropy(
         witnesses=witnesses,
     )
 
-
-# ------------------------------------------------------------- period four
-
-
-@dataclass(frozen=True)
-class Period4Segment:
-    """The line y = -x + (1-b^2)/(a(1+b^2)) of period-4 points at a = 1+b,
-    valid inside the sign-pattern constraint region."""
-
-    a: float
-    b: float
-    intercept: float
-
-    def on_line(self, x: float) -> PlanePoint:
-        return PlanePoint(x, -x + self.intercept)
-
-    def satisfies(self, q: PlanePoint) -> bool:
-        """q.x <= 0, L(q).x >= 0 and L^2(q).x <= 0: the sign pattern of the
-        period-4 orbit's first three points."""
-        second, first = _iterate(self.a, self.b, q.x, q.y, 2)
-        return first >= 0.0 and second <= 0.0 and q.x <= 0.0
-
-    def sample(self, n: int = 32) -> list[PlanePoint]:
-        """Feasible points on the line, by a fine sweep over x <= 0."""
-        if n < 1:
-            raise ValueError(f"sample needs n >= 1, got {n}")
-        xs = np.linspace(-4.0, 0.0, 4096)
-        pts = [self.on_line(float(x)) for x in xs]
-        ok = [p for p in pts if self.satisfies(p)]
-        if not ok:
-            return []
-        stride = max(1, len(ok) // n)
-        return ok[::stride][:n]
-
-
-def period4_segment(b: float) -> Period4Segment:
-    """Closed-form period-4 line at the boundary a = 1 + b (b > 0)."""
-    if b <= 0.0:
-        raise WrongParams("period-4 line needs b > 0")
-    a = 1.0 + b
-    intercept = (1.0 - b * b) / (a * (1.0 + b * b))
-    return Period4Segment(a=a, b=b, intercept=intercept)

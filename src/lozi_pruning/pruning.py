@@ -53,7 +53,8 @@ class Params:
 
     @property
     def hyperbolic(self) -> bool:
-        return self.a > 1.0 + abs(self.b)
+        """a > 1 + |b| with a and b finite: an infinite a describes no map."""
+        return math.isfinite(self.a) and math.isfinite(self.b) and self.a > 1.0 + abs(self.b)
 
     def require_hyperbolic(self) -> None:
         if not self.hyperbolic:
@@ -211,33 +212,6 @@ def _q_enclosure(head, depth: int, params: Params):
     return _q_series(levels[::-1][: d + 1], params)
 
 
-def eval_s(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
-    """Depth-truncated enclosure of s_n (n <= -2) over all extensions of w."""
-    _require_series(params, depth)
-    if n > -2:
-        raise ValueError(f"s_n is used for indices n <= -2, got {n}")
-    j0 = -n
-    if w.tail_len < j0 + depth:
-        raise InsufficientWord(
-            f"tail of length {w.tail_len} cannot supply symbols down to index {n - depth}"
-        )
-    shifts = [-params.a * w.tail[-j] for j in range(j0 + depth, j0 - 1, -1)]
-    return BoundedValue.from_interval(*_levels(shifts, params)[-1])
-
-
-def eval_r(w: Word, n: int, depth: int, params: Params) -> BoundedValue:
-    """Depth-truncated enclosure of r_n (n >= 0) over all extensions of w."""
-    _require_series(params, depth)
-    if n < 0:
-        raise ValueError(f"r_n is defined for indices n >= 0, got {n}")
-    if w.head_len < n + depth + 1:
-        raise InsufficientWord(
-            f"head of length {w.head_len} cannot supply symbols up to index {n + depth}"
-        )
-    shifts = [params.a * w.head[j] for j in range(n + depth, n - 1, -1)]
-    return BoundedValue.from_interval(*_levels(shifts, params)[-1])
-
-
 def eval_p(w: Word, depth: int, params: Params) -> BoundedValue:
     """Enclosure of the tail pruning value p(w)(a, b).
 
@@ -328,25 +302,9 @@ PGM_PRUNED = 0
 PGM_UNKNOWN = 128
 PGM_ADMISSIBLE = 255
 
-_VERDICT_CODE = {
-    Verdict.CERTIFIED_PRUNED: PGM_PRUNED,
-    Verdict.UNKNOWN: PGM_UNKNOWN,
-    Verdict.CERTIFIED_ADMISSIBLE_WINDOW: PGM_ADMISSIBLE,
-}
-_CODE_VERDICT = {v: k for k, v in _VERDICT_CODE.items()}
-
-
-def verdict_code(v: Verdict) -> int:
-    return _VERDICT_CODE[v]
-
-
-def code_verdict(code: int) -> Verdict:
-    return _CODE_VERDICT[code]
-
-
 _CELL_LIMIT = 1 << 22  # largest raster: 4^11 cells
-# Largest word count.  At depth 12, (1.7, 0.2), tracemalloc peaks of
-# admissible_word_count at n = 20: 128 MiB; entropy_rows at n_max = 20: 128 MiB.
+# Largest word count.  At depth 12, (1.7, 0.2), the tracemalloc peak of
+# entropy_rows at n_max = 20 is 128 MiB.
 _BLOCK_LIMIT = 1 << 20
 
 
@@ -525,31 +483,11 @@ def _block_masks(sweep, n: int):
     return pruned_any.ravel(), cert_all.ravel()
 
 
-def _window_masks(params: Params, n: int, depth: int):
-    """_block_masks of the blocks of length n, swept at n."""
-    return _block_masks(_enclosure_sweep(params, n, depth), n)
-
-
 def _bracket(pruned_any, cert_all) -> tuple[int, int]:
     """(lower, upper) block counts from the masks of _block_masks."""
     upper = int(np.count_nonzero(~pruned_any))
     lower = int(np.count_nonzero(cert_all & ~pruned_any))
     return lower, upper
-
-
-def admissible_word_count(params: Params, n: int, depth: int) -> tuple[int, int]:
-    """Bracket the number of admissible length-n blocks.
-
-    upper counts blocks with no certified-pruned dot placement; lower counts
-    blocks certified non-negative at every placement.  Unknown verdicts stay
-    in upper and leave lower, so lower <= true count <= upper holds whenever
-    the enclosures do.
-    """
-    _require_series(params, depth)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_blocks(n)
-    return _bracket(*_window_masks(params, n, depth))
 
 
 ENTROPY_HEADER = ("a", "b", "n", "depth", "count_lower", "count_upper", "h_lower", "h_upper")
@@ -579,9 +517,3 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
         rows.append((params.a, params.b, n, depth, lower, upper, h_lo, h_up))
     return rows
 
-
-def entropy_estimate(params: Params, n_max: int, depth: int) -> tuple[float, float]:
-    """Entropy bracket (h_lower, h_upper) from admissible block counts up to
-    n_max: the last row of entropy_rows."""
-    h_lower, h_upper = entropy_rows(params, n_max, depth)[-1][-2:]
-    return h_lower, h_upper

@@ -1,4 +1,5 @@
-"""Two-sided symbol words, their orders, and dyadic coordinate embeddings.
+"""Two-sided symbol words, re-dotting, and the symbol tables of their
+coordinate orders.
 
 A bi-infinite itinerary splits at the dot into a tail (symbols at negative
 indices, read leftward from the dot) and a head (symbols at non-negative
@@ -9,11 +10,8 @@ cylinder of all bi-infinite extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-
-from .errors import EmptyHead, Incomparable
 
 MINUS = -1
 PLUS = 1
@@ -78,19 +76,12 @@ class Word:
         return self.to_string()
 
 
-def shift(w: Word) -> Word:
-    """Move the dot one step right: the first head symbol joins the tail."""
-    if w.head_len == 0:
-        raise EmptyHead("cannot shift a word with an empty head")
-    return Word(w.tail + (w.head[0],), w.head[1:])
-
-
 def redot(w: Word, k: int) -> Word:
     """Re-dot the same symbol block k places to the right (k may be negative).
 
-    Equivalent to applying ``shift`` k times (or its inverse -k times); the
-    block of symbols is unchanged.  Raises ValueError when the dot would
-    leave the block on either side.
+    Each step right moves the first head symbol into the tail; the block of
+    symbols is unchanged.  Raises ValueError when the dot would leave the
+    block on either side.
     """
     if k == 0:
         return w
@@ -101,111 +92,18 @@ def redot(w: Word, k: int) -> Word:
     return Word(block[:cut], block[cut:])
 
 
-def _compare_outward(u, v, counted: int, side: str) -> int:
-    """Order of two one-sided words read outward from the dot, flipping the
-    base order -1 < +1 after each ``counted`` symbol."""
-    flips = 0
-    for s, t in zip(u, v):
-        if s != t:
-            base = -1 if s < t else 1
-            return -base if flips % 2 else base
-        if s == counted:
-            flips += 1
-    if len(u) == len(v):
-        return 0
-    raise Incomparable(f"{side} agree on their common range but differ in length")
-
-
-def compare_heads(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """Order heads: base order -1 < +1 at the first disagreement i, flipped
-    when the count of +1 symbols before i is odd.
-
-    Returns -1, 0, or +1.  Words that agree on their common range but have
-    different lengths are Incomparable (neither determines the other's
-    cylinder order).
-    """
-    return _compare_outward(u, v, PLUS, "heads")
-
-
-def compare_tails(u: tuple[int, ...], v: tuple[int, ...], b_sign: int = PLUS) -> int:
-    """Order tails by the disagreement closest to the dot.
-
-    Scanning i = -1, -2, ... the first index where the tails differ decides;
-    base order -1 < +1 is flipped when the parity window (the symbols strictly
-    between i and the dot) holds an odd count of -1 symbols for b_sign >= 0,
-    of +1 symbols for b_sign < 0.
-    """
-    counted = MINUS if b_sign >= 0 else PLUS
-    return _compare_outward(u[::-1], v[::-1], counted, "tails")
-
-
-def _coordinate_outward(symbols, counted: int) -> float:
-    """Dyadic coordinate of a one-sided word read outward from the dot."""
-    x = 0.0
-    scale = 0.5
-    flips = 0
-    for s in symbols:
-        bit = 1 if s == PLUS else 0
-        if flips % 2:
-            bit ^= 1
-        x += bit * scale
-        scale *= 0.5
-        if s == counted:
-            flips += 1
-    return x
-
-
-def head_coordinate(head: tuple[int, ...]) -> float:
-    """Order-preserving dyadic embedding of heads into [0, 1].
-
-    Bit i of the binary expansion is (eps_i == +1) xor (odd count of +1 before
-    i); folding the flip parity into the bits makes the expansion monotone for
-    the head order.  Exact in binary floating point for lengths <= 52.
-    """
-    return _coordinate_outward(head, PLUS)
-
-
-def tail_coordinate(tail: tuple[int, ...], b_sign: int = PLUS) -> float:
-    """Order-preserving dyadic embedding of tails into [0, 1].
-
-    Read leftward from the dot; bit k folds the parity of the counted symbol
-    (-1 for b_sign >= 0, +1 for b_sign < 0) seen so far, mirroring
-    ``compare_tails``.
-    """
-    return _coordinate_outward(reversed(tail), MINUS if b_sign >= 0 else PLUS)
-
-
-def enumerate_heads(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2^n heads of length n, in increasing head_coordinate order."""
-    for row in coordinate_symbols(n, PLUS).tolist():
-        yield tuple(row)
-
-
-def enumerate_tails(m: int, b_sign: int = PLUS) -> Iterator[tuple[int, ...]]:
-    """All 2^m tails of length m, in increasing tail_coordinate order."""
-    for row in coordinate_symbols(m, MINUS if b_sign >= 0 else PLUS).tolist():
-        yield tuple(reversed(row))
-
-
-def enumerate_words(m: int, n: int) -> Iterator[Word]:
-    """All 2^(m+n) words with tail length m and head length n.
-
-    Ordered by (tail_coordinate, head_coordinate): the raster cell layout.
-    """
-    for tail in enumerate_tails(m):
-        for head in enumerate_heads(n):
-            yield Word(tail, head)
-
-
 def coordinate_symbols(n: int, counted: int) -> np.ndarray:
-    """Symbols (int8 +-1) of all 2^n one-sided words of length n.
+    """Symbols (int8 +-1) of all 2^n one-sided words of length n, in
+    increasing order.
 
-    Row r inverts coordinate code r: bit k of r (MSB first) is the k-th
-    binary digit of the coordinate, flipped while an odd number of
-    ``counted`` symbols precede it.  Column k is the k-th symbol read outward
-    from the dot.  With counted = +1 the rows are the heads in head_coordinate
-    order; with the counted symbol of ``tail_coordinate`` they are the tails
-    in tail_coordinate order, column k holding the symbol at index -(k+1).
+    Words are read outward from the dot and ordered at their first
+    disagreement by -1 < +1, flipped while an odd number of ``counted``
+    symbols precede it: +1 for heads; for tails -1 when b >= 0 and +1 when
+    b < 0.  Row r inverts coordinate code r: bit k of r (MSB first) is 1
+    exactly when the k-th symbol is +1 with the flip parity folded in, so r
+    is the word's rank and r / 2^n its dyadic coordinate in [0, 1).  Column
+    k is the k-th symbol read outward from the dot; for tails, the symbol at
+    index -(k+1).
     """
     codes = np.arange(1 << n, dtype=np.int64)
     sym = np.empty((1 << n, n), dtype=np.int8)

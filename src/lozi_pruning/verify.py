@@ -22,8 +22,6 @@ import random
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import formats
 from .derivatives import (
     a_derivative_bounds,

@@ -29,7 +29,6 @@ from lozi_pruning.pruning import (
     PGM_PRUNED,
     PGM_UNKNOWN,
     Params,
-    entropy_estimate,
     pruned_region_raster,
 )
 
@@ -168,6 +167,22 @@ def test_pruned_region_rejects_nonhyperbolic(capsys):
     assert "NotHyperbolic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pruned-region", "--a", "inf", "--b", "0.5", "--word-len", "2"],
+        ["entropy", "--a", "inf", "--b", "0", "--n-max", "3"],
+    ],
+    ids=["pruned-region", "entropy"],
+)
+def test_nonfinite_parameters_exit_2_and_write_nothing(tmp_path, capsys, argv):
+    # An infinite a passes a > 1 + |b| but describes no map.
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "NotHyperbolic" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pruned_region_budget_error_propagates(capsys):
     code = main(["pruned-region", "--a", "1.7", "--b", "0.5",
                  "--word-len", "12", "--out", "/tmp/never-written.pgm"])
@@ -228,7 +243,7 @@ def test_entropy_stdout_matches_library(capsys):
     assert lines[0] == ",".join(ENTROPY_HEADER)
     assert len(lines) == 9
     last = lines[-1].split(",")
-    h_lo, h_hi = entropy_estimate(Params(2.0, 0.05), 8, 10)
+    h_lo, h_hi = entropy_rows(Params(2.0, 0.05), 8, 10)[-1][-2:]
     assert float(last[-2]) == h_lo and float(last[-1]) == h_hi
     assert h_lo <= math.log(2.0) <= h_hi
 
@@ -237,7 +252,7 @@ def test_entropy_rows_reproduce_estimate_at_each_length():
     params = Params(1.8, 0.1)
     rows = entropy_rows(params, 6, 8)
     for n in range(1, 7):
-        assert rows[n - 1][-2:] == entropy_estimate(params, n, 8)
+        assert rows[n - 1][-2:] == entropy_rows(params, n, 8)[-1][-2:]
 
 
 @pytest.mark.parametrize("n_max", ["0", "-3"])
@@ -248,7 +263,7 @@ def test_entropy_rejects_nonpositive_n_max(tmp_path, capsys, n_max):
     assert "n_max" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(ValueError):
-        entropy_estimate(Params(1.7, 0.0), 0, 8)
+        entropy_rows(Params(1.7, 0.0), 0, 8)
 
 
 @pytest.mark.parametrize("depth", ["-1", "-3"])

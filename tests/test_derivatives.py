@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from lozi_pruning import (
-    DegenerateBounds,
     InsufficientWord,
     NotHyperbolic,
     Params,
@@ -22,9 +21,7 @@ from lozi_pruning import (
     dq_db_at_b0,
     eval_q,
     fd_derivative,
-    fd_report,
     kneading,
-    monotone_cone,
     special_head,
 )
 from lozi_pruning.derivatives import (
@@ -234,31 +231,36 @@ def test_sign_structure_at_full_slope():
 # ------------------------------------------------------------------- cones
 
 
+def _cone_slopes(a_values):
+    """(N1, N2) per slope: the cone columns of cone_table."""
+    return [row[7:] for row in cone_table(a_values)]
+
+
 def test_cone_full_slope():
-    cone = monotone_cone(2.0)
-    assert cone.N1 > 0 and cone.N2 > 0
+    [(n1, n2)] = _cone_slopes([2.0])
+    assert n1 > 0 and n2 > 0
     # lo_a = 0.75, hi_b(+1) = 0.625, lo_b(-1) = -0.75
-    assert cone.N1 == pytest.approx((0.625 + 1e-6) / 0.75, rel=1e-9)
-    assert cone.N2 == pytest.approx((0.75 + 1e-6) / 0.75, rel=1e-9)
+    assert n1 == pytest.approx((0.625 + 1e-6) / 0.75, rel=1e-9)
+    assert n2 == pytest.approx((0.75 + 1e-6) / 0.75, rel=1e-9)
 
 
 def test_cone_guaranteed_slack_is_margin():
-    for a in (1.4, 1.6, 1.8, 2.0):
+    slopes = (1.4, 1.6, 1.8, 2.0)
+    for a, (n1, n2) in zip(slopes, _cone_slopes(slopes)):
         m = _CONE_MARGIN
-        cone = monotone_cone(a)
         lo_a = a_derivative_bounds(a).lo
-        assert cone.N1 * lo_a - b_derivative_bounds(a, +1).hi == pytest.approx(m)
-        assert cone.N2 * lo_a + b_derivative_bounds(a, -1).lo == pytest.approx(m)
+        assert n1 * lo_a - b_derivative_bounds(a, +1).hi == pytest.approx(m)
+        assert n2 * lo_a + b_derivative_bounds(a, -1).lo == pytest.approx(m)
 
 
 def test_cone_directional_fd_positive():
     rng = random.Random(3)
-    for a in (1.5, 1.7, 2.0):
-        cone = monotone_cone(a)
+    slopes = (1.5, 1.7, 2.0)
+    for a, (n1, n2) in zip(slopes, _cone_slopes(slopes)):
         kap = kneading(a, 14).symbols
         for _ in range(6):
             w = Word(_random_tail(rng, 16), kap)
-            for direction in ((cone.N1, -1.0), (cone.N2, 1.0)):
+            for direction in ((n1, -1.0), (n2, 1.0)):
                 norm = math.hypot(*direction)
                 unit = (direction[0] / norm, direction[1] / norm)
                 fd = fd_derivative("pq", w, Params(a, 0.0), unit, h=H)
@@ -266,19 +268,22 @@ def test_cone_directional_fd_positive():
 
 
 def test_cone_slopes_grow_toward_crossover():
-    vals = [monotone_cone(a) for a in (1.36, 1.5, 1.7, 2.0)]
-    for c1, c2 in zip(vals, vals[1:]):
-        assert c1.N1 > c2.N1
-        assert c1.N2 > c2.N2
-    assert vals[0].N1 > 40.0
+    vals = _cone_slopes([1.36, 1.5, 1.7, 2.0])
+    for (n1, n2), (next_n1, next_n2) in zip(vals, vals[1:]):
+        assert n1 > next_n1
+        assert n2 > next_n2
+    assert vals[0][0] > 40.0
 
 
 def test_cone_degenerate_below_crossover():
-    # Cubic numerator a^3+2a^2-6a+2 crosses zero near a=1.3497.
+    # Cubic numerator a^3+2a^2-6a+2 crosses zero near a=1.3497; there the
+    # table holds NaN cone columns in place of DegenerateBounds.
     for a in (1.25, 1.3, 1.34):
-        with pytest.raises(DegenerateBounds):
-            monotone_cone(a)
-    assert monotone_cone(1.35).N1 > 0
+        assert a_derivative_bounds(a).lo <= 0.0
+    for n1, n2 in _cone_slopes([1.25, 1.3, 1.34]):
+        assert math.isnan(n1) and math.isnan(n2)
+    [(n1, _)] = _cone_slopes([1.35])
+    assert n1 > 0
 
 
 def test_cone_guards():
@@ -316,8 +321,11 @@ def test_cone_table_evaluates_each_bound_once_per_slope(monkeypatch):
     rows = cone_table(slopes)
     assert counts == {"a": 3, "b": 6}
     for a, row in zip(slopes[1:], rows[1:]):
-        cone = monotone_cone(a)
-        assert row[7:] == (cone.N1, cone.N2)
+        lo_a = bound_a(a).lo
+        assert row[7:] == (
+            (bound_b(a, +1).hi + _CONE_MARGIN) / lo_a,
+            (-bound_b(a, -1).lo + _CONE_MARGIN) / lo_a,
+        )
 
 
 # -------------------------------------------------------------- FD oracle
@@ -328,10 +336,12 @@ def test_fd_richardson_consistency():
     a = 1.7
     w = Word((), special_head(80))
     truth = dq_db_at_b0(a)
-    rep = fd_report("q", w, Params(a, 0.0), (0.0, 1.0), h=1e-3)
-    assert abs(rep.value - rep.halved) < 1e-5
-    assert abs(rep.richardson - truth) <= abs(rep.value - truth) + 1e-12
-    assert rep.max_series_err < 1e-12
+    value, halved = (fd_derivative("q", w, Params(a, 0.0), (0.0, 1.0), h=h) for h in (1e-3, 5e-4))
+    richardson = (4.0 * halved - value) / 3.0
+    assert abs(value - halved) < 1e-5
+    assert abs(richardson - truth) <= abs(value - truth) + 1e-12
+    for b in (-1e-3, 1e-3):
+        assert eval_q(w, 79, Params(a, b)).err < 1e-12
 
 
 def test_fd_not_hyperbolic():

@@ -32,7 +32,6 @@ from lozi_pruning.geometry import (
     lozi_apply_inverse,
     lozi_apply_n,
     lyapunov_delta,
-    period4_segment,
     polygon_invariance,
     scan_zero_entropy,
     stable_manifold,
@@ -43,6 +42,7 @@ from lozi_pruning.geometry import (
     _axis_crossing_of_unstable_line,
     _contact_vertices,
     _numeric_zero_check,
+    _segment_distances,
     _signed_dist_to_convex,
     _two_cycle_attracting,
 )
@@ -55,6 +55,12 @@ CHAOTIC = Params(1.7, 0.5)
 def _rand_points(n, lo=-3.0, hi=3.0, seed=0):
     rng = random.Random(seed)
     return [PlanePoint(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
+
+
+def _distance(polyline, q: PlanePoint) -> float:
+    """Distance from q to a polyline of at least two vertices, exact over
+    its segments."""
+    return float(_segment_distances(np.array([q]), polyline.segments())[0])
 
 
 # ---------------------------------------------------------------- the point
@@ -306,7 +312,7 @@ def test_fixed_data_matches_planepoint_reference():
 def test_unstable_right_passes_through_axis_crossing():
     pl = unstable_manifold(CENTER, "p1_right", arc_budget=10.0)
     z = PlanePoint((3.0 + math.sqrt(3.0)) / 3.0, 0.0)
-    assert pl.point_distance(z) <= 1e-12
+    assert _distance(pl, z) <= 1e-12
     assert pl.kind == "unstable_right"
     assert pl.vertices[0].dist(PlanePoint(2.0 / 3.0, 2.0 / 3.0)) <= 1e-12
 
@@ -325,7 +331,7 @@ def test_unstable_vertices_map_into_extended_polyline(params):
     for pl in short:
         for v in pl.vertices:
             img = lozi_apply(params, v)
-            worst = max(worst, min(ext.point_distance(img) for ext in long))
+            worst = max(worst, min(_distance(ext, img) for ext in long))
     assert worst <= 1e-9
 
 
@@ -356,7 +362,7 @@ def test_p2_branch_is_self_invariant():
     # p2's unstable eigenvalue is positive: no side swap under single steps.
     short = unstable_manifold(CENTER, "p2", arc_budget=5.0)
     long = unstable_manifold(CENTER, "p2", arc_budget=25.0)
-    worst = max(long.point_distance(lozi_apply(CENTER, v)) for v in short.vertices)
+    worst = max(_distance(long, lozi_apply(CENTER, v)) for v in short.vertices)
     assert worst <= 1e-9
     assert short.kind == "unstable_right"
 
@@ -371,7 +377,7 @@ def test_stable_halfline_is_straight_and_invariant():
     norm = math.hypot(*direction)
     assert abs(direction[0] / norm - lam / math.hypot(lam, 1.0)) <= 1e-12
     # forward image of the far endpoint stays on the half-line
-    assert pl.point_distance(lozi_apply(CENTER, pl.vertices[-1])) <= 1e-12
+    assert _distance(pl, lozi_apply(CENTER, pl.vertices[-1])) <= 1e-12
 
 
 def test_stable_other_branch_bends():
@@ -654,8 +660,8 @@ def test_growth_maps_each_vertex_once(monkeypatch, ab):
 def test_polyline_point_distance_basics():
     pl = unstable_manifold(CENTER, "p1_right", arc_budget=10.0)
     v = pl.vertices[len(pl.vertices) // 2]
-    assert pl.point_distance(v) <= 1e-15
-    assert pl.point_distance(PlanePoint(10.0, 10.0)) > 8.0
+    assert _distance(pl, v) <= 1e-15
+    assert _distance(pl, PlanePoint(10.0, 10.0)) > 8.0
 
 
 # ----------------------------------------------------------------- lyapunov
@@ -766,21 +772,19 @@ def test_polygon_invariance_fails_in_chaotic_regime():
 
 def test_homoclinic_absent_at_certified_params():
     res = homoclinic_intersects(CENTER, arc_budget=30.0)
-    assert res.outcome == "no_within_budget"
     assert not res.found and res.witness is None and not res.tangency
 
 
 def test_homoclinic_present_in_chaotic_regime():
     res = homoclinic_intersects(CHAOTIC, arc_budget=30.0)
-    assert res.outcome == "yes"
     assert res.found and res.witness is not None
     # the witness lies on both manifolds
     wu = min(
-        unstable_manifold(CHAOTIC, s, arc_budget=30.0).point_distance(res.witness)
+        _distance(unstable_manifold(CHAOTIC, s, arc_budget=30.0), res.witness)
         for s in ("p1_right", "p1_left")
     )
     ws = min(
-        stable_manifold(CHAOTIC, s, arc_budget=30.0).point_distance(res.witness)
+        _distance(stable_manifold(CHAOTIC, s, arc_budget=30.0), res.witness)
         for s in ("p1_plus", "p1_minus")
     )
     assert wu <= 1e-9 and ws <= 1e-9
@@ -926,7 +930,7 @@ def test_scan_never_runs_the_tangency_test(monkeypatch):
 def test_tangency_is_measured_once_on_first_read(monkeypatch):
     calls = _count_calls(monkeypatch, "_contact_vertices", "_segment_distances")
     res = homoclinic_intersects(CENTER, arc_budget=30.0)
-    assert not res.found and res.outcome == "no_within_budget" and calls == []
+    assert not res.found and calls == []
     assert res.tangency is False
     first = list(calls)
     assert first.count("_contact_vertices") == 2
@@ -1326,23 +1330,33 @@ def test_zero_codes_distinct_and_complete():
 
 
 # -------------------------------------------------------------- period four
+#
+# At a = 1 + b (b > 0) the line y = -x + (1 - b^2)/(a (1 + b^2)) holds a
+# segment of period-4 points: those with x <= 0, L(q).x >= 0 and
+# L^2(q).x <= 0, the sign pattern of the orbit's first three points.
 
 
-def test_period4_line_intercept_at_half():
-    seg = period4_segment(0.5)
-    assert abs(seg.intercept - 0.4) <= 1e-15
-    assert seg.a == 1.5
+def _period4_intercept(b: float) -> float:
+    return (1.0 - b * b) / ((1.0 + b) * (1.0 + b * b))
+
+
+def _period4_points(b: float, n: int) -> list[PlanePoint]:
+    """Up to n points of the period-4 segment, by a sweep over x <= 0."""
+    params = Params(1.0 + b, b)
+    xs = np.linspace(-4.0, 0.0, 4096).tolist()
+    line = [PlanePoint(x, -x + _period4_intercept(b)) for x in xs]
+    feasible = [
+        q for q in line if lozi_apply(params, q).x >= 0.0 and lozi_apply_n(params, q, 2).x <= 0.0
+    ]
+    return feasible[:: max(1, len(feasible) // n)][:n]
 
 
 def test_period4_sampled_points_close_orbits():
-    seg = period4_segment(0.5)
-    params = Params(seg.a, seg.b)
-    pts = seg.sample(24)
+    params = Params(1.5, 0.5)
+    pts = _period4_points(0.5, 24)
     assert len(pts) == 24
     for q in pts:
-        assert q.x <= 0.0
-        assert abs(q.y - (-q.x + seg.intercept)) <= 1e-15
-        assert seg.satisfies(q)
+        assert abs(q.y - (-q.x + 0.4)) <= 1e-15
         assert lozi_apply_n(params, q, 4).dist(q) <= 1e-10
         # genuinely period four, not fixed
         assert lozi_apply(params, q).dist(q) > 1e-3
@@ -1352,30 +1366,15 @@ def test_period4_sampled_points_close_orbits():
 
 
 def test_period4_constraint_violators_move():
-    seg = period4_segment(0.5)
-    params = Params(seg.a, seg.b)
-    bad = PlanePoint(0.5, -0.5 + seg.intercept)  # on the line but x > 0
-    assert not seg.satisfies(bad)
+    params = Params(1.5, 0.5)
+    bad = PlanePoint(0.5, -0.5 + _period4_intercept(0.5))  # on the line but x > 0
     assert lozi_apply_n(params, bad, 4).dist(bad) > 1e-3
 
 
 def test_period4_other_depths():
     for b in (0.25, 0.75):
-        seg = period4_segment(b)
-        params = Params(seg.a, seg.b)
-        expected = (1.0 - b * b) / ((1.0 + b) * (1.0 + b * b))
-        assert abs(seg.intercept - expected) <= 1e-15
-        pts = seg.sample(8)
+        params = Params(1.0 + b, b)
+        pts = _period4_points(b, 8)
         assert pts, "feasible stretch must be nonempty"
         for q in pts:
             assert lozi_apply_n(params, q, 4).dist(q) <= 1e-10
-
-
-def test_period4_guards():
-    with pytest.raises(WrongParams):
-        period4_segment(0.0)
-    with pytest.raises(WrongParams):
-        period4_segment(-0.5)
-    for n in (0, -3):
-        with pytest.raises(ValueError):
-            period4_segment(0.5).sample(n)

@@ -4,7 +4,8 @@ The numeric layers sit below the front ends: ``pruning`` builds only on
 ``errors`` and ``symbolic``, and ``verify`` takes nothing from ``cli`` but
 ``main``, which criterion 12 runs to regenerate artifacts. Every module runs
 in the calling process and reads no environment variable, so a run is
-fixed by its arguments alone.
+fixed by its arguments alone. Every public top-level name of the package is
+used somewhere in the package or the benchmark, not only by its own tests.
 """
 
 from __future__ import annotations
@@ -77,3 +78,64 @@ def _process_and_environment_use(module: str) -> set[str]:
 def test_modules_run_in_process_without_environment():
     found = {module: _process_and_environment_use(module) for module in MODULES}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _defined_names(statement: ast.stmt) -> set[str]:
+    """Names a top-level statement defines: a function, a class, or the
+    plain-name targets of an assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, ast.Assign):
+        return {t.id for t in statement.targets if isinstance(t, ast.Name)}
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return {statement.target.id}
+    return set()
+
+
+def _loads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Bare names and attribute names the module loads, each outside the
+    top-level statement that defines it."""
+    names, attributes = set(), set()
+    for statement in tree.body:
+        own = _defined_names(statement)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id not in own:
+                    names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr not in own:
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_public_name_has_a_caller():
+    # A public name counts as used where a module that defines or imports it
+    # loads it as a bare name (so a local variable of the same name in
+    # another module does not count), or where the package or the benchmark
+    # reads it as an attribute (lib.formats.read_pgm). The __init__
+    # re-exports are not callers.
+    trees = {m: _tree(m) for m in MODULES if m != "__init__"}
+    defined = {
+        module: {name for s in tree.body for name in _defined_names(s) if not name.startswith("_")}
+        for module, tree in trees.items()
+    }
+    used = set()
+    for module, tree in trees.items():
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        names, attributes = _loads(tree)
+        used |= (names & (defined[module] | imported)) | attributes
+    for path in BENCH_DIR.glob("*.py"):
+        used |= _loads(ast.parse(path.read_text(encoding="utf-8")))[1]
+    unused = [
+        f"{module}.{name}"
+        for module, names in sorted(defined.items())
+        for name in sorted(names - used)
+    ]
+    assert not unused, f"public names with no caller: {unused}"

@@ -29,21 +29,13 @@ from lozi_pruning import (
     Verdict,
     Word,
     WrongHead,
-    admissible_word_count,
     classify_cylinder,
     closed_form_q,
-    code_verdict,
-    entropy_estimate,
-    enumerate_heads,
-    enumerate_tails,
     eval_p,
     eval_pq_cylinder,
     eval_q,
-    eval_r,
-    eval_s,
     pruned_region_raster,
     special_head,
-    verdict_code,
 )
 from lozi_pruning import formats, pruning
 from lozi_pruning.pruning import (
@@ -52,16 +44,19 @@ from lozi_pruning.pruning import (
     PGM_PRUNED,
     PGM_UNKNOWN,
     ULP_SLACK,
+    _block_masks,
+    _bracket,
+    _enclosure_sweep,
     _fill_cells,
     _levels,
     _p_enclosure,
     _p_series,
     _q_enclosure,
     _q_series,
-    _window_masks,
     entropy_rows,
 )
-from lozi_pruning.symbolic import coordinate_symbols, head_coordinate, tail_coordinate
+from lozi_pruning.symbolic import coordinate_symbols
+from symbolic_reference import head_coordinate, heads, tail_coordinate, tails
 
 
 def _q_series_mp(eps, a, b, levels=500, terms=200, seed=0.0):
@@ -102,6 +97,32 @@ def _contains(bv: BoundedValue, target: float) -> bool:
     return bv.lo - ULP_SLACK <= target <= bv.hi + ULP_SLACK
 
 
+def _s_level(w: Word, n: int, depth: int, par: Params) -> BoundedValue:
+    """Enclosure of the tail level s_n (n <= -2) from the symbols at
+    indices n - depth .. n, innermost first."""
+    shifts = [-par.a * w.tail[-j] for j in range(depth - n, -n - 1, -1)]
+    return BoundedValue.from_interval(*_levels(shifts, par)[-1])
+
+
+def _r_level(w: Word, n: int, depth: int, par: Params) -> BoundedValue:
+    """Enclosure of the head level r_n (n >= 0) from the symbols at
+    indices n + depth .. n, innermost first."""
+    shifts = [par.a * w.head[j] for j in range(n + depth, n - 1, -1)]
+    return BoundedValue.from_interval(*_levels(shifts, par)[-1])
+
+
+def _counts(par: Params, n: int, depth: int) -> tuple[int, int]:
+    """(count_lower, count_upper) of the length-n blocks: entropy_rows' last
+    row at n_max = n."""
+    row = dict(zip(ENTROPY_HEADER, entropy_rows(par, n, depth)[-1]))
+    return row["count_lower"], row["count_upper"]
+
+
+def _estimate(par: Params, n_max: int, depth: int) -> tuple[float, float]:
+    """(h_lower, h_upper) of entropy_rows' last row."""
+    return entropy_rows(par, n_max, depth)[-1][-2:]
+
+
 def test_hyperbolic_predicate_and_gate():
     assert Params(2.0, 0.5).hyperbolic
     assert Params(1.2, -0.1).hyperbolic
@@ -114,6 +135,19 @@ def test_hyperbolic_predicate_and_gate():
             eval_p(Word((PLUS,) * 5, (PLUS,)), 1, bad)
 
 
+def test_nonfinite_parameters_are_not_hyperbolic():
+    inf, nan = math.inf, math.nan
+    for bad in (Params(inf, 0.5), Params(inf, 0.0), Params(inf, -inf), Params(nan, 0.0),
+                Params(2.0, nan), Params(inf, inf)):
+        assert not bad.hyperbolic
+        with pytest.raises(NotHyperbolic):
+            bad.require_hyperbolic()
+        with pytest.raises(NotHyperbolic):
+            pruned_region_raster(bad, 2, 12)
+        with pytest.raises(NotHyperbolic):
+            entropy_rows(bad, 3, 12)
+
+
 def test_bounded_value_interval_roundtrip():
     bv = BoundedValue.from_interval(-1.5, 2.5)
     assert bv.value == 0.5 and bv.err == 2.0
@@ -124,13 +158,13 @@ def test_level_values_exact_at_b0():
     # With b = 0 a level is 1/(+-a) exactly and the enclosure collapses.
     par = Params(2.0, 0.0)
     w = Word((PLUS, MINUS, PLUS), (MINUS, PLUS))
-    s = eval_s(w, -2, 0, par)
+    s = _s_level(w, -2, 0, par)
     assert s.value == -1.0 / (2.0 * w.tail[-2]) and s.err == 0.0
-    s3 = eval_s(w, -3, 0, par)
+    s3 = _s_level(w, -3, 0, par)
     assert s3.value == -1.0 / (2.0 * w.tail[-3]) and s3.err == 0.0
-    r0 = eval_r(w, 0, 0, par)
+    r0 = _r_level(w, 0, 0, par)
     assert r0.value == w.head[0] / 2.0 and r0.err == 0.0
-    r1 = eval_r(w, 1, 0, par)
+    r1 = _r_level(w, 1, 0, par)
     assert r1.value == w.head[1] / 2.0 and r1.err == 0.0
 
 
@@ -138,7 +172,7 @@ def test_s_constant_plus_tail_fixed_point():
     # s = 1/(-a + b s) with a=2, b=0.5 gives s^2 - 4s - 2 = 0, root 2 - sqrt(6)
     # inside the invariant disc.
     target = 2.0 - math.sqrt(6.0)
-    bv = eval_s(Word((PLUS,) * 40, ()), -2, 30, Params(2.0, 0.5))
+    bv = _s_level(Word((PLUS,) * 40, ()), -2, 30, Params(2.0, 0.5))
     assert _contains(bv, target)
     assert bv.err < 1e-10
 
@@ -147,7 +181,7 @@ def test_r_constant_minus_continuation_fixed_point():
     # On the head (+1, -1, -1, ...) the levels from index 1 on satisfy the
     # same fixed-point equation as the constant tail above.
     target = 2.0 - math.sqrt(6.0)
-    bv = eval_r(Word((), special_head(40)), 1, 30, Params(2.0, 0.5))
+    bv = _r_level(Word((), special_head(40)), 1, 30, Params(2.0, 0.5))
     assert _contains(bv, target)
     assert bv.err < 1e-10
 
@@ -213,14 +247,6 @@ def test_insufficient_word_and_bad_arguments():
         eval_p(Word((PLUS,) * 5, ()), 4, par)  # needs depth + 2 = 6
     with pytest.raises(InsufficientWord):
         eval_q(Word((), (PLUS,) * 5), 5, par)  # needs depth + 1 = 6
-    with pytest.raises(InsufficientWord):
-        eval_s(Word((PLUS, PLUS), ()), -2, 1, par)
-    with pytest.raises(InsufficientWord):
-        eval_r(Word((), (PLUS, PLUS)), 1, 1, par)
-    with pytest.raises(ValueError):
-        eval_s(Word((PLUS,) * 5, ()), -1, 0, par)
-    with pytest.raises(ValueError):
-        eval_r(Word((), (PLUS,) * 5), -1, 0, par)
     with pytest.raises(ValueError):
         eval_p(Word((PLUS,) * 5, ()), -1, par)
     with pytest.raises(ValueError):
@@ -228,7 +254,7 @@ def test_insufficient_word_and_bad_arguments():
     with pytest.raises(ValueError):
         classify_cylinder(Word((PLUS,) * 5, (PLUS,) * 5), -1, 2, par)
     with pytest.raises(ValueError):
-        admissible_word_count(Params(1.7, 0.2), 6, -1)
+        entropy_rows(Params(1.7, 0.2), 6, -1)
 
 
 def _random_word(rng: random.Random, m: int, n: int) -> Word:
@@ -317,7 +343,7 @@ def test_raster_b0_columns_match_exact_fraction_oracle():
     par = Params(a, 0.0)
     r = pruned_region_raster(par, length, depth)
     a_frac = Fraction(a)  # exact binary value of the float parameter
-    for rank, head in enumerate(enumerate_heads(length)):
+    for rank, head in enumerate(heads(length)):
         prod = Fraction(1)
         q = Fraction(0)
         for t in range(min(depth, length - 1) + 1):
@@ -348,23 +374,26 @@ def test_raster_matches_scalar_classifier():
     par = Params(1.7, 0.3)
     length, depth = 5, 4
     r = pruned_region_raster(par, length, depth)
-    tails = list(enumerate_tails(length, PLUS))
-    heads = list(enumerate_heads(length))
-    for i in range(0, 32):
-        for j in range(0, 32):
-            v = classify_cylinder(Word(tails[i], heads[j]), depth, 0, par)
-            assert r.cells[i, j] == verdict_code(v)
+    code = {
+        Verdict.CERTIFIED_PRUNED: PGM_PRUNED,
+        Verdict.UNKNOWN: PGM_UNKNOWN,
+        Verdict.CERTIFIED_ADMISSIBLE_WINDOW: PGM_ADMISSIBLE,
+    }
+    for i, tail in enumerate(tails(length, PLUS)):
+        for j, head in enumerate(heads(length)):
+            v = classify_cylinder(Word(tail, head), depth, 0, par)
+            assert r.cells[i, j] == code[v]
 
 
 def test_raster_vector_rows_match_symbol_enumeration():
     L = 6
     heads_m = coordinate_symbols(L, PLUS)
-    for rank, head in enumerate(enumerate_heads(L)):
+    for rank, head in enumerate(heads(L)):
         assert tuple(int(x) for x in heads_m[rank]) == head
         assert head_coordinate(head) == rank / (1 << L)
     for b_sign, counted in ((PLUS, MINUS), (MINUS, PLUS)):
         tails_m = coordinate_symbols(L, counted)
-        for rank, tail in enumerate(enumerate_tails(L, b_sign)):
+        for rank, tail in enumerate(tails(L, b_sign)):
             assert tuple(int(x) for x in tails_m[rank]) == tuple(reversed(tail))
             assert tail_coordinate(tail, b_sign) == rank / (1 << L)
 
@@ -380,9 +409,9 @@ def test_vectorized_intervals_bitwise_match_scalar():
         heads_m = coordinate_symbols(L, PLUS)
         plo, phi = _p_enclosure(tails_m.T, d, par)
         qlo, qhi = _q_enclosure(heads_m.T, d, par)
-        for rank, tail in enumerate(enumerate_tails(L, b_sign)):
+        for rank, tail in enumerate(tails(L, b_sign)):
             assert _p_enclosure(tail[::-1], d, par) == (plo[rank], phi[rank])
-        for rank, head in enumerate(enumerate_heads(L)):
+        for rank, head in enumerate(heads(L)):
             assert _q_enclosure(head, d, par) == (qlo[rank], qhi[rank])
 
 
@@ -469,15 +498,15 @@ def test_raster_peak_memory():
 
 
 def test_counting_full_shift_exact():
-    assert admissible_word_count(Params(2.0, 0.0), 10, 9) == (1024, 1024)
-    assert admissible_word_count(Params(2.1, 0.05), 12, 12) == (4096, 4096)
+    assert _counts(Params(2.0, 0.0), 10, 9) == (1024, 1024)
+    assert _counts(Params(2.1, 0.05), 12, 12) == (4096, 4096)
 
 
 def test_counting_brackets_tighten_with_depth():
     par = Params(1.8, 0.3)
-    lo2, up2 = admissible_word_count(par, 8, 2)
-    lo4, up4 = admissible_word_count(par, 8, 4)
-    lo8, up8 = admissible_word_count(par, 8, 8)
+    lo2, up2 = _counts(par, 8, 2)
+    lo4, up4 = _counts(par, 8, 4)
+    lo8, up8 = _counts(par, 8, 8)
     assert up8 <= up4 <= up2
     assert lo2 <= lo4 <= lo8
     assert lo8 <= up8
@@ -485,35 +514,39 @@ def test_counting_brackets_tighten_with_depth():
 
 def test_counting_upper_submultiplicative():
     par = Params(1.9, 0.2)
-    u = {n: admissible_word_count(par, n, 12)[1] for n in (3, 4, 5, 6, 8, 10, 12)}
+    rows = [dict(zip(ENTROPY_HEADER, row)) for row in entropy_rows(par, 12, 12)]
+    u = {row["n"]: row["count_upper"] for row in rows}
     assert u[8] <= u[3] * u[5]
     assert u[10] <= u[4] * u[6]
     assert u[12] <= u[6] * u[6]
 
 
 def test_counting_detects_pruning_at_small_b():
-    lower, upper = admissible_word_count(Params(2.0, 0.1), 14, 13)
+    lower, upper = _counts(Params(2.0, 0.1), 14, 13)
     assert 0 < lower <= upper < 1 << 14
 
 
 def test_counting_budget_gate():
     with pytest.raises(BudgetExceeded):
-        admissible_word_count(Params(2.0, 0.0), 24, 4)
+        entropy_rows(Params(2.0, 0.0), 24, 4)
 
 
 def test_counting_gate_admits_20_and_refuses_21(monkeypatch):
-    # The gate counts blocks only; the masks are stubbed, so nothing of size
-    # 2^20 is allocated here.
+    # The gate counts blocks only; the sweep and masks are stubbed, so
+    # nothing of size 2^20 is allocated here.
     seen = []
 
-    def stub(params, n, depth):
-        seen.append(n)
-        return np.zeros(3, dtype=bool), np.ones(3, dtype=bool)
+    def sweep_stub(params, n_max, depth):
+        seen.append(n_max)
+        return None
 
-    monkeypatch.setattr(pruning, "_window_masks", stub)
-    assert admissible_word_count(Params(1.7, 0.2), 20, 12) == (3, 3)
+    monkeypatch.setattr(pruning, "_enclosure_sweep", sweep_stub)
+    monkeypatch.setattr(
+        pruning, "_block_masks", lambda sweep, n: (np.zeros(3, dtype=bool), np.ones(3, dtype=bool))
+    )
+    assert _counts(Params(1.7, 0.2), 20, 12) == (3, 3)
     with pytest.raises(BudgetExceeded):
-        admissible_word_count(Params(1.7, 0.2), 21, 12)
+        entropy_rows(Params(1.7, 0.2), 21, 12)
     assert seen == [20]
 
 
@@ -548,7 +581,7 @@ def test_window_masks_match_full_matrix_reference_per_block(a, b):
         rows = coordinate_symbols(n, PLUS)
         w = (rows == MINUS).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
         for depth in (0, 3, 12):
-            pruned, cert = _window_masks(par, n, depth)
+            pruned, cert = _block_masks(_enclosure_sweep(par, n, depth), n)
             ref_pruned, ref_cert = _ref_window_masks(par, n, depth)
             assert pruned.shape == cert.shape == (1 << n,)
             np.testing.assert_array_equal(pruned[w], ref_pruned, err_msg=f"n={n} depth={depth}")
@@ -571,36 +604,23 @@ def test_entropy_rows_regression_pin(a, b, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def test_word_count_peak_memory():
-    # The broadcast masks hold each level and series once per distinct
-    # prefix or suffix (about 10 MiB traced at n = 16); a (2^n, n) symbol
-    # matrix or full-width levels would take over 40 MiB.
-    tracemalloc.start()
-    try:
-        admissible_word_count(Params(1.7, 0.2), 16, 12)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16_000_000
-
-
 @pytest.mark.parametrize("a, b", [(1.7, 0.0), (1.9, -0.3), (1.21, 0.2), (2.1, 0.05)])
 def test_entropy_rows_count_each_length_as_word_count(a, b):
     # entropy_rows sweeps once at n_max and reads every shorter length off
-    # that sweep; admissible_word_count sweeps at n itself.
+    # that sweep; the reference sweeps at n itself.
     par = Params(a, b)
     for depth in (0, 1, 3, 12):
         rows = entropy_rows(par, 14, depth)
         for n, row in enumerate(rows, start=1):
             counts = dict(zip(ENTROPY_HEADER, row))
-            assert (counts["count_lower"], counts["count_upper"]) == admissible_word_count(
-                par, n, depth
-            ), f"n={n} depth={depth}"
+            swept_at_n = _bracket(*_block_masks(_enclosure_sweep(par, n, depth), n))
+            assert (counts["count_lower"], counts["count_upper"]) == swept_at_n, (n, depth)
 
 
 def test_entropy_rows_peak_memory():
     # One sweep at n_max holds each prefix and suffix enclosure once (about
-    # 8 MiB traced at n_max = 16), the bound of test_word_count_peak_memory.
+    # 8 MiB traced at n_max = 16); a (2^n, n) symbol matrix or full-width
+    # levels would take over 40 MiB.
     tracemalloc.start()
     try:
         entropy_rows(Params(1.7, 0.2), 16, 12)
@@ -626,10 +646,10 @@ def test_entropy_rows_sweep_levels_once(monkeypatch, n_max):
 
 
 def test_entropy_exact_log2_on_full_shift():
-    lo, hi = entropy_estimate(Params(2.0, 0.0), 8, 8)
+    lo, hi = _estimate(Params(2.0, 0.0), 8, 8)
     assert lo == pytest.approx(math.log(2.0), abs=1e-12)
     assert hi == pytest.approx(math.log(2.0), abs=1e-12)
-    lo, hi = entropy_estimate(Params(2.1, 0.05), 10, 12)
+    lo, hi = _estimate(Params(2.1, 0.05), 10, 12)
     assert lo == pytest.approx(math.log(2.0), abs=1e-12)
     assert hi == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -639,23 +659,15 @@ def test_entropy_bracket_ordering_random_params():
     for _ in range(12):
         b = rng.uniform(-0.6, 0.6)
         a = 1.0 + abs(b) + rng.uniform(0.2, 1.4)
-        lo, hi = entropy_estimate(Params(a, b), 8, 8)
+        lo, hi = _estimate(Params(a, b), 8, 8)
         assert 0.0 <= lo <= hi <= math.log(2.0) + 1e-12
 
 
 def test_entropy_upper_improves_with_longer_words():
     par = Params(2.0, 0.1)
-    _, hi5 = entropy_estimate(par, 5, 10)
-    _, hi10 = entropy_estimate(par, 10, 10)
+    _, hi5 = _estimate(par, 5, 10)
+    _, hi10 = _estimate(par, 10, 10)
     assert hi10 <= hi5 + 1e-12
-
-
-def test_verdict_code_round_trip():
-    for v in Verdict:
-        assert code_verdict(verdict_code(v)) is v
-    assert verdict_code(Verdict.CERTIFIED_PRUNED) == 0
-    assert verdict_code(Verdict.UNKNOWN) == 128
-    assert verdict_code(Verdict.CERTIFIED_ADMISSIBLE_WINDOW) == 255
 
 
 def test_interval_soundness_ten_thousand_triples():
@@ -718,9 +730,7 @@ def test_pruned_verdict_stable_under_word_extension():
     idx = np.argwhere(r.cells == PGM_PRUNED)
     assert len(idx) > 0
     i, j = (int(v) for v in idx[0])
-    tails = list(enumerate_tails(10, PLUS))
-    heads = list(enumerate_heads(10))
-    w = Word(tails[i], heads[j])
+    w = Word(tails(10, PLUS)[i], heads(10)[j])
     assert classify_cylinder(w, 9, 0, par) is Verdict.CERTIFIED_PRUNED
     ext = Word((PLUS,) * 4 + w.tail, w.head + (PLUS,) * 3)
     assert classify_cylinder(ext, 12, 0, par) is Verdict.CERTIFIED_PRUNED
@@ -765,17 +775,17 @@ def test_orbit_itineraries_never_certified_pruned():
 
 
 def test_counting_single_symbol_upper():
-    assert admissible_word_count(Params(1.9, 0.3), 1, 4)[1] <= 2
+    assert _counts(Params(1.9, 0.3), 1, 4)[1] <= 2
 
 
 def test_entropy_brackets_log2_at_small_b():
-    lo, hi = entropy_estimate(Params(2.0, 0.05), 10, 12)
+    lo, hi = _estimate(Params(2.0, 0.05), 10, 12)
     assert lo - 0.05 <= math.log(2.0) <= hi + 0.05
 
 
 def test_entropy_upper_monotone_along_a():
     b = 0.05
-    uppers = [entropy_estimate(Params(a, b), 10, 12)[1] for a in (1.5, 1.7, 1.9, 2.0)]
+    uppers = [_estimate(Params(a, b), 10, 12)[1] for a in (1.5, 1.7, 1.9, 2.0)]
     for u1, u2 in zip(uppers, uppers[1:]):
         assert u1 <= u2 + 1e-9
 

@@ -1,7 +1,7 @@
-"""Order, coordinate, and shift behaviour of two-sided words.
+"""Orders, coordinates and re-dotting of two-sided words.
 
-The order oracles here are the comparator definitions themselves applied
-exhaustively; coordinates are checked against comparator-sorted rankings.
+The order oracles in ``symbolic_reference`` are the comparator definitions
+themselves, checked exhaustively; ``coordinate_symbols`` is held to them.
 """
 
 import itertools
@@ -9,20 +9,14 @@ from functools import cmp_to_key
 
 import pytest
 
-from lozi_pruning.errors import EmptyHead, Incomparable
-from lozi_pruning.symbolic import (
-    MINUS,
-    PLUS,
-    Word,
+from lozi_pruning.symbolic import MINUS, PLUS, Word, redot
+from symbolic_reference import (
     compare_heads,
     compare_tails,
-    enumerate_heads,
-    enumerate_tails,
-    enumerate_words,
     head_coordinate,
-    redot,
-    shift,
+    heads,
     tail_coordinate,
+    tails,
 )
 
 
@@ -61,9 +55,9 @@ def test_tail_order_total_and_antisymmetric_exhaustive():
 
 
 def test_incomparable_on_proper_prefix():
-    with pytest.raises(Incomparable):
+    with pytest.raises(ValueError):
         compare_heads((PLUS, MINUS), (PLUS, MINUS, MINUS))
-    with pytest.raises(Incomparable):
+    with pytest.raises(ValueError):
         compare_tails((PLUS,), (MINUS, PLUS))
 
 
@@ -96,19 +90,15 @@ def test_tail_coordinate_b_sign_flip_is_consistent_permutation():
 
 
 def test_enumerators_cover_everything_in_coordinate_order():
-    heads = list(enumerate_heads(6))
-    assert len(heads) == 64 and len(set(heads)) == 64
-    hc = [head_coordinate(h) for h in heads]
-    assert hc == sorted(hc)
-
+    # Row r of coordinate_symbols is the word of rank r: its coordinate is
+    # r / 2^n under the reference embedding.
+    hs = heads(6)
+    assert len(set(hs)) == 64
+    assert [head_coordinate(h) for h in hs] == [r / 64 for r in range(64)]
     for b_sign in (PLUS, MINUS):
-        tails = list(enumerate_tails(6, b_sign))
-        assert len(tails) == 64 and len(set(tails)) == 64
-        tc = [tail_coordinate(t, b_sign) for t in tails]
-        assert tc == sorted(tc)
-
-    words = list(enumerate_words(3, 2))
-    assert len(words) == 32 and len(set(words)) == 32
+        ts = tails(6, b_sign)
+        assert len(set(ts)) == 64
+        assert [tail_coordinate(t, b_sign) for t in ts] == [r / 64 for r in range(64)]
 
 
 def test_coordinates_land_in_unit_interval():
@@ -133,20 +123,20 @@ def test_word_string_round_trip():
 
 def test_shift_moves_one_symbol_and_is_a_bijection():
     w = Word((MINUS,), (PLUS, MINUS, PLUS))
-    assert shift(w) == Word((MINUS, PLUS), (MINUS, PLUS))
+    assert redot(w, 1) == Word((MINUS, PLUS), (MINUS, PLUS))
 
-    images = {shift(Word(t, h)) for t in _all_blocks(2) for h in _all_blocks(3)}
+    images = {redot(Word(t, h), 1) for t in _all_blocks(2) for h in _all_blocks(3)}
     expected = {Word(t, h) for t in _all_blocks(3) for h in _all_blocks(2)}
     assert images == expected
 
-    with pytest.raises(EmptyHead):
-        shift(Word((PLUS,), ()))
+    with pytest.raises(ValueError):
+        redot(Word((PLUS,), ()), 1)
 
 
 def test_redot_matches_iterated_shift_and_inverts():
     w = Word((MINUS, PLUS), (PLUS, MINUS, MINUS))
     assert redot(w, 0) == w
-    assert redot(w, 2) == shift(shift(w))
+    assert redot(w, 2) == redot(redot(w, 1), 1)
     assert redot(redot(w, 2), -2) == w
     assert redot(w, -2) == Word((), (MINUS, PLUS, PLUS, MINUS, MINUS))
     with pytest.raises(ValueError):

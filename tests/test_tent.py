@@ -21,7 +21,8 @@ from lozi_pruning import (
     tent_lap_count,
     tent_orbit,
 )
-from lozi_pruning.symbolic import MINUS, PLUS, Word, enumerate_heads
+from lozi_pruning.symbolic import MINUS, PLUS, Word
+from symbolic_reference import heads
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -306,7 +307,7 @@ def test_full_slope_unique_straddling_head():
     a = 2.0
     kap = kneading(a, 12).symbols
     count = 0
-    for head in enumerate_heads(12):
+    for head in heads(12):
         bv = eval_q(Word((), head), 11, Params(a, 0.0))
         if bv.lo <= 1.0 <= bv.hi:
             count += 1
