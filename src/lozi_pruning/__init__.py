@@ -4,19 +4,16 @@ import importlib
 
 from .errors import (
     BudgetExceeded,
-    DegenerateBounds,
     InsufficientWord,
     LoziError,
     NoFixedPoint,
     NonInvertible,
     NotHyperbolic,
     NotInvariant,
-    WrongHead,
     WrongParams,
 )
 from .derivatives import (
     DerivBounds,
-    MonotoneCone,
     a_derivative_bounds,
     b_derivative_bounds,
     cone_table,

@@ -5,7 +5,9 @@ A run is described by a flat RunConfig; values resolve in the order
 built-in defaults, then a key=value config file, then explicit flags.
 Every command is deterministic given its config: sampling is always seeded,
 artifact writers are timestamp-free, and files land atomically (temp file
-plus rename). Existing outputs are only replaced under --force.
+plus rename). Existing outputs are only replaced under --force, and
+pruned-region, zero-scan and manifolds check every output path they will
+write before any work, so a refused run writes nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 domain or usage error.
 """
@@ -13,7 +15,6 @@ Exit codes: 0 success, 1 verification failure, 2 domain or usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -57,7 +58,8 @@ MANIFOLD_HEADER = ("x", "y")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete description of one CLI run; serializes to key=value text."""
+    """Complete description of one CLI run; a config file sets its fields as
+    key=value lines."""
 
     command: str
     a: float = 1.7
@@ -77,14 +79,6 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     force: bool = False
-
-    def to_text(self) -> str:
-        entries = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if getattr(self, f.name) is not None
-        }
-        return formats.sidecar_text(entries)
 
 
 # Value type of each field; an optional field "float | None" reads as float.
@@ -113,9 +107,13 @@ def config_from_sources(
     return RunConfig(**values)
 
 
-def _require_out(config: RunConfig) -> str:
+def _require_out(config: RunConfig, *suffixes: str) -> str:
+    """The --out path. Without --force it refuses, before any work, when the
+    path or the path plus any of the suffixes exists, so a refused run
+    writes nothing."""
     if not config.out:
         raise ValueError(f"{config.command} requires --out")
+    formats.refuse_overwrite([config.out + s for s in ("", *suffixes)], config.force)
     return config.out
 
 
@@ -131,7 +129,7 @@ def _a_sweep(config: RunConfig, lo: float, hi: float, grid: int) -> list[float]:
 
 def cmd_pruned_region(config: RunConfig) -> int:
     """Classify every two-sided cylinder and write the verdict raster."""
-    out = _require_out(config)
+    out = _require_out(config, ".txt")
     word_len = or_default(config.word_len, 8)
     raster = pruned_region_raster(Params(config.a, config.b), word_len, config.depth)
     formats.write_pgm(out, raster.cells, force=config.force)
@@ -197,7 +195,7 @@ def cmd_cones(config: RunConfig) -> int:
 
 def cmd_zero_scan(config: RunConfig) -> int:
     """Verdict-coded raster over a parameter rectangle plus a CSV listing."""
-    out = _require_out(config)
+    out = _require_out(config, ".txt", ".csv")
     a_range = (or_default(config.a_min, 0.0), or_default(config.a_max, 2.5))
     b_range = (or_default(config.b_min, 0.0), or_default(config.b_max, 1.0))
     resolution = or_default(config.grid, 64)
@@ -242,7 +240,7 @@ def cmd_zero_scan(config: RunConfig) -> int:
 
 def cmd_manifolds(config: RunConfig) -> int:
     """Dump one manifold branch as a vertex CSV for external plotting."""
-    out = _require_out(config)
+    out = _require_out(config, ".txt")
     params = Params(config.a, config.b)
     arc_budget = or_default(config.arc_budget, 50.0)
     if config.branch not in MANIFOLD_BRANCHES:

@@ -7,52 +7,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateBounds, InsufficientWord, NotHyperbolic
+from .errors import InsufficientWord, NotHyperbolic
 from .pruning import BoundedValue, Params, eval_p, eval_pq_cylinder, eval_q
 from .symbolic import Word
 from .tent import require_slope
 
-D_A = "d_a"
-D_B = "d_b"
-
 
 @dataclass(frozen=True)
 class DerivBounds:
-    """Two-sided bound on a directional parameter derivative of p - q.
-
-    For direction d_b the bound depends on the tail symbol two places left
-    of the dot; eps_minus2 records which branch the bound is for.
-    """
+    """Two-sided bound on a directional parameter derivative of p - q."""
 
     lo: float
     hi: float
-    at: Params
-    direction: str
-    eps_minus2: int | None = None
 
     def __post_init__(self) -> None:
-        if self.direction not in (D_A, D_B):
-            raise ValueError(f"unknown direction {self.direction!r}")
         if self.lo > self.hi:
             raise ValueError("lower bound exceeds upper bound")
-        if self.direction == D_B and self.eps_minus2 not in (-1, 1):
-            raise ValueError("d_b bounds need eps_minus2 in {-1, +1}")
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
-
-@dataclass(frozen=True)
-class MonotoneCone:
-    """Directions (N1, -1) and (N2, +1) along which p - q strictly grows."""
-
-    a: float
-    N1: float
-    N2: float
-
-    def __post_init__(self) -> None:
-        if not (self.N1 > 0.0 and self.N2 > 0.0):
-            raise ValueError("cone slopes must be positive")
 
 
 def dp_db_at_b0(w: Word, a: float) -> float:
@@ -74,7 +44,7 @@ def a_derivative_bounds(a: float) -> DerivBounds:
     den = 2.0 * a * a * (a - 1.0)
     lo = (a**3 + 2.0 * a * a - 6.0 * a + 2.0) / den
     hi = (a**3 + 2.0 * a * a - 6.0 * a + 4.0) / den
-    return DerivBounds(lo=lo, hi=hi, at=Params(a, 0.0), direction=D_A)
+    return DerivBounds(lo=lo, hi=hi)
 
 
 def b_derivative_bounds(a: float, eps_minus2: int) -> DerivBounds:
@@ -86,29 +56,11 @@ def b_derivative_bounds(a: float, eps_minus2: int) -> DerivBounds:
     head_part = 1.0 / (a * eps_minus2)
     lo = head_part - (-2.0 * a * a + 7.0 * a - 2.0) / den
     hi = head_part - (-2.0 * a * a + 7.0 * a - 8.0) / den
-    return DerivBounds(
-        lo=lo, hi=hi, at=Params(a, 0.0), direction=D_B, eps_minus2=eps_minus2
-    )
+    return DerivBounds(lo=lo, hi=hi)
 
 
 # Guaranteed directional derivative at the cone slopes of cone_table.
 _CONE_MARGIN = 1e-6
-
-
-def _cone(a: float, da: DerivBounds, bp: DerivBounds, bm: DerivBounds) -> MonotoneCone:
-    """Smallest cone slopes making p - q strictly increase along (N1, -1)
-    and (N2, +1), from the slope's three bound intervals.
-
-    At these N values the guaranteed directional derivative equals
-    _CONE_MARGIN exactly; any larger slope gives strictly more slack.
-    """
-    if da.lo <= 0.0:
-        raise DegenerateBounds(
-            f"a-derivative lower bound {da.lo:.6f} <= 0 at a={a}; no cone certified"
-        )
-    return MonotoneCone(
-        a=a, N1=(bp.hi + _CONE_MARGIN) / da.lo, N2=(-bm.lo + _CONE_MARGIN) / da.lo
-    )
 
 
 CONE_TABLE_HEADER = (
@@ -127,19 +79,23 @@ CONE_TABLE_HEADER = (
 def cone_table(a_values: list[float]) -> list[tuple[float, ...]]:
     """Direction-field rows matching CONE_TABLE_HEADER.
 
-    Slopes below the lower-bound crossover get NaN cone columns instead of
-    an error so a sweep over (1.2, 2] stays a single table.
+    N1 and N2 are the smallest cone slopes making p - q strictly increase
+    along (N1, -1) and (N2, +1): there the guaranteed directional derivative
+    equals _CONE_MARGIN exactly, and any larger slope gives strictly more
+    slack. Both are positive, since b_derivative_bounds puts hi above 1/a
+    for eps_-2 = +1 and lo below -1/a for eps_-2 = -1. Slopes below the
+    crossover where the a-derivative lower bound reaches 0 get NaN cone
+    columns, so a sweep over (1.2, 2] stays a single table.
     """
     rows = []
     for a in a_values:
         da = a_derivative_bounds(a)
         bp = b_derivative_bounds(a, +1)
         bm = b_derivative_bounds(a, -1)
-        try:
-            cone = _cone(a, da, bp, bm)
-            n1, n2 = cone.N1, cone.N2
-        except DegenerateBounds:
+        if da.lo <= 0.0:
             n1 = n2 = math.nan
+        else:
+            n1, n2 = (bp.hi + _CONE_MARGIN) / da.lo, (-bm.lo + _CONE_MARGIN) / da.lo
         rows.append((a, da.lo, da.hi, bp.lo, bp.hi, bm.lo, bm.hi, n1, n2))
     return rows
 

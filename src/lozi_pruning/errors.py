@@ -15,10 +15,6 @@ class InsufficientWord(LoziError):
     """The word does not carry enough symbols for the requested depth."""
 
 
-class WrongHead(LoziError):
-    """Closed-form evaluation requested for a head it does not cover."""
-
-
 class BudgetExceeded(LoziError):
     """An enumeration or growth budget was exhausted."""
 
@@ -45,7 +41,3 @@ class NotInvariant(LoziError):
 
 class WrongParams(LoziError):
     """Parameters outside the domain of the requested construction."""
-
-
-class DegenerateBounds(LoziError):
-    """The certified derivative lower bound is non-positive; no cone exists."""

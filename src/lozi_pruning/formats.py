@@ -58,6 +58,14 @@ def or_default(value, default):
     return default if value is None else value
 
 
+def refuse_overwrite(paths: Iterable[str], force: bool) -> None:
+    """Raise FileExistsError for the first existing path unless force is set:
+    the one rule for replacing an artifact."""
+    for path in map(os.fspath, paths):
+        if os.path.exists(path) and not force:
+            raise FileExistsError(f"{path} exists; pass force to overwrite")
+
+
 def atomic_write_bytes(path: str, data: bytes, force: bool = False) -> None:
     """Write via a temp file in the target directory plus rename.
 
@@ -65,8 +73,7 @@ def atomic_write_bytes(path: str, data: bytes, force: bool = False) -> None:
     replaced when force is set.
     """
     path = os.fspath(path)
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"{path} exists; pass force to overwrite")
+    refuse_overwrite([path], force)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
     try:

@@ -194,10 +194,6 @@ class Polyline:
     truncated: bool
     arc_length: float
 
-    def segments(self) -> np.ndarray:
-        pts = _xy_array(self.vertices, len(self.vertices))
-        return np.stack([pts[:-1], pts[1:]], axis=1)
-
 
 def _xy_array(points, n: int) -> np.ndarray:
     """(n, 2) array of n (x, y) pairs; fromiter over the flat coordinates is
@@ -205,28 +201,26 @@ def _xy_array(points, n: int) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(points), float, 2 * n).reshape(-1, 2)
 
 
-def _segment_distances(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest segment (exact projection)."""
-    a0 = segs[:, 0, :]
-    d = segs[:, 1, :] - a0
-    denom = np.einsum("ij,ij->i", d, d)
+def _segment_distances(points: np.ndarray, segs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Distance from each (x, y) row of points to its nearest segment of
+    the _seg_columns segs (exact projection)."""
+    x1, y1, x2, y2 = segs
+    dx, dy = x2 - x1, y2 - y1
+    denom = dx * dx + dy * dy
     out = np.empty(len(points))
     for lo in range(0, len(points), 4096):
-        p = points[lo : lo + 4096]
-        rel = p[:, None, :] - a0[None, :, :]
+        px, py = (c[:, None] for c in points[lo : lo + 4096].T)
         t = np.clip(
             np.divide(
-                np.einsum("pij,ij->pi", rel, d),
-                denom[None, :],
-                out=np.zeros((len(p), len(a0))),
-                where=denom[None, :] > 0,
+                (px - x1) * dx + (py - y1) * dy,
+                denom,
+                out=np.zeros((len(px), len(x1))),
+                where=denom > 0,
             ),
             0.0,
             1.0,
         )
-        near = a0[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.hypot(near[:, :, 0] - p[:, None, 0], near[:, :, 1] - p[:, None, 1])
-        out[lo : lo + 4096] = dist.min(axis=1)
+        out[lo : lo + 4096] = np.hypot(x1 + t * dx - px, y1 + t * dy - py).min(axis=1)
     return out
 
 
@@ -546,7 +540,6 @@ def lyapunov_delta(params: Params, q: PlanePoint) -> float:
 class PolygonReport:
     corners: tuple[PlanePoint, ...]
     margin: float
-    image_vertices: int
 
 
 # Below this the signed-distance minimum counts as touching contact, not
@@ -624,10 +617,8 @@ def polygon_invariance(params: Params) -> PolygonReport:
     is typically exactly zero. Raises NotInvariant on genuine escape.
     """
     poly = _corner_polygon(params)
-    boundary = list(
-        _drop_collinear(
-            _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
-        )
+    boundary = _drop_collinear(
+        _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
     )
 
     worst = math.inf
@@ -642,11 +633,7 @@ def polygon_invariance(params: Params) -> PolygonReport:
             witness=witness,
             margin=worst,
         )
-    return PolygonReport(
-        corners=tuple(poly),
-        margin=max(worst, 0.0),
-        image_vertices=len(boundary),
-    )
+    return PolygonReport(corners=tuple(poly), margin=max(worst, 0.0))
 
 
 # -------------------------------------------------------------- homoclinic
@@ -670,11 +657,6 @@ class HomoclinicResult:
     @functools.cached_property
     def tangency(self) -> bool:
         return self.grazes()
-
-
-def _seg_array(*polylines) -> np.ndarray:
-    segs = [pl.segments() for pl in polylines if len(pl.vertices) >= 2]
-    return np.concatenate(segs, axis=0) if segs else np.empty((0, 2, 2))
 
 
 def _seg_columns(*lines) -> tuple[np.ndarray, ...]:
@@ -769,7 +751,8 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> Homoclini
     # only if the result's tangency is read.
     def touches(lines, other) -> bool:
         verts = _contact_vertices(lines, np.array(fd.p1))
-        return bool((_segment_distances(verts, _seg_array(*other)) <= _TOUCH_TOL).any())
+        segs = _seg_columns(*(pl.vertices for pl in other))
+        return bool((_segment_distances(verts, segs) <= _TOUCH_TOL).any())
 
     return HomoclinicResult(False, None, lambda: touches(un, st) or touches(st, un))
 

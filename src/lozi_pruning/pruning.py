@@ -37,7 +37,7 @@ from functools import cached_property, partial, reduce
 
 import numpy as np
 
-from .errors import BudgetExceeded, InsufficientWord, NotHyperbolic, WrongHead
+from .errors import BudgetExceeded, InsufficientWord, NotHyperbolic
 from .symbolic import MINUS, PLUS, Word, coordinate_symbols, redot
 
 # Absolute dust an enclosure may miss by: the rounding gap above.
@@ -237,16 +237,13 @@ def eval_q(w: Word, depth: int, params: Params) -> BoundedValue:
     return BoundedValue.from_interval(*_q_enclosure(w.head, depth, params))
 
 
-def closed_form_q(params: Params, head: tuple[int, ...] | None = None) -> float:
+def closed_form_q(params: Params) -> float:
     """q for the head (+1, -1, -1, ...) in closed form.
 
     With x = (a - sqrt(a^2 + 4b))/2: q = b / ((a + x)(b + x)), continued at
-    b = 0 by its limit 1/(a - 1).  If a head is supplied it must be a prefix
-    of the special head.
+    b = 0 by its limit 1/(a - 1).
     """
     params.require_hyperbolic()
-    if head is not None and head != special_head(len(head)):
-        raise WrongHead("closed form covers only the head (+1, -1, -1, ...)")
     a, b = params.a, params.b
     if b == 0.0:
         return 1.0 / (a - 1.0)

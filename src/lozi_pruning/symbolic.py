@@ -16,10 +16,7 @@ import numpy as np
 MINUS = -1
 PLUS = 1
 
-_CHAR_TO_SYMBOL = {"+": PLUS, "-": MINUS}
 _SYMBOL_TO_CHAR = {PLUS: "+", MINUS: "-"}
-# Accept both the ASCII dot and the middle dot on input; emit the ASCII dot.
-_DOTS = ".·"
 
 
 def _check_symbols(symbols: tuple[int, ...], side: str) -> None:
@@ -58,19 +55,6 @@ class Word:
         tail = "".join(_SYMBOL_TO_CHAR[s] for s in self.tail)
         head = "".join(_SYMBOL_TO_CHAR[s] for s in self.head)
         return f"{tail}.{head}"
-
-    @classmethod
-    def from_string(cls, text: str) -> "Word":
-        dot_positions = [i for i, ch in enumerate(text) if ch in _DOTS]
-        if len(dot_positions) != 1:
-            raise ValueError(f"word text needs exactly one dot: {text!r}")
-        cut = dot_positions[0]
-        try:
-            tail = tuple(_CHAR_TO_SYMBOL[ch] for ch in text[:cut])
-            head = tuple(_CHAR_TO_SYMBOL[ch] for ch in text[cut + 1 :])
-        except KeyError as exc:
-            raise ValueError(f"word text may only use '+'/'-': {text!r}") from exc
-        return cls(tail, head)
 
     def __str__(self) -> str:
         return self.to_string()

@@ -33,16 +33,6 @@ class Kneading:
     symbols: tuple[int, ...]
     boundary_hits: frozenset[int]
 
-    def branches(self, limit: int = 64) -> tuple[tuple[int, ...], ...]:
-        """All sign choices at boundary hits, up to `limit` variants."""
-        hits = sorted(self.boundary_hits)
-        if (1 << len(hits)) > limit:
-            raise ValueError(f"2^{len(hits)} branches exceed limit {limit}")
-        out = [list(self.symbols)]
-        for i in hits:
-            out = [b[:i] + [s] + b[i + 1 :] for b in out for s in (PLUS, MINUS)]
-        return tuple(tuple(b) for b in out)
-
 
 def tent_orbit(a: float, x0: float, n: int) -> list[float]:
     """The first n points x0, T(x0), ..., T^(n-1)(x0) of the tent orbit."""

@@ -1,6 +1,7 @@
 """Command line tests: config resolution, artifact content, determinism,
 error exit codes. Commands run in process through main()."""
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -85,7 +86,8 @@ def test_config_rejects_unknown_key():
 def test_config_serializes_round_trip(tmp_path):
     cfg = RunConfig(command="zero-scan", grid=6, out="/tmp/z.pgm", force=True)
     path = tmp_path / "run.cfg"
-    path.write_text(cfg.to_text())
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    path.write_text(formats.sidecar_text({k: v for k, v in fields.items() if v is not None}))
     parsed = formats.read_config(str(path))
     rebuilt = config_from_sources(parsed.pop("command"), parsed)
     assert rebuilt == cfg
@@ -158,6 +160,31 @@ def test_pruned_region_requires_force_to_overwrite(tmp_path, capsys):
     assert main(args) == 2
     assert "force" in capsys.readouterr().err
     assert main(args + ["--force"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, out, present, work",
+    [
+        (["pruned-region", "--a", "1.7", "--b", "0.5", "--word-len", "3"],
+         "front.pgm", "front.pgm.txt", "pruned_region_raster"),
+        (["zero-scan", "--grid", "2"], "atlas.pgm", "atlas.pgm.csv", "scan_zero_entropy"),
+        (["manifolds", "--a", "1.4", "--b", "0.3"], "w.csv", "w.csv.txt", "unstable_manifold"),
+    ],
+    ids=["pruned-region", "zero-scan", "manifolds"],
+)
+def test_refused_output_set_is_left_as_it_was(tmp_path, capsys, monkeypatch, argv, out,
+                                              present, work):
+    # Every path a command writes is checked before any work: with one of
+    # them present and no --force, it exits 2 without computing or writing.
+    (tmp_path / present).write_text("stale\n")
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output check")
+
+    monkeypatch.setattr(cli, work, refused)
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    assert "force" in capsys.readouterr().err
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {present: "stale\n"}
 
 
 def test_pruned_region_rejects_nonhyperbolic(capsys):

@@ -57,10 +57,38 @@ def _rand_points(n, lo=-3.0, hi=3.0, seed=0):
     return [PlanePoint(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
 
 
+def _ref_segment_distances(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest segment, exact projection,
+    with the segments as an (n, 2, 2) array of their two ends: the reference
+    for the column kernel geometry._segment_distances."""
+    a0 = segs[:, 0, :]
+    d = segs[:, 1, :] - a0
+    denom = np.einsum("ij,ij->i", d, d)
+    rel = points[:, None, :] - a0[None, :, :]
+    t = np.clip(
+        np.divide(
+            np.einsum("pij,ij->pi", rel, d),
+            denom[None, :],
+            out=np.zeros((len(points), len(a0))),
+            where=denom[None, :] > 0,
+        ),
+        0.0,
+        1.0,
+    )
+    near = a0[None, :, :] + t[:, :, None] * d[None, :, :]
+    dist = np.hypot(near[:, :, 0] - points[:, None, 0], near[:, :, 1] - points[:, None, 1])
+    return dist.min(axis=1)
+
+
+def _segment_array(vertices) -> np.ndarray:
+    pts = np.array(vertices, dtype=float).reshape(-1, 2)
+    return np.stack([pts[:-1], pts[1:]], axis=1)
+
+
 def _distance(polyline, q: PlanePoint) -> float:
     """Distance from q to a polyline of at least two vertices, exact over
     its segments."""
-    return float(_segment_distances(np.array([q]), polyline.segments())[0])
+    return float(_ref_segment_distances(np.array([q]), _segment_array(polyline.vertices))[0])
 
 
 # ---------------------------------------------------------------- the point
@@ -88,7 +116,9 @@ def test_polyline_vertices_are_an_n_by_2_array():
         pts = np.array(pl.vertices)
         assert pts.shape == (len(pl.vertices), 2) and pts.dtype == np.float64
         assert all(type(v) is PlanePoint for v in pl.vertices)
-        assert pl.segments().shape == (len(pl.vertices) - 1, 2, 2)
+        assert [c.shape for c in geometry._seg_columns(pl.vertices)] == [
+            (len(pl.vertices) - 1,)
+        ] * 4
 
 
 # ---------------------------------------------------------------- map steps
@@ -557,9 +587,9 @@ def test_drop_collinear_yields_each_vertex_once_its_successor_is_known():
 def _far_side(points, line):
     """Largest distance from the points to the polyline."""
     pts = np.array([(v.x, v.y) for v in points])
-    segs = np.array([[(u.x, u.y), (w.x, w.y)] for u, w in zip(line, line[1:])])
+    segs = _segment_array(line)
     return max(
-        float(geometry._segment_distances(pts[lo : lo + 256], segs).max())
+        float(_ref_segment_distances(pts[lo : lo + 256], segs).max())
         for lo in range(0, len(pts), 256)
     )
 
@@ -662,6 +692,26 @@ def test_polyline_point_distance_basics():
     v = pl.vertices[len(pl.vertices) // 2]
     assert _distance(pl, v) <= 1e-15
     assert _distance(pl, PlanePoint(10.0, 10.0)) > 8.0
+
+
+def test_segment_kernel_gives_the_reference_bits():
+    # The column kernel that the tangency test runs gives the (n, 2, 2)
+    # reference's bits: on the vertices of W^u against the segments of W^s,
+    # as the test measures them, and on random points against random
+    # segments, one of them of length 0.
+    un = [unstable_manifold(CHAOTIC, s, arc_budget=30.0).vertices for s in ("p1_right", "p1_left")]
+    st = [stable_manifold(CHAOTIC, s, arc_budget=30.0).vertices for s in ("p1_plus", "p1_minus")]
+    rng = np.random.default_rng(5)
+    ends = rng.uniform(-2.0, 2.0, (40, 2))
+    ends[7] = ends[6]
+    cases = [
+        (np.array(un[0] + un[1]), st),
+        (rng.uniform(-3.0, 3.0, (5000, 2)), [ends]),
+    ]
+    for points, lines in cases:
+        segs = np.concatenate([_segment_array(line) for line in lines])
+        got = _segment_distances(points, geometry._seg_columns(*lines))
+        assert got.tobytes() == _ref_segment_distances(points, segs).tobytes()
 
 
 # ----------------------------------------------------------------- lyapunov

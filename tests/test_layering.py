@@ -4,8 +4,9 @@ The numeric layers sit below the front ends: ``pruning`` builds only on
 ``errors`` and ``symbolic``, and ``verify`` takes nothing from ``cli`` but
 ``main``, which criterion 12 runs to regenerate artifacts. Every module runs
 in the calling process and reads no environment variable, so a run is
-fixed by its arguments alone. Every public top-level name of the package is
-used somewhere in the package or the benchmark, not only by its own tests.
+fixed by its arguments alone. Every public top-level name of the package,
+and every public method or property of its public classes, is used somewhere
+in the package or the benchmark, not only by its own tests.
 """
 
 from __future__ import annotations
@@ -97,31 +98,47 @@ def _defined_names(statement: ast.stmt) -> set[str]:
 
 def _loads(tree: ast.Module) -> tuple[set[str], set[str]]:
     """Bare names and attribute names the module loads, each outside the
-    top-level statement that defines it."""
+    top-level statement that defines it, and outside the method that defines
+    it when a class body defines the name."""
     names, attributes = set(), set()
+
+    def visit(node: ast.AST, own: set[str]) -> None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in own:
+                names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            attributes.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            method = isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
+            visit(child, own | {child.name} if method else own)
+
     for statement in tree.body:
-        own = _defined_names(statement)
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id not in own:
-                    names.add(node.id)
-            elif isinstance(node, ast.Attribute) and node.attr not in own:
-                attributes.add(node.attr)
+        visit(statement, _defined_names(statement))
     return names, attributes
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    """Every package module but __init__, whose re-exports are not callers."""
+    return {m: _tree(m) for m in MODULES if m != "__init__"}
+
+
+def _bench_attributes() -> set[str]:
+    """Attribute names the benchmark's scripts load."""
+    paths = BENCH_DIR.glob("*.py")
+    return set().union(*(_loads(ast.parse(p.read_text(encoding="utf-8")))[1] for p in paths))
 
 
 def test_every_public_name_has_a_caller():
     # A public name counts as used where a module that defines or imports it
     # loads it as a bare name (so a local variable of the same name in
     # another module does not count), or where the package or the benchmark
-    # reads it as an attribute (lib.formats.read_pgm). The __init__
-    # re-exports are not callers.
-    trees = {m: _tree(m) for m in MODULES if m != "__init__"}
+    # reads it as an attribute (lib.formats.read_pgm).
+    trees = _package_trees()
     defined = {
         module: {name for s in tree.body for name in _defined_names(s) if not name.startswith("_")}
         for module, tree in trees.items()
     }
-    used = set()
+    used = _bench_attributes()
     for module, tree in trees.items():
         imported = {
             alias.asname or alias.name
@@ -131,11 +148,39 @@ def test_every_public_name_has_a_caller():
         }
         names, attributes = _loads(tree)
         used |= (names & (defined[module] | imported)) | attributes
-    for path in BENCH_DIR.glob("*.py"):
-        used |= _loads(ast.parse(path.read_text(encoding="utf-8")))[1]
     unused = [
         f"{module}.{name}"
         for module, names in sorted(defined.items())
         for name in sorted(names - used)
     ]
     assert not unused, f"public names with no caller: {unused}"
+
+
+# Public members no reader reaches yet, each with its reason. The guard fails
+# once an exempt member gains a reader or is gone, so the list cannot go stale.
+READERLESS_MEMBERS = {
+    # The zero-scan verdict reason "tangency" will read it (ROADMAP item 1).
+    "geometry.HomoclinicResult.tangency",
+}
+
+
+def test_every_public_member_has_a_reader():
+    # A method or property counts as read where the package or the benchmark
+    # loads an attribute of its name outside the member's own definition.
+    # Dunders and private names are exempt.
+    trees = _package_trees()
+    members = {
+        f"{module}.{cls.name}.{node.name}": node.name
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    read = _bench_attributes().union(*(_loads(tree)[1] for tree in trees.values()))
+    unread = {member for member, name in members.items() if name not in read}
+    assert not unread - READERLESS_MEMBERS, (
+        f"public members with no reader: {sorted(unread - READERLESS_MEMBERS)}"
+    )
+    stale = READERLESS_MEMBERS - unread
+    assert not stale, f"exempt members that are read or gone: {sorted(stale)}"

@@ -28,7 +28,6 @@ from lozi_pruning import (
     Params,
     Verdict,
     Word,
-    WrongHead,
     classify_cylinder,
     closed_form_q,
     eval_p,
@@ -213,15 +212,6 @@ def test_closed_form_q_matches_series_oracle():
         assert cf == pytest.approx(float(oracle), abs=1e-12)
         bv = eval_q(Word((), special_head(50)), 49, par)
         assert _contains(bv, cf)
-
-
-def test_closed_form_q_head_validation():
-    par = Params(2.0, 0.5)
-    assert closed_form_q(par, special_head(7)) == closed_form_q(par)
-    with pytest.raises(WrongHead):
-        closed_form_q(par, (PLUS, MINUS, PLUS))
-    with pytest.raises(WrongHead):
-        closed_form_q(par, (MINUS,))
 
 
 def test_p_is_exactly_one_at_b0():

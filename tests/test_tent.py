@@ -9,7 +9,6 @@ import pytest
 
 from lozi_pruning import (
     BudgetExceeded,
-    Kneading,
     Params,
     check_identity_shifted,
     check_identity_sum,
@@ -101,17 +100,10 @@ def test_golden_mean_boundary_hit():
 
 
 def test_golden_mean_branches():
+    # The one ambiguous symbol of the first four is the fold hit at index 2.
     kn = kneading(GOLDEN, 4)
-    brs = kn.branches()
-    assert len(brs) == 2
-    assert {b[2] for b in brs} == {PLUS, MINUS}
-    assert all(b[:2] == (PLUS, MINUS) for b in brs)
-
-
-def test_branches_limit():
-    kn = kneading(GOLDEN, 30)
-    with pytest.raises(ValueError):
-        kn.branches(limit=4)
+    assert kn.symbols[:2] == (PLUS, MINUS)
+    assert kn.boundary_hits == frozenset({2})
 
 
 def test_no_boundary_hits_at_reference_slopes():
@@ -205,7 +197,8 @@ def test_identities_hold_on_both_golden_branches():
     # At an exact fold hit the symbol is ambiguous; the sum identity must
     # hold for either sign choice.
     kn = kneading(GOLDEN, 20)
-    for branch in Kneading(kn.a, kn.symbols, frozenset({2})).branches():
+    for sign in (PLUS, MINUS):
+        branch = kn.symbols[:2] + (sign,) + kn.symbols[3:]
         for n in (6, 14):
             res = check_identity_sum(GOLDEN, branch, n)
             assert res <= identity_tail_bound(GOLDEN, n) * (1.0 + 1e-9) + 1e-13
