@@ -24,7 +24,6 @@ from .derivatives import (
 from .geometry import (
     ZERO_ENTROPY_CODES,
     FixedData,
-    HomoclinicResult,
     PlanePoint,
     PolygonReport,
     Polyline,

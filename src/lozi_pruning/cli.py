@@ -5,9 +5,9 @@ A run is described by a flat RunConfig; values resolve in the order
 built-in defaults, then a key=value config file, then explicit flags.
 Every command is deterministic given its config: sampling is always seeded,
 artifact writers are timestamp-free, and files land atomically (temp file
-plus rename). Existing outputs are only replaced under --force, and
-pruned-region, zero-scan and manifolds check every output path they will
-write before any work, so a refused run writes nothing.
+plus rename). Existing outputs are only replaced under --force, and every
+command checks every output path it will write before any work, so a
+refused run writes nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 domain or usage error.
 """
@@ -107,14 +107,19 @@ def config_from_sources(
     return RunConfig(**values)
 
 
+def _check_out(config: RunConfig, *suffixes: str) -> str | None:
+    """The --out path, if any. Without --force it refuses, before any work,
+    when the path or the path plus any of the suffixes exists."""
+    if config.out:
+        formats.refuse_overwrite([config.out + s for s in ("", *suffixes)], config.force)
+    return config.out
+
+
 def _require_out(config: RunConfig, *suffixes: str) -> str:
-    """The --out path. Without --force it refuses, before any work, when the
-    path or the path plus any of the suffixes exists, so a refused run
-    writes nothing."""
+    """_check_out for a command that cannot run without --out."""
     if not config.out:
         raise ValueError(f"{config.command} requires --out")
-    formats.refuse_overwrite([config.out + s for s in ("", *suffixes)], config.force)
-    return config.out
+    return _check_out(config, *suffixes)
 
 
 def _a_sweep(config: RunConfig, lo: float, hi: float, grid: int) -> list[float]:
@@ -164,6 +169,7 @@ def _emit_csv(config: RunConfig, header, rows) -> None:
 
 
 def cmd_entropy(config: RunConfig) -> int:
+    _check_out(config)
     rows = entropy_rows(Params(config.a, config.b), or_default(config.n_max, 12), config.depth)
     _emit_csv(config, ENTROPY_HEADER, rows)
     return 0
@@ -171,6 +177,7 @@ def cmd_entropy(config: RunConfig) -> int:
 
 def cmd_derivatives(config: RunConfig) -> int:
     """Closed-form derivative anchors and two-sided bound intervals per slope."""
+    _check_out(config)
     rows = [
         (
             a,
@@ -188,6 +195,7 @@ def cmd_derivatives(config: RunConfig) -> int:
 
 
 def cmd_cones(config: RunConfig) -> int:
+    _check_out(config)
     rows = cone_table(_a_sweep(config, 1.2, 2.0, or_default(config.grid, 32)))
     _emit_csv(config, CONE_TABLE_HEADER, rows)
     return 0
@@ -274,17 +282,17 @@ def cmd_verify(config: RunConfig) -> int:
     """Run the acceptance checks; nonzero exit when any fail."""
     from . import verify
 
+    report_path = os.path.join(config.out, "report.txt") if config.out else None
+    if report_path:
+        formats.refuse_overwrite([*verify.output_paths(config), report_path], config.force)
     results = verify.run_checks(config)
     report = "".join(
         f"{'PASS' if r.passed else 'FAIL'} criterion {r.index} ({r.name}): {r.detail}\n"
         for r in results
     )
     sys.stdout.write(report)
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        formats.atomic_write_text(
-            os.path.join(config.out, "report.txt"), report, force=config.force
-        )
+    if report_path:
+        formats.atomic_write_text(report_path, report, force=config.force)
     return 0 if all(r.passed for r in results) else 1
 
 

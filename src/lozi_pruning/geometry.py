@@ -23,8 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,29 +199,6 @@ def _xy_array(points, n: int) -> np.ndarray:
     """(n, 2) array of n (x, y) pairs; fromiter over the flat coordinates is
     about 4x faster than np.array over a sequence of NamedTuples."""
     return np.fromiter(itertools.chain.from_iterable(points), float, 2 * n).reshape(-1, 2)
-
-
-def _segment_distances(points: np.ndarray, segs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Distance from each (x, y) row of points to its nearest segment of
-    the _seg_columns segs (exact projection)."""
-    x1, y1, x2, y2 = segs
-    dx, dy = x2 - x1, y2 - y1
-    denom = dx * dx + dy * dy
-    out = np.empty(len(points))
-    for lo in range(0, len(points), 4096):
-        px, py = (c[:, None] for c in points[lo : lo + 4096].T)
-        t = np.clip(
-            np.divide(
-                (px - x1) * dx + (py - y1) * dy,
-                denom,
-                out=np.zeros((len(px), len(x1))),
-                where=denom > 0,
-            ),
-            0.0,
-            1.0,
-        )
-        out[lo : lo + 4096] = np.hypot(x1 + t * dx - px, y1 + t * dy - py).min(axis=1)
-    return out
 
 
 def _map_polyline(params: Params, pts, inverse: bool):
@@ -639,26 +616,6 @@ def polygon_invariance(params: Params) -> PolygonReport:
 # -------------------------------------------------------------- homoclinic
 
 
-@dataclass(frozen=True)
-class HomoclinicResult:
-    """Outcome of the homoclinic sweep.
-
-    found and witness give the first proper crossing away from the saddle.
-    tangency says whether, with no such crossing, a vertex of one manifold
-    lies within _TOUCH_TOL of the other. It is measured by grazes, run on
-    the first read of tangency and cached, so a caller that reads only found
-    and witness (the classifier, hence the atlas) never pays for it.
-    """
-
-    found: bool
-    witness: PlanePoint | None
-    grazes: Callable[[], bool] = field(default=lambda: False, repr=False, compare=False)
-
-    @functools.cached_property
-    def tangency(self) -> bool:
-        return self.grazes()
-
-
 def _seg_columns(*lines) -> tuple[np.ndarray, ...]:
     """x and y of the start and of the end of every segment of the vertex
     sequences, in order: four columns over the segments."""
@@ -696,16 +653,14 @@ def _first_crossing(u, s, p1: PlanePoint) -> PlanePoint | None:
     return None
 
 
-# A manifold vertex within this distance of the other manifold touches it.
-_TOUCH_TOL = 1e-10
-
 # The sweep's first stage tests this many leading segments of p1_right
 # against W^s before the rest of W^u is grown.
 _STAGE_SEGMENTS = 2
 
 
-def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> HomoclinicResult:
-    """Sweep for a transversal crossing of W^u(p1) with W^s(p1).
+def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> PlanePoint | None:
+    """Sweep for a transversal crossing of W^u(p1) with W^s(p1): the
+    witness crossing point, or None when no proper crossing is found.
 
     The witness is the first proper crossing in W^u's segment order (p1_right
     then p1_left, each from the saddle out), and within a segment in W^s's
@@ -718,11 +673,9 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> Homoclini
     other segment of W^u. The witness is the one a sweep over all of W^u
     would give.
 
-    A vertex of one manifold landing on the other without a proper crossing
-    anywhere is reported as tangency; that test runs only when the result's
-    tangency is first read. When the period-2 orbit attracts, an unstable
-    branch stops once its newest piece lies in a trapping ellipse of the
-    sink, whose basin W^s(p1) cannot meet.
+    When the period-2 orbit attracts, an unstable branch stops once its
+    newest piece lies in a trapping ellipse of the sink, whose basin W^s(p1)
+    cannot meet.
     """
     if params.b == 0.0:
         raise NonInvertible("stable manifold needs the inverse map; b = 0")
@@ -730,41 +683,18 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> Homoclini
     if fd.p1 is None:
         raise NoFixedPoint("homoclinic sweep anchored at p1")
     sinks = _sink_ellipses(params, fd)
-    st = [
-        stable_manifold(params, s, arc_budget=arc_budget)
-        for s in ("p1_plus", "p1_minus")
-    ]
-    s_cols = _seg_columns(*(pl.vertices for pl in st))
+    s_cols = _seg_columns(
+        *(stable_manifold(params, s, arc_budget).vertices for s in ("p1_plus", "p1_minus"))
+    )
     right = _Growth(params, "p1_right", False, arc_budget, sinks)
     head = right.settle(_STAGE_SEGMENTS + 1)
     witness = _first_crossing(_seg_columns(head), s_cols, fd.p1)
     if witness is not None:
-        return HomoclinicResult(True, witness)
+        return witness
     # Stage 2: every segment of W^u that stage 1 did not test, in order.
-    un = [_grow_branch(right), _manifold(params, "p1_left", False, arc_budget, sinks)]
-    rest = (un[0].vertices[_STAGE_SEGMENTS:], un[1].vertices)
-    witness = _first_crossing(_seg_columns(*rest), s_cols, fd.p1)
-    if witness is not None:
-        return HomoclinicResult(True, witness)
-
-    # No proper crossing: grazing contact away from the saddle, measured
-    # only if the result's tangency is read.
-    def touches(lines, other) -> bool:
-        verts = _contact_vertices(lines, np.array(fd.p1))
-        segs = _seg_columns(*(pl.vertices for pl in other))
-        return bool((_segment_distances(verts, segs) <= _TOUCH_TOL).any())
-
-    return HomoclinicResult(False, None, lambda: touches(un, st) or touches(st, un))
-
-
-def _contact_vertices(polylines, p1: np.ndarray) -> np.ndarray:
-    """Every vertex of the polylines, without repeats, farther than 1e-8
-    from the saddle p1: the points the tangency test measures."""
-    n = sum(len(pl.vertices) for pl in polylines)
-    verts = np.unique(
-        _xy_array(itertools.chain.from_iterable(pl.vertices for pl in polylines), n), axis=0
-    )
-    return verts[np.hypot(*(verts - p1).T) > 1e-8]
+    rest = _grow_branch(right).vertices[_STAGE_SEGMENTS:]
+    left = _manifold(params, "p1_left", False, arc_budget, sinks).vertices
+    return _first_crossing(_seg_columns(rest, left), s_cols, fd.p1)
 
 
 # ----------------------------------------------------------- zero entropy
@@ -851,10 +781,9 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
     The certificate goes first because a pixel it settles then skips the
     sweep, which finds nothing there. While both tests are right the order
     cannot change a verdict: a transversal homoclinic point means positive
-    entropy, so the certificate cannot pass at such a pixel. A tangency,
-    or no crossing within the arc budget, is unknown. At b = 0 the 2-cycle
-    never attracts, so the certificate fails and the sweep raises
-    NonInvertible.
+    entropy, so the certificate cannot pass at such a pixel. No crossing
+    within the arc budget is unknown. At b = 0 the 2-cycle never attracts,
+    so the certificate fails and the sweep raises NonInvertible.
     """
     _require_arc_budget(arc_budget)
     a, b = params.a, params.b
@@ -872,11 +801,11 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
     except NoFixedPoint:
         pass
     try:
-        hom = homoclinic_intersects(params, arc_budget=arc_budget)
+        witness = homoclinic_intersects(params, arc_budget=arc_budget)
     except NoFixedPoint:
         return ZeroEntropyVerdict(kind="unknown")
-    if hom.found:
-        return ZeroEntropyVerdict(kind="homoclinic", witness=hom.witness)
+    if witness is not None:
+        return ZeroEntropyVerdict(kind="homoclinic", witness=witness)
     return ZeroEntropyVerdict(kind="unknown")
 
 

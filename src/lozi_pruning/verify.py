@@ -7,10 +7,10 @@ detail)``. Its report name is its function name without ``check_``,
 hyphenated: ``check_closed_form_series`` reports as ``closed-form-series``.
 ``CHECKS`` is the one list that numbers the checks, and ``run_checks`` is
 the only place that builds a ``CheckResult``; the test suite goes through
-it too, so the CLI report and the tests cannot drift apart. Checks that
-produce artifacts write them into the configured output directory;
-everything is deterministic given the config, including the sampled checks
-(seeded generators only).
+it too, so the CLI report and the tests cannot drift apart. A check that
+writes artifacts into the output directory declares their names with
+``_writes``, so the CLI can refuse an existing one before any check runs.
+Everything is deterministic given the config (seeded generators only).
 """
 
 from __future__ import annotations
@@ -76,11 +76,20 @@ class CheckResult:
     detail: str
 
 
-def _artifact(config, name: str) -> str | None:
-    if not config.out:
-        return None
-    os.makedirs(config.out, exist_ok=True)
-    return os.path.join(config.out, name)
+def _writes(*names: str):
+    """Declare the files the decorated check writes into the output
+    directory, as its artifacts attribute (functools.wraps copies it)."""
+
+    def declare(check):
+        check.artifacts = names
+        return check
+
+    return declare
+
+
+def _artifacts(out: str, check) -> list[str]:
+    """The paths in out of the files check declares with _writes."""
+    return [os.path.join(out, name) for name in getattr(check, "artifacts", ())]
 
 
 def check_closed_form_series(config) -> tuple[bool, str]:
@@ -123,15 +132,16 @@ def check_head_maximum(config) -> tuple[bool, str]:
     )
 
 
+@_writes("full_slope_raster.pgm", "full_slope_raster.pgm.txt")
 def check_full_slope_raster(config) -> tuple[bool, str]:
     """Nothing is pruned at full slope: the region degenerates to nothing."""
     word_len = or_default(config.word_len, 10)
     raster = pruned_region_raster(Params(2.0, 0.0), word_len, config.depth)
-    path = _artifact(config, "full_slope_raster.pgm")
-    if path:
-        formats.write_pgm(path, raster.cells, force=config.force)
+    if config.out:
+        pgm, sidecar = _artifacts(config.out, check_full_slope_raster)
+        formats.write_pgm(pgm, raster.cells, force=config.force)
         formats.write_sidecar(
-            path + ".txt",
+            sidecar,
             {"a": 2.0, "b": 0.0, "word_len": word_len, "depth": config.depth},
             force=config.force,
         )
@@ -211,6 +221,7 @@ def check_kneading_identities(config) -> tuple[bool, str]:
     )
 
 
+@_writes("entropy.csv")
 def check_entropy_brackets(config) -> tuple[bool, str]:
     """Count brackets trap the known entropy values; lap oracle concurs."""
     n_max = or_default(config.n_max, 16)
@@ -228,12 +239,13 @@ def check_entropy_brackets(config) -> tuple[bool, str]:
     lap_ok = abs(lap - math.log(1.7)) <= 0.05
     passed &= lap_ok
     details.append(f"lap oracle {lap:.4f}")
-    path = _artifact(config, "entropy.csv")
-    if path:
+    if config.out:
+        (path,) = _artifacts(config.out, check_entropy_brackets)
         formats.write_csv(path, ENTROPY_HEADER, all_rows, force=config.force)
     return passed, "; ".join(details)
 
 
+@_writes("entropy_sweep.csv")
 def check_upper_bound_monotone(config) -> tuple[bool, str]:
     """The upper entropy bound grows with the slope along a fold-free line."""
     n_max = or_default(config.n_max, 12)
@@ -247,8 +259,8 @@ def check_upper_bound_monotone(config) -> tuple[bool, str]:
     worst_drop = max(
         (prev - cur for prev, cur in zip(uppers, uppers[1:])), default=0.0
     )
-    path = _artifact(config, "entropy_sweep.csv")
-    if path:
+    if config.out:
+        (path,) = _artifacts(config.out, check_upper_bound_monotone)
         formats.write_csv(path, ENTROPY_HEADER, rows, force=config.force)
     return worst_drop <= 0.02, f"worst h_upper drop {worst_drop:.4f} along 13 slopes at b=0.02"
 
@@ -296,6 +308,7 @@ def check_plane_anchors(config) -> tuple[bool, str]:
     )
 
 
+@_writes("zero_scan.pgm")
 def check_zero_entropy_atlas(config) -> tuple[bool, str]:
     """Classifier anchors plus the parameter-plane scan's three zones."""
     arc_budget = or_default(config.arc_budget, 20.0)
@@ -322,8 +335,8 @@ def check_zero_entropy_atlas(config) -> tuple[bool, str]:
             if a >= 2.0:
                 zone_hits[2] += 1
                 zone_bad += code != ZERO_ENTROPY_CODES["homoclinic"]
-    path = _artifact(config, "zero_scan.pgm")
-    if path:
+    if config.out:
+        (path,) = _artifacts(config.out, check_zero_entropy_atlas)
         formats.write_pgm(path, scan.codes, force=config.force)
     passed = all(anchors) and zone_bad == 0
     return (
@@ -420,9 +433,18 @@ def parse_criteria(text: str) -> list[int]:
     return indices
 
 
+def output_paths(config) -> list[str]:
+    """Every file the selected checks write into config.out."""
+    checks = [CHECKS[index] for index in parse_criteria(config.criteria)]
+    return [path for check in checks for path in _artifacts(config.out, check)]
+
+
 def run_checks(config) -> list[CheckResult]:
+    indices = parse_criteria(config.criteria)
+    if config.out:
+        os.makedirs(config.out, exist_ok=True)
     results = []
-    for index in parse_criteria(config.criteria):
+    for index in indices:
         check = CHECKS[index]
         passed, detail = check(config)
         name = check.__name__.removeprefix("check_").replace("_", "-")

@@ -169,8 +169,12 @@ def test_pruned_region_requires_force_to_overwrite(tmp_path, capsys):
          "front.pgm", "front.pgm.txt", "pruned_region_raster"),
         (["zero-scan", "--grid", "2"], "atlas.pgm", "atlas.pgm.csv", "scan_zero_entropy"),
         (["manifolds", "--a", "1.4", "--b", "0.3"], "w.csv", "w.csv.txt", "unstable_manifold"),
+        (["entropy", "--a", "1.7", "--b", "0.2", "--n-max", "6"], "e.csv", "e.csv",
+         "entropy_rows"),
+        (["derivatives", "--grid", "2"], "d.csv", "d.csv", "cone_table"),
+        (["cones", "--grid", "2"], "c.csv", "c.csv", "cone_table"),
     ],
-    ids=["pruned-region", "zero-scan", "manifolds"],
+    ids=["pruned-region", "zero-scan", "manifolds", "entropy", "derivatives", "cones"],
 )
 def test_refused_output_set_is_left_as_it_was(tmp_path, capsys, monkeypatch, argv, out,
                                               present, work):
@@ -561,6 +565,22 @@ def test_verify_single_criterion(tmp_path, capsys):
     assert out.startswith("PASS criterion 4")
     report = (tmp_path / "v" / "report.txt").read_text()
     assert report == out
+
+
+@pytest.mark.parametrize(
+    "criteria, present", [("3,7", "entropy.csv"), ("3", "report.txt")], ids=["artifact", "report"]
+)
+def test_verify_refuses_an_existing_output_before_any_check(tmp_path, capsys, criteria, present):
+    # One file of the output set present and no --force: exit 2 before any
+    # check runs, so nothing in the directory is created or changed.
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    (rep / present).write_text("stale\n")
+    argv = ["verify", "--criteria", criteria, "--word-len", "4", "--n-max", "6"]
+    assert main(argv + ["--out", str(rep)]) == 2
+    captured = capsys.readouterr()
+    assert "force" in captured.err and captured.out == ""
+    assert {p.name: p.read_text() for p in rep.iterdir()} == {present: "stale\n"}
 
 
 def test_verify_rejects_unknown_criterion(capsys):

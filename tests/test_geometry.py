@@ -40,9 +40,7 @@ from lozi_pruning.geometry import (
 from lozi_pruning.geometry import (
     MANIFOLD_BRANCHES,
     _axis_crossing_of_unstable_line,
-    _contact_vertices,
     _numeric_zero_check,
-    _segment_distances,
     _signed_dist_to_convex,
     _two_cycle_attracting,
 )
@@ -59,8 +57,7 @@ def _rand_points(n, lo=-3.0, hi=3.0, seed=0):
 
 def _ref_segment_distances(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """Distance from each point to its nearest segment, exact projection,
-    with the segments as an (n, 2, 2) array of their two ends: the reference
-    for the column kernel geometry._segment_distances."""
+    with the segments as an (n, 2, 2) array of their two ends."""
     a0 = segs[:, 0, :]
     d = segs[:, 1, :] - a0
     denom = np.einsum("ij,ij->i", d, d)
@@ -694,26 +691,6 @@ def test_polyline_point_distance_basics():
     assert _distance(pl, PlanePoint(10.0, 10.0)) > 8.0
 
 
-def test_segment_kernel_gives_the_reference_bits():
-    # The column kernel that the tangency test runs gives the (n, 2, 2)
-    # reference's bits: on the vertices of W^u against the segments of W^s,
-    # as the test measures them, and on random points against random
-    # segments, one of them of length 0.
-    un = [unstable_manifold(CHAOTIC, s, arc_budget=30.0).vertices for s in ("p1_right", "p1_left")]
-    st = [stable_manifold(CHAOTIC, s, arc_budget=30.0).vertices for s in ("p1_plus", "p1_minus")]
-    rng = np.random.default_rng(5)
-    ends = rng.uniform(-2.0, 2.0, (40, 2))
-    ends[7] = ends[6]
-    cases = [
-        (np.array(un[0] + un[1]), st),
-        (rng.uniform(-3.0, 3.0, (5000, 2)), [ends]),
-    ]
-    for points, lines in cases:
-        segs = np.concatenate([_segment_array(line) for line in lines])
-        got = _segment_distances(points, geometry._seg_columns(*lines))
-        assert got.tobytes() == _ref_segment_distances(points, segs).tobytes()
-
-
 # ----------------------------------------------------------------- lyapunov
 
 
@@ -821,31 +798,29 @@ def test_polygon_invariance_fails_in_chaotic_regime():
 
 
 def test_homoclinic_absent_at_certified_params():
-    res = homoclinic_intersects(CENTER, arc_budget=30.0)
-    assert not res.found and res.witness is None and not res.tangency
+    assert homoclinic_intersects(CENTER, arc_budget=30.0) is None
 
 
 def test_homoclinic_present_in_chaotic_regime():
-    res = homoclinic_intersects(CHAOTIC, arc_budget=30.0)
-    assert res.found and res.witness is not None
+    w = homoclinic_intersects(CHAOTIC, arc_budget=30.0)
+    assert w is not None
     # the witness lies on both manifolds
     wu = min(
-        _distance(unstable_manifold(CHAOTIC, s, arc_budget=30.0), res.witness)
+        _distance(unstable_manifold(CHAOTIC, s, arc_budget=30.0), w)
         for s in ("p1_right", "p1_left")
     )
     ws = min(
-        _distance(stable_manifold(CHAOTIC, s, arc_budget=30.0), res.witness)
+        _distance(stable_manifold(CHAOTIC, s, arc_budget=30.0), w)
         for s in ("p1_plus", "p1_minus")
     )
     assert wu <= 1e-9 and ws <= 1e-9
     # and away from the saddle itself
     fd = fixed_data(CHAOTIC)
-    assert res.witness.dist(fd.p1) > 1e-3
+    assert w.dist(fd.p1) > 1e-3
 
 
 def test_homoclinic_found_quickly_at_high_slope():
-    res = homoclinic_intersects(Params(2.0, 0.05), arc_budget=20.0)
-    assert res.found
+    assert homoclinic_intersects(Params(2.0, 0.05), arc_budget=20.0) is not None
 
 
 def test_homoclinic_needs_invertible_map():
@@ -855,9 +830,7 @@ def test_homoclinic_needs_invertible_map():
 
 def test_homoclinic_no_false_positive_near_certified_params():
     for ab in ((1.0, 0.46), (1.04, 0.54), (0.96, 0.5)):
-        res = homoclinic_intersects(Params(*ab), arc_budget=20.0)
-        assert not res.found
-        assert not res.tangency
+        assert homoclinic_intersects(Params(*ab), arc_budget=20.0) is None
 
 
 def _spy_growth(monkeypatch):
@@ -883,43 +856,14 @@ SWEEP_ORDER = [
 ]
 
 
-def test_tangency_test_covers_every_branch_end_vertex(monkeypatch):
-    # Each branch's last vertex is tested, not only the last one of the
-    # concatenated segment array.
-    un = [unstable_manifold(CHAOTIC, s, arc_budget=30.0) for s in ("p1_right", "p1_left")]
-    p1 = fixed_data(CHAOTIC).p1
-    tested = {tuple(v) for v in _contact_vertices(un, np.array([p1.x, p1.y]))}
-    end = un[0].vertices[-1]
-    assert (end.x, end.y) in tested
-    # and homoclinic_intersects hands that set to the distance kernel. The
-    # sweep stops its unstable branches in the sink's trapping ellipses, so
-    # the branches to check are the ones it grew.
-    seen = []
-    kernel = geometry._segment_distances
-
-    def spy(points, segs):
-        seen.extend(map(tuple, points))
-        return kernel(points, segs)
-
-    monkeypatch.setattr(geometry, "_segment_distances", spy)
-    grown = _spy_growth(monkeypatch)
-    res = homoclinic_intersects(CENTER, arc_budget=30.0)
-    assert not res.found and not res.tangency
-    assert [kind for kind, _, _ in grown] == SWEEP_ORDER
-    for _, (x, y), _ in grown:
-        assert (x, y) in seen
-    end = stable_manifold(CENTER, "p1_plus", arc_budget=30.0).vertices[-1]
-    assert (end.x, end.y) in seen
-
-
 def test_stage_one_hit_never_grows_p1_left(monkeypatch):
     # The crossing lies on one of p1_right's first two segments, so the sweep
     # grows W^s and p1_right only until those are settled. The witness bits
     # are the ones the sweep over all of W^u gave.
     grown = _spy_growth(monkeypatch)
-    res = homoclinic_intersects(CHAOTIC, arc_budget=20.0)
-    assert res.found
-    assert (res.witness.x.hex(), res.witness.y.hex()) == (
+    w = homoclinic_intersects(CHAOTIC, arc_budget=20.0)
+    assert w is not None
+    assert (w.x.hex(), w.y.hex()) == (
         "0x1.1e8e7c6ad18dbp+0",
         "0x1.d568f0858a7f0p-4",
     )
@@ -941,60 +885,12 @@ def test_sweep_grows_each_branch_once(monkeypatch, ab, witness):
     # growing it again. At (0.9625, 0.975) the crossing lies on p1_right's
     # third segment.
     grown = _spy_growth(monkeypatch)
-    res = homoclinic_intersects(Params(*ab), arc_budget=20.0)
+    w = homoclinic_intersects(Params(*ab), arc_budget=20.0)
     assert [kind for kind, _, _ in grown] == SWEEP_ORDER
     if witness is None:
-        assert not res.found
+        assert w is None
     else:
-        assert (res.witness.x.hex(), res.witness.y.hex()) == witness
-
-
-def _count_calls(monkeypatch, *names):
-    """Replace each named geometry function by a spy; returns the list of
-    names called, one entry per call."""
-    calls = []
-
-    def spy_on(name):
-        kernel = getattr(geometry, name)
-
-        def spy(*args):
-            calls.append(name)
-            return kernel(*args)
-
-        return spy
-
-    for name in names:
-        monkeypatch.setattr(geometry, name, spy_on(name))
-    return calls
-
-
-def test_scan_never_runs_the_tangency_test(monkeypatch):
-    # The classifier reads only found and witness, so no pixel pays for the
-    # grazing test.
-    calls = _count_calls(monkeypatch, "_contact_vertices", "_segment_distances")
-    scan = scan_zero_entropy((0.0, 2.5), (0.0, 1.0), 10, arc_budget=20.0)
-    assert (scan.codes == ZERO_ENTROPY_CODES["unknown"]).any()
-    assert calls == []
-
-
-def test_tangency_is_measured_once_on_first_read(monkeypatch):
-    calls = _count_calls(monkeypatch, "_contact_vertices", "_segment_distances")
-    res = homoclinic_intersects(CENTER, arc_budget=30.0)
-    assert not res.found and calls == []
-    assert res.tangency is False
-    first = list(calls)
-    assert first.count("_contact_vertices") == 2
-    assert res.tangency is False
-    assert calls == first
-
-
-def test_tangency_reads_true_on_grazing_contact(monkeypatch):
-    # Everything within 10 of the other manifold touches it: no crossing,
-    # but a tangency.
-    monkeypatch.setattr(geometry, "_TOUCH_TOL", 10.0)
-    res = homoclinic_intersects(CENTER, arc_budget=30.0)
-    assert not res.found and res.witness is None
-    assert res.tangency is True
+        assert (w.x.hex(), w.y.hex()) == witness
 
 
 def _ellipse_form(ellipse):
@@ -1050,8 +946,7 @@ def test_numeric_zero_pixels_have_no_crossing():
             if not _numeric_zero_check(params):
                 continue
             passed += 1
-            hom = homoclinic_intersects(params, arc_budget=20.0)
-            assert not hom.found and not hom.tangency, params
+            assert homoclinic_intersects(params, arc_budget=20.0) is None, params
     assert passed >= 20
 
 
@@ -1066,7 +961,7 @@ def test_sweep_stops_unstable_branches_in_the_sink(monkeypatch):
         return step(params, pts, inverse)
 
     monkeypatch.setattr(geometry, "_map_polyline", spy)
-    assert not homoclinic_intersects(CENTER, arc_budget=20.0).found
+    assert homoclinic_intersects(CENTER, arc_budget=20.0) is None
     assert len(calls) < 105
     swept_forward = calls.count(False)
     # the public branches still run until they converge
@@ -1226,8 +1121,7 @@ def test_analytic_pixels_are_never_homoclinic():
     # verdicts must not overlap.
     for ab in ((0.2, 0.5), (0.3, 0.6), (0.1, 0.8)):
         assert classify_zero_entropy(Params(*ab)).kind == "analytic_zero"
-        res = homoclinic_intersects(Params(*ab), arc_budget=10.0)
-        assert not res.found
+        assert homoclinic_intersects(Params(*ab), arc_budget=10.0) is None
 
 
 def test_scan_certified_block_uniform_numeric_zero():
@@ -1266,7 +1160,7 @@ def test_scan_atlas_regression_pin():
 
 
 def test_homoclinic_sweep_regression_pin():
-    # found and witness of the sweep at arc budget 20 over four 10x10 grids
+    # Crossing or none, and the witness, of the sweep at arc budget 20 over four 10x10 grids
     # of (0, 2.5] x (0, 1], each shifted in a by a seeded sub-pixel phase as
     # the benchmark's atlas grids are, and 20 seeded points with b in
     # (0.975, 1), where crossings lie beyond p1_right's first two segments.
@@ -1287,11 +1181,11 @@ def test_homoclinic_sweep_regression_pin():
     digest = hashlib.sha256()
     found = 0
     for params in points:
-        res = homoclinic_intersects(params, 20.0)
-        found += res.found
-        digest.update(struct.pack("<?", res.found))
-        if res.found:
-            digest.update(struct.pack("<dd", *res.witness))
+        w = homoclinic_intersects(params, 20.0)
+        found += w is not None
+        digest.update(struct.pack("<?", w is not None))
+        if w is not None:
+            digest.update(struct.pack("<dd", *w))
     assert found == 186
     assert digest.hexdigest() == (
         "ee80b7ba02ef8e879bd934e964302226cd5057da96aa973038a226d6fd3b29d6"

@@ -156,14 +156,6 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names with no caller: {unused}"
 
 
-# Public members no reader reaches yet, each with its reason. The guard fails
-# once an exempt member gains a reader or is gone, so the list cannot go stale.
-READERLESS_MEMBERS = {
-    # The zero-scan verdict reason "tangency" will read it (ROADMAP item 1).
-    "geometry.HomoclinicResult.tangency",
-}
-
-
 def test_every_public_member_has_a_reader():
     # A method or property counts as read where the package or the benchmark
     # loads an attribute of its name outside the member's own definition.
@@ -179,8 +171,4 @@ def test_every_public_member_has_a_reader():
     }
     read = _bench_attributes().union(*(_loads(tree)[1] for tree in trees.values()))
     unread = {member for member, name in members.items() if name not in read}
-    assert not unread - READERLESS_MEMBERS, (
-        f"public members with no reader: {sorted(unread - READERLESS_MEMBERS)}"
-    )
-    stale = READERLESS_MEMBERS - unread
-    assert not stale, f"exempt members that are read or gone: {sorted(stale)}"
+    assert not unread, f"public members with no reader: {sorted(unread)}"
