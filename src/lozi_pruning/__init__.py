@@ -45,7 +45,6 @@ from .pruning import (
     PGM_ADMISSIBLE,
     PGM_PRUNED,
     PGM_UNKNOWN,
-    BoundedValue,
     Params,
     Raster,
     Verdict,

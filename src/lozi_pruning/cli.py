@@ -108,9 +108,12 @@ def config_from_sources(
 
 
 def _check_out(config: RunConfig, *suffixes: str) -> str | None:
-    """The --out path, if any. Without --force it refuses, before any work,
-    when the path or the path plus any of the suffixes exists."""
+    """The --out path, if any. Before any work it refuses a path whose
+    directory does not exist and, without --force, a path that exists with
+    or without any of the suffixes."""
     if config.out:
+        if not os.path.isdir(os.path.dirname(config.out) or "."):
+            raise FileNotFoundError(f"the directory of --out {config.out} does not exist")
         formats.refuse_overwrite([config.out + s for s in ("", *suffixes)], config.force)
     return config.out
 

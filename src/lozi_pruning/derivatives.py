@@ -5,10 +5,11 @@ verification oracle."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import InsufficientWord, NotHyperbolic
-from .pruning import BoundedValue, Params, eval_p, eval_pq_cylinder, eval_q
+from .pruning import Params
 from .symbolic import Word
 from .tent import require_slope
 
@@ -100,45 +101,21 @@ def cone_table(a_values: list[float]) -> list[tuple[float, ...]]:
     return rows
 
 
-# Series selector -> (evaluator, full depth of a word).  The difference
-# evaluator caps each side separately, so it gets the larger of the two
-# usable depths.  Each evaluator looks its pruning function up when called,
-# so a wrapper installed on this module's names (as bench/spans.py installs
-# its tracer) sees every call.
-_SERIES = {
-    "p": (lambda w, d, at: eval_p(w, d, at), lambda w: max(w.tail_len - 2, 0)),
-    "q": (lambda w, d, at: eval_q(w, d, at), lambda w: max(w.head_len - 1, 0)),
-    "pq": (
-        lambda w, d, at: BoundedValue.from_interval(*eval_pq_cylinder(w, d, at)),
-        lambda w: max(w.tail_len - 2, w.head_len - 1, 0),
-    ),
-}
-
-
 def fd_derivative(
-    f: str,
-    w: Word,
+    enclosure: Callable[[Params], tuple],
     params: Params,
     direction: tuple[float, float],
     h: float = 1e-6,
-    depth: int | None = None,
-) -> float:
-    """Central finite difference of a pruning series along a parameter
-    direction.
-
-    f selects the series: 'p' (tail), 'q' (head), or 'pq' (difference).
-    Uses the full word depth unless an explicit depth is given.
-    """
-    if f not in _SERIES:
-        raise ValueError(f"unknown series selector {f!r}; use 'p', 'q', or 'pq'")
-    evaluate, full_depth = _SERIES[f]
-    d = full_depth(w) if depth is None else depth
+):
+    """Central finite difference, along a parameter direction, of the
+    midpoint of an enclosure: enclosure maps Params to (lo, hi), as floats
+    or as arrays, and the difference has the same shape."""
     da, db = direction
     plus = Params(params.a + h * da, params.b + h * db)
     minus = Params(params.a - h * da, params.b - h * db)
     for pt in (plus, minus):
         if not pt.hyperbolic:
             raise NotHyperbolic(f"step leaves the hyperbolic region at {pt}")
-    hi_v = evaluate(w, d, plus)
-    lo_v = evaluate(w, d, minus)
-    return (hi_v.value - lo_v.value) / (2.0 * h)
+    lo_p, hi_p = enclosure(plus)
+    lo_m, hi_m = enclosure(minus)
+    return (0.5 * (lo_p + hi_p) - 0.5 * (lo_m + hi_m)) / (2.0 * h)

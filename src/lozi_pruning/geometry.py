@@ -815,7 +815,6 @@ class ZeroEntropyScan:
     b_range: tuple[float, float]
     resolution: int
     codes: np.ndarray  # [i, j] = row i over b rank, column j over a rank
-    arc_budget: float
     # [i, j] = crossing point for homoclinic pixels, NaN elsewhere
     witnesses: np.ndarray
 
@@ -870,7 +869,6 @@ def scan_zero_entropy(
         b_range=(float(b_range[0]), float(b_range[1])),
         resolution=resolution,
         codes=codes,
-        arc_budget=arc_budget,
         witnesses=witnesses,
     )
 

@@ -1,21 +1,22 @@
 """Pruning pair (p, q) with certified truncation bounds, cylinder verdicts,
-pruned-region rasters, and admissible-word counting.
+pruned-region rasters, and entropy brackets.
 
 One interval engine does every evaluation.  ``_levels`` sweeps the
 continued-fraction level map x <- 1/(+-a e + b x); ``_p_series`` and
 ``_q_series`` sum the tail and head series from those levels.  The same
-three functions take float endpoints for one word (the scalar evaluators and
-``classify_cylinder``) and float64 arrays for a batch of rows (the raster),
+three functions take float endpoints for one word (the scalar evaluators
+and ``classify_cylinder``), float64 arrays for a batch of rows (the raster),
 or broadcastable per-axis arrays, one length-2 axis per symbol position (the
 block masks, so each level and series is computed once per distinct prefix
 or suffix); only min/max over candidate endpoints and the test that a
-denominator straddles zero are picked from the endpoint type.  A raster
-sums each side's series once per row or column and classifies its cells by
-integer rank compares against the sorted q endpoints, one block of rows at
-a time, so no cell-sized float or mask array is ever built.  A block's p
-enclosure depends only on its prefix and its q enclosure only on its suffix,
-never on the block length, so one sweep at the longest length serves every
-block length of an entropy run.
+denominator straddles zero are picked from the endpoint type.  Every
+enclosure is a ``(lo, hi)`` pair, and the scalar evaluators return the
+engine's pair as it is.  A raster sums each side's series once per row or
+column and classifies its cells by integer rank compares against the sorted
+q endpoints, one block of rows at a time, so no cell-sized float or mask
+array is ever built.  A block's p enclosure depends only on its prefix and
+its q enclosure only on its suffix, never on the block length, so one sweep
+at the longest length serves every block length of an entropy run.
 
 The innermost, unknown continuation of a finite word enters as the a-priori
 interval [-1/(a-|b|), 1/(a-|b|)], which the level map keeps invariant
@@ -67,26 +68,6 @@ def _require_series(params: Params, depth: int) -> None:
     params.require_hyperbolic()
     if depth < 0:
         raise ValueError("depth must be >= 0")
-
-
-@dataclass(frozen=True)
-class BoundedValue:
-    """A float with a certified absolute error bound."""
-
-    value: float
-    err: float
-
-    @classmethod
-    def from_interval(cls, lo: float, hi: float) -> "BoundedValue":
-        return cls(0.5 * (lo + hi), 0.5 * (hi - lo))
-
-    @property
-    def lo(self) -> float:
-        return self.value - self.err
-
-    @property
-    def hi(self) -> float:
-        return self.value + self.err
 
 
 class Verdict(Enum):
@@ -212,8 +193,8 @@ def _q_enclosure(head, depth: int, params: Params):
     return _q_series(levels[::-1][: d + 1], params)
 
 
-def eval_p(w: Word, depth: int, params: Params) -> BoundedValue:
-    """Enclosure of the tail pruning value p(w)(a, b).
+def eval_p(w: Word, depth: int, params: Params) -> tuple[float, float]:
+    """Enclosure (lo, hi) of the tail pruning value p(w)(a, b).
 
     Series terms k = 1..depth use s_{-2}..s_{-(depth+1)}; the word must hold
     at least depth+2 tail symbols so even the deepest term sees one refined
@@ -222,11 +203,11 @@ def eval_p(w: Word, depth: int, params: Params) -> BoundedValue:
     _require_series(params, depth)
     if w.tail_len < depth + 2:
         raise InsufficientWord(f"tail length {w.tail_len} < depth + 2 = {depth + 2}")
-    return BoundedValue.from_interval(*_p_enclosure(w.tail[::-1], depth, params))
+    return _p_enclosure(w.tail[::-1], depth, params)
 
 
-def eval_q(w: Word, depth: int, params: Params) -> BoundedValue:
-    """Enclosure of the head pruning value q(w)(a, b).
+def eval_q(w: Word, depth: int, params: Params) -> tuple[float, float]:
+    """Enclosure (lo, hi) of the head pruning value q(w)(a, b).
 
     Series terms n = 0..depth use r_0..r_depth, so the head must hold at
     least depth+1 symbols.
@@ -234,7 +215,7 @@ def eval_q(w: Word, depth: int, params: Params) -> BoundedValue:
     _require_series(params, depth)
     if w.head_len < depth + 1:
         raise InsufficientWord(f"head length {w.head_len} < depth + 1 = {depth + 1}")
-    return BoundedValue.from_interval(*_q_enclosure(w.head, depth, params))
+    return _q_enclosure(w.head, depth, params)
 
 
 def closed_form_q(params: Params) -> float:
@@ -313,9 +294,6 @@ class Raster:
     rank j in the respective coordinate orders (rank 0 = coordinate 0).
     """
 
-    params: Params
-    word_len: int
-    depth: int
     cells: np.ndarray
 
     @property
@@ -404,7 +382,7 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
     # The q endpoints are finite and the p endpoints finite, or +-inf where
     # the p remainder diverges (|b| > 1): no NaN reaches the rank compare.
     cells = _fill_cells(plo, phi, qlo, qhi)
-    return Raster(params=params, word_len=word_len, depth=depth, cells=cells)
+    return Raster(cells=cells)
 
 
 def _require_blocks(n: int) -> None:

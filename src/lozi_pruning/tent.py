@@ -29,7 +29,6 @@ class Kneading:
     identically either way).
     """
 
-    a: float
     symbols: tuple[int, ...]
     boundary_hits: frozenset[int]
 
@@ -57,7 +56,7 @@ def kneading(a: float, n: int) -> Kneading:
         if abs(x) <= _FOLD_TOL:
             hits.add(i)
         symbols.append(PLUS if x >= 0.0 else MINUS)
-    return Kneading(a=a, symbols=tuple(symbols), boundary_hits=frozenset(hits))
+    return Kneading(symbols=tuple(symbols), boundary_hits=frozenset(hits))
 
 
 def identity_tail_bound(a: float, n: int) -> float:

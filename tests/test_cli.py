@@ -162,7 +162,9 @@ def test_pruned_region_requires_force_to_overwrite(tmp_path, capsys):
     assert main(args + ["--force"]) == 0
 
 
-@pytest.mark.parametrize(
+# Each file-writing command: its arguments, its --out name, one path it
+# writes, and the cli name of the call that does its work.
+_WRITERS = pytest.mark.parametrize(
     "argv, out, present, work",
     [
         (["pruned-region", "--a", "1.7", "--b", "0.5", "--word-len", "3"],
@@ -176,19 +178,39 @@ def test_pruned_region_requires_force_to_overwrite(tmp_path, capsys):
     ],
     ids=["pruned-region", "zero-scan", "manifolds", "entropy", "derivatives", "cones"],
 )
+
+
+def _refuse_work(monkeypatch, work):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output check")
+
+    monkeypatch.setattr(cli, work, refused)
+
+
+@_WRITERS
 def test_refused_output_set_is_left_as_it_was(tmp_path, capsys, monkeypatch, argv, out,
                                               present, work):
     # Every path a command writes is checked before any work: with one of
     # them present and no --force, it exits 2 without computing or writing.
     (tmp_path / present).write_text("stale\n")
-
-    def refused(*args, **kwargs):
-        raise AssertionError(f"{work} ran before the output check")
-
-    monkeypatch.setattr(cli, work, refused)
+    _refuse_work(monkeypatch, work)
     assert main(argv + ["--out", str(tmp_path / out)]) == 2
     assert "force" in capsys.readouterr().err
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {present: "stale\n"}
+
+
+@_WRITERS
+def test_output_in_a_missing_directory_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, out, present, work
+):
+    # The error names the --out path, not the temp file of a late write, and
+    # nothing is created, --force or not.
+    _refuse_work(monkeypatch, work)
+    for force in ([], ["--force"]):
+        assert main(argv + ["--out", str(tmp_path / "missing" / out)] + force) == 2
+        err = capsys.readouterr().err
+        assert out in err and "does not exist" in err and ".tmp-artifact" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pruned_region_rejects_nonhyperbolic(capsys):

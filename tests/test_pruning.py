@@ -21,7 +21,6 @@ from mpmath import mp
 from lozi_pruning import (
     MINUS,
     PLUS,
-    BoundedValue,
     BudgetExceeded,
     InsufficientWord,
     NotHyperbolic,
@@ -92,22 +91,23 @@ def _p_series_mp(eps_tail, a, b, levels=500, terms=200, seed=0.0):
         return p
 
 
-def _contains(bv: BoundedValue, target: float) -> bool:
-    return bv.lo - ULP_SLACK <= target <= bv.hi + ULP_SLACK
+def _contains(enclosure: tuple[float, float], target: float) -> bool:
+    lo, hi = enclosure
+    return lo - ULP_SLACK <= target <= hi + ULP_SLACK
 
 
-def _s_level(w: Word, n: int, depth: int, par: Params) -> BoundedValue:
+def _s_level(w: Word, n: int, depth: int, par: Params) -> tuple[float, float]:
     """Enclosure of the tail level s_n (n <= -2) from the symbols at
     indices n - depth .. n, innermost first."""
     shifts = [-par.a * w.tail[-j] for j in range(depth - n, -n - 1, -1)]
-    return BoundedValue.from_interval(*_levels(shifts, par)[-1])
+    return _levels(shifts, par)[-1]
 
 
-def _r_level(w: Word, n: int, depth: int, par: Params) -> BoundedValue:
+def _r_level(w: Word, n: int, depth: int, par: Params) -> tuple[float, float]:
     """Enclosure of the head level r_n (n >= 0) from the symbols at
     indices n + depth .. n, innermost first."""
     shifts = [par.a * w.head[j] for j in range(n + depth, n - 1, -1)]
-    return BoundedValue.from_interval(*_levels(shifts, par)[-1])
+    return _levels(shifts, par)[-1]
 
 
 def _counts(par: Params, n: int, depth: int) -> tuple[int, int]:
@@ -147,57 +147,50 @@ def test_nonfinite_parameters_are_not_hyperbolic():
             entropy_rows(bad, 3, 12)
 
 
-def test_bounded_value_interval_roundtrip():
-    bv = BoundedValue.from_interval(-1.5, 2.5)
-    assert bv.value == 0.5 and bv.err == 2.0
-    assert bv.lo == -1.5 and bv.hi == 2.5
-
-
 def test_level_values_exact_at_b0():
     # With b = 0 a level is 1/(+-a) exactly and the enclosure collapses.
     par = Params(2.0, 0.0)
     w = Word((PLUS, MINUS, PLUS), (MINUS, PLUS))
-    s = _s_level(w, -2, 0, par)
-    assert s.value == -1.0 / (2.0 * w.tail[-2]) and s.err == 0.0
-    s3 = _s_level(w, -3, 0, par)
-    assert s3.value == -1.0 / (2.0 * w.tail[-3]) and s3.err == 0.0
-    r0 = _r_level(w, 0, 0, par)
-    assert r0.value == w.head[0] / 2.0 and r0.err == 0.0
-    r1 = _r_level(w, 1, 0, par)
-    assert r1.value == w.head[1] / 2.0 and r1.err == 0.0
+    s = -1.0 / (2.0 * w.tail[-2])
+    assert _s_level(w, -2, 0, par) == (s, s)
+    s3 = -1.0 / (2.0 * w.tail[-3])
+    assert _s_level(w, -3, 0, par) == (s3, s3)
+    r0 = w.head[0] / 2.0
+    assert _r_level(w, 0, 0, par) == (r0, r0)
+    r1 = w.head[1] / 2.0
+    assert _r_level(w, 1, 0, par) == (r1, r1)
 
 
 def test_s_constant_plus_tail_fixed_point():
     # s = 1/(-a + b s) with a=2, b=0.5 gives s^2 - 4s - 2 = 0, root 2 - sqrt(6)
     # inside the invariant disc.
     target = 2.0 - math.sqrt(6.0)
-    bv = _s_level(Word((PLUS,) * 40, ()), -2, 30, Params(2.0, 0.5))
-    assert _contains(bv, target)
-    assert bv.err < 1e-10
+    lo, hi = _s_level(Word((PLUS,) * 40, ()), -2, 30, Params(2.0, 0.5))
+    assert _contains((lo, hi), target)
+    assert hi - lo < 2e-10
 
 
 def test_r_constant_minus_continuation_fixed_point():
     # On the head (+1, -1, -1, ...) the levels from index 1 on satisfy the
     # same fixed-point equation as the constant tail above.
     target = 2.0 - math.sqrt(6.0)
-    bv = _r_level(Word((), special_head(40)), 1, 30, Params(2.0, 0.5))
-    assert _contains(bv, target)
-    assert bv.err < 1e-10
+    lo, hi = _r_level(Word((), special_head(40)), 1, 30, Params(2.0, 0.5))
+    assert _contains((lo, hi), target)
+    assert hi - lo < 2e-10
 
 
 def test_q_all_plus_head_is_third_at_2_0():
     # r_n = 1/2 for every n, so q = sum (-1)^n 2^-(n+1) = 1/3.
-    bv = eval_q(Word((), (PLUS,) * 20), 19, Params(2.0, 0.0))
-    assert _contains(bv, 1.0 / 3.0)
-    assert bv.err <= 2.0 ** -20 + 1e-15
+    lo, hi = eval_q(Word((), (PLUS,) * 20), 19, Params(2.0, 0.0))
+    assert _contains((lo, hi), 1.0 / 3.0)
+    assert hi - lo <= 2.0 ** -19 + 2e-15
 
 
 def test_q_special_head_geometric_at_b0():
     # r_0 = 1/a, r_n = -1/a afterwards: every term is a^-(n+1), so q = 1/(a-1).
     for a in (1.5, 1.95, 2.0, 3.0):
         par = Params(a, 0.0)
-        bv = eval_q(Word((), special_head(40)), 39, par)
-        assert _contains(bv, 1.0 / (a - 1.0))
+        assert _contains(eval_q(Word((), special_head(40)), 39, par), 1.0 / (a - 1.0))
         assert closed_form_q(par) == pytest.approx(1.0 / (a - 1.0), abs=1e-15)
 
 
@@ -210,14 +203,12 @@ def test_closed_form_q_matches_series_oracle():
         oracle2 = _q_series_mp(eps, a, b, seed=1.0 / (a - abs(b)))
         assert float(abs(oracle - oracle2)) < 1e-30  # truncation-insensitive
         assert cf == pytest.approx(float(oracle), abs=1e-12)
-        bv = eval_q(Word((), special_head(50)), 49, par)
-        assert _contains(bv, cf)
+        assert _contains(eval_q(Word((), special_head(50)), 49, par), cf)
 
 
 def test_p_is_exactly_one_at_b0():
     for tail in [(MINUS, PLUS, MINUS, PLUS) * 3, (PLUS,) * 8, (MINUS,) * 8]:
-        bv = eval_p(Word(tuple(tail), ()), 5, Params(1.7, 0.0))
-        assert bv.value == 1.0 and bv.err == 0.0
+        assert eval_p(Word(tuple(tail), ()), 5, Params(1.7, 0.0)) == (1.0, 1.0)
 
 
 def test_p_constant_plus_tail_closed_form():
@@ -226,9 +217,9 @@ def test_p_constant_plus_tail_closed_form():
     target = 0.8 + 0.2 * math.sqrt(6.0)
     oracle = _p_series_mp(lambda j: PLUS, 2.0, 0.5)
     assert float(oracle) == pytest.approx(target, abs=1e-13)
-    bv = eval_p(Word((PLUS,) * 40, ()), 30, Params(2.0, 0.5))
-    assert _contains(bv, target)
-    assert bv.err < 1e-8
+    lo, hi = eval_p(Word((PLUS,) * 40, ()), 30, Params(2.0, 0.5))
+    assert _contains((lo, hi), target)
+    assert hi - lo < 2e-8
 
 
 def test_insufficient_word_and_bad_arguments():
@@ -250,6 +241,19 @@ def test_insufficient_word_and_bad_arguments():
 def _random_word(rng: random.Random, m: int, n: int) -> Word:
     syms = lambda k: tuple(rng.choice((MINUS, PLUS)) for _ in range(k))
     return Word(syms(m), syms(n))
+
+
+def test_scalar_evaluators_return_the_kernel_pair():
+    # eval_p and eval_q hand on the kernel's (lo, hi) as it is; a midpoint
+    # and radius round trip would round both ends to nearest.
+    rng = random.Random(2200)
+    for _ in range(2000):
+        b = rng.choice((0.0, rng.uniform(-0.9, 0.9)))
+        par = Params(1.0 + abs(b) + rng.uniform(0.01, 2.0), b)
+        depth = rng.randint(0, 14)
+        w = _random_word(rng, depth + 2 + rng.randint(0, 6), depth + 1 + rng.randint(0, 6))
+        assert eval_q(w, depth, par) == _q_enclosure(w.head, depth, par)
+        assert eval_p(w, depth, par) == _p_enclosure(w.tail[::-1], depth, par)
 
 
 def test_enclosures_nest_in_depth_and_word_refinement():
@@ -684,8 +688,7 @@ def test_closed_form_agreement_on_hyperbolic_grid():
             b = -0.93 + 1.86 * j / 49
             a = 1.0 + abs(b) + 0.08 + 2.2 * i / 49
             par = Params(a, b)
-            bv = eval_q(w, 39, par)
-            assert abs(bv.value - closed_form_q(par)) <= bv.err + ULP_SLACK
+            assert _contains(eval_q(w, 39, par), closed_form_q(par))
 
 
 def test_diff_interval_special_head_on_full_shift():
@@ -783,4 +786,3 @@ def test_entropy_upper_monotone_along_a():
 def test_raster_dimensions():
     r = pruned_region_raster(Params(2.0, 0.0), 4, 3)
     assert r.width == 16 and r.height == 16
-    assert r.word_len == 4 and r.depth == 3

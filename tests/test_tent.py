@@ -281,17 +281,17 @@ def test_kneading_prefixes_track_pruning_front():
     for a in (1.3, 1.5, 1.7, 2.0):
         kap = kneading(a, 12).symbols
         for length in range(2, 13):
-            bv = eval_q(Word((), kap[:length]), length - 1, Params(a, 0.0))
-            assert bv.lo <= 1.0 + 5e-13
-            assert bv.hi >= 1.0 - 5e-13
-            assert abs(bv.value - 1.0) <= 3.0 * a ** (-length) / (a - 1.0)
+            lo, hi = eval_q(Word((), kap[:length]), length - 1, Params(a, 0.0))
+            assert lo <= 1.0 + 5e-13
+            assert hi >= 1.0 - 5e-13
+            assert abs(0.5 * (lo + hi) - 1.0) <= 3.0 * a ** (-length) / (a - 1.0)
 
 
 def test_far_heads_resolve_away_from_front():
     for a in (1.3, 1.5, 1.7, 2.0):
         for head in ((PLUS,) * 12, (MINUS,) * 12):
-            bv = eval_q(Word((), head), 11, Params(a, 0.0))
-            assert bv.hi < 1.0 or bv.lo > 1.0
+            lo, hi = eval_q(Word((), head), 11, Params(a, 0.0))
+            assert hi < 1.0 or lo > 1.0
 
 
 def test_full_slope_unique_straddling_head():
@@ -301,8 +301,8 @@ def test_full_slope_unique_straddling_head():
     kap = kneading(a, 12).symbols
     count = 0
     for head in heads(12):
-        bv = eval_q(Word((), head), 11, Params(a, 0.0))
-        if bv.lo <= 1.0 <= bv.hi:
+        lo, hi = eval_q(Word((), head), 11, Params(a, 0.0))
+        if lo <= 1.0 <= hi:
             count += 1
             assert head == kap
     assert count == 1
