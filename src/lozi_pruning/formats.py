@@ -59,9 +59,11 @@ def or_default(value, default):
 
 
 def refuse_overwrite(paths: Iterable[str], force: bool) -> None:
-    """Raise FileExistsError for the first existing path unless force is set:
-    the one rule for replacing an artifact."""
+    """Raise FileExistsError for the first path that is a directory, or that
+    exists while force is not set: the one rule for replacing an artifact."""
     for path in map(os.fspath, paths):
+        if os.path.isdir(path):
+            raise FileExistsError(f"{path} is a directory; no artifact can replace it")
         if os.path.exists(path) and not force:
             raise FileExistsError(f"{path} exists; pass force to overwrite")
 

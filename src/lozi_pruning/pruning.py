@@ -8,15 +8,20 @@ three functions take float endpoints for one word (the scalar evaluators
 and ``classify_cylinder``), float64 arrays for a batch of rows (the raster),
 or broadcastable per-axis arrays, one length-2 axis per symbol position (the
 block masks, so each level and series is computed once per distinct prefix
-or suffix); only min/max over candidate endpoints and the test that a
-denominator straddles zero are picked from the endpoint type.  Every
-enclosure is a ``(lo, hi)`` pair, and the scalar evaluators return the
-engine's pair as it is.  A raster sums each side's series once per row or
-column and classifies its cells by integer rank compares against the sorted
-q endpoints, one block of rows at a time, so no cell-sized float or mask
-array is ever built.  A block's p enclosure depends only on its prefix and
-its q enclosure only on its suffix, never on the block length, so one sweep
-at the longest length serves every block length of an entropy run.
+or suffix).  A straddling denominator raises, so every level, and every p
+factor -b s, has one sign or is 0: a series carries its running product as
+(near, far), the products of the smaller- and of the larger-magnitude
+endpoints, two multiplications per term.  As rounding to nearest is
+monotone and symmetric in sign, min and max of that pair are bit for bit
+those of the four endpoint products.  Only that split, min/max and the
+straddle test depend on the endpoint type.  Every enclosure is a
+``(lo, hi)`` pair, which the scalar evaluators return as it is.  A raster
+sums each side's series once per row or column and classifies its cells by
+integer rank compares against the sorted q endpoints, one block of rows at
+a time, so no cell-sized float or mask array is ever built.  A block's p
+enclosure depends only on its prefix and its q enclosure only on its
+suffix, never on the block length, so one sweep at the longest length
+serves every block length of an entropy run.
 
 The innermost, unknown continuation of a finite word enters as the a-priori
 interval [-1/(a-|b|), 1/(a-|b|)], which the level map keeps invariant
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -86,15 +91,17 @@ def special_head(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # interval engine
 
-_ARRAY_EXTREMES = (partial(reduce, np.minimum), partial(reduce, np.maximum))
+def _array_near_far(level):
+    """Per cell, the endpoints of a one-signed enclosure by magnitude."""
+    positive = level[0] > 0.0
+    return np.where(positive, *level), np.where(positive, *level[::-1])
 
 
-def _extremes(levels):
-    """min and max over a tuple of candidate endpoints: the builtins when the
-    levels hold floats, elementwise reductions when they hold arrays."""
+def _near_far_levels(levels):
+    """(near, far) per level, split lazily for arrays, and min and max for the type."""
     if levels and isinstance(levels[0][0], np.ndarray):
-        return _ARRAY_EXTREMES
-    return min, max
+        return map(_array_near_far, levels), np.minimum, np.maximum
+    return [lv if lv[0] > 0.0 else lv[::-1] for lv in levels], min, max
 
 
 def _levels(shifts, params: Params) -> list:
@@ -128,49 +135,44 @@ def _levels(shifts, params: Params) -> list:
 def _p_series(s_levels, params: Params):
     """Enclosure of p from the levels s_{-2}, s_{-3}, ... of its taken terms.
 
-    Term k is the product of the factors (-b s_{-j}), j = 2..k+1.  Every
-    untaken term extends the last partial product by factors of magnitude
-    <= |b|/(a-|b|), so the remainder is geometric from that product
-    (infinite when the ratio reaches 1).
+    Term k is the product of the factors (-b s_{-j}), j = 2..k+1, each of
+    one sign or 0, so with monotone rounding (near, far) carries it exactly.
+    Every untaken term extends it by factors of magnitude <= |b|/(a-|b|),
+    so the remainder is geometric from it (infinite when the ratio reaches 1).
     """
-    lowest, highest = _extremes(s_levels)
+    pairs, lowest, highest = _near_far_levels(s_levels)
     b = params.b
-    lo = hi = prod_lo = prod_hi = 1.0
-    for s_lo, s_hi in s_levels:
-        f_lo, f_hi = (-b * s_lo, -b * s_hi) if b <= 0 else (-b * s_hi, -b * s_lo)
-        p = (prod_lo * f_lo, prod_lo * f_hi, prod_hi * f_lo, prod_hi * f_hi)
-        prod_lo, prod_hi = lowest(p), highest(p)
-        lo += prod_lo
-        hi += prod_hi
+    lo = hi = near = far = 1.0
+    for s_near, s_far in pairs:
+        near *= -b * s_near
+        far *= -b * s_far
+        lo += lowest(near, far)
+        hi += highest(near, far)
     ratio = abs(b) / (params.a - abs(b))
-    if ratio < 1.0:
-        bound = highest((abs(prod_lo), abs(prod_hi))) * (ratio / (1.0 - ratio))
-    else:
-        bound = math.inf
+    bound = abs(far) * (ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
     return lo - bound, hi + bound
 
 
 def _q_series(r_levels, params: Params):
     """Enclosure of q from the levels r_0, r_1, ... of its taken terms.
 
-    Term n is (-1)^n r_0 ... r_n.  The term majorant (a-|b|)^-(n+1) always
-    sums geometrically in the hyperbolic region, so the remainder after the
-    last partial product is at most that product over (a-|b|-1); the
-    enclosure is finite even with no terms taken.
+    Term n is (-1)^n r_0 ... r_n, each r of one sign, so with monotone
+    rounding (near, far) carries the product exactly.  The majorant
+    (a-|b|)^-(n+1) sums geometrically when hyperbolic, so the remainder
+    is at most the last product over (a-|b|-1), finite with no terms taken.
     """
-    lowest, highest = _extremes(r_levels)
-    lo = hi = 0.0
-    prod_lo = prod_hi = 1.0
-    for n, (r_lo, r_hi) in enumerate(r_levels):
-        p = (prod_lo * r_lo, prod_lo * r_hi, prod_hi * r_lo, prod_hi * r_hi)
-        prod_lo, prod_hi = lowest(p), highest(p)
+    pairs, lowest, highest = _near_far_levels(r_levels)
+    lo, hi, near, far = 0.0, 0.0, 1.0, 1.0
+    for n, (r_near, r_far) in enumerate(pairs):
+        near *= r_near
+        far *= r_far
         if n % 2 == 0:
-            lo += prod_lo
-            hi += prod_hi
+            lo += lowest(near, far)
+            hi += highest(near, far)
         else:
-            lo -= prod_hi
-            hi -= prod_lo
-    bound = highest((abs(prod_lo), abs(prod_hi))) / (params.a - abs(params.b) - 1.0)
+            lo -= highest(near, far)
+            hi -= lowest(near, far)
+    bound = abs(far) / (params.a - abs(params.b) - 1.0)
     return lo - bound, hi + bound
 
 
@@ -281,9 +283,7 @@ PGM_UNKNOWN = 128
 PGM_ADMISSIBLE = 255
 
 _CELL_LIMIT = 1 << 22  # largest raster: 4^11 cells
-# Largest word count.  At depth 12, (1.7, 0.2), the tracemalloc peak of
-# entropy_rows at n_max = 20 is 128 MiB.
-_BLOCK_LIMIT = 1 << 20
+_BLOCK_LIMIT = 1 << 20  # largest block count: n_max = 20 traces 88.5 MiB at (1.7, 0.2), depth 12
 
 
 @dataclass(frozen=True)
@@ -411,7 +411,7 @@ def _enclosure_sweep(params: Params, n_max: int, depth: int):
         for j in range(n_max)
     ]
     # Each series reads its widest level first (r[j], then y[k - 2]), so the
-    # in-place sums in _p_series and _q_series never have to grow a shape.
+    # in-place products and sums of the series never have to grow a shape.
     # r[j] encloses the ascending continued fraction r_0 of the suffix j..;
     # the suffix of length L takes r_t from r[n_max - L + t].
     r = _levels([a * cols[j] for j in range(n_max - 1, -1, -1)], params)[::-1]
@@ -453,8 +453,8 @@ def _block_masks(sweep, n: int):
     for k in range(n):
         plo, phi = (np.reshape(v, np.shape(v)[:n]) for v in p[k])
         qlo, qhi = (v.reshape(v.shape[lead:]) for v in q[n - k])
-        pruned_any |= (phi - qlo) < 0.0
-        cert_all &= (plo - qhi) >= 0.0
+        pruned_any |= phi < qlo
+        cert_all &= plo >= qhi
     return pruned_any.ravel(), cert_all.ravel()
 
 

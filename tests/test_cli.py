@@ -213,6 +213,21 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(
     assert list(tmp_path.iterdir()) == []
 
 
+@_WRITERS
+def test_output_naming_a_directory_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, out, present, work
+):
+    # No artifact can replace a directory, so even --force exits 2 before
+    # any work, names the directory, and leaves nothing behind.
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    _refuse_work(monkeypatch, work)
+    assert main(argv + ["--out", str(adir), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert str(adir) in err and "directory" in err and ".tmp-artifact" not in err
+    assert list(tmp_path.iterdir()) == [adir] and list(adir.iterdir()) == []
+
+
 def test_pruned_region_rejects_nonhyperbolic(capsys):
     code = main(["pruned-region", "--a", "1.2", "--b", "0.5",
                  "--out", "/tmp/never-written.pgm"])
@@ -603,6 +618,21 @@ def test_verify_refuses_an_existing_output_before_any_check(tmp_path, capsys, cr
     captured = capsys.readouterr()
     assert "force" in captured.err and captured.out == ""
     assert {p.name: p.read_text() for p in rep.iterdir()} == {present: "stale\n"}
+
+
+@pytest.mark.parametrize(
+    "criteria, present", [("3,7", "entropy.csv"), ("3", "report.txt")], ids=["artifact", "report"]
+)
+def test_verify_refuses_a_directory_output_even_with_force(tmp_path, capsys, criteria, present):
+    # The output directory itself is kept, but a directory where one of its
+    # files goes is refused under --force too, before any check runs.
+    rep = tmp_path / "rep"
+    (rep / present).mkdir(parents=True)
+    argv = ["verify", "--criteria", criteria, "--word-len", "4", "--n-max", "6", "--force"]
+    assert main(argv + ["--out", str(rep)]) == 2
+    captured = capsys.readouterr()
+    assert str(rep / present) in captured.err and captured.out == ""
+    assert [p.name for p in rep.iterdir()] == [present] and not any((rep / present).iterdir())
 
 
 def test_verify_rejects_unknown_criterion(capsys):

@@ -51,6 +51,15 @@ def test_atomic_write_refuses_overwrite(tmp_path):
     assert target.read_bytes() == b"second"
 
 
+def test_refuse_overwrite_refuses_a_directory_even_with_force(tmp_path):
+    formats.refuse_overwrite([tmp_path / "absent"], force=False)
+    with pytest.raises(FileExistsError, match="is a directory"):
+        formats.refuse_overwrite([tmp_path], force=True)
+    with pytest.raises(FileExistsError, match="is a directory"):
+        formats.atomic_write_bytes(str(tmp_path), b"x", force=True)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     formats.atomic_write_text(str(tmp_path / "a.txt"), "hello\n")
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp")]

@@ -13,6 +13,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -407,6 +408,127 @@ def test_vectorized_intervals_bitwise_match_scalar():
             assert _p_enclosure(tail[::-1], d, par) == (plo[rank], phi[rank])
         for rank, head in enumerate(heads(L)):
             assert _q_enclosure(head, d, par) == (qlo[rank], qhi[rank])
+
+
+def _ref_extremes(levels):
+    if levels and isinstance(levels[0][0], np.ndarray):
+        return partial(reduce, np.minimum), partial(reduce, np.maximum)
+    return min, max
+
+
+def _ref_p_series(s_levels, params):
+    """_p_series as it was written with all four endpoint products of every
+    term reduced by min and max, as the reference for the (near, far) form."""
+    lowest, highest = _ref_extremes(s_levels)
+    b = params.b
+    lo = hi = prod_lo = prod_hi = 1.0
+    for s_lo, s_hi in s_levels:
+        f_lo, f_hi = (-b * s_lo, -b * s_hi) if b <= 0 else (-b * s_hi, -b * s_lo)
+        p = (prod_lo * f_lo, prod_lo * f_hi, prod_hi * f_lo, prod_hi * f_hi)
+        prod_lo, prod_hi = lowest(p), highest(p)
+        lo += prod_lo
+        hi += prod_hi
+    ratio = abs(b) / (params.a - abs(b))
+    if ratio < 1.0:
+        bound = highest((abs(prod_lo), abs(prod_hi))) * (ratio / (1.0 - ratio))
+    else:
+        bound = math.inf
+    return lo - bound, hi + bound
+
+
+def _ref_q_series(r_levels, params):
+    """_q_series in the four-product form, as _ref_p_series."""
+    lowest, highest = _ref_extremes(r_levels)
+    lo = hi = 0.0
+    prod_lo = prod_hi = 1.0
+    for n, (r_lo, r_hi) in enumerate(r_levels):
+        p = (prod_lo * r_lo, prod_lo * r_hi, prod_hi * r_lo, prod_hi * r_hi)
+        prod_lo, prod_hi = lowest(p), highest(p)
+        if n % 2 == 0:
+            lo += prod_lo
+            hi += prod_hi
+        else:
+            lo -= prod_hi
+            hi -= prod_lo
+    bound = highest((abs(prod_lo), abs(prod_hi))) / (params.a - abs(params.b) - 1.0)
+    return lo - bound, hi + bound
+
+
+def _assert_same_enclosure(got, want):
+    # Floats stay floats and arrays arrays, with equal endpoints.
+    for g, w in zip(got, want, strict=True):
+        if isinstance(w, np.ndarray):
+            assert isinstance(g, np.ndarray) and np.array_equal(g, w)
+        else:
+            assert not isinstance(g, np.ndarray) and g == w
+
+
+def _kernel_points():
+    # b > 0, b < 0 and b = 0 (zero p factors) at seeded points, and two
+    # points with |b| > 1 where the p remainder is infinite.
+    rng = random.Random(23)
+    points = [(2.8, 1.5), (2.3, -1.2), (2.0, 0.0), (rng.uniform(1.05, 2.5), 0.0)]
+    for sign in (1.0, -1.0):
+        for _ in range(2):
+            b = sign * rng.uniform(0.01, 0.9)
+            points.append((rng.uniform(1.05 + abs(b), 2.5), b))
+    return points
+
+
+_KERNEL_DEPTHS = (0, 1, 12, 40)
+
+
+@pytest.mark.parametrize("a, b", _kernel_points())
+def test_series_match_four_product_reference_on_words_and_rows(a, b):
+    par = Params(a, b)
+    rng = random.Random(f"{a},{b}")
+    length = max(_KERNEL_DEPTHS) + 2
+    word = [rng.choice((PLUS, MINUS)) for _ in range(length)]
+    rows = np.array([[rng.choice((PLUS, MINUS)) for _ in range(64)] for _ in range(length)])
+    for symbols in (word, list(rows.astype(float))):
+        # The levels r_0.. and s_{-2}.. as _q_enclosure and _p_enclosure
+        # build them, symbols[k] at index k of the head and -(k+1) of the tail.
+        r = _levels([a * symbols[k] for k in range(length - 1, -1, -1)], par)[::-1]
+        s = _levels([-a * symbols[k] for k in range(length - 1, 0, -1)], par)[::-1]
+        for depth in _KERNEL_DEPTHS:
+            r_taken, s_taken = r[: depth + 1], s[:depth]
+            _assert_same_enclosure(_q_series(r_taken, par), _ref_q_series(r_taken, par))
+            _assert_same_enclosure(_p_series(s_taken, par), _ref_p_series(s_taken, par))
+
+
+@pytest.mark.parametrize("a, b", _kernel_points())
+def test_series_match_four_product_reference_on_sweep_axes(monkeypatch, a, b):
+    par = Params(a, b)
+    for depth in _KERNEL_DEPTHS:
+        p, q = _enclosure_sweep(par, 12, depth)
+        with monkeypatch.context() as patch:
+            patch.setattr(pruning, "_p_series", _ref_p_series)
+            patch.setattr(pruning, "_q_series", _ref_q_series)
+            ref_p, ref_q = _enclosure_sweep(par, 12, depth)
+        assert len(p) == len(ref_p) and q.keys() == ref_q.keys()
+        for got, want in zip(p, ref_p):
+            _assert_same_enclosure(got, want)
+        for L in q:
+            _assert_same_enclosure(q[L], ref_q[L])
+
+
+@pytest.mark.parametrize("a, b", [(2.8, 1.5), (1.7, 0.2)])
+def test_block_masks_match_difference_compare(a, b):
+    # The masks compare endpoints directly; the sign of their difference
+    # gives the same answer, infinite p endpoints included.
+    sweep = _enclosure_sweep(Params(a, b), 12, 12)
+    p, q = sweep
+    for n in range(1, 13):
+        pruned_any = np.zeros((2,) * n, dtype=bool)
+        cert_all = np.ones((2,) * n, dtype=bool)
+        for k in range(n):
+            plo, phi = (np.reshape(v, np.shape(v)[:n]) for v in p[k])
+            qlo, qhi = (v.reshape(v.shape[12 - n :]) for v in q[n - k])
+            pruned_any |= (phi - qlo) < 0.0
+            cert_all &= (plo - qhi) >= 0.0
+        got_pruned, got_cert = _block_masks(sweep, n)
+        assert np.array_equal(got_pruned, pruned_any.ravel()), n
+        assert np.array_equal(got_cert, cert_all.ravel()), n
 
 
 def test_raster_budget_gate():
