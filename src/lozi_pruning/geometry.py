@@ -465,6 +465,12 @@ def _require_arc_budget(arc_budget: float) -> None:
         raise ValueError(f"arc budget must be finite and > 0, got {arc_budget}")
 
 
+def _require_resolution(resolution: int) -> None:
+    """The input rule of a scan grid: at least one pixel a side."""
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
+
+
 def _manifold(
     params: Params, seed: str, inverse: bool, arc_budget: float, sinks=()
 ) -> Polyline:
@@ -849,8 +855,7 @@ def scan_zero_entropy(
         raise ValueError(f"grid ends must be finite, got a {a_range}, b {b_range}")
     if not (-1.0 <= b_range[0] <= 1.0 and -1.0 <= b_range[1] <= 1.0):
         raise ValueError("b grid must stay within |b| <= 1")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
+    _require_resolution(resolution)
     codes = np.full((resolution, resolution), ZERO_ENTROPY_CODES["unknown"], np.uint8)
     witnesses = np.full((resolution, resolution, 2), math.nan)
     for i in range(resolution):

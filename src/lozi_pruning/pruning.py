@@ -21,7 +21,9 @@ integer rank compares against the sorted q endpoints, one block of rows at
 a time, so no cell-sized float or mask array is ever built.  A block's p
 enclosure depends only on its prefix and its q enclosure only on its
 suffix, never on the block length, so one sweep at the longest length
-serves every block length of an entropy run.
+serves every block length of an entropy run.  ``_levels`` and ``_q_series``
+also take a grid of float64 arrays a and b (``verify``); ``_levels`` then
+orders each denominator's ends per point, and p takes one b at a time.
 
 The innermost, unknown continuation of a finite word enters as the a-priori
 interval [-1/(a-|b|), 1/(a-|b|)], which the level map keeps invariant
@@ -111,16 +113,20 @@ def _levels(shifts, params: Params) -> list:
     interval [-1/(a-|b|), 1/(a-|b|)], which stands for the unknown
     continuation beyond the first shift, and returns one enclosure per shift
     in sweep order; every one is uniform over all such continuations.
+    A grid of b orders each denominator's ends per point, bit for bit as the
+    sign of a float b does: rounding is monotone, and the shift is never 0.
     """
     b = params.b
     rad = 1.0 / (params.a - abs(b))
     lo, hi = -rad, rad
+    grid = isinstance(b, np.ndarray)
     out = []
     for shift in shifts:
-        if b >= 0:
-            den_lo, den_hi = shift + b * lo, shift + b * hi
+        ends = shift + b * lo, shift + b * hi
+        if grid:
+            den_lo, den_hi = np.minimum(*ends), np.maximum(*ends)
         else:
-            den_lo, den_hi = shift + b * hi, shift + b * lo
+            den_lo, den_hi = ends if b >= 0 else ends[::-1]
         if isinstance(den_lo, np.ndarray):
             straddles = not np.all((den_lo > 0.0) | (den_hi < 0.0))
         else:
@@ -386,7 +392,10 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
 
 
 def _require_blocks(n: int) -> None:
-    """The block budget of the word counts: 2^n blocks at most _BLOCK_LIMIT."""
+    """The input rule of the word counts: a block length n >= 1, and 2^n
+    blocks at most _BLOCK_LIMIT."""
+    if n < 1:
+        raise ValueError("n_max must be >= 1")
     if (1 << n) > _BLOCK_LIMIT:
         raise BudgetExceeded(f"2^{n} blocks of length {n} exceed the limit {_BLOCK_LIMIT}")
 
@@ -476,10 +485,8 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
     is a valid upper bound at every n; the lower bound uses only the current
     length and is clamped into [0, h_upper].
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _require_series(params, depth)
     _require_blocks(n_max)
+    _require_series(params, depth)
     sweep = _enclosure_sweep(params, n_max, depth)
     rows = []
     h_upper = math.inf

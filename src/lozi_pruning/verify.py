@@ -9,7 +9,9 @@ hyphenated: ``check_closed_form_series`` reports as ``closed-form-series``.
 the only place that builds a ``CheckResult``; the test suite goes through
 it too, so the CLI report and the tests cannot drift apart. A check that
 writes artifacts into the output directory declares their names with
-``_writes``, so the CLI can refuse an existing one before any check runs.
+``_writes``, so the CLI can refuse an existing one before any check runs,
+and the scale inputs it reads, so ``run_checks`` refuses an invalid one
+before any check runs.
 Everything is deterministic given the config (seeded generators only).
 """
 
@@ -22,6 +24,8 @@ import random
 import tempfile
 from dataclasses import dataclass
 from functools import partial
+
+import numpy as np
 
 from . import formats
 from .derivatives import (
@@ -43,6 +47,7 @@ from .geometry import (
     scan_zero_entropy,
 )
 from .geometry import _axis_crossing_of_unstable_line, _signed_dist_to_convex
+from .geometry import _require_arc_budget, _require_resolution
 from .pruning import (
     ENTROPY_HEADER,
     ULP_SLACK,
@@ -56,7 +61,7 @@ from .pruning import (
     pruned_region_raster,
     special_head,
 )
-from .pruning import _p_enclosure
+from .pruning import _p_enclosure, _q_enclosure, _require_blocks
 from .symbolic import MINUS, Word, coordinate_symbols
 from .tent import (
     check_identity_shifted,
@@ -78,12 +83,21 @@ class CheckResult:
     detail: str
 
 
-def _writes(*names: str):
+# The library's own rule for each scale input a check may read.
+_INPUT_RULES = {
+    "n_max": _require_blocks,
+    "grid": _require_resolution,
+    "arc_budget": _require_arc_budget,
+}
+
+
+def _writes(*names: str, reads: tuple[str, ...] = ()):
     """Declare the files the decorated check writes into the output
-    directory, as its artifacts attribute (functools.wraps copies it)."""
+    directory, as its artifacts attribute, and the keys of _INPUT_RULES it
+    reads from the config, as its inputs (functools.wraps copies both)."""
 
     def declare(check):
-        check.artifacts = names
+        check.artifacts, check.inputs = names, reads
         return check
 
     return declare
@@ -96,16 +110,11 @@ def _artifacts(out: str, check) -> list[str]:
 
 def check_closed_form_series(config) -> tuple[bool, str]:
     """The closed form lies inside the series enclosure."""
-    w = Word((), special_head(60))
-    worst = -math.inf
-    for i in range(50):
-        b = -0.9 + i * (1.8 / 49)
-        for j in range(50):
-            a = 1.0 + abs(b) + 0.02 + j * (1.3 / 49)
-            params = Params(a, b)
-            lo, hi = eval_q(w, 40, params)
-            closed = closed_form_q(params)
-            worst = max(worst, lo - closed, closed - hi)
+    b = -0.9 + np.arange(50)[:, None] * (1.8 / 49)
+    a = 1.0 + np.abs(b) + 0.02 + np.arange(50) * (1.3 / 49)
+    lo, hi = _q_enclosure(special_head(60), 40, Params(a, b))
+    closed = np.vectorize(lambda x, y: closed_form_q(Params(float(x), float(y))))(a, b)
+    worst = float(max(np.max(lo - closed), np.max(closed - hi)))
     return (
         worst <= ULP_SLACK,
         f"worst closed-form excess outside the series enclosure = {worst:.3e} over 2500 params",
@@ -119,14 +128,12 @@ def check_head_maximum(config) -> tuple[bool, str]:
     max_lo, max_hi = eval_q(Word((), sp), 59, params)
     at_max = 0.5 * (max_lo + max_hi)
     rng = random.Random(config.seed + 7)
-    worst_other = -math.inf
-    count = 0
-    while count < 500:
+    heads = []
+    while len(heads) < 500:
         head = (1,) + tuple(rng.choice((1, -1)) for _ in range(39))
-        if head == sp[:40]:
-            continue
-        worst_other = max(worst_other, eval_q(Word((), head), 39, params)[1])
-        count += 1
+        if head != sp[:40]:
+            heads.append(head)
+    worst_other = float(np.max(_q_enclosure(np.array(heads).T, 39, params)[1]))
     passed = abs(at_max - 1.0) <= 1e-10 and worst_other < 1.0
     return (
         passed,
@@ -225,7 +232,7 @@ def check_kneading_identities(config) -> tuple[bool, str]:
     )
 
 
-@_writes("entropy.csv")
+@_writes("entropy.csv", reads=("n_max",))
 def check_entropy_brackets(config) -> tuple[bool, str]:
     """Count brackets trap the known entropy values; lap oracle concurs."""
     n_max = or_default(config.n_max, 16)
@@ -249,7 +256,7 @@ def check_entropy_brackets(config) -> tuple[bool, str]:
     return passed, "; ".join(details)
 
 
-@_writes("entropy_sweep.csv")
+@_writes("entropy_sweep.csv", reads=("n_max",))
 def check_upper_bound_monotone(config) -> tuple[bool, str]:
     """The upper entropy bound grows with the slope along a fold-free line."""
     n_max = or_default(config.n_max, 12)
@@ -312,7 +319,7 @@ def check_plane_anchors(config) -> tuple[bool, str]:
     )
 
 
-@_writes("zero_scan.pgm")
+@_writes("zero_scan.pgm", reads=("grid", "arc_budget"))
 def check_zero_entropy_atlas(config) -> tuple[bool, str]:
     """Classifier anchors plus the parameter-plane scan's three zones."""
     arc_budget = or_default(config.arc_budget, 20.0)
@@ -368,7 +375,7 @@ def check_orbit_window_consistency(config) -> tuple[bool, str]:
     for _ in range(1000):
         t = rng.randrange(half, len(symbols) - half)
         w = Word(tuple(symbols[t - half : t]), tuple(symbols[t : t + half]))
-        pruned += classify_cylinder(w, 5, 3, params) is Verdict.CERTIFIED_PRUNED
+        pruned += classify_cylinder(w, 5, 0, params) is Verdict.CERTIFIED_PRUNED
     return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
 
 
@@ -444,12 +451,17 @@ def output_paths(config) -> list[str]:
 
 
 def run_checks(config) -> list[CheckResult]:
-    indices = parse_criteria(config.criteria)
+    checks = {index: CHECKS[index] for index in parse_criteria(config.criteria)}
+    # A set scale input meets its rule before any check runs, or writes; the
+    # defaults always do.
+    for check in checks.values():
+        for field in getattr(check, "inputs", ()):
+            if getattr(config, field) is not None:
+                _INPUT_RULES[field](getattr(config, field))
     if config.out:
         os.makedirs(config.out, exist_ok=True)
     results = []
-    for index in indices:
-        check = CHECKS[index]
+    for index, check in checks.items():
         passed, detail = check(config)
         name = check.__name__.removeprefix("check_").replace("_", "-")
         results.append(CheckResult(index, name, bool(passed), detail))

@@ -30,8 +30,12 @@ from lozi_pruning.pruning import (
     PGM_PRUNED,
     PGM_UNKNOWN,
     Params,
+    closed_form_q,
+    eval_q,
     pruned_region_raster,
+    special_head,
 )
+from lozi_pruning.symbolic import Word
 
 
 def read_csv_rows(path):
@@ -686,6 +690,60 @@ def test_verify_report_regression_pin(tmp_path):
                  "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()
     assert digest == VERIFY_REPORT_DIGEST
+
+
+def _closed_form_worst_per_point():
+    """Criterion 1's worst excess as 2,500 scalar eval_q calls find it."""
+    w = Word((), special_head(60))
+    worst = -math.inf
+    for i in range(50):
+        b = -0.9 + i * (1.8 / 49)
+        for j in range(50):
+            a = 1.0 + abs(b) + 0.02 + j * (1.3 / 49)
+            params = Params(a, b)
+            lo, hi = eval_q(w, 40, params)
+            closed = closed_form_q(params)
+            worst = max(worst, lo - closed, closed - hi)
+    return worst
+
+
+def test_closed_form_series_worst_equals_the_per_point_loop(monkeypatch):
+    # The check prints its worst excess as .3e text only, but its pass test
+    # worst <= ULP_SLACK pins the float: it holds with the slack at the
+    # loop's worst and fails one ulp below.
+    worst = _closed_form_worst_per_point()
+    config = RunConfig(command="verify")
+    monkeypatch.setattr(verify, "ULP_SLACK", worst)
+    passed, detail = verify.check_closed_form_series(config)
+    assert passed and f"= {worst:.3e} over 2500 params" in detail
+    monkeypatch.setattr(verify, "ULP_SLACK", math.nextafter(worst, -math.inf))
+    assert not verify.check_closed_form_series(config)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--criteria", "3,7", "--word-len", "4", "--n-max", "0"],
+        ["--criteria", "3,8", "--word-len", "4", "--n-max", "21"],
+        ["--criteria", "3,10", "--word-len", "4", "--grid", "2", "--arc-budget", "-1"],
+        ["--criteria", "3,10", "--grid", "0"],
+    ],
+    ids=["n-max-0", "n-max-21", "arc-budget", "grid-0"],
+)
+def test_verify_refuses_a_scale_input_before_any_check(tmp_path, capsys, argv):
+    # Criterion 3 runs first and writes its raster; an input that a later
+    # selected check refuses must stop the run before that write.
+    out = tmp_path / "d"
+    out.mkdir()
+    assert main(["verify", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_verify_ignores_the_scale_inputs_of_unselected_checks(capsys):
+    assert main(["verify", "--criteria", "6", "--n-max", "0", "--grid", "0"]) == 0
+    assert capsys.readouterr().out.startswith("PASS criterion 6")
 
 
 def test_verify_report_regenerates_identically(tmp_path):

@@ -531,6 +531,71 @@ def test_block_masks_match_difference_compare(a, b):
         assert np.array_equal(got_cert, cert_all.ravel()), n
 
 
+def _grid(bs, per_row, seed):
+    """A parameter grid, b down the rows and seeded hyperbolic a along them."""
+    rng = random.Random(seed)
+    b = np.array(bs)[:, None]
+    offsets = [[rng.uniform(0.01, 1.2) for _ in range(per_row)] for _ in bs]
+    return Params(1.0 + np.abs(b) + np.array(offsets), b)
+
+
+@pytest.mark.parametrize("depth", _KERNEL_DEPTHS)
+def test_q_enclosure_on_a_parameter_grid_matches_each_point(depth):
+    # One kernel call over rows of b < 0, b = 0 and b > 0 equals eval_q at
+    # every point, bit for bit.
+    grid = _grid([-0.85, -0.3, 0.0, 0.2, 0.9], 7, seed=depth)
+    rng = random.Random(f"grid head {depth}")
+    head = tuple(rng.choice((PLUS, MINUS)) for _ in range(max(_KERNEL_DEPTHS) + 2))
+    lo, hi = _q_enclosure(head, depth, grid)
+    want_lo, want_hi = np.empty(lo.shape), np.empty(hi.shape)
+    for i, j in np.ndindex(lo.shape):
+        point = Params(float(grid.a[i, j]), float(grid.b[i, 0]))
+        want_lo[i, j], want_hi[i, j] = eval_q(Word((), head), depth, point)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+def test_levels_on_a_parameter_grid_raise_where_one_point_raises():
+    # Points with a > |b| but not always a > 1 + |b|: some straddle a
+    # denominator on their own.  A grid raises exactly when one of its
+    # points does; (1.0, 0.9) straddles at the first level.
+    rng = random.Random(2401)
+    head = [rng.choice((PLUS, MINUS)) for _ in range(12)]
+
+    def raises(a, b):
+        try:
+            _levels([a * s for s in head[::-1]], Params(a, b))
+        except ArithmeticError:
+            return True
+        return False
+
+    points = [(1.0, 0.9)]
+    for _ in range(79):
+        b = rng.uniform(-0.9, 0.9)
+        points.append((abs(b) + rng.uniform(0.05, 1.5), b))
+    alone = [raises(a, b) for a, b in points]
+    order = list(range(len(points)))
+    rng.shuffle(order)
+    grids = [order[start : start + 4] for start in range(0, len(points), 4)]
+    expected = [any(alone[k] for k in chosen) for chosen in grids]
+    assert 0 < sum(expected) < len(grids)
+    for chosen, want in zip(grids, expected):
+        a = np.array([points[k][0] for k in chosen])
+        b = np.array([points[k][1] for k in chosen])
+        assert raises(a, b) == want, chosen
+
+
+@pytest.mark.parametrize("a, b", [(1.7, 0.5), (1.5, -0.3), (2.1, 0.05)])
+def test_pruned_verdict_reads_no_shift_window(a, b):
+    # CertifiedPruned comes from the unshifted enclosure alone, so a window
+    # of 0 counts the same pruned words as a window of 3 (criterion 11).
+    par = Params(a, b)
+    rng = random.Random(f"window {a},{b}")
+    for _ in range(3000):
+        w = _random_word(rng, 6, 6)
+        pruned = classify_cylinder(w, 5, 0, par) is Verdict.CERTIFIED_PRUNED
+        assert pruned == (classify_cylinder(w, 5, 3, par) is Verdict.CERTIFIED_PRUNED), w
+
+
 def test_raster_budget_gate():
     with pytest.raises(BudgetExceeded):
         pruned_region_raster(Params(2.0, 0.0), 12, 4)
