@@ -507,7 +507,8 @@ def stable_manifold(
 
 
 def lyapunov_delta(params: Params, q: PlanePoint) -> float:
-    """V(L^4 q) - V(q) with V the squared distance to the period-2 point n1."""
+    """V(L^4 q) - V(q) with V the squared distance to the period-2 point n1.
+    q's coordinates may be float64 arrays, for one difference per element."""
     fd = _fixed_data(params)
     if fd.n1 is None:
         raise NoFixedPoint("period-2 pair absent; no Lyapunov center")
@@ -560,19 +561,17 @@ def _convex_hull(points) -> list[PlanePoint]:
     return list(map(PlanePoint._make, lower[:-1] + upper[:-1]))
 
 
-def _signed_dist_to_convex(poly, q) -> float:
-    """Positive inside a counterclockwise convex polygon; distance to the
-    nearest edge line."""
-    best = math.inf
-    n = len(poly)
-    qx, qy = q
-    for i in range(n):
-        (ux, uy), (wx, wy) = poly[i], poly[(i + 1) % n]
+def _signed_dist_to_convex(poly, q) -> np.ndarray:
+    """Per row of the (n, 2) array q, its distance to the nearest edge line
+    of a counterclockwise convex polygon, positive inside: the first minimum
+    over the edges, as a loop over them would keep it."""
+    edges = []
+    for (ux, uy), (wx, wy) in zip(poly, [*poly[1:], poly[0]]):
         ex, ey = wx - ux, wy - uy
-        elen = math.hypot(ex, ey)
-        cross = ex * (qy - uy) - ey * (qx - ux)
-        best = min(best, cross / elen)
-    return best
+        edges.append((ux, uy, ex, ey, math.hypot(ex, ey)))
+    ux, uy, ex, ey, elen = np.array(edges).T
+    dist = (ex * (q[:, 1:] - uy) - ey * (q[:, :1] - ux)) / elen
+    return dist[np.arange(len(dist)), dist.argmin(axis=1)]
 
 
 def _corner_polygon(params: Params) -> list[PlanePoint]:
@@ -600,16 +599,11 @@ def polygon_invariance(params: Params) -> PolygonReport:
     is typically exactly zero. Raises NotInvariant on genuine escape.
     """
     poly = _corner_polygon(params)
-    boundary = _drop_collinear(
-        _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
-    )
-
-    worst = math.inf
-    witness = None
-    for q in boundary:
-        d = _signed_dist_to_convex(poly, q)
-        if d < worst:
-            worst, witness = d, q
+    image = _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
+    boundary = list(_drop_collinear(image))
+    dist = _signed_dist_to_convex(poly, _xy_array(boundary, len(boundary)))
+    first = int(np.argmin(dist))  # the first vertex at the minimum
+    worst, witness = float(dist[first]), boundary[first]
     if worst < -_MARGIN_DUST:
         raise NotInvariant(
             f"boundary image escapes the polygon by {-worst:.3e}",
@@ -759,17 +753,13 @@ def _numeric_zero_check(params: Params) -> bool:
         else:
             return False
     # Contraction of the squared distance to the sink on polygon samples,
-    # drawn a block at a time from the corners' bounding box. The interior
-    # test is _signed_dist_to_convex over the whole block.
+    # drawn a block at a time from the corners' bounding box.
     rng = np.random.default_rng(1815)
     box = np.array(report.corners)
-    ux, uy = box.T
-    ex, ey = np.roll(ux, -1) - ux, np.roll(uy, -1) - uy
-    elen = np.array([math.hypot(dx, dy) for dx, dy in zip(ex.tolist(), ey.tolist())])
     checked = 0
     while True:
         q = rng.uniform(box.min(axis=0), box.max(axis=0), size=(_SAMPLE_BLOCK, 2))
-        inside = ((ex * (q[:, 1:] - uy) - ey * (q[:, :1] - ux)) / elen).min(axis=1) > 1e-9
+        inside = _signed_dist_to_convex(report.corners, q) > 1e-9
         for x, y in q[inside].tolist():
             if math.hypot(x - n1x, y - n1y) < 1e-9 or math.hypot(x - n2x, y - n2y) < 1e-9:
                 continue

@@ -21,9 +21,11 @@ integer rank compares against the sorted q endpoints, one block of rows at
 a time, so no cell-sized float or mask array is ever built.  A block's p
 enclosure depends only on its prefix and its q enclosure only on its
 suffix, never on the block length, so one sweep at the longest length
-serves every block length of an entropy run.  ``_levels`` and ``_q_series``
-also take a grid of float64 arrays a and b (``verify``); ``_levels`` then
-orders each denominator's ends per point, and p takes one b at a time.
+serves every block length of an entropy run.  All three also take a grid
+of float64 arrays a and b: ``_levels`` then orders each denominator's ends
+per point, and ``_p_series`` bounds its remainder per point.  The entropy
+sweep takes a batch of points on one leading axis, as many per sweep as
+keep points x 2^n_max within ``_BLOCK_LIMIT``.
 
 The innermost, unknown continuation of a finite word enters as the a-priori
 interval [-1/(a-|b|), 1/(a-|b|)], which the level map keeps invariant
@@ -69,12 +71,17 @@ class Params:
             raise NotHyperbolic(f"need a > 1 + |b|, got a={self.a}, b={self.b}")
 
 
-def _require_series(params: Params, depth: int) -> None:
-    """The input rule of every depth-taking entry point: hyperbolic
-    parameters and a series depth of at least 0."""
-    params.require_hyperbolic()
+def _require_depth(depth: int) -> None:
+    """The input rule of a series depth: at least 0."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
+
+
+def _require_series(params: Params, depth: int) -> None:
+    """The input rule of every depth-taking entry point: hyperbolic
+    parameters and a valid series depth."""
+    params.require_hyperbolic()
+    _require_depth(depth)
 
 
 class Verdict(Enum):
@@ -144,7 +151,8 @@ def _p_series(s_levels, params: Params):
     Term k is the product of the factors (-b s_{-j}), j = 2..k+1, each of
     one sign or 0, so with monotone rounding (near, far) carries it exactly.
     Every untaken term extends it by factors of magnitude <= |b|/(a-|b|),
-    so the remainder is geometric from it (infinite when the ratio reaches 1).
+    so the remainder is geometric from it (infinite when the ratio reaches 1,
+    per point for a grid).
     """
     pairs, lowest, highest = _near_far_levels(s_levels)
     b = params.b
@@ -155,7 +163,12 @@ def _p_series(s_levels, params: Params):
         lo += lowest(near, far)
         hi += highest(near, far)
     ratio = abs(b) / (params.a - abs(b))
-    bound = abs(far) * (ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
+    if isinstance(ratio, np.ndarray):
+        converges = ratio < 1.0
+        growth = np.divide(ratio, 1.0 - ratio, out=np.zeros_like(ratio), where=converges)
+        bound = np.where(converges, abs(far) * growth, math.inf)
+    else:
+        bound = abs(far) * (ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
     return lo - bound, hi + bound
 
 
@@ -400,25 +413,32 @@ def _require_blocks(n: int) -> None:
         raise BudgetExceeded(f"2^{n} blocks of length {n} exceed the limit {_BLOCK_LIMIT}")
 
 
+def _symbol_axes(n: int) -> list[np.ndarray]:
+    """The symbols of n positions, each on its own numpy axis of length 2:
+    entry j holds [+1, -1] with shape (1,)*j + (2,) + (1,)*(n-1-j)."""
+    return [np.array([1.0, -1.0]).reshape((1,) * j + (2,) + (1,) * (n - 1 - j)) for j in range(n)]
+
+
 def _enclosure_sweep(params: Params, n_max: int, depth: int):
     """p enclosures of every prefix and q enclosures of every suffix of the
     symbol blocks of length n_max, as (p, q).
 
-    The blocks live on n_max numpy axes of length 2: axis j holds the symbol
-    at position j, index 0 for +1 and index 1 for -1.  p[k] encloses p for
-    the dot at k, which reads the prefix of length k; it spans only the
-    first k - 1 axes (s_{-1} takes no series term).  q[L] encloses q for the
-    suffix of length L and spans the last L axes.  An enclosure depends only
-    on its prefix or suffix word, never on the block length, so this one
-    sweep serves every block length n <= n_max (_block_masks puts it on n
-    axes).  Broadcasting computes each level and series once per distinct
-    prefix or suffix, about 3 * depth * 2^n_max series terms in all.
+    The blocks live on the last n_max numpy axes, of length 2 (_symbol_axes):
+    axis j holds the symbol at position j, index 0 for +1 and index 1 for -1.
+    p[k] encloses p for the dot at k, which reads the prefix of length k; it
+    spans only the first k - 1 axes (s_{-1} takes no series term).  q[L]
+    encloses q for the suffix of length L and spans the last L axes.  An
+    enclosure depends only on its prefix or suffix word, never on the block
+    length, so this one sweep serves every block length n <= n_max
+    (_block_masks puts it on n axes).  Broadcasting computes each level and
+    series once per distinct prefix or suffix, about 3 * depth * 2^n_max
+    series terms in all.  When a and b are 1-D arrays, a batch of points,
+    they go on one leading axis, and every enclosure carries it.
     """
+    if isinstance(params.a, np.ndarray):
+        params = Params(*(v.reshape(v.shape + (1,) * n_max) for v in (params.a, params.b)))
     a = params.a
-    cols = [
-        np.array([1.0, -1.0]).reshape((1,) * j + (2,) + (1,) * (n_max - 1 - j))
-        for j in range(n_max)
-    ]
+    cols = _symbol_axes(n_max)
     # Each series reads its widest level first (r[j], then y[k - 2]), so the
     # in-place products and sums of the series never have to grow a shape.
     # r[j] encloses the ascending continued fraction r_0 of the suffix j..;
@@ -451,24 +471,27 @@ def _block_masks(sweep, n: int):
     cert_all[w]: every placement has an entirely non-negative enclosure.
 
     The masks are in plain binary order, w = sum_j [symbol j is -1]
-    2^(n-1-j).  The prefix enclosures drop the sweep's trailing axes past n
-    and the suffix enclosures its leading n_max - n axes, all of length 1,
-    so only the two compares span all 2^n blocks.
+    2^(n-1-j), along the last axis; a batch sweep's point axis leads.  The
+    prefix enclosures drop the sweep's trailing axes past n and the suffix
+    enclosures its first n_max - n symbol axes, all of length 1, so only the
+    two compares span all 2^n blocks.
     """
     p, q = sweep
-    lead = len(p) - n
-    pruned_any = np.zeros((2,) * n, dtype=bool)
-    cert_all = np.ones((2,) * n, dtype=bool)
+    points = q[len(p)][0].shape[: -len(p)]
+    kept = len(points) + n
+    pruned_any = np.zeros(points + (2,) * n, dtype=bool)
+    cert_all = np.ones(points + (2,) * n, dtype=bool)
     for k in range(n):
-        plo, phi = (np.reshape(v, np.shape(v)[:n]) for v in p[k])
-        qlo, qhi = (v.reshape(v.shape[lead:]) for v in q[n - k])
+        plo, phi = (np.reshape(v, np.shape(v)[:kept]) for v in p[k])
+        qlo, qhi = (v.reshape(points + v.shape[-n:]) for v in q[n - k])
         pruned_any |= phi < qlo
         cert_all &= plo >= qhi
-    return pruned_any.ravel(), cert_all.ravel()
+    return pruned_any.reshape(points + (-1,)), cert_all.reshape(points + (-1,))
 
 
 def _bracket(pruned_any, cert_all) -> tuple[int, int]:
-    """(lower, upper) block counts from the masks of _block_masks."""
+    """(lower, upper) block counts from the masks of _block_masks at one
+    point."""
     upper = int(np.count_nonzero(~pruned_any))
     lower = int(np.count_nonzero(cert_all & ~pruned_any))
     return lower, upper
@@ -483,19 +506,33 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
 
     Upper counts are submultiplicative so the running min over log(upper)/n
     is a valid upper bound at every n; the lower bound uses only the current
-    length and is clamped into [0, h_upper].
+    length and is clamped into [0, h_upper].  params may hold equal-length
+    1-D float64 arrays a and b: the rows are then those of each point in
+    turn, with a and b as floats, from one sweep per chunk of at most
+    _BLOCK_LIMIT / 2^n_max points.
     """
     _require_blocks(n_max)
-    _require_series(params, depth)
-    sweep = _enclosure_sweep(params, n_max, depth)
+    points = list(zip(np.atleast_1d(params.a).tolist(), np.atleast_1d(params.b).tolist()))
+    for a, b in points:
+        _require_series(Params(a, b), depth)
+    chunk = _BLOCK_LIMIT >> n_max
     rows = []
-    h_upper = math.inf
-    for n in range(1, n_max + 1):
-        lower, upper = _bracket(*_block_masks(sweep, n))
-        h_upper = min(h_upper, math.log(upper) / n if upper > 0 else 0.0)
-        h_up = max(h_upper, 0.0)
-        h_lo = math.log(lower) / n if lower > 0 else 0.0
-        h_lo = min(max(h_lo, 0.0), h_up)
-        rows.append((params.a, params.b, n, depth, lower, upper, h_lo, h_up))
+    for start in range(0, len(points), chunk):
+        part = params
+        if isinstance(params.a, np.ndarray):
+            part = Params(params.a[start : start + chunk], params.b[start : start + chunk])
+        sweep = _enclosure_sweep(part, n_max, depth)
+        counts = []  # per block length, (lower, upper) per point
+        for n in range(1, n_max + 1):
+            masks = (m.reshape(-1, m.shape[-1]) for m in _block_masks(sweep, n))
+            counts.append([_bracket(*point) for point in zip(*masks)])
+        for i, (a, b) in enumerate(points[start : start + chunk]):
+            h_upper = math.inf
+            for n, per_point in enumerate(counts, start=1):
+                lower, upper = per_point[i]
+                h_upper = min(h_upper, math.log(upper) / n if upper > 0 else 0.0)
+                h_up = max(h_upper, 0.0)
+                h_lo = math.log(lower) / n if lower > 0 else 0.0
+                h_lo = min(max(h_lo, 0.0), h_up)
+                rows.append((a, b, n, depth, lower, upper, h_lo, h_up))
     return rows
-

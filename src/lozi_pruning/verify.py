@@ -61,8 +61,9 @@ from .pruning import (
     pruned_region_raster,
     special_head,
 )
-from .pruning import _p_enclosure, _q_enclosure, _require_blocks
-from .symbolic import MINUS, Word, coordinate_symbols
+from .pruning import _p_enclosure, _q_enclosure, _symbol_axes
+from .pruning import _require_blocks, _require_depth
+from .symbolic import Word
 from .tent import (
     check_identity_shifted,
     check_identity_sum,
@@ -83,8 +84,9 @@ class CheckResult:
     detail: str
 
 
-# The library's own rule for each scale input a check may read.
+# The library's own rule for each input a check may read.
 _INPUT_RULES = {
+    "depth": _require_depth,
     "n_max": _require_blocks,
     "grid": _require_resolution,
     "arc_budget": _require_arc_budget,
@@ -142,7 +144,7 @@ def check_head_maximum(config) -> tuple[bool, str]:
     )
 
 
-@_writes("full_slope_raster.pgm", "full_slope_raster.pgm.txt")
+@_writes("full_slope_raster.pgm", "full_slope_raster.pgm.txt", reads=("depth",))
 def check_full_slope_raster(config) -> tuple[bool, str]:
     """Nothing is pruned at full slope: the region degenerates to nothing."""
     word_len = or_default(config.word_len, 10)
@@ -194,13 +196,13 @@ def check_bound_lemmas(config) -> tuple[bool, str]:
         worst_excess = max(worst_excess, da.lo - fd_a, fd_a - da.hi)
 
         fd_q_b = fd_derivative(q_enclosure, Params(a, 0.0), (0.0, 1.0), _FD_H)
-        sym = coordinate_symbols(14, MINUS)
-        p_enclosure = partial(_p_enclosure, sym.T, 12)
+        # the tails on 14 symbol axes, axis k the symbol at index -(k+1): p
+        # is summed once per distinct tail, and axis 1 holds eps2
+        p_enclosure = partial(_p_enclosure, _symbol_axes(14), 12)
         fd_b = fd_derivative(p_enclosure, Params(a, 0.0), (0.0, 1.0), _FD_H) - fd_q_b
-        eps2 = sym[:, 1]
         for e in (1, -1):
             db = b_derivative_bounds(a, e)
-            sel = fd_b[eps2 == e]
+            sel = fd_b[:, 0 if e == 1 else 1]
             worst_excess = max(
                 worst_excess, db.lo - float(sel.min()), float(sel.max()) - db.hi
             )
@@ -232,7 +234,7 @@ def check_kneading_identities(config) -> tuple[bool, str]:
     )
 
 
-@_writes("entropy.csv", reads=("n_max",))
+@_writes("entropy.csv", reads=("n_max", "depth"))
 def check_entropy_brackets(config) -> tuple[bool, str]:
     """Count brackets trap the known entropy values; lap oracle concurs."""
     n_max = or_default(config.n_max, 16)
@@ -256,17 +258,13 @@ def check_entropy_brackets(config) -> tuple[bool, str]:
     return passed, "; ".join(details)
 
 
-@_writes("entropy_sweep.csv", reads=("n_max",))
+@_writes("entropy_sweep.csv", reads=("n_max", "depth"))
 def check_upper_bound_monotone(config) -> tuple[bool, str]:
     """The upper entropy bound grows with the slope along a fold-free line."""
     n_max = or_default(config.n_max, 12)
-    uppers = []
-    rows = []
-    for k in range(13):
-        a = 1.4 + 0.05 * k
-        sweep = entropy_rows(Params(a, 0.02), n_max, config.depth)
-        rows.append(sweep[-1])
-        uppers.append(sweep[-1][-1])
+    slopes = 1.4 + 0.05 * np.arange(13)
+    rows = entropy_rows(Params(slopes, np.full(13, 0.02)), n_max, config.depth)[n_max - 1 :: n_max]
+    uppers = [row[-1] for row in rows]
     worst_drop = max(
         (prev - cur for prev, cur in zip(uppers, uppers[1:])), default=0.0
     )
@@ -274,6 +272,21 @@ def check_upper_bound_monotone(config) -> tuple[bool, str]:
         (path,) = _artifacts(config.out, check_upper_bound_monotone)
         formats.write_csv(path, ENTROPY_HEADER, rows, force=config.force)
     return worst_drop <= 0.02, f"worst h_upper drop {worst_drop:.4f} along 13 slopes at b=0.02"
+
+
+def _identity_residual(params: Params, corners, seed: int) -> float:
+    """Largest |Delta V + (15/16) V| over the first 1000 points inside the
+    corners' polygon of the stream rng.uniform(x_lo, x_hi), rng.uniform(y_lo,
+    y_hi), ... over their bounding box, drawn 1024 pairs at a time."""
+    lo, hi = np.min(corners, axis=0), np.max(corners, axis=0)
+    rng = random.Random(seed)
+    inside = []
+    while sum(map(len, inside)) < 1000:
+        q = lo + (hi - lo) * np.array([rng.random() for _ in range(2048)]).reshape(-1, 2)
+        inside.append(q[_signed_dist_to_convex(corners, q) >= 0.0])
+    x, y = np.concatenate(inside)[:1000].T
+    v = (x - 1.2) ** 2 + (y + 0.4) ** 2
+    return float(np.max(np.abs(lyapunov_delta(params, PlanePoint(x, y)) + (15.0 / 16.0) * v)))
 
 
 def check_plane_anchors(config) -> tuple[bool, str]:
@@ -288,21 +301,7 @@ def check_plane_anchors(config) -> tuple[bool, str]:
         fd.n1.dist(PlanePoint(1.2, -0.4)),
     )
     report = polygon_invariance(params)
-    poly = list(report.corners)
-    x_lo, x_hi = min(c.x for c in poly), max(c.x for c in poly)
-    y_lo, y_hi = min(c.y for c in poly), max(c.y for c in poly)
-    rng = random.Random(config.seed + 99)
-    worst_identity = -math.inf
-    checked = 0
-    while checked < 1000:
-        q = PlanePoint(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
-        if _signed_dist_to_convex(poly, q) < 0.0:
-            continue
-        v = (q.x - 1.2) ** 2 + (q.y + 0.4) ** 2
-        worst_identity = max(
-            worst_identity, abs(lyapunov_delta(params, q) + (15.0 / 16.0) * v)
-        )
-        checked += 1
+    worst_identity = _identity_residual(params, report.corners, config.seed + 99)
 
     z = _axis_crossing_of_unstable_line(fd)
     corner_gap = lozi_apply_n(params, z, 8).dist(PlanePoint(1.223, -0.375))

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,17 +26,20 @@ from lozi_pruning.cli import (
 from lozi_pruning.derivatives import CONE_TABLE_HEADER, dq_db_at_b0
 from lozi_pruning.errors import BudgetExceeded
 from lozi_pruning.geometry import MANIFOLD_BRANCHES, ZERO_ENTROPY_CODES, fixed_data
+from lozi_pruning.derivatives import fd_derivative
 from lozi_pruning.pruning import (
     PGM_ADMISSIBLE,
     PGM_PRUNED,
     PGM_UNKNOWN,
     Params,
+    _p_enclosure,
+    _symbol_axes,
     closed_form_q,
     eval_q,
     pruned_region_raster,
     special_head,
 )
-from lozi_pruning.symbolic import Word
+from lozi_pruning.symbolic import MINUS, Word, coordinate_symbols
 
 
 def read_csv_rows(path):
@@ -754,3 +758,97 @@ def test_verify_report_regenerates_identically(tmp_path):
     assert main(["verify", "--criteria", "3", "--word-len", "4",
                  "--out", str(tmp_path / "v"), "--force"]) == 0
     assert (tmp_path / "v" / "report.txt").read_text() == report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--criteria", "1,2,5,7,10", "--depth", "-1", "--grid", "4"],
+        ["--criteria", "1,3", "--depth", "-1", "--word-len", "4"],
+        ["--criteria", "1,8", "--depth", "-2"],
+    ],
+    ids=["criterion-7", "criterion-3", "criterion-8"],
+)
+def test_verify_refuses_a_negative_depth_before_any_check(tmp_path, capsys, monkeypatch, argv):
+    # Criteria 3, 7 and 8 read --depth; a selected one refuses it before
+    # any check runs, the ones ahead of it included.
+    ran = []
+    for index, check in list(verify.CHECKS.items()):
+        def spy(config, index=index, check=check):
+            ran.append(index)
+            return check(config)
+
+        monkeypatch.setitem(verify.CHECKS, index, functools.wraps(check)(spy))
+    out = tmp_path / "d"
+    out.mkdir()
+    assert main(["verify", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert ran == [] and list(out.iterdir()) == []
+
+
+# sha256 of entropy_sweep.csv from `lozi verify --criteria 8` at the default
+# n_max (12) and at --n-max 14, taken while criterion 8 swept one slope at a
+# time.
+ENTROPY_SWEEP_DIGESTS = {
+    None: "e0c599b505c56f9854f3d23de8ad4775f22b9911159add203a394a9297c91607",
+    14: "d1db860bfebdd003aa08cf69e96f5a6ca39ab7f246774ffc190ac97e9573d380",
+}
+
+
+@pytest.mark.parametrize("n_max", sorted(ENTROPY_SWEEP_DIGESTS, key=str), ids=str)
+def test_upper_bound_monotone_sweep_regression_pin(tmp_path, n_max):
+    out = tmp_path / "v"
+    argv = ["verify", "--criteria", "8", "--out", str(out)]
+    assert main(argv + ([] if n_max is None else ["--n-max", str(n_max)])) == 0
+    data = (out / "entropy_sweep.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == ENTROPY_SWEEP_DIGESTS[n_max]
+
+
+@pytest.mark.parametrize("a", verify._BOUND_SLOPES)
+def test_bound_lemmas_broadcast_fd_equals_the_matrix_form_per_tail(a):
+    # Criterion 5 differences p on 14 symbol axes; the tail matrix of
+    # coordinate_symbols gives every tail's difference bit for bit.
+    sym = coordinate_symbols(14, MINUS)
+    params = Params(a, 0.0)
+    matrix, axes = (
+        fd_derivative(functools.partial(_p_enclosure, tails, 12), params, (0.0, 1.0), verify._FD_H)
+        for tails in (sym.T, _symbol_axes(14))
+    )
+    assert axes.shape == (1,) + (2,) * 13
+    per_tail = np.broadcast_to(axes, (2,) * 14)[tuple((sym == MINUS).astype(int).T)]
+    assert np.array_equal(per_tail, matrix)
+
+
+def _identity_residual_per_point(seed):
+    """Criterion 9's worst identity residual as a loop over rejection
+    samples, one rng.uniform call per coordinate and one signed distance per
+    sample."""
+    params = Params(1.0, 0.5)
+    poly = list(geometry.polygon_invariance(params).corners)
+    x_lo, x_hi = min(c.x for c in poly), max(c.x for c in poly)
+    y_lo, y_hi = min(c.y for c in poly), max(c.y for c in poly)
+    rng = random.Random(seed + 99)
+    worst = -math.inf
+    checked = 0
+    while checked < 1000:
+        qx, qy = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)
+        dist = math.inf
+        for (ux, uy), (wx, wy) in zip(poly, poly[1:] + poly[:1]):
+            ex, ey = wx - ux, wy - uy
+            dist = min(dist, (ex * (qy - uy) - ey * (qx - ux)) / math.hypot(ex, ey))
+        if dist < 0.0:
+            continue
+        v = (qx - 1.2) ** 2 + (qy + 0.4) ** 2
+        delta = geometry.lyapunov_delta(params, geometry.PlanePoint(qx, qy))
+        worst = max(worst, abs(delta + (15.0 / 16.0) * v))
+        checked += 1
+    return worst
+
+
+def test_plane_anchors_identity_residual_equals_the_per_point_loop():
+    params = Params(1.0, 0.5)
+    corners = geometry.polygon_invariance(params).corners
+    for seed in range(50):
+        got = verify._identity_residual(params, corners, seed + 99)
+        assert type(got) is float and got == _identity_residual_per_point(seed), seed

@@ -703,7 +703,7 @@ def test_lyapunov_identity_inside_polygon():
     checked = 0
     while checked < 1000:
         q = PlanePoint(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
-        if _signed_dist_to_convex(poly, q) <= 0.0:
+        if _signed_dist_to_convex(poly, np.array([q]))[0] <= 0.0:
             continue
         v = (q.x - 6.0 / 5.0) ** 2 + (q.y + 2.0 / 5.0) ** 2
         assert abs(lyapunov_delta(CENTER, q) + (15.0 / 16.0) * v) <= 1e-12
@@ -778,7 +778,7 @@ def test_polygon_contains_eighth_image_of_axis_crossing():
     assert abs(img.x - 1.223) <= 1e-3
     assert abs(img.y + 0.375) <= 1e-3
     poly = list(polygon_invariance(CENTER).corners)
-    assert _signed_dist_to_convex(poly, img) > 0.0
+    assert _signed_dist_to_convex(poly, np.array([img]))[0] > 0.0
 
 
 def test_polygon_invariance_holds_under_perturbation():
@@ -1025,7 +1025,7 @@ def _ref_numeric_zero_check(params):
         q = PlanePoint(
             float(rng.uniform(min(xs), max(xs))), float(rng.uniform(min(ys), max(ys)))
         )
-        if _signed_dist_to_convex(poly, q) <= 1e-9:
+        if _signed_dist_to_convex(poly, np.array([q]))[0] <= 1e-9:
             continue
         if q.dist(fd.n1) < 1e-9 or q.dist(fd.n2) < 1e-9:
             continue

@@ -826,6 +826,57 @@ def test_entropy_rows_sweep_levels_once(monkeypatch, n_max):
     assert len(calls) == 2
 
 
+# b > 0, b < 0 and b = 0, and (2.8, 1.5), whose p remainder bound is infinite.
+_BATCH_POINTS = [
+    (1.7, 0.2), (1.9, -0.3), (1.7, 0.0), (2.8, 1.5), (2.1, 0.05), (1.21, 0.2), (1.55, -0.45)
+]
+
+
+def _batch(points):
+    return Params(np.array([a for a, _ in points]), np.array([b for _, b in points]))
+
+
+def _assert_same_rows(got, want):
+    # Exact equality of every count and float, and the same Python types.
+    assert got == want
+    assert [tuple(map(type, row)) for row in got] == [tuple(map(type, row)) for row in want]
+
+
+def test_batched_entropy_rows_equal_the_per_point_rows():
+    batch = _batch(_BATCH_POINTS)
+    for n_max in range(1, 15):
+        for depth in (0, 1, 12):
+            want = [
+                row for a, b in _BATCH_POINTS for row in entropy_rows(Params(a, b), n_max, depth)
+            ]
+            _assert_same_rows(entropy_rows(batch, n_max, depth), want)
+
+
+def test_chunked_entropy_rows_equal_one_sweep(monkeypatch):
+    # A sweep holds at most _BLOCK_LIMIT / 2^n_max points; a small limit
+    # splits the batch, and the rows do not move.
+    batch = _batch(_BATCH_POINTS)
+    want = {n_max: entropy_rows(batch, n_max, 12) for n_max in (6, 7, 8)}
+    sizes = []
+    sweep = pruning._enclosure_sweep
+
+    def spy(params, n_max, depth):
+        sizes.append(len(params.a))
+        return sweep(params, n_max, depth)
+
+    monkeypatch.setattr(pruning, "_BLOCK_LIMIT", 1 << 8)
+    monkeypatch.setattr(pruning, "_enclosure_sweep", spy)
+    for n_max, chunks in ((6, [4, 3]), (7, [2, 2, 2, 1]), (8, [1] * 7)):
+        sizes.clear()
+        _assert_same_rows(entropy_rows(batch, n_max, 12), want[n_max])
+        assert sizes == chunks
+
+
+def test_batched_entropy_rows_refuse_any_non_hyperbolic_point():
+    with pytest.raises(NotHyperbolic):
+        entropy_rows(_batch([(1.7, 0.2), (1.1, 0.2)]), 4, 12)
+
+
 def test_entropy_exact_log2_on_full_shift():
     lo, hi = _estimate(Params(2.0, 0.0), 8, 8)
     assert lo == pytest.approx(math.log(2.0), abs=1e-12)
