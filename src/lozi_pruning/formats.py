@@ -68,19 +68,31 @@ def refuse_overwrite(paths: Iterable[str], force: bool) -> None:
             raise FileExistsError(f"{path} exists; pass force to overwrite")
 
 
-def atomic_write_bytes(path: str, data: bytes, force: bool = False) -> None:
-    """Write via a temp file in the target directory plus rename.
+def _write_all(handle, chunk) -> None:
+    """Write one C-contiguous bytes-like chunk to a raw file, which may take
+    only a part of it per call."""
+    with memoryview(chunk) as view:
+        done = handle.write(view)
+        while done < view.nbytes:
+            done += handle.write(view.cast("B")[done:])
+
+
+def atomic_write_bytes(path: str, chunks: Iterable, force: bool = False) -> None:
+    """Write the bytes-like chunks, in order, via a temp file in the target
+    directory plus rename.
 
     Readers never observe a half-written file, and an existing file is only
-    replaced when force is set.
+    replaced when force is set.  The file is unbuffered, so each chunk goes
+    from its own buffer to the file without a copy.
     """
     path = os.fspath(path)
     refuse_overwrite([path], force)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with open(fd, "wb", buffering=0) as handle:
+            for chunk in chunks:
+                _write_all(handle, chunk)
         os.chmod(tmp, 0o644)  # mkstemp creates 0600
         os.replace(tmp, path)
     except BaseException:
@@ -90,11 +102,12 @@ def atomic_write_bytes(path: str, data: bytes, force: bool = False) -> None:
 
 
 def atomic_write_text(path: str, text: str, force: bool = False) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"), force=force)
+    atomic_write_bytes(path, (text.encode("utf-8"),), force=force)
 
 
-def pgm_bytes(cells: np.ndarray) -> bytes:
-    """Binary (P5) PGM for a uint8 grid; row 0 is the top scanline."""
+def write_pgm(path: str, cells: np.ndarray, force: bool = False) -> None:
+    """Binary (P5) PGM for a uint8 grid; row 0 is the top scanline.  A
+    C-contiguous uint8 grid is written from its own buffer."""
     grid = np.asarray(cells)
     if grid.ndim != 2:
         raise ValueError("PGM needs a 2d grid")
@@ -104,12 +117,7 @@ def pgm_bytes(cells: np.ndarray) -> bytes:
         grid = grid.astype(np.uint8)
     height, width = grid.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    # The one copy of the grid is the join itself.
-    return b"".join((header, np.ascontiguousarray(grid)))
-
-
-def write_pgm(path: str, cells: np.ndarray, force: bool = False) -> None:
-    atomic_write_bytes(path, pgm_bytes(cells), force=force)
+    atomic_write_bytes(path, (header, np.ascontiguousarray(grid)), force=force)
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -128,10 +136,10 @@ def read_pgm(path: str) -> np.ndarray:
     if fields[0] != b"P5" or fields[3] != b"255":
         raise ValueError("not a maxval-255 P5 file")
     width, height = int(fields[1]), int(fields[2])
-    raster = data[pos + 1 :]
-    if len(raster) != width * height:
+    # A view of the file's bytes past the header: no second copy.
+    if len(data) - (pos + 1) != width * height:
         raise ValueError("raster size does not match header")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    return np.frombuffer(data, dtype=np.uint8, offset=pos + 1).reshape(height, width)
 
 
 def sidecar_text(entries: Mapping[str, object]) -> str:
@@ -159,7 +167,7 @@ def write_csv(
     rows: Iterable[Sequence[object]],
     force: bool = False,
 ) -> None:
-    atomic_write_bytes(path, csv_bytes(header, rows), force=force)
+    atomic_write_bytes(path, (csv_bytes(header, rows),), force=force)
 
 
 def read_config(path: str) -> dict[str, str]:

@@ -18,7 +18,9 @@ straddle test depend on the endpoint type.  Every enclosure is a
 ``(lo, hi)`` pair, which the scalar evaluators return as it is.  A raster
 sums each side's series once per row or column and classifies its cells by
 integer rank compares against the sorted q endpoints, one block of rows at
-a time, so no cell-sized float or mask array is ever built.  A block's p
+a time, so no cell-sized float or mask array is ever built; the same rank
+split gives each row's pruned and admissible counts, so that fill is the
+only pass over the cells.  A block's p
 enclosure depends only on its prefix and its q enclosure only on its
 suffix, never on the block length, so one sweep at the longest length
 serves every block length of an entropy run.  All three also take a grid
@@ -43,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -310,10 +311,13 @@ class Raster:
     """Verdict grid over all (tail, head) cylinders of a fixed word length.
 
     cells[i, j] is the PGM code of the word whose tail has rank i and head
-    rank j in the respective coordinate orders (rank 0 = coordinate 0).
+    rank j in the respective coordinate orders (rank 0 = coordinate 0).  The
+    counts come from the rank split of the fill, not from a scan of cells.
     """
 
     cells: np.ndarray
+    pruned_count: int
+    admissible_count: int
 
     @property
     def width(self) -> int:
@@ -323,18 +327,9 @@ class Raster:
     def height(self) -> int:
         return int(self.cells.shape[0])
 
-    # Each count scans the cells on its first read only.
-    @cached_property
-    def pruned_count(self) -> int:
-        return int(np.count_nonzero(self.cells == PGM_PRUNED))
-
-    @cached_property
-    def admissible_count(self) -> int:
-        return int(np.count_nonzero(self.cells == PGM_ADMISSIBLE))
-
-    @cached_property
+    @property
     def unknown_count(self) -> int:
-        return int(np.count_nonzero(self.cells == PGM_UNKNOWN))
+        return self.cells.size - self.pruned_count - self.admissible_count
 
 
 def _rank_split(cols, probes):
@@ -355,11 +350,15 @@ def _rank_split(cols, probes):
 _FILL_ROWS = 64  # two 64 x 2,048 boolean blocks stay in cache
 
 
-def _fill_cells(plo, phi, qlo, qhi):
-    """PGM codes of rows with p in [plo, phi] against columns with q in
+def _fill_cells(plo, phi, qlo, qhi) -> Raster:
+    """Raster of rows with p in [plo, phi] against columns with q in
     [qlo, qhi]: pruned where phi < qlo, admissible where plo >= qhi, both
     as rank compares a block of rows at a time.  The two never hold
     together, since plo <= phi and qlo <= qhi.
+
+    Each rank array is a permutation of 0..len(qlo) - 1, so row i has
+    len(qlo) - pruned_from[i] pruned cells and admissible_below[i]
+    admissible ones: the fill is the only pass over the cells.
     """
     pruned_rank, pruned_from = _rank_split(qlo, phi)  # phi_i < qlo_j
     admissible_rank, admissible_below = _rank_split(qhi, plo)  # plo_i >= qhi_j
@@ -373,7 +372,11 @@ def _fill_cells(plo, phi, qlo, qhi):
             + (PGM_ADMISSIBLE - PGM_UNKNOWN) * admissible.view(np.uint8)
             - (PGM_UNKNOWN - PGM_PRUNED) * pruned.view(np.uint8)
         )
-    return cells
+    return Raster(
+        cells=cells,
+        pruned_count=cells.size - int(pruned_from.sum(dtype=np.int64)),
+        admissible_count=int(admissible_below.sum(dtype=np.int64)),
+    )
 
 
 def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
@@ -400,8 +403,7 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
     qlo, qhi = _q_enclosure(heads.T, depth, params)
     # The q endpoints are finite and the p endpoints finite, or +-inf where
     # the p remainder diverges (|b| > 1): no NaN reaches the rank compare.
-    cells = _fill_cells(plo, phi, qlo, qhi)
-    return Raster(cells=cells)
+    return _fill_cells(plo, phi, qlo, qhi)
 
 
 def _require_blocks(n: int) -> None:

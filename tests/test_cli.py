@@ -160,6 +160,40 @@ def test_pruned_region_identical_config_identical_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+# sha256 of the PGM, the sidecar and stdout at word_len 11, depth 12, out
+# r.pgm; taken when the counts still came from scans of the cells.
+PRUNED_REGION_DIGESTS = {
+    ("2", "0"): (
+        "2fecf5e4c0d35b643dec0dda4cc99c7fbb359f6912ad3c293a58b1cf025c3fb1",
+        "64a98c247e9987b5b36e253d263c93d853bf928ff8b5901394ad1a6c480af2e2",
+        "f93ae86a03a51ea0c5f2a0bef096618d28d573da9d15c76f8be773a5b80c3bf7",
+    ),
+    ("1.7", "0.5"): (
+        "a3edb7e5c84c5e1d1fc0b81ad58cf403c079d46629dd4a4b896698c22611ef31",
+        "2f3a39a0e1be7422a77ddf51f79fc6d1d419528a0791f8350d68ae93737b1b3b",
+        "e027ad2d1a90aa1fb38f0036e9fde32e526c2eb0b4836335455e11e37e00d95c",
+    ),
+    ("1.8", "-0.4"): (
+        "03b75830a17a39fa43f01bcbf5e7c39ff6a758962e8f74a488c132da9609c9cc",
+        "c58ade884316c0f089e71dd6723bfe9bb5b4230caaf277a41742e04e46e27445",
+        "dbf47834c13ebb9a3d5064209006cca6f8a456e267a6d38e27fbccaa5e92fec0",
+    ),
+}
+
+
+@pytest.mark.parametrize("a, b", sorted(PRUNED_REGION_DIGESTS))
+def test_pruned_region_artifacts_are_pinned(tmp_path, monkeypatch, capsys, a, b):
+    monkeypatch.chdir(tmp_path)
+    argv = ["pruned-region", "--a", a, "--b", b, "--word-len", "11", "--depth", "12"]
+    assert main([*argv, "--out", "r.pgm"]) == 0
+    got = (
+        hashlib.sha256((tmp_path / "r.pgm").read_bytes()).hexdigest(),
+        hashlib.sha256((tmp_path / "r.pgm.txt").read_bytes()).hexdigest(),
+        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    )
+    assert got == PRUNED_REGION_DIGESTS[a, b]
+
+
 def test_pruned_region_requires_force_to_overwrite(tmp_path, capsys):
     out = tmp_path / "r.pgm"
     args = ["pruned-region", "--a", "1.7", "--b", "0.5", "--word-len", "4",

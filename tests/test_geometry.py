@@ -998,9 +998,27 @@ def test_classify_certified_params_numeric_zero():
     assert v.case is None
 
 
-def _ref_numeric_zero_check(params):
-    """The sink certificate on PlanePoint, one rng.uniform call per
-    coordinate and _signed_dist_to_convex per sample."""
+def _ref_sink_samples(params, corners, fd):
+    """The sink certificate's accepted polygon samples on PlanePoint, one
+    rng.uniform call per coordinate and _signed_dist_to_convex per sample."""
+    rng = np.random.default_rng(1815)
+    poly = list(corners)
+    xs = [c.x for c in poly]
+    ys = [c.y for c in poly]
+    while True:
+        q = PlanePoint(
+            float(rng.uniform(min(xs), max(xs))), float(rng.uniform(min(ys), max(ys)))
+        )
+        if _signed_dist_to_convex(poly, np.array([q]))[0] <= 1e-9:
+            continue
+        if q.dist(fd.n1) < 1e-9 or q.dist(fd.n2) < 1e-9:
+            continue
+        yield q
+
+
+def _ref_numeric_zero_check(params, accepted=None):
+    """The sink certificate, one Lyapunov test per sample with an early
+    exit; the first 64 accepted samples go to accepted when given."""
     fd = fixed_data(params)
     if fd.n1 is None or not fd.period2_attracting:
         return False
@@ -1016,22 +1034,12 @@ def _ref_numeric_zero_check(params):
                 break
         else:
             return False
-    rng = np.random.default_rng(1815)
-    poly = list(report.corners)
-    xs = [c.x for c in poly]
-    ys = [c.y for c in poly]
-    checked = 0
-    while checked < 64:
-        q = PlanePoint(
-            float(rng.uniform(min(xs), max(xs))), float(rng.uniform(min(ys), max(ys)))
-        )
-        if _signed_dist_to_convex(poly, np.array([q]))[0] <= 1e-9:
-            continue
-        if q.dist(fd.n1) < 1e-9 or q.dist(fd.n2) < 1e-9:
-            continue
+    samples = list(itertools.islice(_ref_sink_samples(params, report.corners, fd), 64))
+    if accepted is not None:
+        accepted.extend((q.x, q.y) for q in samples)
+    for q in samples:
         if geometry.lyapunov_delta(params, q) >= 0.0:
             return False
-        checked += 1
     return True
 
 
@@ -1040,7 +1048,7 @@ def test_numeric_zero_check_matches_scalar_sampler(monkeypatch):
     delta = geometry.lyapunov_delta
 
     def spy(params, q):
-        calls.append((q.x, q.y))
+        calls.append(list(zip(np.atleast_1d(q.x).tolist(), np.atleast_1d(q.y).tolist())))
         return delta(params, q)
 
     monkeypatch.setattr(geometry, "lyapunov_delta", spy)
@@ -1052,14 +1060,22 @@ def test_numeric_zero_check_matches_scalar_sampler(monkeypatch):
             got = _numeric_zero_check(params)
             library_calls = list(calls)
             calls.clear()
-            want = _ref_numeric_zero_check(params)
+            accepted = []
+            want = _ref_numeric_zero_check(params, accepted)
             assert got == want, params
-            # same samples, in the same order, reach the Lyapunov test
-            assert library_calls == calls, params
-            outcomes.append((got, len(calls)))
+            if not accepted:  # refused before sampling: no Lyapunov test
+                assert library_calls == calls == [], params
+                outcomes.append((got, 0))
+                continue
+            # one array call on exactly the first 64 accepted samples; the
+            # reference tests a prefix of them, one sample per call
+            assert library_calls == [accepted], params
+            evaluated = [point for (point,) in calls]
+            assert evaluated == accepted[: len(evaluated)], params
+            outcomes.append((got, len(evaluated)))
     assert (True, 64) in outcomes
-    # some pixels fail on a sampled Lyapunov increase, not before sampling
-    assert any(not ok and n > 0 for ok, n in outcomes)
+    # some pixels fail on a sampled Lyapunov increase, before the 64th sample
+    assert any(not ok and 0 < n < 64 for ok, n in outcomes)
 
 
 def test_block_uniform_draws_match_scalar_stream():

@@ -365,6 +365,26 @@ def test_raster_nonempty_pruned_regions_off_b0():
         assert r.pruned_count + r.unknown_count + r.admissible_count == r.cells.size
 
 
+@pytest.mark.parametrize("word_len", range(1, 9))
+def test_raster_counts_match_cell_scan(word_len):
+    # The counts come from the rank split, not from the cells: a scan of
+    # the cells is the reference.  Full shift, b > 0, b < 0, b = 0, depth 0
+    # (one p interval broadcast to every row) and |b| > 1 (p = [-inf, inf]).
+    points = [
+        (2.0, 0.0, 12), (1.7, 0.5, 12), (1.8, -0.4, 12), (1.95, 0.0, 7),
+        (1.7, 0.2, 0), (1.8, -0.4, 0), (3.0, 1.5, 12),
+    ]  # fmt: skip
+    for a, b, depth in points:
+        r = pruned_region_raster(Params(a, b), word_len, depth)
+        counts = (r.pruned_count, r.admissible_count, r.unknown_count)
+        scanned = tuple(
+            np.count_nonzero(r.cells == code)
+            for code in (PGM_PRUNED, PGM_ADMISSIBLE, PGM_UNKNOWN)
+        )
+        assert counts == scanned, (a, b, depth)
+        assert all(type(c) is int for c in counts)
+
+
 def test_raster_matches_scalar_classifier():
     par = Params(1.7, 0.3)
     length, depth = 5, 4
@@ -653,17 +673,23 @@ def test_rank_fill_ties_and_infinities():
     # phi == qlo is not pruned, and plo == qhi is admissible.
     plo, phi = np.array([0.0, 1.0]), np.array([1.0, 1.0])
     qlo, qhi = np.array([1.0, 1.0, 2.0, 0.0]), np.array([1.0, 1.5, 2.0, 0.0])
-    assert _fill_cells(plo, phi, qlo, qhi).tolist() == [
+    raster = _fill_cells(plo, phi, qlo, qhi)
+    assert raster.cells.tolist() == [
         [PGM_UNKNOWN, PGM_UNKNOWN, PGM_PRUNED, PGM_ADMISSIBLE],
         [PGM_ADMISSIBLE, PGM_UNKNOWN, PGM_PRUNED, PGM_ADMISSIBLE],
     ]
+    assert (raster.pruned_count, raster.admissible_count, raster.unknown_count) == (2, 3, 3)
     # Endpoints drawn from a few values, so most compares are ties, over
     # more rows than one fill block.
     rng = np.random.default_rng(18)
     values = np.array([-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf])
     p = np.sort(rng.choice(values, size=(2, 150)), axis=0)
     q = np.sort(rng.choice(values[1:-1], size=(2, 70)), axis=0)
-    assert np.array_equal(_fill_cells(*p, *q), _broadcast_cells(*p, *q))
+    raster = _fill_cells(*p, *q)
+    cells = _broadcast_cells(*p, *q)
+    assert np.array_equal(raster.cells, cells)
+    assert raster.pruned_count == np.count_nonzero(cells == PGM_PRUNED)
+    assert raster.admissible_count == np.count_nonzero(cells == PGM_ADMISSIBLE)
 
 
 def test_raster_peak_memory():
