@@ -201,26 +201,45 @@ def _xy_array(points, n: int) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(points), float, 2 * n).reshape(-1, 2)
 
 
-def _map_polyline(params: Params, pts, inverse: bool):
+def _map_polyline(params: Params, pts, inverse: bool) -> list:
     """Image of an (x, y) polyline under one forward or inverse step,
     inserting an exact vertex wherever a segment crosses the step's fold
-    (x = 0 forward, y = 0 inverse). The steps are lozi_apply and
-    lozi_apply_inverse written out on floats."""
-    k = 1 if inverse else 0
-    u = pts[0]
-    cu = u[k]
-    split = [u]
-    for w in pts[1:]:
-        cw = w[k]
-        if cu * cw < 0.0:
-            t = cu / (cu - cw)
-            split.append((u[0] + t * (w[0] - u[0]), u[1] + t * (w[1] - u[1])))
-        split.append(w)
-        u, cu = w, cw
+    (x = 0 forward, y = 0 inverse). One loop maps each vertex as it is
+    reached; where the segment into it crosses the fold, the inner loop maps
+    the fold vertex first with the same written step. The steps are
+    lozi_apply and lozi_apply_inverse written out on floats."""
     a, b = params.a, params.b
+    out = []
+    ux = uy = 0.0  # no fold vertex comes before the first vertex
     if inverse:
-        return [(y, (x - 1.0 + a * abs(y)) / b) for x, y in split]
-    return [(1.0 - a * abs(x) + b * y, x) for x, y in split]
+        for wx, wy in pts:
+            fold = uy * wy < 0.0
+            if fold:
+                t = uy / (uy - wy)
+                x, y = ux + t * (wx - ux), uy + t * (wy - uy)
+            else:
+                x, y = wx, wy
+            while True:
+                out.append((y, (x - 1.0 + a * abs(y)) / b))
+                if not fold:
+                    break
+                fold, x, y = False, wx, wy
+            ux, uy = wx, wy
+    else:
+        for wx, wy in pts:
+            fold = ux * wx < 0.0
+            if fold:
+                t = ux / (ux - wx)
+                x, y = ux + t * (wx - ux), uy + t * (wy - uy)
+            else:
+                x, y = wx, wy
+            while True:
+                out.append((1.0 - a * abs(x) + b * y, x))
+                if not fold:
+                    break
+                fold, x, y = False, wx, wy
+            ux, uy = wx, wy
+    return out
 
 
 # A vertex this far off the chord of its neighbours, relative to the chord's
@@ -228,39 +247,66 @@ def _map_polyline(params: Params, pts, inverse: bool):
 _COLLINEAR_TOL = 1e-13
 
 
-def _drop_collinear(pts):
-    """Yield the vertices of pts less each one within _COLLINEAR_TOL of the
-    chord from the last kept vertex to the next one, or a repeat of the last
-    kept one; both ends are kept. A vertex is yielded as soon as the vertex
-    after it is known, so a consumer that stops early draws from pts only
-    that far."""
-    it = iter(pts)
-    v = next(it, None)
-    if v is None:
-        return
-    yield v
-    ux, uy = v
-    v = next(it, None)
-    if v is None:
-        return
-    for w in it:
-        vx, vy = v
-        dx, dy = vx - ux, vy - uy
-        if not (dx == 0.0 and dy == 0.0):  # else a repeat of the last kept vertex
-            wx, wy = w
-            span = math.hypot(ux - wx, uy - wy)
-            span = 1e-30 if span < 1e-30 else span  # max(span, 1e-30) without a call
-            if not abs(dx * (wy - uy) - dy * (wx - ux)) <= _COLLINEAR_TOL * span:
-                yield v
-                ux, uy = vx, vy
-        v = w
-    yield v
+class _Kept:
+    """The vertices of a polyline fed to it piece by piece, less each one
+    within _COLLINEAR_TOL of the chord from the last kept vertex to the next
+    one, or a repeat of the last kept one; both ends are kept. A vertex is
+    decided as soon as the vertex after it is fed, so vertices holds every
+    vertex decided so far and close() adds the pending last one. The state
+    between pieces is the last kept vertex, vertices[-1], and the pending
+    one."""
+
+    __slots__ = ("vertices", "_pending")
+
+    def __init__(self):
+        self.vertices = []
+        self._pending = None
+
+    def feed(self, pts) -> None:
+        """Take the next raw vertices of the polyline, in order."""
+        kept, v = self.vertices, self._pending
+        if v is None:  # pts holds the polyline's first or second vertex
+            if not pts:
+                return
+            if not kept:
+                kept.append(pts[0])
+                pts = pts[1:]
+                if not pts:
+                    return
+            v, pts = pts[0], pts[1:]
+        ux, uy = kept[-1]
+        for w in pts:
+            vx, vy = v
+            dx, dy = vx - ux, vy - uy
+            if not (dx == 0.0 and dy == 0.0):  # else a repeat of the last kept vertex
+                wx, wy = w
+                span = math.hypot(ux - wx, uy - wy)
+                span = 1e-30 if span < 1e-30 else span  # max(span, 1e-30) without a call
+                if not abs(dx * (wy - uy) - dy * (wx - ux)) <= _COLLINEAR_TOL * span:
+                    kept.append(v)
+                    ux, uy = vx, vy
+            v = w
+        self._pending = v
+
+    def close(self) -> list:
+        """The kept vertices of the whole polyline."""
+        if self._pending is not None:
+            self.vertices.append(self._pending)
+            self._pending = None
+        return self.vertices
+
+
+def _drop_collinear(pts) -> list:
+    """The kept vertices of the whole polyline pts (see _Kept)."""
+    kept = _Kept()
+    kept.feed(pts)
+    return kept.close()
 
 
 def _arc(pts) -> float:
-    return float(
-        sum(math.hypot(ux - wx, uy - wy) for (ux, uy), (wx, wy) in zip(pts, pts[1:]))
-    )
+    """Sum of the segment lengths; math.dist(u, w) is math.hypot(ux - wx,
+    uy - wy), the expression of PlanePoint.dist."""
+    return float(sum(map(math.dist, pts, pts[1:])))
 
 
 # A branch converges once its newest piece is shorter than _FLAT_TOL, and is
@@ -276,7 +322,7 @@ _MAX_VERTICES = 100_000
 class _Growth:
     """One branch of MANIFOLD_BRANCHES, grown pass by pass and only as far as
     it is read: settle(n) runs passes until the branch's first n kept
-    vertices are decided, and _grow_branch runs it to its end.
+    vertices are decided, and finish() runs it to its end.
 
     The branch leaves its saddle p along sign * (lam, 1), where lam is the
     eigenvalue of that eigenvector: mu = lam forward, 1/lam inverse.
@@ -312,22 +358,33 @@ class _Growth:
         if inverse and params.b == 0.0:
             raise NonInvertible("stable side needs the inverse map; b = 0")
         self.arc = self.truncated = None  # set when growth ends
-        self.vertices = []  # the kept vertices decided so far
-        self.kept = _drop_collinear(
-            self._passes(params, start, lam, sign, inverse, arc_budget, sinks)
-        )
+        self._kept = _Kept()
+        self._pieces = self._passes(params, start, lam, sign, inverse, arc_budget, sinks)
 
     def settle(self, n: int) -> list:
         """The first n kept vertices, or all of them on a shorter branch."""
-        if len(self.vertices) < n:
-            self.vertices += itertools.islice(self.kept, n - len(self.vertices))
-        return self.vertices[:n]
+        kept = self._kept
+        if len(kept.vertices) < n:
+            for piece in self._pieces:
+                kept.feed(piece)
+                if len(kept.vertices) >= n:
+                    break
+            else:
+                kept.close()
+        return kept.vertices[:n]
+
+    def finish(self) -> list:
+        """Run growth to its end: every kept vertex, as (x, y) pairs. The
+        remaining pieces are fed as one list, since nothing reads the kept
+        vertices before the end."""
+        self._kept.feed(list(itertools.chain.from_iterable(self._pieces)))
+        return self._kept.close()
 
     def _passes(self, params, start, lam, sign, inverse, arc_budget, sinks):
-        """The one growth loop. It yields the raw vertices as each pass makes
-        them: the saddle, the seed piece, then each mapped piece without its
-        first vertex, which is the last piece's end up to rounding. arc and
-        truncated are final once it ends."""
+        """The one growth loop. It yields each pass's new raw vertices as one
+        list: first the saddle and the seed piece, then each mapped piece
+        without its first vertex, which is the last piece's end up to
+        rounding. arc and truncated are final once it ends."""
         dx, dy = sign * lam, float(sign)
         norm = math.hypot(dx, dy)
         ux, uy = dx / norm, dy / norm
@@ -340,13 +397,12 @@ class _Growth:
         arc = start.dist(seed)
         lam2 = lam * lam
         if (lam2 >= 1.0) if inverse else (lam2 <= 1.0):
-            yield from (start, seed)
+            yield [start, seed]
             self.arc, self.truncated = arc, False
             return
         shrink = lam2 if inverse else 1.0 / lam2  # 1 / mu^2
         piece = [(start.x + t0 * shrink * ux, start.y + t0 * shrink * uy), seed]
-        yield start
-        yield from piece
+        yield [start, *piece]
         count = 3
         truncated = True
         for _ in range(_MAX_PASSES):
@@ -359,7 +415,7 @@ class _Growth:
                 (ux, uy), (wx, wy) = piece
                 step = math.hypot(ux - wx, uy - wy)
             else:
-                piece = list(_drop_collinear(piece))
+                piece = _drop_collinear(piece)
                 step = _arc(piece)
             count += len(piece) - 1
             if count > _MAX_VERTICES:
@@ -367,11 +423,11 @@ class _Growth:
                     f"branch passes {_MAX_VERTICES} vertices at arc {arc:.6g} "
                     f"of a budget of {arc_budget:.6g}"
                 )
-            yield from piece[1:]
+            yield piece[1:]
             arc += step
             if arc >= arc_budget:
                 break
-            if step < _FLAT_TOL or _captured(piece, sinks):
+            if step < _FLAT_TOL or (sinks and _captured(piece, sinks)):
                 truncated = False
                 break
         self.arc, self.truncated = arc, truncated
@@ -379,9 +435,8 @@ class _Growth:
 
 def _grow_branch(growth: _Growth) -> Polyline:
     """Run growth to its end: the branch as a Polyline."""
-    growth.vertices += growth.kept
     return Polyline(
-        vertices=tuple(map(PlanePoint._make, growth.vertices)),
+        vertices=tuple(map(PlanePoint._make, growth.finish())),
         kind=growth.kind,
         truncated=growth.truncated,
         arc_length=growth.arc,
@@ -564,14 +619,15 @@ def _convex_hull(points) -> list[PlanePoint]:
 def _signed_dist_to_convex(poly, q) -> np.ndarray:
     """Per row of the (n, 2) array q, its distance to the nearest edge line
     of a counterclockwise convex polygon, positive inside: the first minimum
-    over the edges, as a loop over them would keep it."""
+    over the edges, as a loop over them would keep it. The distances are
+    laid out (edges, n), so each array operation runs along the n rows."""
     edges = []
     for (ux, uy), (wx, wy) in zip(poly, [*poly[1:], poly[0]]):
         ex, ey = wx - ux, wy - uy
         edges.append((ux, uy, ex, ey, math.hypot(ex, ey)))
-    ux, uy, ex, ey, elen = np.array(edges).T
-    dist = (ex * (q[:, 1:] - uy) - ey * (q[:, :1] - ux)) / elen
-    return dist[np.arange(len(dist)), dist.argmin(axis=1)]
+    ux, uy, ex, ey, elen = np.array(edges).T[:, :, None]
+    dist = (ex * (q[:, 1] - uy) - ey * (q[:, 0] - ux)) / elen
+    return dist[dist.argmin(axis=0), np.arange(dist.shape[1])]
 
 
 def _corner_polygon(params: Params) -> list[PlanePoint]:
@@ -592,15 +648,17 @@ def polygon_invariance(params: Params) -> PolygonReport:
     """Check the double-step image of the corner polygon stays inside it.
 
     P is the convex hull of Z, L^2 Z, L^4 Z, L^6 Z where Z is the x-axis
-    crossing of the unstable eigenline at p1. The boundary maps exactly
-    (fold-splitting polyline passes), and a polyline lies in a convex P
-    precisely when its vertices do, so the verdict is rigorous. Shared
-    corners force touching contact, hence the margin of a passing check
-    is typically exactly zero. Raises NotInvariant on genuine escape.
+    crossing of the unstable eigenline at p1. The boundary is mapped with
+    its fold splits, and a polyline lies in a convex P precisely when its
+    vertices do. The test is not a proof: the corners are float images of
+    an irrational point, and every distance is a float with a 1e-12 dust
+    allowance (ROADMAP item 7 plans the exact form). Shared corners force
+    touching contact, hence the margin of a passing check is typically
+    exactly zero. Raises NotInvariant on escape.
     """
     poly = _corner_polygon(params)
     image = _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
-    boundary = list(_drop_collinear(image))
+    boundary = _drop_collinear(image)
     dist = _signed_dist_to_convex(poly, _xy_array(boundary, len(boundary)))
     first = int(np.argmin(dist))  # the first vertex at the minimum
     worst, witness = float(dist[first]), boundary[first]
@@ -616,13 +674,15 @@ def polygon_invariance(params: Params) -> PolygonReport:
 # -------------------------------------------------------------- homoclinic
 
 
-def _seg_columns(*lines) -> tuple[np.ndarray, ...]:
-    """x and y of the start and of the end of every segment of the vertex
-    sequences, in order: four columns over the segments."""
-    pts = [_xy_array(line, len(line)) for line in lines]
-    start = np.concatenate([p[:-1] for p in pts])
-    end = np.concatenate([p[1:] for p in pts])
-    return start[:, 0], start[:, 1], end[:, 0], end[:, 1]
+def _seg_columns(*lines) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the ends of every segment of the vertex sequences, in
+    order: two (2, segments) arrays whose row 0 holds the segment starts and
+    row 1 their ends, read from the vertices in one pass."""
+    starts = [line[:-1] for line in lines]
+    ends = [line[1:] for line in lines]
+    m = sum(map(len, ends))
+    pairs = _xy_array(itertools.chain(*starts, *ends), 2 * m).reshape(2, m, 2)
+    return pairs[..., 0], pairs[..., 1]
 
 
 def _first_crossing(u, s, p1: PlanePoint) -> PlanePoint | None:
@@ -630,20 +690,21 @@ def _first_crossing(u, s, p1: PlanePoint) -> PlanePoint | None:
     than 1e-8 from the saddle p1, in u-segment order and then s-segment
     order; None if there is none. u and s are _seg_columns. A pair crosses
     properly when each segment's ends lie strictly on opposite sides of the
-    other's line."""
-    sx1, sy1, sx2, sy2 = s
-    sdx, sdy = sx2 - sx1, sy2 - sy1
-    chunk = max(1, int(4e6) // max(1, len(sx1)))
-    for lo in range(0, len(u[0]), chunk):
-        ux1, uy1, ux2, uy2 = (c[lo : lo + chunk, None] for c in u)
-        d1 = sdx * (uy1 - sy1) - sdy * (ux1 - sx1)
-        d2 = sdx * (uy2 - sy1) - sdy * (ux2 - sx1)
+    other's line. Both ends of a segment are tested in one array expression,
+    so d1, d2 and d3, d4 each come from a single (2, u chunk, s) array."""
+    (ux, uy), (sx, sy) = u, s
+    sx1, sy1 = sx[0], sy[0]
+    sdx, sdy = sx[1] - sx1, sy[1] - sy1
+    chunk = max(1, int(2e6) // max(1, len(sx1)))
+    for lo in range(0, ux.shape[1], chunk):
+        cx, cy = ux[:, lo : lo + chunk, None], uy[:, lo : lo + chunk, None]
+        d1, d2 = sdx * (cy - sy1) - sdy * (cx - sx1)
         straddles = d1 * d2 < 0
         if not straddles.any():  # no u segment meets the line of an s segment
             continue
+        (ux1, ux2), (uy1, uy2) = cx, cy
         udx, udy = ux2 - ux1, uy2 - uy1
-        d3 = udx * (sy1 - uy1) - udy * (sx1 - ux1)
-        d4 = udx * (sy2 - uy1) - udy * (sx2 - ux1)
+        d3, d4 = udx * (sy[:, None] - uy1) - udy * (sx[:, None] - ux1)
         for i, j in zip(*np.nonzero(straddles & (d3 * d4 < 0))):
             t = d1[i, j] / (d1[i, j] - d2[i, j])
             x = ux1[i, 0] + t * (ux2[i, 0] - ux1[i, 0])
@@ -692,8 +753,8 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> PlanePoin
     if witness is not None:
         return witness
     # Stage 2: every segment of W^u that stage 1 did not test, in order.
-    rest = _grow_branch(right).vertices[_STAGE_SEGMENTS:]
-    left = _manifold(params, "p1_left", False, arc_budget, sinks).vertices
+    rest = right.finish()[_STAGE_SEGMENTS:]
+    left = _Growth(params, "p1_left", False, arc_budget, sinks).finish()
     return _first_crossing(_seg_columns(rest, left), s_cols, fd.p1)
 
 
@@ -729,11 +790,29 @@ class ZeroEntropyVerdict:
             raise ValueError(f"no zero-entropy verdict {self.label!r} (valid: {valid})")
 
 
-# Polygon samples are drawn this many (x, y) pairs at a time; the draws are
-# the same stream as one rng.uniform call per coordinate.  The sink
-# certificate tests the first _SAMPLE_COUNT samples of that stream.
+# Polygon samples are (x, y) pairs drawn in blocks from one generator, reset
+# to the seed-1815 state for each pixel, so no pixel sees another's draws.
+# Resetting costs a few microseconds, where building a generator costs 17-37
+# (2-CPU machine). Blocks double from _SAMPLE_BLOCK pairs up to
+# _SAMPLE_BLOCK_CAP, and the draws are the same stream as one rng.uniform
+# call per coordinate. The sink certificate tests the first _SAMPLE_COUNT
+# samples of that stream, and fails when they are not all found within
+# _MAX_DRAWS pairs: at (1.0, 0.001) the polygon fills 1e-6 of its bounding
+# box. (1.0, 0.004), the slowest pixel near (1, 0) measured, draws 3.6
+# million, and no pixel of a 100x100 atlas draws more than 0.3 million.
 _SAMPLE_BLOCK = 256
+_SAMPLE_BLOCK_CAP = 4096
 _SAMPLE_COUNT = 64
+_MAX_DRAWS = 1 << 23
+
+
+@functools.cache
+def _sampler() -> tuple[np.random.Generator, dict]:
+    """The sampler's generator and its seed-1815 state. It is built on first
+    use: importing numpy.random takes about 12 ms and 6 MB (2-CPU machine),
+    which a process that samples no polygon does not pay."""
+    rng = np.random.default_rng(1815)
+    return rng, rng.bit_generator.state
 
 
 def _numeric_zero_check(params: Params) -> bool:
@@ -755,15 +834,21 @@ def _numeric_zero_check(params: Params) -> bool:
         else:
             return False
     # Contraction of the squared distance to the sink on the first
-    # _SAMPLE_COUNT polygon samples, drawn a block at a time from the
-    # corners' bounding box and tested in one array call.  "No increase" rather than "all
-    # decrease" is the verdict of a sample-by-sample early exit.
-    rng = np.random.default_rng(1815)
+    # _SAMPLE_COUNT polygon samples, drawn from the corners' bounding box and
+    # tested in one array call.  "No increase" rather than "all decrease" is
+    # the verdict of a sample-by-sample early exit.
+    rng, seed_state = _sampler()
+    rng.bit_generator.state = seed_state
     box = np.array(report.corners)
     lo, hi = box.min(axis=0), box.max(axis=0)
     samples: list[tuple[float, float]] = []
+    drawn, block = 0, _SAMPLE_BLOCK
     while len(samples) < _SAMPLE_COUNT:
-        q = rng.uniform(lo, hi, size=(_SAMPLE_BLOCK, 2))
+        if drawn + block > _MAX_DRAWS:
+            return False
+        q = rng.uniform(lo, hi, size=(block, 2))
+        drawn += block
+        block = min(2 * block, _SAMPLE_BLOCK_CAP)
         inside = _signed_dist_to_convex(report.corners, q) > 1e-9
         for x, y in q[inside].tolist():
             if math.hypot(x - n1x, y - n1y) < 1e-9 or math.hypot(x - n2x, y - n2y) < 1e-9:
@@ -777,7 +862,10 @@ def _numeric_zero_check(params: Params) -> bool:
 
 def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntropyVerdict:
     """Zero-entropy verdict: exact analytic regions first, then the numeric
-    sink certificate, then certified homoclinic crossings.
+    sink certificate, then the homoclinic sweep's crossings. Only the
+    analytic regions are proven. The sink certificate is sampled, and a
+    homoclinic crossing rests on float sign tests along float-grown
+    polylines; both are unproven float tests (ROADMAP items 7 and 12).
 
     The certificate goes first because a pixel it settles then skips the
     sweep, which finds nothing there. While both tests are right the order

@@ -114,8 +114,8 @@ def test_polyline_vertices_are_an_n_by_2_array():
         assert pts.shape == (len(pl.vertices), 2) and pts.dtype == np.float64
         assert all(type(v) is PlanePoint for v in pl.vertices)
         assert [c.shape for c in geometry._seg_columns(pl.vertices)] == [
-            (len(pl.vertices) - 1,)
-        ] * 4
+            (2, len(pl.vertices) - 1)
+        ] * 2
 
 
 # ---------------------------------------------------------------- map steps
@@ -564,21 +564,26 @@ def test_float_growth_matches_planepoint_reference(ab, seed):
 
 
 def test_drop_collinear_yields_each_vertex_once_its_successor_is_known():
-    # Random walks with slopes -1, 0 and 1 have collinear runs to drop. The
-    # vertex at x = i is decided once the vertex after it is drawn; the first
-    # at once and the last when the source ends.
+    # Random walks with slopes -1, 0 and 1 have collinear runs to drop, fed
+    # to the drop in pieces of 0 to 4 vertices. The vertex at x = i is
+    # decided once the vertex after it is fed, whichever piece holds it; the
+    # first at once and the last at close().
     rng = random.Random(17)
     for _ in range(100):
         ys = [0.0]
         for _ in range(rng.randint(0, 11)):
             ys.append(ys[-1] + rng.choice((-1.0, 0.0, 1.0)))
         pts = [PlanePoint(float(i), y) for i, y in enumerate(ys)]
-        drawn = []
-        kept = []
-        for v in geometry._drop_collinear(drawn.append(p) or p for p in pts):
-            kept.append(v)
-            assert len(drawn) == (1 if v.x == 0.0 else min(int(v.x) + 2, len(pts)))
-        assert kept == _ref_drop_collinear(pts)
+        want = _ref_drop_collinear(pts)
+        kept = geometry._Kept()
+        fed = 0
+        while fed < len(pts):
+            size = rng.randint(0, 4)
+            kept.feed(pts[fed : fed + size])
+            fed = min(fed + size, len(pts))
+            assert kept.vertices == [v for v in want if fed >= (1 if v.x == 0.0 else v.x + 2)]
+        assert kept.close() == want
+        assert geometry._drop_collinear(pts) == want
 
 
 def _far_side(points, line):
@@ -835,18 +840,32 @@ def test_homoclinic_no_false_positive_near_certified_params():
 
 def _spy_growth(monkeypatch):
     """Spy on the one growth loop; returns one [kind, last raw vertex drawn,
-    raw vertices drawn] entry per branch whose growth started, in the order
-    they started."""
+    raw vertices drawn, _map_polyline calls] entry per branch whose growth
+    started, in the order they started. The loop yields each pass's new raw
+    vertices as one piece, and the calls are those made while it ran."""
     grown = []
+    calls = [0]
     passes = geometry._Growth._passes
+    step = geometry._map_polyline
+
+    def count(params, pts, inverse):
+        calls[0] += 1
+        return step(params, pts, inverse)
 
     def spy(self, *args):
-        entry = [self.kind, None, 0]
+        entry = [self.kind, None, 0, 0]
         grown.append(entry)
-        for v in passes(self, *args):
-            entry[1:] = v, entry[2] + 1
-            yield v
+        pieces = passes(self, *args)
+        while True:
+            before = calls[0]
+            piece = next(pieces, None)
+            entry[3] += calls[0] - before
+            if piece is None:
+                return
+            entry[1:3] = piece[-1], entry[2] + len(piece)
+            yield piece
 
+    monkeypatch.setattr(geometry, "_map_polyline", count)
     monkeypatch.setattr(geometry._Growth, "_passes", spy)
     return grown
 
@@ -867,9 +886,12 @@ def test_stage_one_hit_never_grows_p1_left(monkeypatch):
         "0x1.1e8e7c6ad18dbp+0",
         "0x1.d568f0858a7f0p-4",
     )
-    assert [kind for kind, _, _ in grown] == SWEEP_ORDER[:3]
+    assert [kind for kind, *_ in grown] == SWEEP_ORDER[:3]
     full = unstable_manifold(CHAOTIC, "p1_right", arc_budget=20.0)
-    assert grown[2][2] < len(full.vertices)  # 13 raw against 21 kept
+    # 13 raw vertices against 21 kept, from 8 passes of two steps each: the
+    # counts of the vertex-by-vertex growth this replaced
+    assert grown[2][2:] == [13, 16]
+    assert len(full.vertices) == 21
 
 
 @pytest.mark.parametrize(
@@ -886,11 +908,14 @@ def test_sweep_grows_each_branch_once(monkeypatch, ab, witness):
     # third segment.
     grown = _spy_growth(monkeypatch)
     w = homoclinic_intersects(Params(*ab), arc_budget=20.0)
-    assert [kind for kind, _, _ in grown] == SWEEP_ORDER
+    assert [kind for kind, *_ in grown] == SWEEP_ORDER
     if witness is None:
         assert w is None
     else:
         assert (w.x.hex(), w.y.hex()) == witness
+        # p1_right's map steps over both stages, as the vertex-by-vertex
+        # growth made them
+        assert grown[2][3] == 36
 
 
 def _ellipse_form(ellipse):
@@ -1079,14 +1104,86 @@ def test_numeric_zero_check_matches_scalar_sampler(monkeypatch):
 
 
 def test_block_uniform_draws_match_scalar_stream():
+    # The sampler's schedule: blocks double from _SAMPLE_BLOCK pairs up to
+    # _SAMPLE_BLOCK_CAP, drawn from the module's generator reset to its seed
+    # state, and together they are the scalar stream of default_rng(1815).
+    assert (geometry._SAMPLE_BLOCK, geometry._SAMPLE_BLOCK_CAP) == (256, 4096)
     lo, hi = np.array([-0.7, -1.3]), np.array([1.9, 0.4])
-    block = np.random.default_rng(1815)
+    rng, seed_state = geometry._sampler()
+    rng.bit_generator.state = seed_state
     scalar = np.random.default_rng(1815)
-    for _ in range(4):
-        pairs = block.uniform(lo, hi, size=(geometry._SAMPLE_BLOCK, 2))
+    for size in (256, 512, 1024, 2048, 4096, 4096):
+        pairs = rng.uniform(lo, hi, size=(size, 2))
         for x, y in pairs.tolist():
             assert x == float(scalar.uniform(lo[0], hi[0]))
             assert y == float(scalar.uniform(lo[1], hi[1]))
+
+
+def test_sink_sampler_starts_each_pixel_from_the_seed(monkeypatch):
+    # The sampler shares one generator between pixels and resets it per
+    # pixel, so P after Q draws what P drew first: the same verdict and the
+    # same Lyapunov array call.
+    calls = []
+    delta = geometry.lyapunov_delta
+
+    def spy(params, q):
+        calls.append((params, q.x.copy(), q.y.copy()))
+        return delta(params, q)
+
+    monkeypatch.setattr(geometry, "lyapunov_delta", spy)
+    p, q = CENTER, Params(1.1, 0.65)
+    verdicts = [_numeric_zero_check(params) for params in (p, q, p)]
+    assert verdicts[0] == verdicts[2]
+    assert [params for params, _, _ in calls] == [p, q, p]
+    (_, x0, y0), (_, xq, _), (_, x2, y2) = calls
+    assert len(x0) == 64 and not np.array_equal(x0, xq)
+    assert np.array_equal(x0, x2) and np.array_equal(y0, y2)
+
+
+def test_sink_sampler_draws_are_bounded(monkeypatch):
+    # Where the polygon fills almost none of its bounding box the sampler
+    # would draw for ever: at (1.0, 0.001) it fills 1e-6 of it, and none of
+    # 200,000 draws lands inside. A spy that rejects every draw shows the
+    # certificate failing within _MAX_DRAWS pairs, in the doubling blocks; it
+    # raises after 5,000 blocks, so an unbounded sampler fails here at once.
+    report = polygon_invariance(CENTER)
+    monkeypatch.setattr(geometry, "polygon_invariance", lambda params: report)
+    blocks = []
+
+    def reject(poly, q):
+        blocks.append(len(q))
+        if len(blocks) > 5_000:
+            raise AssertionError("the sampler drew past its bound")
+        return np.full(len(q), -1.0)
+
+    monkeypatch.setattr(geometry, "_signed_dist_to_convex", reject)
+    assert not _numeric_zero_check(CENTER)
+    assert blocks[:6] == [256, 512, 1024, 2048, 4096, 4096]
+    assert set(blocks[5:]) == {4096}
+    assert sum(blocks) <= geometry._MAX_DRAWS < sum(blocks) + 4096
+
+
+@pytest.mark.parametrize(
+    "ab, kind", [((1.0, 0.004), "numeric_zero"), ((1.0, 0.001), "unknown")]
+)
+def test_sink_sampler_bound_near_one_zero(monkeypatch, ab, kind):
+    # (1.0, 0.004) is the slowest atlas pixel measured: it needs 3.6 million
+    # draws, below the bound, and keeps its verdict. At (1.0, 0.001) the
+    # certificate fails at the bound and the pixel is unknown. The spy passes
+    # every call through and raises past twice the bound, so an unbounded
+    # sampler fails here instead of hanging.
+    drawn = [0]
+    dist = geometry._signed_dist_to_convex
+
+    def count(poly, q):
+        drawn[0] += len(q)
+        if drawn[0] > 1 << 24:
+            raise AssertionError("the sampler drew past its bound")
+        return dist(poly, q)
+
+    monkeypatch.setattr(geometry, "_signed_dist_to_convex", count)
+    assert classify_zero_entropy(Params(*ab), arc_budget=20.0).kind == kind
+    assert 3_000_000 < drawn[0] <= geometry._MAX_DRAWS
 
 
 def test_classify_analytic_strip():
