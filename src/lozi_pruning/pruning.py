@@ -3,31 +3,37 @@ pruned-region rasters, and entropy brackets.
 
 One interval engine does every evaluation.  ``_levels`` sweeps the
 continued-fraction level map x <- 1/(+-a e + b x); ``_p_series`` and
-``_q_series`` sum the tail and head series from those levels.  The same
-three functions take float endpoints for one word (the scalar evaluators
-and ``classify_cylinder``), float64 arrays for a batch of rows (the raster),
-or broadcastable per-axis arrays, one length-2 axis per symbol position (the
+``_q_series`` sum the tail and head series from those levels.  The same three
+functions take float endpoints for one word (the scalar evaluators and
+``classify_cylinder``), float64 arrays for a batch of rows (the raster), or
+broadcastable per-axis arrays, one length-2 axis per symbol position (the
 block masks, so each level and series is computed once per distinct prefix
 or suffix).  A straddling denominator raises, so every level, and every p
 factor -b s, has one sign or is 0: a series carries its running product as
 (near, far), the products of the smaller- and of the larger-magnitude
-endpoints, two multiplications per term.  As rounding to nearest is
-monotone and symmetric in sign, min and max of that pair are bit for bit
-those of the four endpoint products.  Only that split, min/max and the
-straddle test depend on the endpoint type.  Every enclosure is a
-``(lo, hi)`` pair, which the scalar evaluators return as it is.  A raster
-sums each side's series once per row or column and classifies its cells by
-integer rank compares against the sorted q endpoints, one block of rows at
-a time, so no cell-sized float or mask array is ever built; the same rank
-split gives each row's pruned and admissible counts, so that fill is the
-only pass over the cells.  A block's p
-enclosure depends only on its prefix and its q enclosure only on its
-suffix, never on the block length, so one sweep at the longest length
-serves every block length of an entropy run.  All three also take a grid
-of float64 arrays a and b: ``_levels`` then orders each denominator's ends
-per point, and ``_p_series`` bounds its remainder per point.  The entropy
-sweep takes a batch of points on one leading axis, as many per sweep as
-keep points x 2^n_max within ``_BLOCK_LIMIT``.
+endpoints, two multiplications per term.  As rounding to nearest is monotone
+and symmetric in sign, min and max of that pair are bit for bit those of the
+four endpoint products.  Each level is split into its (near, far) pair once
+(``_near_far``), and each p factor pair (-b near, -b far) formed once
+(``_p_factors``), before any series reads it, so the entropy sweep hands the
+same pair to every series that reads a level.  On arrays a series updates its
+near, far, lo and hi in place, with one scratch buffer for min and max, so
+no term after the first allocates an array.  Only the split, min/max and the
+straddle test depend on the endpoint type.  Every enclosure is a ``(lo, hi)``
+pair, which the scalar evaluators return as it is.  A raster sums each side's
+series once per row or column and classifies its cells by integer rank
+compares against the sorted q endpoints, one block of rows at a time, so no
+cell-sized float or mask array is ever built; the same rank split gives each
+row's pruned and admissible counts, so that fill is the only pass over the
+cells.  A block's p enclosure depends only on its prefix and its q enclosure
+only on its suffix, never on the block length, so one sweep at the longest
+length serves every block length of an entropy run.  The block masks compare
+a placement with a short suffix in a suffix-major layout, so that numpy's
+inner loop runs over many prefixes, not a few suffixes.  All three also take
+a grid of float64 arrays a and b: ``_levels`` then orders each denominator's
+ends per point, and ``_p_series`` bounds its remainder per point.  The
+entropy sweep takes a batch of points on one leading axis, as many per sweep
+as keep points x 2^n_max within ``_BLOCK_LIMIT``.
 
 The innermost, unknown continuation of a finite word enters as the a-priori
 interval [-1/(a-|b|), 1/(a-|b|)], which the level map keeps invariant
@@ -45,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -101,17 +108,33 @@ def special_head(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # interval engine
 
-def _array_near_far(level):
-    """Per cell, the endpoints of a one-signed enclosure by magnitude."""
-    positive = level[0] > 0.0
-    return np.where(positive, *level), np.where(positive, *level[::-1])
+def _near_far(levels) -> list:
+    """Each one-signed level's endpoints by magnitude, (near, far), per cell
+    for arrays."""
+    if not (levels and isinstance(levels[0][0], np.ndarray)):
+        return [lv if lv[0] > 0.0 else lv[::-1] for lv in levels]
+    pairs = []
+    for lo, hi in levels:
+        positive = lo > 0.0
+        pairs.append((np.where(positive, lo, hi), np.where(positive, hi, lo)))
+    return pairs
 
 
-def _near_far_levels(levels):
-    """(near, far) per level, split lazily for arrays, and min and max for the type."""
-    if levels and isinstance(levels[0][0], np.ndarray):
-        return map(_array_near_far, levels), np.minimum, np.maximum
-    return [lv if lv[0] > 0.0 else lv[::-1] for lv in levels], min, max
+def _p_factors(s_levels, params: Params) -> list:
+    """The p factor -b s of each level as its (near, far) pair."""
+    minus_b = -params.b
+    return [(minus_b * near, minus_b * far) for near, far in _near_far(s_levels)]
+
+
+def _extremes(pairs):
+    """min and max for the endpoint type of a series' (near, far) pairs: the
+    builtins for floats, and for arrays np.minimum and np.maximum into one
+    scratch buffer shaped like the first, widest pair, which each sum reads
+    before the next extreme overwrites it."""
+    if pairs and isinstance(pairs[0][0], np.ndarray):
+        scratch = np.empty_like(pairs[0][0])
+        return partial(np.minimum, out=scratch), partial(np.maximum, out=scratch)
+    return min, max
 
 
 def _levels(shifts, params: Params) -> list:
@@ -146,21 +169,24 @@ def _levels(shifts, params: Params) -> list:
     return out
 
 
-def _p_series(s_levels, params: Params):
-    """Enclosure of p from the levels s_{-2}, s_{-3}, ... of its taken terms.
+def _p_series(factors, params: Params):
+    """Enclosure of p from the factor pairs of its taken terms: the
+    _p_factors of the levels s_{-2}, s_{-3}, ...
 
     Term k is the product of the factors (-b s_{-j}), j = 2..k+1, each of
     one sign or 0, so with monotone rounding (near, far) carries it exactly.
-    Every untaken term extends it by factors of magnitude <= |b|/(a-|b|),
-    so the remainder is geometric from it (infinite when the ratio reaches 1,
-    per point for a grid).
+    Arrays update near, far, lo and hi in place after the first term, so the
+    first factor pair must be the widest.  Every untaken term extends the
+    product by factors of magnitude <= |b|/(a-|b|), so the remainder is
+    geometric from it (infinite when the ratio reaches 1, per point for a
+    grid).
     """
-    pairs, lowest, highest = _near_far_levels(s_levels)
+    lowest, highest = _extremes(factors)
     b = params.b
     lo = hi = near = far = 1.0
-    for s_near, s_far in pairs:
-        near *= -b * s_near
-        far *= -b * s_far
+    for f_near, f_far in factors:
+        near *= f_near
+        far *= f_far
         lo += lowest(near, far)
         hi += highest(near, far)
     ratio = abs(b) / (params.a - abs(b))
@@ -170,20 +196,24 @@ def _p_series(s_levels, params: Params):
         bound = np.where(converges, abs(far) * growth, math.inf)
     else:
         bound = abs(far) * (ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
-    return lo - bound, hi + bound
+    lo -= bound
+    hi += bound
+    return lo, hi
 
 
-def _q_series(r_levels, params: Params):
-    """Enclosure of q from the levels r_0, r_1, ... of its taken terms.
+def _q_series(r_pairs, params: Params):
+    """Enclosure of q from the (near, far) pairs of the levels r_0, r_1, ...
+    of its taken terms.
 
     Term n is (-1)^n r_0 ... r_n, each r of one sign, so with monotone
-    rounding (near, far) carries the product exactly.  The majorant
-    (a-|b|)^-(n+1) sums geometrically when hyperbolic, so the remainder
-    is at most the last product over (a-|b|-1), finite with no terms taken.
+    rounding (near, far) carries the product exactly; arrays update in place
+    as in _p_series.  The majorant (a-|b|)^-(n+1) sums geometrically when
+    hyperbolic, so the remainder is at most the last product over
+    (a-|b|-1), finite with no terms taken.
     """
-    pairs, lowest, highest = _near_far_levels(r_levels)
+    lowest, highest = _extremes(r_pairs)
     lo, hi, near, far = 0.0, 0.0, 1.0, 1.0
-    for n, (r_near, r_far) in enumerate(pairs):
+    for n, (r_near, r_far) in enumerate(r_pairs):
         near *= r_near
         far *= r_far
         if n % 2 == 0:
@@ -192,8 +222,11 @@ def _q_series(r_levels, params: Params):
         else:
             lo -= highest(near, far)
             hi -= lowest(near, far)
-    bound = abs(far) / (params.a - abs(params.b) - 1.0)
-    return lo - bound, hi + bound
+    bound = abs(far)
+    bound /= params.a - abs(params.b) - 1.0
+    lo -= bound
+    hi += bound
+    return lo, hi
 
 
 def _p_enclosure(tail_outward, depth: int, params: Params):
@@ -203,7 +236,7 @@ def _p_enclosure(tail_outward, depth: int, params: Params):
     m = len(tail_outward)
     d = max(0, min(depth, m - 1))
     levels = _levels([-params.a * tail_outward[k] for k in range(m - 1, 0, -1)], params)
-    return _p_series(levels[::-1][:d], params)
+    return _p_series(_p_factors(levels[::-1][:d], params), params)
 
 
 def _q_enclosure(head, depth: int, params: Params):
@@ -212,7 +245,7 @@ def _q_enclosure(head, depth: int, params: Params):
     n = len(head)
     d = min(depth, n - 1)
     levels = _levels([params.a * head[k] for k in range(n - 1, -1, -1)], params)
-    return _q_series(levels[::-1][: d + 1], params)
+    return _q_series(_near_far(levels[::-1][: d + 1]), params)
 
 
 def eval_p(w: Word, depth: int, params: Params) -> tuple[float, float]:
@@ -303,7 +336,7 @@ PGM_UNKNOWN = 128
 PGM_ADMISSIBLE = 255
 
 _CELL_LIMIT = 1 << 22  # largest raster: 4^11 cells
-_BLOCK_LIMIT = 1 << 20  # largest block count: n_max = 20 traces 88.5 MiB at (1.7, 0.2), depth 12
+_BLOCK_LIMIT = 1 << 20  # largest block count: n_max = 20 traces 80.0 MiB at (1.7, 0.2), depth 12
 
 
 @dataclass(frozen=True)
@@ -441,11 +474,13 @@ def _enclosure_sweep(params: Params, n_max: int, depth: int):
         params = Params(*(v.reshape(v.shape + (1,) * n_max) for v in (params.a, params.b)))
     a = params.a
     cols = _symbol_axes(n_max)
-    # Each series reads its widest level first (r[j], then y[k - 2]), so the
-    # in-place products and sums of the series never have to grow a shape.
+    # Each level is split into (near, far) once, and each p factor formed
+    # once, for every series that reads it.  Each series reads its widest
+    # level first (r[j], then y[k - 2]), so the in-place products and sums
+    # of the series never have to grow a shape.
     # r[j] encloses the ascending continued fraction r_0 of the suffix j..;
     # the suffix of length L takes r_t from r[n_max - L + t].
-    r = _levels([a * cols[j] for j in range(n_max - 1, -1, -1)], params)[::-1]
+    r = _near_far(_levels([a * cols[j] for j in range(n_max - 1, -1, -1)], params)[::-1])
     # Longest suffix first, so no finished q is held while the widest
     # series runs.
     q = {
@@ -453,10 +488,10 @@ def _enclosure_sweep(params: Params, n_max: int, depth: int):
         for L in range(n_max, 0, -1)
     }
     del r  # free the suffix levels before the prefix levels are built
-    # y[t] encloses the descending continued fraction ending at position t,
-    # i.e. s_{-(k-t)} for the dot at k; term j of p uses y[k - j - 1], so
-    # no p reads the last two positions.
-    y = _levels([-a * cols[t] for t in range(n_max - 2)], params)
+    # y[t] is the factor pair of the descending continued fraction ending at
+    # position t, i.e. of s_{-(k-t)} for the dot at k; term j of p uses
+    # y[k - j - 1], so no p reads the last two positions.
+    y = _p_factors(_levels([-a * cols[t] for t in range(n_max - 2)], params), params)
     p = []
     for k in range(n_max):
         dp = max(0, min(depth, k - 1))
@@ -476,19 +511,69 @@ def _block_masks(sweep, n: int):
     2^(n-1-j), along the last axis; a batch sweep's point axis leads.  The
     prefix enclosures drop the sweep's trailing axes past n and the suffix
     enclosures its first n_max - n symbol axes, all of length 1, so only the
-    two compares span all 2^n blocks.
+    two compares span all 2^n blocks.  In this layout numpy's innermost loop
+    runs over a placement's suffixes, so the placements with fewer than
+    h = n // 2 suffix symbols compare in _short_suffix_masks instead, and one
+    transposed pass folds those in.
     """
     p, q = sweep
     points = q[len(p)][0].shape[: -len(p)]
     kept = len(points) + n
+    h = max(1, n // 2)
     pruned_any = np.zeros(points + (2,) * n, dtype=bool)
     cert_all = np.ones(points + (2,) * n, dtype=bool)
-    for k in range(n):
+    for k in range(n - h + 1):
         plo, phi = (np.reshape(v, np.shape(v)[:kept]) for v in p[k])
         qlo, qhi = (v.reshape(points + v.shape[-n:]) for v in q[n - k])
         pruned_any |= phi < qlo
         cert_all &= plo >= qhi
+    if h > 1:
+        short_pruned, short_cert = _short_suffix_masks(sweep, n, h, points)
+        rows = points + (1 << (n - h), 1 << h)
+        folded = pruned_any.reshape(rows)
+        folded |= short_pruned.swapaxes(-1, -2)
+        folded = cert_all.reshape(rows)
+        folded &= short_cert.swapaxes(-1, -2)
     return pruned_any.reshape(points + (-1,)), cert_all.reshape(points + (-1,))
+
+
+def _short_suffix_masks(sweep, n: int, h: int, points: tuple):
+    """_block_masks' (pruned, cert) over the placements with 1..h-1 suffix
+    symbols, suffix-major: row r holds the blocks whose last h symbols are r
+    and column c those whose first n - h are c, both in plain binary order.
+
+    numpy's inner loops then run over the 2^(n-h) columns: each compare
+    writes into one scratch buffer laid out like the masks, which the
+    in-place | and & then read in order.
+    """
+    p, q = sweep
+    cols = 1 << (n - h)
+    pruned = np.zeros(points + (1 << h, cols), dtype=bool)
+    cert = np.ones(points + (1 << h, cols), dtype=bool)
+    scratch = np.empty(points + (1 << (n - 1),), dtype=bool)
+
+    def prefix(v, top):
+        # The prefix's first n - h symbols pick the column and its other
+        # symbols the top of the row, as (top, 1, 1, column) axes.
+        if np.size(v) == math.prod(points):  # no series term, no symbol axis
+            return np.reshape(v, points + (1, 1, 1, 1))
+        return np.reshape(v, points + (cols, top)).swapaxes(-1, -2)[..., None, None, :]
+
+    for m in range(1, h):
+        # Row bits: h - m - 1 prefix symbols (top), then symbol n - m - 1,
+        # which no enclosure of the placement reads, then the m suffix ones.
+        top = 1 << (h - m - 1)
+        grid = points + (top, 2, 1 << m, cols)
+        plo, phi = (prefix(v, top) for v in p[n - m])
+        qlo, qhi = (v.reshape(points + (1, 1, 1 << m, 1)) for v in q[m])
+        compared = scratch.reshape(points + (top, 1, 1 << m, cols))
+        np.greater(qlo, phi, out=compared)  # phi < qlo
+        acc = pruned.reshape(grid)
+        acc |= compared
+        np.less_equal(qhi, plo, out=compared)  # plo >= qhi
+        acc = cert.reshape(grid)
+        acc &= compared
+    return pruned, cert
 
 
 def _bracket(pruned_any, cert_all) -> tuple[int, int]:

@@ -886,3 +886,56 @@ def test_plane_anchors_identity_residual_equals_the_per_point_loop():
     for seed in range(50):
         got = verify._identity_residual(params, corners, seed + 99)
         assert type(got) is float and got == _identity_residual_per_point(seed), seed
+
+
+def _orbit_window_check_per_window(config):
+    """Criterion 11 as it was written: one classify_cylinder call per window,
+    repeated windows included."""
+    params = Params(1.7, 0.5)
+    pt = geometry.PlanePoint(0.1, 0.1)
+    for _ in range(200):
+        pt = geometry.lozi_apply(params, pt)
+    symbols = []
+    for _ in range(1500):
+        symbols.append(1 if pt.x >= 0.0 else -1)
+        pt = geometry.lozi_apply(params, pt)
+        if abs(pt.x) > 5.0 or abs(pt.y) > 5.0:
+            return False, "orbit left the trapping box"
+    rng = random.Random(config.seed + 13)
+    half = 6
+    pruned = 0
+    for _ in range(1000):
+        t = rng.randrange(half, len(symbols) - half)
+        w = Word(tuple(symbols[t - half : t]), tuple(symbols[t : t + half]))
+        pruned += verify.classify_cylinder(w, 5, 0, params) is pruning.Verdict.CERTIFIED_PRUNED
+    return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
+
+
+def test_orbit_window_check_equals_the_per_window_loop():
+    for seed in range(50):
+        config = RunConfig(command="verify", seed=seed)
+        want = _orbit_window_check_per_window(config)
+        assert want[0]
+        assert verify.check_orbit_window_consistency(config) == want, seed
+
+
+def test_orbit_window_check_counts_each_window_of_a_pruned_word(monkeypatch):
+    # A stand-in verdict calls a word pruned by its first two head symbols, so
+    # repeated windows must each count once more, as in the per-window loop.
+    real = verify.classify_cylinder
+    calls = []
+
+    def some_pruned(w, depth, shift_window, params):
+        calls.append(w)
+        if w.head[:2] == (1, -1):
+            return pruning.Verdict.CERTIFIED_PRUNED
+        return real(w, depth, shift_window, params)
+
+    monkeypatch.setattr(verify, "classify_cylinder", some_pruned)
+    for seed in (1, 2, 3, 14):
+        config = RunConfig(command="verify", seed=seed)
+        want = _orbit_window_check_per_window(config)
+        calls.clear()
+        got = verify.check_orbit_window_consistency(config)
+        assert got == want and not got[0], seed
+        assert len(calls) == len(set(calls)) < 1000, seed

@@ -48,7 +48,9 @@ from lozi_pruning.pruning import (
     _enclosure_sweep,
     _fill_cells,
     _levels,
+    _near_far,
     _p_enclosure,
+    _p_factors,
     _p_series,
     _q_enclosure,
     _q_series,
@@ -436,14 +438,25 @@ def _ref_extremes(levels):
     return min, max
 
 
-def _ref_p_series(s_levels, params):
+def _ref_p_factors(s_levels, params):
+    """The p factors -b s of (lo, hi) levels as (lo, hi) intervals, ordered
+    by the sign of a float b, as the reference for _p_factors."""
+    b = params.b
+    return [
+        (-b * s_lo, -b * s_hi) if b <= 0 else (-b * s_hi, -b * s_lo) for s_lo, s_hi in s_levels
+    ]
+
+
+def _ref_p_series(factors, params):
     """_p_series as it was written with all four endpoint products of every
-    term reduced by min and max, as the reference for the (near, far) form."""
-    lowest, highest = _ref_extremes(s_levels)
+    term reduced by min and max, as the reference for the (near, far) form.
+    Each factor pair is an interval with its ends in either order: (lo, hi)
+    from _ref_p_factors or (near, far) from _p_factors."""
+    lowest, highest = _ref_extremes(factors)
     b = params.b
     lo = hi = prod_lo = prod_hi = 1.0
-    for s_lo, s_hi in s_levels:
-        f_lo, f_hi = (-b * s_lo, -b * s_hi) if b <= 0 else (-b * s_hi, -b * s_lo)
+    for pair in factors:
+        f_lo, f_hi = lowest(pair), highest(pair)
         p = (prod_lo * f_lo, prod_lo * f_hi, prod_hi * f_lo, prod_hi * f_hi)
         prod_lo, prod_hi = lowest(p), highest(p)
         lo += prod_lo
@@ -457,11 +470,13 @@ def _ref_p_series(s_levels, params):
 
 
 def _ref_q_series(r_levels, params):
-    """_q_series in the four-product form, as _ref_p_series."""
+    """_q_series in the four-product form, as _ref_p_series: each level is an
+    interval with its ends in either order, (lo, hi) or (near, far)."""
     lowest, highest = _ref_extremes(r_levels)
     lo = hi = 0.0
     prod_lo = prod_hi = 1.0
-    for n, (r_lo, r_hi) in enumerate(r_levels):
+    for n, level in enumerate(r_levels):
+        r_lo, r_hi = lowest(level), highest(level)
         p = (prod_lo * r_lo, prod_lo * r_hi, prod_hi * r_lo, prod_hi * r_hi)
         prod_lo, prod_hi = lowest(p), highest(p)
         if n % 2 == 0:
@@ -511,9 +526,13 @@ def test_series_match_four_product_reference_on_words_and_rows(a, b):
         r = _levels([a * symbols[k] for k in range(length - 1, -1, -1)], par)[::-1]
         s = _levels([-a * symbols[k] for k in range(length - 1, 0, -1)], par)[::-1]
         for depth in _KERNEL_DEPTHS:
+            # The engine splits the levels and forms the p factors; the
+            # reference takes the levels' (lo, hi) ends as they are.
             r_taken, s_taken = r[: depth + 1], s[:depth]
-            _assert_same_enclosure(_q_series(r_taken, par), _ref_q_series(r_taken, par))
-            _assert_same_enclosure(_p_series(s_taken, par), _ref_p_series(s_taken, par))
+            got_q = _q_series(_near_far(r_taken), par)
+            _assert_same_enclosure(got_q, _ref_q_series(r_taken, par))
+            got_p = _p_series(_p_factors(s_taken, par), par)
+            _assert_same_enclosure(got_p, _ref_p_series(_ref_p_factors(s_taken, par), par))
 
 
 @pytest.mark.parametrize("a, b", _kernel_points())
@@ -530,6 +549,173 @@ def test_series_match_four_product_reference_on_sweep_axes(monkeypatch, a, b):
             _assert_same_enclosure(got, want)
         for L in q:
             _assert_same_enclosure(q[L], ref_q[L])
+
+
+# b > 0, b < 0 and b = 0, and (2.8, 1.5), whose p remainder bound is infinite.
+_BATCH_POINTS = [
+    (1.7, 0.2), (1.9, -0.3), (1.7, 0.0), (2.8, 1.5), (2.1, 0.05), (1.21, 0.2), (1.55, -0.45)
+]
+
+
+def _batch(points):
+    return Params(np.array([a for a, _ in points]), np.array([b for _, b in points]))
+
+
+def _lazy_near_far(levels):
+    """(near, far) per level, split on each read, with min and max for the
+    type: the split as the series made it before the sweep split each level
+    once."""
+    if levels and isinstance(levels[0][0], np.ndarray):
+        split = (
+            (np.where(lv[0] > 0.0, *lv), np.where(lv[0] > 0.0, *lv[::-1])) for lv in levels
+        )
+        return split, np.minimum, np.maximum
+    return [lv if lv[0] > 0.0 else lv[::-1] for lv in levels], min, max
+
+
+def _per_read_sweep(params, n_max, depth):
+    """_enclosure_sweep as it was before each level was split once: every
+    series splits each level it reads, forms each p factor -b s per term,
+    and sums into new arrays."""
+
+    def p_series(s_levels):
+        pairs, lowest, highest = _lazy_near_far(s_levels)
+        b = params.b
+        lo = hi = near = far = 1.0
+        for s_near, s_far in pairs:
+            near *= -b * s_near
+            far *= -b * s_far
+            lo += lowest(near, far)
+            hi += highest(near, far)
+        ratio = abs(b) / (params.a - abs(b))
+        if isinstance(ratio, np.ndarray):
+            converges = ratio < 1.0
+            growth = np.divide(ratio, 1.0 - ratio, out=np.zeros_like(ratio), where=converges)
+            bound = np.where(converges, abs(far) * growth, math.inf)
+        else:
+            bound = abs(far) * (ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
+        return lo - bound, hi + bound
+
+    def q_series(r_levels):
+        pairs, lowest, highest = _lazy_near_far(r_levels)
+        lo, hi, near, far = 0.0, 0.0, 1.0, 1.0
+        for n, (r_near, r_far) in enumerate(pairs):
+            near *= r_near
+            far *= r_far
+            if n % 2 == 0:
+                lo += lowest(near, far)
+                hi += highest(near, far)
+            else:
+                lo -= highest(near, far)
+                hi -= lowest(near, far)
+        bound = abs(far) / (params.a - abs(params.b) - 1.0)
+        return lo - bound, hi + bound
+
+    if isinstance(params.a, np.ndarray):
+        params = Params(*(v.reshape(v.shape + (1,) * n_max) for v in (params.a, params.b)))
+    a = params.a
+    cols = pruning._symbol_axes(n_max)
+    r = _levels([a * cols[j] for j in range(n_max - 1, -1, -1)], params)[::-1]
+    q = {
+        L: q_series(r[n_max - L : n_max - L + min(depth, L - 1) + 1])
+        for L in range(n_max, 0, -1)
+    }
+    y = _levels([-a * cols[t] for t in range(n_max - 2)], params)
+    p = []
+    for k in range(n_max):
+        dp = max(0, min(depth, k - 1))
+        p.append(p_series(y[k - 1 - dp : k - 1][::-1]))
+    return p, q
+
+
+def _assert_same_bits(got, want):
+    # Equal values, types and shapes, and equal signs of zero.
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [Params(1.7, 0.2), Params(2.1, 0.0), Params(1.62, -0.31), _batch(_BATCH_POINTS)],
+    ids=["b>0", "b=0", "b<0", "batch"],
+)
+def test_sweep_equals_the_per_read_sweep(params):
+    for n_max in range(1, 15):
+        for depth in (0, 1, 12):
+            p, q = _enclosure_sweep(params, n_max, depth)
+            want_p, want_q = _per_read_sweep(params, n_max, depth)
+            assert len(p) == len(want_p) and list(q) == list(want_q)
+            for got, want in zip(p, want_p):
+                _assert_same_bits(got, want)
+            for L in q:
+                _assert_same_bits(q[L], want_q[L])
+
+
+def test_sweep_splits_each_level_once(monkeypatch):
+    # 16 suffix and 14 prefix levels at n_max = 16; splitting them per read,
+    # once for every series that reads a level, made 232 splits.
+    split = pruning._near_far
+    seen = []
+
+    def spy(levels):
+        seen.extend(levels)
+        return split(levels)
+
+    monkeypatch.setattr(pruning, "_near_far", spy)
+    entropy_rows(Params(1.7, 0.2), 16, 12)
+    assert len(seen) == 30
+    assert len({id(lv) for lv in seen}) == 30
+
+
+def test_sweep_hands_each_p_factor_to_every_series_that_reads_it(monkeypatch):
+    # The series of the dot at k takes the factors of y[k - 2], y[k - 3], ...;
+    # its j-th pair must be the very pair the series at k - j reads first.
+    series = pruning._p_series
+    calls = []
+
+    def spy(factors, params):
+        calls.append(factors)
+        return series(factors, params)
+
+    monkeypatch.setattr(pruning, "_p_series", spy)
+    entropy_rows(Params(1.7, 0.2), 16, 12)
+    assert len(calls) == 16 and sum(map(len, calls)) == 102
+    first = {k: calls[k][0] for k in range(2, 16)}
+    for k, factors in enumerate(calls):
+        for j, pair in enumerate(factors):
+            assert pair[0] is first[k - j][0] and pair[1] is first[k - j][1], (k, j)
+
+
+def _one_layout_masks(sweep, n):
+    """_block_masks with every placement compared in the plain block layout,
+    as it was before the short suffixes moved to a suffix-major layout."""
+    p, q = sweep
+    points = q[len(p)][0].shape[: -len(p)]
+    kept = len(points) + n
+    pruned_any = np.zeros(points + (2,) * n, dtype=bool)
+    cert_all = np.ones(points + (2,) * n, dtype=bool)
+    for k in range(n):
+        plo, phi = (np.reshape(v, np.shape(v)[:kept]) for v in p[k])
+        qlo, qhi = (v.reshape(points + v.shape[-n:]) for v in q[n - k])
+        pruned_any |= phi < qlo
+        cert_all &= plo >= qhi
+    return pruned_any.reshape(points + (-1,)), cert_all.reshape(points + (-1,))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [Params(1.7, 0.2), Params(2.1, 0.0), Params(1.62, -0.31), _batch(_BATCH_POINTS)],
+    ids=["b>0", "b=0", "b<0", "batch"],
+)
+def test_block_masks_equal_the_one_layout_masks(params):
+    # Depth 0 leaves every prefix enclosure without a symbol axis.
+    for depth in (0, 1, 12):
+        sweep = _enclosure_sweep(params, 14, depth)
+        for n in range(1, 15):
+            got, want = _block_masks(sweep, n), _one_layout_masks(sweep, n)
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape and np.array_equal(g, w), (depth, n)
 
 
 @pytest.mark.parametrize("a, b", [(2.8, 1.5), (1.7, 0.2)])
@@ -767,9 +953,9 @@ def _ref_window_masks(params, n, depth):
     pruned_any = np.zeros(1 << n, dtype=bool)
     cert_all = np.ones(1 << n, dtype=bool)
     for k in range(n):
-        qlo, qhi = _q_series(r[k : k + min(depth, n - k - 1) + 1], params)
+        qlo, qhi = _q_series(_near_far(r[k : k + min(depth, n - k - 1) + 1]), params)
         dp = max(0, min(depth, k - 1))
-        plo, phi = _p_series(y[k - 1 - dp : k - 1][::-1], params)
+        plo, phi = _p_series(_p_factors(y[k - 1 - dp : k - 1][::-1], params), params)
         pruned_any |= (phi - qlo) < 0.0
         cert_all &= (plo - qhi) >= 0.0
     return pruned_any, cert_all
@@ -850,16 +1036,6 @@ def test_entropy_rows_sweep_levels_once(monkeypatch, n_max):
     monkeypatch.setattr(pruning, "_levels", counting_levels)
     entropy_rows(Params(1.7, 0.2), n_max, 12)
     assert len(calls) == 2
-
-
-# b > 0, b < 0 and b = 0, and (2.8, 1.5), whose p remainder bound is infinite.
-_BATCH_POINTS = [
-    (1.7, 0.2), (1.9, -0.3), (1.7, 0.0), (2.8, 1.5), (2.1, 0.05), (1.21, 0.2), (1.55, -0.45)
-]
-
-
-def _batch(points):
-    return Params(np.array([a for a, _ in points]), np.array([b for _, b in points]))
 
 
 def _assert_same_rows(got, want):
