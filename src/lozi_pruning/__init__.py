@@ -56,12 +56,7 @@ from .pruning import (
     pruned_region_raster,
     special_head,
 )
-from .symbolic import (
-    MINUS,
-    PLUS,
-    Word,
-    redot,
-)
+from .symbolic import MINUS, PLUS, Word
 from .tent import (
     Kneading,
     check_identity_shifted,

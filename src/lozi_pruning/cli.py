@@ -9,7 +9,8 @@ plus rename). Existing outputs are only replaced under --force, and every
 command checks every output path it will write before any work, so a
 refused run writes nothing.
 
-Exit codes: 0 success, 1 verification failure, 2 domain or usage error.
+Exit codes: 0 success, 1 verification failure, 2 domain or usage error, or an
+operating system error on a path (--out, --config).
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except LoziError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileExistsError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

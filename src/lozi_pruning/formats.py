@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import os
+import stat
 import tempfile
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -60,11 +61,17 @@ def or_default(value, default):
 
 def refuse_overwrite(paths: Iterable[str], force: bool) -> None:
     """Raise FileExistsError for the first path that is a directory, or that
-    exists while force is not set: the one rule for replacing an artifact."""
+    exists while force is not set: the one rule for replacing an artifact.
+    Any other error of looking a path up, such as a name too long, raises
+    as it is, so a path no artifact can take is refused before any work."""
     for path in map(os.fspath, paths):
-        if os.path.isdir(path):
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            continue
+        if stat.S_ISDIR(mode):
             raise FileExistsError(f"{path} is a directory; no artifact can replace it")
-        if os.path.exists(path) and not force:
+        if not force:
             raise FileExistsError(f"{path} exists; pass force to overwrite")
 
 

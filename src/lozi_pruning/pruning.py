@@ -56,7 +56,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BudgetExceeded, InsufficientWord, NotHyperbolic
-from .symbolic import MINUS, PLUS, Word, coordinate_symbols, redot
+from .symbolic import MINUS, PLUS, Word, coordinate_symbols
 
 # Absolute dust an enclosure may miss by: the rounding gap above.
 ULP_SLACK = 5e-13
@@ -94,7 +94,7 @@ def _require_series(params: Params, depth: int) -> None:
 
 class Verdict(Enum):
     CERTIFIED_PRUNED = "CertifiedPruned"
-    CERTIFIED_ADMISSIBLE_WINDOW = "CertifiedAdmissibleWindow"
+    CERTIFIED_ADMISSIBLE = "CertifiedAdmissible"
     UNKNOWN = "Unknown"
 
 
@@ -301,30 +301,18 @@ def eval_pq_cylinder(w: Word, depth: int, params: Params) -> tuple[float, float]
     return (plo - qhi, phi - qlo)
 
 
-def classify_cylinder(w: Word, depth: int, shift_window: int, params: Params) -> Verdict:
-    """Classify the cylinder of w.
+def classify_cylinder(w: Word, depth: int, params: Params) -> Verdict:
+    """Classify the cylinder of w by the enclosure of (p - q) at its dot.
 
-    CertifiedPruned: the unshifted enclosure is entirely negative, so every
-    extension of w lies in the pruned region.  CertifiedAdmissibleWindow: the
-    enclosure is entirely non-negative at the dot and at every re-dotting
-    within shift_window that keeps a nonempty head inside the word.  Anything
-    else is Unknown.
+    CertifiedPruned: the enclosure is entirely negative, so every extension
+    of w lies in the pruned region.  CertifiedAdmissible: it is entirely
+    non-negative.  Anything else is Unknown.  A raster cell applies the same
+    rule to the same word.
     """
-    _require_series(params, depth)
     lo, hi = eval_pq_cylinder(w, depth, params)
     if hi < 0.0:
         return Verdict.CERTIFIED_PRUNED
-    certified = lo >= 0.0
-    if certified:
-        m, n = w.tail_len, w.head_len
-        for k in range(max(-shift_window, 1 - m), min(shift_window, n - 1) + 1):
-            if k == 0:
-                continue
-            slo, _ = eval_pq_cylinder(redot(w, k), depth, params)
-            if slo < 0.0:
-                certified = False
-                break
-    return Verdict.CERTIFIED_ADMISSIBLE_WINDOW if certified else Verdict.UNKNOWN
+    return Verdict.CERTIFIED_ADMISSIBLE if lo >= 0.0 else Verdict.UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +325,16 @@ PGM_ADMISSIBLE = 255
 
 _CELL_LIMIT = 1 << 22  # largest raster: 4^11 cells
 _BLOCK_LIMIT = 1 << 20  # largest block count: n_max = 20 traces 80.0 MiB at (1.7, 0.2), depth 12
+
+
+def _require_word_len(word_len: int) -> None:
+    """The input rule of a raster's word length: at least 1, and at most
+    _CELL_LIMIT cells, 4^word_len."""
+    if word_len < 1:
+        raise ValueError("word_len must be >= 1")
+    cells_total = 1 << (2 * word_len)
+    if cells_total > _CELL_LIMIT:
+        raise BudgetExceeded(f"4^{word_len} = {cells_total} cells exceed limit {_CELL_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -417,18 +415,14 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
 
     Cells certify membership of the whole cylinder: entirely negative
     enclosure of (p - q) at the dot -> pruned; entirely non-negative ->
-    admissible window; otherwise unknown.  p depends only on the tail (the
+    admissible; otherwise unknown.  p depends only on the tail (the
     row) and q only on the head (the column), so each series is summed once
     per row or column, and each cell compare is a rank compare: the column's
     rank among the sorted q endpoints against the row's count of q endpoints
     at or below its p endpoint.
     """
     _require_series(params, depth)
-    if word_len < 1:
-        raise ValueError("word_len must be >= 1")
-    cells_total = 1 << (2 * word_len)
-    if cells_total > _CELL_LIMIT:
-        raise BudgetExceeded(f"4^{word_len} = {cells_total} cells exceed limit {_CELL_LIMIT}")
+    _require_word_len(word_len)
     tails = coordinate_symbols(word_len, MINUS if params.b >= 0 else PLUS)
     heads = coordinate_symbols(word_len, PLUS)
     # With depth 0 the p enclosure is one interval shared by every tail.

@@ -1,5 +1,4 @@
-"""Two-sided symbol words, re-dotting, and the symbol tables of their
-coordinate orders.
+"""Two-sided symbol words and the symbol tables of their coordinate orders.
 
 A bi-infinite itinerary splits at the dot into a tail (symbols at negative
 indices, read leftward from the dot) and a head (symbols at non-negative
@@ -15,8 +14,6 @@ import numpy as np
 
 MINUS = -1
 PLUS = 1
-
-_SYMBOL_TO_CHAR = {PLUS: "+", MINUS: "-"}
 
 
 def _check_symbols(symbols: tuple[int, ...], side: str) -> None:
@@ -50,30 +47,6 @@ class Word:
     @property
     def head_len(self) -> int:
         return len(self.head)
-
-    def to_string(self) -> str:
-        tail = "".join(_SYMBOL_TO_CHAR[s] for s in self.tail)
-        head = "".join(_SYMBOL_TO_CHAR[s] for s in self.head)
-        return f"{tail}.{head}"
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-
-def redot(w: Word, k: int) -> Word:
-    """Re-dot the same symbol block k places to the right (k may be negative).
-
-    Each step right moves the first head symbol into the tail; the block of
-    symbols is unchanged.  Raises ValueError when the dot would leave the
-    block on either side.
-    """
-    if k == 0:
-        return w
-    block = w.tail + w.head
-    cut = w.tail_len + k
-    if cut < 0 or cut > len(block):
-        raise ValueError(f"cannot re-dot by {k}: block has {len(block)} symbols")
-    return Word(block[:cut], block[cut:])
 
 
 def coordinate_symbols(n: int, counted: int) -> np.ndarray:

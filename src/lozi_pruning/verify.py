@@ -35,6 +35,7 @@ from .derivatives import (
     dq_db_at_b0,
     fd_derivative,
 )
+from .errors import NotInvariant
 from .formats import or_default
 from .geometry import (
     ZERO_ENTROPY_CODES,
@@ -63,7 +64,7 @@ from .pruning import (
     special_head,
 )
 from .pruning import _p_enclosure, _q_enclosure, _symbol_axes
-from .pruning import _require_blocks, _require_depth
+from .pruning import _require_blocks, _require_depth, _require_word_len
 from .symbolic import Word
 from .tent import (
     check_identity_shifted,
@@ -88,6 +89,7 @@ class CheckResult:
 # The library's own rule for each input a check may read.
 _INPUT_RULES = {
     "depth": _require_depth,
+    "word_len": _require_word_len,
     "n_max": _require_blocks,
     "grid": _require_resolution,
     "arc_budget": _require_arc_budget,
@@ -145,7 +147,7 @@ def check_head_maximum(config) -> tuple[bool, str]:
     )
 
 
-@_writes("full_slope_raster.pgm", "full_slope_raster.pgm.txt", reads=("depth",))
+@_writes("full_slope_raster.pgm", "full_slope_raster.pgm.txt", reads=("depth", "word_len"))
 def check_full_slope_raster(config) -> tuple[bool, str]:
     """Nothing is pruned at full slope: the region degenerates to nothing."""
     word_len = or_default(config.word_len, 10)
@@ -301,7 +303,10 @@ def check_plane_anchors(config) -> tuple[bool, str]:
         fd.n2.dist(lozi_apply_n(params, fd.n2, 2)),
         fd.n1.dist(PlanePoint(1.2, -0.4)),
     )
-    report = polygon_invariance(params)
+    try:
+        report = polygon_invariance(params)
+    except NotInvariant as escape:
+        return False, f"orbit residual {residual:.2e}, polygon escape margin {escape.margin!r}"
     worst_identity = _identity_residual(params, report.corners, config.seed + 99)
 
     z = _axis_crossing_of_unstable_line(fd)
@@ -379,7 +384,7 @@ def check_orbit_window_consistency(config) -> tuple[bool, str]:
     pruned = sum(
         count
         for w, count in windows.items()
-        if classify_cylinder(w, 5, 0, params) is Verdict.CERTIFIED_PRUNED
+        if classify_cylinder(w, 5, params) is Verdict.CERTIFIED_PRUNED
     )
     return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
 

@@ -24,7 +24,7 @@ from lozi_pruning.cli import (
     main,
 )
 from lozi_pruning.derivatives import CONE_TABLE_HEADER, dq_db_at_b0
-from lozi_pruning.errors import BudgetExceeded
+from lozi_pruning.errors import BudgetExceeded, NotInvariant
 from lozi_pruning.geometry import MANIFOLD_BRANCHES, ZERO_ENTROPY_CODES, fixed_data
 from lozi_pruning.derivatives import fd_derivative
 from lozi_pruning.pruning import (
@@ -268,6 +268,25 @@ def test_output_naming_a_directory_is_refused_before_any_work(
     err = capsys.readouterr().err
     assert str(adir) in err and "directory" in err and ".tmp-artifact" not in err
     assert list(tmp_path.iterdir()) == [adir] and list(adir.iterdir()) == []
+
+
+def test_an_out_name_too_long_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # The lookup of a 300-byte name fails before the rows are computed: one
+    # error line and exit 2, not a traceback from the final rename.
+    monkeypatch.chdir(tmp_path)
+    _refuse_work(monkeypatch, "entropy_rows")
+    argv = ["entropy", "--a", "1.7", "--b", "0.2", "--n-max", "3", "--out", "x" * 300 + ".csv"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_path_naming_a_directory_exits_2(tmp_path, capsys):
+    assert main(["entropy", "--config", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_pruned_region_rejects_nonhyperbolic(capsys):
@@ -677,6 +696,19 @@ def test_verify_refuses_a_directory_output_even_with_force(tmp_path, capsys, cri
     assert [p.name for p in rep.iterdir()] == [present] and not any((rep / present).iterdir())
 
 
+def test_verify_reports_a_polygon_escape_as_a_failing_criterion(monkeypatch, capsys):
+    # An escape is a finding of criterion 9, not a usage error: exit 1 with
+    # the report line.
+    def escape(params):
+        raise NotInvariant("image left the polygon", witness=(1.25, -0.5), margin=-0.125)
+
+    monkeypatch.setattr(verify, "polygon_invariance", escape)
+    assert main(["verify", "--criteria", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL criterion 9 (plane-anchors):")
+    assert "polygon escape margin -0.125" in captured.out and captured.err == ""
+
+
 def test_verify_rejects_unknown_criterion(capsys):
     assert main(["verify", "--criteria", "13"]) == 2
     assert "criterion" in capsys.readouterr().err
@@ -800,12 +832,15 @@ def test_verify_report_regenerates_identically(tmp_path):
         ["--criteria", "1,2,5,7,10", "--depth", "-1", "--grid", "4"],
         ["--criteria", "1,3", "--depth", "-1", "--word-len", "4"],
         ["--criteria", "1,8", "--depth", "-2"],
+        ["--criteria", "1,3", "--word-len", "0"],
+        ["--criteria", "1,3", "--word-len", "12"],
     ],
-    ids=["criterion-7", "criterion-3", "criterion-8"],
+    ids=["criterion-7", "criterion-3", "criterion-8", "word-len-0", "word-len-12"],
 )
 def test_verify_refuses_a_negative_depth_before_any_check(tmp_path, capsys, monkeypatch, argv):
-    # Criteria 3, 7 and 8 read --depth; a selected one refuses it before
-    # any check runs, the ones ahead of it included.
+    # Criteria 3, 7 and 8 read --depth, and criterion 3 reads --word-len; a
+    # selected one refuses them before any check runs, the ones ahead of it
+    # included.
     ran = []
     for index, check in list(verify.CHECKS.items()):
         def spy(config, index=index, check=check):
@@ -907,7 +942,7 @@ def _orbit_window_check_per_window(config):
     for _ in range(1000):
         t = rng.randrange(half, len(symbols) - half)
         w = Word(tuple(symbols[t - half : t]), tuple(symbols[t : t + half]))
-        pruned += verify.classify_cylinder(w, 5, 0, params) is pruning.Verdict.CERTIFIED_PRUNED
+        pruned += verify.classify_cylinder(w, 5, params) is pruning.Verdict.CERTIFIED_PRUNED
     return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
 
 
@@ -925,11 +960,11 @@ def test_orbit_window_check_counts_each_window_of_a_pruned_word(monkeypatch):
     real = verify.classify_cylinder
     calls = []
 
-    def some_pruned(w, depth, shift_window, params):
+    def some_pruned(w, depth, params):
         calls.append(w)
         if w.head[:2] == (1, -1):
             return pruning.Verdict.CERTIFIED_PRUNED
-        return real(w, depth, shift_window, params)
+        return real(w, depth, params)
 
     monkeypatch.setattr(verify, "classify_cylinder", some_pruned)
     for seed in (1, 2, 3, 14):

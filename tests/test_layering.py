@@ -96,10 +96,20 @@ def _defined_names(statement: ast.stmt) -> set[str]:
     return set()
 
 
+def _method_own(cls: ast.ClassDef, method: ast.FunctionDef) -> set[str]:
+    """The method's own name, or for a dunder the names of all the class's
+    methods."""
+    if method.name.startswith("__") and method.name.endswith("__"):
+        return {m.name for m in cls.body if isinstance(m, ast.FunctionDef)}
+    return {method.name}
+
+
 def _loads(tree: ast.Module) -> tuple[set[str], set[str]]:
     """Bare names and attribute names the module loads, each outside the
     top-level statement that defines it, and outside the method that defines
-    it when a class body defines the name."""
+    it when a class body defines the name. Inside a class's dunder methods
+    the names of all its methods count as its own, so a member read only by
+    its class's __str__ or __eq__ has no reader."""
     names, attributes = set(), set()
 
     def visit(node: ast.AST, own: set[str]) -> None:
@@ -110,7 +120,7 @@ def _loads(tree: ast.Module) -> tuple[set[str], set[str]]:
             attributes.add(node.attr)
         for child in ast.iter_child_nodes(node):
             method = isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
-            visit(child, own | {child.name} if method else own)
+            visit(child, own | _method_own(node, child) if method else own)
 
     for statement in tree.body:
         visit(statement, _defined_names(statement))
@@ -158,8 +168,9 @@ def test_every_public_name_has_a_caller():
 
 def test_every_public_member_has_a_reader():
     # A method or property counts as read where the package or the benchmark
-    # loads an attribute of its name outside the member's own definition.
-    # Dunders and private names are exempt.
+    # loads an attribute of its name outside the member's own definition and
+    # outside its class's dunder methods. Dunders and private names are
+    # exempt.
     trees = _package_trees()
     members = {
         f"{module}.{cls.name}.{node.name}": node.name

@@ -236,7 +236,7 @@ def test_insufficient_word_and_bad_arguments():
     with pytest.raises(ValueError):
         eval_pq_cylinder(Word((PLUS,) * 5, (PLUS,) * 5), -1, par)
     with pytest.raises(ValueError):
-        classify_cylinder(Word((PLUS,) * 5, (PLUS,) * 5), -1, 2, par)
+        classify_cylinder(Word((PLUS,) * 5, (PLUS,) * 5), -1, par)
     with pytest.raises(ValueError):
         entropy_rows(Params(1.7, 0.2), 6, -1)
 
@@ -305,23 +305,25 @@ def test_enclosures_contain_periodic_word_oracle():
 
 def test_classify_all_admissible_at_2_0():
     # Nothing is pruned for the full horseshoe: q never certifiably exceeds 1.
+    # This holds at the dot; test_counting_full_shift_exact covers every
+    # placement.
     rng = random.Random(99)
     par = Params(2.0, 0.0)
     for _ in range(60):
         w = _random_word(rng, 6, 6)
-        assert classify_cylinder(w, 5, 3, par) is Verdict.CERTIFIED_ADMISSIBLE_WINDOW
+        assert classify_cylinder(w, 5, par) is Verdict.CERTIFIED_ADMISSIBLE
 
 
 def test_classify_pruned_special_head_below_a2():
     w = Word((PLUS, PLUS), special_head(8))
-    assert classify_cylinder(w, 7, 0, Params(1.95, 0.0)) is Verdict.CERTIFIED_PRUNED
-    assert classify_cylinder(w, 7, 0, Params(2.0, 0.0)) is not Verdict.CERTIFIED_PRUNED
+    assert classify_cylinder(w, 7, Params(1.95, 0.0)) is Verdict.CERTIFIED_PRUNED
+    assert classify_cylinder(w, 7, Params(2.0, 0.0)) is not Verdict.CERTIFIED_PRUNED
 
 
 def test_classify_unknown_when_enclosure_straddles():
     # A one-symbol head at depth 0 leaves the whole series tail open.
     w = Word((), (PLUS,))
-    assert classify_cylinder(w, 0, 0, Params(1.95, 0.0)) is Verdict.UNKNOWN
+    assert classify_cylinder(w, 0, Params(1.95, 0.0)) is Verdict.UNKNOWN
 
 
 def test_raster_full_shift_all_admissible():
@@ -394,11 +396,11 @@ def test_raster_matches_scalar_classifier():
     code = {
         Verdict.CERTIFIED_PRUNED: PGM_PRUNED,
         Verdict.UNKNOWN: PGM_UNKNOWN,
-        Verdict.CERTIFIED_ADMISSIBLE_WINDOW: PGM_ADMISSIBLE,
+        Verdict.CERTIFIED_ADMISSIBLE: PGM_ADMISSIBLE,
     }
     for i, tail in enumerate(tails(length, PLUS)):
         for j, head in enumerate(heads(length)):
-            v = classify_cylinder(Word(tail, head), depth, 0, par)
+            v = classify_cylinder(Word(tail, head), depth, par)
             assert r.cells[i, j] == code[v]
 
 
@@ -790,18 +792,6 @@ def test_levels_on_a_parameter_grid_raise_where_one_point_raises():
         assert raises(a, b) == want, chosen
 
 
-@pytest.mark.parametrize("a, b", [(1.7, 0.5), (1.5, -0.3), (2.1, 0.05)])
-def test_pruned_verdict_reads_no_shift_window(a, b):
-    # CertifiedPruned comes from the unshifted enclosure alone, so a window
-    # of 0 counts the same pruned words as a window of 3 (criterion 11).
-    par = Params(a, b)
-    rng = random.Random(f"window {a},{b}")
-    for _ in range(3000):
-        w = _random_word(rng, 6, 6)
-        pruned = classify_cylinder(w, 5, 0, par) is Verdict.CERTIFIED_PRUNED
-        assert pruned == (classify_cylinder(w, 5, 3, par) is Verdict.CERTIFIED_PRUNED), w
-
-
 def test_raster_budget_gate():
     with pytest.raises(BudgetExceeded):
         pruned_region_raster(Params(2.0, 0.0), 12, 4)
@@ -1164,9 +1154,9 @@ def test_pruned_verdict_stable_under_word_extension():
     assert len(idx) > 0
     i, j = (int(v) for v in idx[0])
     w = Word(tails(10, PLUS)[i], heads(10)[j])
-    assert classify_cylinder(w, 9, 0, par) is Verdict.CERTIFIED_PRUNED
+    assert classify_cylinder(w, 9, par) is Verdict.CERTIFIED_PRUNED
     ext = Word((PLUS,) * 4 + w.tail, w.head + (PLUS,) * 3)
-    assert classify_cylinder(ext, 12, 0, par) is Verdict.CERTIFIED_PRUNED
+    assert classify_cylinder(ext, 12, par) is Verdict.CERTIFIED_PRUNED
 
 
 def _lozi_step(a: float, b: float, x: float, y: float) -> tuple[float, float]:
@@ -1204,7 +1194,7 @@ def test_orbit_itineraries_never_certified_pruned():
         for _ in range(60):
             i = rng.randrange(0, len(itin) - 16)
             w = Word(tuple(itin[i : i + 8]), tuple(itin[i + 8 : i + 16]))
-            assert classify_cylinder(w, 7, 2, par) is not Verdict.CERTIFIED_PRUNED
+            assert classify_cylinder(w, 7, par) is not Verdict.CERTIFIED_PRUNED
 
 
 def test_counting_single_symbol_upper():

@@ -1,4 +1,4 @@
-"""Orders, coordinates and re-dotting of two-sided words.
+"""Orders and coordinates of two-sided words.
 
 The order oracles in ``symbolic_reference`` are the comparator definitions
 themselves, checked exhaustively; ``coordinate_symbols`` is held to them.
@@ -9,7 +9,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from lozi_pruning.symbolic import MINUS, PLUS, Word, redot
+from lozi_pruning.symbolic import MINUS, PLUS, Word
 from symbolic_reference import (
     compare_heads,
     compare_tails,
@@ -105,35 +105,6 @@ def test_coordinates_land_in_unit_interval():
     for h in _all_blocks(5):
         assert 0.0 <= head_coordinate(h) < 1.0
         assert 0.0 <= tail_coordinate(h) < 1.0
-
-
-def test_word_string_round_trip():
-    w = Word((PLUS, MINUS), (PLUS, MINUS, MINUS))
-    assert w.to_string() == "+-.+--"
-
-
-def test_shift_moves_one_symbol_and_is_a_bijection():
-    w = Word((MINUS,), (PLUS, MINUS, PLUS))
-    assert redot(w, 1) == Word((MINUS, PLUS), (MINUS, PLUS))
-
-    images = {redot(Word(t, h), 1) for t in _all_blocks(2) for h in _all_blocks(3)}
-    expected = {Word(t, h) for t in _all_blocks(3) for h in _all_blocks(2)}
-    assert images == expected
-
-    with pytest.raises(ValueError):
-        redot(Word((PLUS,), ()), 1)
-
-
-def test_redot_matches_iterated_shift_and_inverts():
-    w = Word((MINUS, PLUS), (PLUS, MINUS, MINUS))
-    assert redot(w, 0) == w
-    assert redot(w, 2) == redot(redot(w, 1), 1)
-    assert redot(redot(w, 2), -2) == w
-    assert redot(w, -2) == Word((), (MINUS, PLUS, PLUS, MINUS, MINUS))
-    with pytest.raises(ValueError):
-        redot(w, -3)
-    with pytest.raises(ValueError):
-        redot(w, 4)
 
 
 def test_word_rejects_bad_symbols():
