@@ -47,11 +47,9 @@ from .pruning import (
     PGM_UNKNOWN,
     Params,
     Raster,
-    Verdict,
-    classify_cylinder,
+    classify_words,
     closed_form_q,
     eval_p,
-    eval_pq_cylinder,
     eval_q,
     pruned_region_raster,
     special_head,

@@ -1,11 +1,11 @@
-"""Pruning pair (p, q) with certified truncation bounds, cylinder verdicts,
-pruned-region rasters, and entropy brackets.
+"""Pruning pair (p, q) as validated enclosures, word and raster verdicts,
+and entropy brackets.
 
 One interval engine does every evaluation.  ``_levels`` sweeps the
 continued-fraction level map x <- 1/(+-a e + b x); ``_p_series`` and
-``_q_series`` sum the tail and head series from those levels.  The same three
-functions take float endpoints for one word (the scalar evaluators and
-``classify_cylinder``), float64 arrays for a batch of rows (the raster), or
+``_q_series`` sum the tail and head series from those levels.  Their
+endpoints are float64 arrays, over a batch of words (``eval_p``, ``eval_q``,
+``classify_words`` and the raster; one word is a batch of one) or over
 broadcastable per-axis arrays, one length-2 axis per symbol position (the
 block masks, so each level and series is computed once per distinct prefix
 or suffix).  A straddling denominator raises, so every level, and every p
@@ -16,11 +16,10 @@ and symmetric in sign, min and max of that pair are bit for bit those of the
 four endpoint products.  Each level is split into its (near, far) pair once
 (``_near_far``), and each p factor pair (-b near, -b far) formed once
 (``_p_factors``), before any series reads it, so the entropy sweep hands the
-same pair to every series that reads a level.  On arrays a series updates its
-near, far, lo and hi in place, with one scratch buffer for min and max, so
-no term after the first allocates an array.  Only the split, min/max and the
-straddle test depend on the endpoint type.  Every enclosure is a ``(lo, hi)``
-pair, which the scalar evaluators return as it is.  A raster sums each side's
+same pair to every series that reads a level.  A series updates its near,
+far, lo and hi in place, with one scratch buffer for min and max, so no term
+after the first allocates an array.  Every enclosure is a ``(lo, hi)`` pair,
+which ``eval_p`` and ``eval_q`` return as it is.  A raster sums each side's
 series once per row or column and classifies its cells by integer rank
 compares against the sorted q endpoints, one block of rows at a time, so no
 cell-sized float or mask array is ever built; the same rank split gives each
@@ -31,9 +30,10 @@ length serves every block length of an entropy run.  The block masks compare
 a placement with a short suffix in a suffix-major layout, so that numpy's
 inner loop runs over many prefixes, not a few suffixes.  All three also take
 a grid of float64 arrays a and b: ``_levels`` then orders each denominator's
-ends per point, and ``_p_series`` bounds its remainder per point.  The
-entropy sweep takes a batch of points on one leading axis, as many per sweep
-as keep points x 2^n_max within ``_BLOCK_LIMIT``.
+ends per point, and ``_p_series`` bounds its remainder per point: the
+engine's only two branches on the type of ``Params``.  The entropy sweep
+takes a batch of points on one leading axis, as many per sweep as keep
+points x 2^n_max within ``_BLOCK_LIMIT``.
 
 The innermost, unknown continuation of a finite word enters as the a-priori
 interval [-1/(a-|b|), 1/(a-|b|)], which the level map keeps invariant
@@ -50,13 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 
 import numpy as np
 
 from .errors import BudgetExceeded, InsufficientWord, NotHyperbolic
-from .symbolic import MINUS, PLUS, Word, coordinate_symbols
+from .symbolic import MINUS, PLUS, coordinate_symbols, symbol_axes
 
 # Absolute dust an enclosure may miss by: the rounding gap above.
 ULP_SLACK = 5e-13
@@ -71,8 +70,12 @@ class Params:
 
     @property
     def hyperbolic(self) -> bool:
-        """a > 1 + |b| with a and b finite: an infinite a describes no map."""
-        return math.isfinite(self.a) and math.isfinite(self.b) and self.a > 1.0 + abs(self.b)
+        """a > 1 + |b| with a and b finite, at every point when they are
+        arrays: an infinite a describes no map."""
+        a, b = self.a, self.b
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return bool(np.all(np.isfinite(a) & np.isfinite(b) & (a > 1.0 + np.abs(b))))
+        return math.isfinite(a) and math.isfinite(b) and a > 1.0 + abs(b)
 
     def require_hyperbolic(self) -> None:
         if not self.hyperbolic:
@@ -92,12 +95,6 @@ def _require_series(params: Params, depth: int) -> None:
     _require_depth(depth)
 
 
-class Verdict(Enum):
-    CERTIFIED_PRUNED = "CertifiedPruned"
-    CERTIFIED_ADMISSIBLE = "CertifiedAdmissible"
-    UNKNOWN = "Unknown"
-
-
 def special_head(n: int) -> tuple[int, ...]:
     """The head (+1, -1, -1, ...) maximizing q at (2, 0); closed form known."""
     if n <= 0:
@@ -109,10 +106,7 @@ def special_head(n: int) -> tuple[int, ...]:
 # interval engine
 
 def _near_far(levels) -> list:
-    """Each one-signed level's endpoints by magnitude, (near, far), per cell
-    for arrays."""
-    if not (levels and isinstance(levels[0][0], np.ndarray)):
-        return [lv if lv[0] > 0.0 else lv[::-1] for lv in levels]
+    """Each one-signed level's endpoints by magnitude, (near, far), per cell."""
     pairs = []
     for lo, hi in levels:
         positive = lo > 0.0
@@ -127,14 +121,11 @@ def _p_factors(s_levels, params: Params) -> list:
 
 
 def _extremes(pairs):
-    """min and max for the endpoint type of a series' (near, far) pairs: the
-    builtins for floats, and for arrays np.minimum and np.maximum into one
-    scratch buffer shaped like the first, widest pair, which each sum reads
-    before the next extreme overwrites it."""
-    if pairs and isinstance(pairs[0][0], np.ndarray):
-        scratch = np.empty_like(pairs[0][0])
-        return partial(np.minimum, out=scratch), partial(np.maximum, out=scratch)
-    return min, max
+    """np.minimum and np.maximum into one scratch buffer shaped like the
+    first, widest pair of a series, which each sum reads before the next
+    extreme overwrites it."""
+    scratch = np.empty_like(pairs[0][0] if pairs else 0.0)
+    return partial(np.minimum, out=scratch), partial(np.maximum, out=scratch)
 
 
 def _levels(shifts, params: Params) -> list:
@@ -158,11 +149,7 @@ def _levels(shifts, params: Params) -> list:
             den_lo, den_hi = np.minimum(*ends), np.maximum(*ends)
         else:
             den_lo, den_hi = ends if b >= 0 else ends[::-1]
-        if isinstance(den_lo, np.ndarray):
-            straddles = not np.all((den_lo > 0.0) | (den_hi < 0.0))
-        else:
-            straddles = den_lo <= 0.0 <= den_hi
-        if straddles:
+        if not np.logical_or(den_lo > 0.0, den_hi < 0.0).all():
             raise ArithmeticError("continued-fraction denominator straddles zero")
         lo, hi = 1.0 / den_hi, 1.0 / den_lo
         out.append((lo, hi))
@@ -175,11 +162,10 @@ def _p_series(factors, params: Params):
 
     Term k is the product of the factors (-b s_{-j}), j = 2..k+1, each of
     one sign or 0, so with monotone rounding (near, far) carries it exactly.
-    Arrays update near, far, lo and hi in place after the first term, so the
-    first factor pair must be the widest.  Every untaken term extends the
-    product by factors of magnitude <= |b|/(a-|b|), so the remainder is
-    geometric from it (infinite when the ratio reaches 1, per point for a
-    grid).
+    near, far, lo and hi update in place after the first term, so the first
+    factor pair must be the widest.  Every untaken term extends the product
+    by factors of magnitude <= |b|/(a-|b|), so the remainder is geometric
+    from it (infinite when the ratio reaches 1, per point for a grid).
     """
     lowest, highest = _extremes(factors)
     b = params.b
@@ -206,9 +192,9 @@ def _q_series(r_pairs, params: Params):
     of its taken terms.
 
     Term n is (-1)^n r_0 ... r_n, each r of one sign, so with monotone
-    rounding (near, far) carries the product exactly; arrays update in place
-    as in _p_series.  The majorant (a-|b|)^-(n+1) sums geometrically when
-    hyperbolic, so the remainder is at most the last product over
+    rounding (near, far) carries the product exactly; the sums update in
+    place as in _p_series.  The majorant (a-|b|)^-(n+1) sums geometrically
+    when hyperbolic, so the remainder is at most the last product over
     (a-|b|-1), finite with no terms taken.
     """
     lowest, highest = _extremes(r_pairs)
@@ -229,48 +215,60 @@ def _q_series(r_pairs, params: Params):
     return lo, hi
 
 
-def _p_enclosure(tail_outward, depth: int, params: Params):
-    """Enclosure of p over all extensions of a tail, series depth capped by
-    the symbols held.  tail_outward[k] is the symbol at index -(k+1): an int
-    for one word, or row k of a transposed symbol matrix for a batch."""
-    m = len(tail_outward)
+def _p_enclosure(tails, depth: int, params: Params):
+    """Enclosure of p over all extensions of each tail, series depth capped
+    by the symbols held; tails by position, as in eval_p."""
+    m = len(tails)
     d = max(0, min(depth, m - 1))
-    levels = _levels([-params.a * tail_outward[k] for k in range(m - 1, 0, -1)], params)
+    levels = _levels([-params.a * tails[k] for k in range(m - 1, 0, -1)], params)
     return _p_series(_p_factors(levels[::-1][:d], params), params)
 
 
-def _q_enclosure(head, depth: int, params: Params):
-    """Enclosure of q over all extensions of a head, series depth capped by
-    the symbols held.  head[k] is the symbol at index k, as in _p_enclosure."""
-    n = len(head)
+def _q_enclosure(heads, depth: int, params: Params):
+    """Enclosure of q over all extensions of each head, series depth capped
+    by the symbols held; heads by position, as in eval_q."""
+    n = len(heads)
     d = min(depth, n - 1)
-    levels = _levels([params.a * head[k] for k in range(n - 1, -1, -1)], params)
+    levels = _levels([params.a * heads[k] for k in range(n - 1, -1, -1)], params)
     return _q_series(_near_far(levels[::-1][: d + 1]), params)
 
 
-def eval_p(w: Word, depth: int, params: Params) -> tuple[float, float]:
-    """Enclosure (lo, hi) of the tail pruning value p(w)(a, b).
+def _require_symbols(*sides) -> None:
+    """The input rule of words given by position: every symbol +1 or -1,
+    checked before any level is built."""
+    for side in sides:
+        if not all(np.logical_or(s == PLUS, s == MINUS).all() for s in side):
+            raise ValueError("every symbol must be +1 or -1")
 
-    Series terms k = 1..depth use s_{-2}..s_{-(depth+1)}; the word must hold
-    at least depth+2 tail symbols so even the deepest term sees one refined
-    continued-fraction level.
+
+def eval_p(tails, depth: int, params: Params):
+    """Enclosures (lo, hi) of the tail pruning value p(a, b), one per tail.
+
+    tails[k] holds the symbol at index -(k+1) of every tail: row k of a
+    matrix with one tail per column, or of symbolic.symbol_axes(m) for all
+    2^m tails.  Series terms k = 1..depth use s_{-2}..s_{-(depth+1)}, so a
+    tail must hold at least depth+2 symbols and even the deepest term sees
+    one refined level.  At depth 0 the ends are one interval for all tails.
     """
+    _require_symbols(tails)
     _require_series(params, depth)
-    if w.tail_len < depth + 2:
-        raise InsufficientWord(f"tail length {w.tail_len} < depth + 2 = {depth + 2}")
-    return _p_enclosure(w.tail[::-1], depth, params)
+    if len(tails) < depth + 2:
+        raise InsufficientWord(f"tail length {len(tails)} < depth + 2 = {depth + 2}")
+    return _p_enclosure(tails, depth, params)
 
 
-def eval_q(w: Word, depth: int, params: Params) -> tuple[float, float]:
-    """Enclosure (lo, hi) of the head pruning value q(w)(a, b).
+def eval_q(heads, depth: int, params: Params):
+    """Enclosures (lo, hi) of the head pruning value q(a, b), one per head.
 
-    Series terms n = 0..depth use r_0..r_depth, so the head must hold at
-    least depth+1 symbols.
+    heads[k] holds the symbol at index k of every head, as in eval_p.  Terms
+    n = 0..depth use r_0..r_depth, so a head must hold at least depth+1
+    symbols.  a and b may be arrays of points that broadcast with the heads.
     """
+    _require_symbols(heads)
     _require_series(params, depth)
-    if w.head_len < depth + 1:
-        raise InsufficientWord(f"head length {w.head_len} < depth + 1 = {depth + 1}")
-    return _q_enclosure(w.head, depth, params)
+    if len(heads) < depth + 1:
+        raise InsufficientWord(f"head length {len(heads)} < depth + 1 = {depth + 1}")
+    return _q_enclosure(heads, depth, params)
 
 
 def closed_form_q(params: Params) -> float:
@@ -289,32 +287,6 @@ def closed_form_q(params: Params) -> float:
     return b / ((a + x) * (b + x))
 
 
-def eval_pq_cylinder(w: Word, depth: int, params: Params) -> tuple[float, float]:
-    """Enclosure of (p - q) over every bi-infinite extension of w.
-
-    Series depths are capped by the symbols the word actually holds; short or
-    empty sides simply widen the enclosure, they never raise.
-    """
-    _require_series(params, depth)
-    plo, phi = _p_enclosure(w.tail[::-1], depth, params)
-    qlo, qhi = _q_enclosure(w.head, depth, params)
-    return (plo - qhi, phi - qlo)
-
-
-def classify_cylinder(w: Word, depth: int, params: Params) -> Verdict:
-    """Classify the cylinder of w by the enclosure of (p - q) at its dot.
-
-    CertifiedPruned: the enclosure is entirely negative, so every extension
-    of w lies in the pruned region.  CertifiedAdmissible: it is entirely
-    non-negative.  Anything else is Unknown.  A raster cell applies the same
-    rule to the same word.
-    """
-    lo, hi = eval_pq_cylinder(w, depth, params)
-    if hi < 0.0:
-        return Verdict.CERTIFIED_PRUNED
-    return Verdict.CERTIFIED_ADMISSIBLE if lo >= 0.0 else Verdict.UNKNOWN
-
-
 # ---------------------------------------------------------------------------
 # rasters and block counts
 
@@ -322,6 +294,32 @@ def classify_cylinder(w: Word, depth: int, params: Params) -> Verdict:
 PGM_PRUNED = 0
 PGM_UNKNOWN = 128
 PGM_ADMISSIBLE = 255
+
+
+def classify_words(tails, heads, depth: int, params: Params) -> np.ndarray:
+    """The PGM code of each word's cylinder, by the enclosure of (p - q) at
+    its dot: pruned where phi < qlo, so every extension of the word lies in
+    the pruned region; admissible where plo >= qhi; unknown otherwise.
+
+    Row i of tails and of heads is word i: its tail read outward from the
+    dot, column k the symbol at index -(k+1), and its head, column k the
+    symbol at index k.  Series depths are capped by the symbols a side
+    holds, so a short or empty side widens the enclosure and never raises.
+    A raster cell applies the same rule to the same word.
+    """
+    tails, heads = np.asarray(tails), np.asarray(heads)
+    if tails.ndim != 2 or heads.ndim != 2 or len(tails) != len(heads):
+        raise ValueError(f"tails {tails.shape} and heads {heads.shape}: need one word per row")
+    _require_symbols(tails.T, heads.T)
+    _require_series(params, depth)
+    # With no series term a side is one interval for every word.
+    plo, phi = (np.broadcast_to(v, len(tails)) for v in _p_enclosure(tails.T, depth, params))
+    qlo, qhi = (np.broadcast_to(v, len(heads)) for v in _q_enclosure(heads.T, depth, params))
+    codes = np.full(len(tails), PGM_UNKNOWN, dtype=np.uint8)
+    codes[phi < qlo] = PGM_PRUNED
+    codes[plo >= qhi] = PGM_ADMISSIBLE
+    return codes
+
 
 _CELL_LIMIT = 1 << 22  # largest raster: 4^11 cells
 _BLOCK_LIMIT = 1 << 20  # largest block count: n_max = 20 traces 80.0 MiB at (1.7, 0.2), depth 12
@@ -442,17 +440,11 @@ def _require_blocks(n: int) -> None:
         raise BudgetExceeded(f"2^{n} blocks of length {n} exceed the limit {_BLOCK_LIMIT}")
 
 
-def _symbol_axes(n: int) -> list[np.ndarray]:
-    """The symbols of n positions, each on its own numpy axis of length 2:
-    entry j holds [+1, -1] with shape (1,)*j + (2,) + (1,)*(n-1-j)."""
-    return [np.array([1.0, -1.0]).reshape((1,) * j + (2,) + (1,) * (n - 1 - j)) for j in range(n)]
-
-
 def _enclosure_sweep(params: Params, n_max: int, depth: int):
     """p enclosures of every prefix and q enclosures of every suffix of the
     symbol blocks of length n_max, as (p, q).
 
-    The blocks live on the last n_max numpy axes, of length 2 (_symbol_axes):
+    The blocks live on the last n_max numpy axes, of length 2 (symbol_axes):
     axis j holds the symbol at position j, index 0 for +1 and index 1 for -1.
     p[k] encloses p for the dot at k, which reads the prefix of length k; it
     spans only the first k - 1 axes (s_{-1} takes no series term).  q[L]
@@ -467,7 +459,7 @@ def _enclosure_sweep(params: Params, n_max: int, depth: int):
     if isinstance(params.a, np.ndarray):
         params = Params(*(v.reshape(v.shape + (1,) * n_max) for v in (params.a, params.b)))
     a = params.a
-    cols = _symbol_axes(n_max)
+    cols = symbol_axes(n_max)
     # Each level is split into (near, far) once, and each p factor formed
     # once, for every series that reads it.  Each series reads its widest
     # level first (r[j], then y[k - 2]), so the in-place products and sums
@@ -593,9 +585,8 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
     _BLOCK_LIMIT / 2^n_max points.
     """
     _require_blocks(n_max)
+    _require_series(params, depth)
     points = list(zip(np.atleast_1d(params.a).tolist(), np.atleast_1d(params.b).tolist()))
-    for a, b in points:
-        _require_series(Params(a, b), depth)
     chunk = _BLOCK_LIMIT >> n_max
     rows = []
     for start in range(0, len(points), chunk):

@@ -1,4 +1,5 @@
-"""Two-sided symbol words and the symbol tables of their coordinate orders.
+"""Two-sided symbol words and the symbol tables of their coordinate orders
+and of every block on broadcast axes.
 
 A bi-infinite itinerary splits at the dot into a tail (symbols at negative
 indices, read leftward from the dot) and a head (symbols at non-negative
@@ -44,10 +45,6 @@ class Word:
     def tail_len(self) -> int:
         return len(self.tail)
 
-    @property
-    def head_len(self) -> int:
-        return len(self.head)
-
 
 def coordinate_symbols(n: int, counted: int) -> np.ndarray:
     """Symbols (int8 +-1) of all 2^n one-sided words of length n, in
@@ -71,3 +68,11 @@ def coordinate_symbols(n: int, counted: int) -> np.ndarray:
         sym[:, k] = 2 * bit - 1
         parity ^= bit == counted_bit
     return sym
+
+
+def symbol_axes(n: int) -> list[np.ndarray]:
+    """The symbols of n positions, each on its own numpy axis of length 2:
+    entry j holds [+1, -1] with shape (1,)*j + (2,) + (1,)*(n-1-j).  They
+    broadcast to all 2^n words of length n, so whatever reads only some
+    positions is computed once per distinct value of those, not per word."""
+    return [np.array([1.0, -1.0]).reshape((1,) * j + (2,) + (1,) * (n - 1 - j)) for j in range(n)]

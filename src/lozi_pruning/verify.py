@@ -52,10 +52,10 @@ from .geometry import _axis_crossing_of_unstable_line, _signed_dist_to_convex
 from .geometry import _require_arc_budget, _require_resolution
 from .pruning import (
     ENTROPY_HEADER,
+    PGM_PRUNED,
     ULP_SLACK,
     Params,
-    Verdict,
-    classify_cylinder,
+    classify_words,
     closed_form_q,
     entropy_rows,
     eval_p,
@@ -63,9 +63,8 @@ from .pruning import (
     pruned_region_raster,
     special_head,
 )
-from .pruning import _p_enclosure, _q_enclosure, _symbol_axes
 from .pruning import _require_blocks, _require_depth, _require_word_len
-from .symbolic import Word
+from .symbolic import symbol_axes
 from .tent import (
     check_identity_shifted,
     check_identity_sum,
@@ -117,7 +116,7 @@ def check_closed_form_series(config) -> tuple[bool, str]:
     """The closed form lies inside the series enclosure."""
     b = -0.9 + np.arange(50)[:, None] * (1.8 / 49)
     a = 1.0 + np.abs(b) + 0.02 + np.arange(50) * (1.3 / 49)
-    lo, hi = _q_enclosure(special_head(60), 40, Params(a, b))
+    lo, hi = eval_q(np.transpose([special_head(60)]), 40, Params(a, b))
     closed = np.vectorize(lambda x, y: closed_form_q(Params(float(x), float(y))))(a, b)
     worst = float(max(np.max(lo - closed), np.max(closed - hi)))
     return (
@@ -130,7 +129,7 @@ def check_head_maximum(config) -> tuple[bool, str]:
     """At full slope the alternating head attains 1; others stay below."""
     params = Params(2.0, 0.0)
     sp = special_head(60)
-    max_lo, max_hi = eval_q(Word((), sp), 59, params)
+    (max_lo,), (max_hi,) = eval_q(np.transpose([sp]), 59, params)
     at_max = 0.5 * (max_lo + max_hi)
     rng = random.Random(config.seed + 7)
     heads = []
@@ -138,7 +137,7 @@ def check_head_maximum(config) -> tuple[bool, str]:
         head = (1,) + tuple(rng.choice((1, -1)) for _ in range(39))
         if head != sp[:40]:
             heads.append(head)
-    worst_other = float(np.max(_q_enclosure(np.array(heads).T, 39, params)[1]))
+    worst_other = float(np.max(eval_q(np.array(heads).T, 39, params)[1]))
     passed = abs(at_max - 1.0) <= 1e-10 and worst_other < 1.0
     return (
         passed,
@@ -169,18 +168,16 @@ def check_full_slope_raster(config) -> tuple[bool, str]:
 
 def check_derivative_anchors(config) -> tuple[bool, str]:
     """Finite differences land on the closed-form derivative values."""
-    gaps = []
-    for eps in (1, -1):
-        tail = (1, -1) * 6 + (1, eps, 1)
-        w = Word(tail, special_head(40))
-        fd = fd_derivative(partial(eval_p, w, 13), Params(2.0, 0.0), (0.0, 1.0), _FD_H)
-        gaps.append(abs(fd - 0.5 * eps))
-    q_enclosure = partial(eval_q, Word((), special_head(40)), 39)
+    eps = np.array([1, -1])
+    # Two tails read outward from the dot, one per column, eps at index -2.
+    tails = np.array([(1, e, 1) + (-1, 1) * 6 for e in eps.tolist()]).T
+    fd = fd_derivative(partial(eval_p, tails, 13), Params(2.0, 0.0), (0.0, 1.0), _FD_H)
+    q_enclosure = partial(eval_q, np.transpose([special_head(40)]), 39)
     fd_q = fd_derivative(q_enclosure, Params(2.0, 0.0), (0.0, 1.0), _FD_H)
-    gaps.append(abs(fd_q))
+    worst = float(np.max(np.abs(np.append(fd - 0.5 * eps, fd_q))))
     closed_gap = abs(dq_db_at_b0(1.5) - (-8.0 / 9.0))
-    passed = max(gaps) <= 1e-4 and closed_gap <= 1e-10
-    return passed, f"worst fd gap {max(gaps):.3e}, closed-form gap at 1.5 = {closed_gap:.3e}"
+    passed = worst <= 1e-4 and closed_gap <= 1e-10
+    return passed, f"worst fd gap {worst:.3e}, closed-form gap at 1.5 = {closed_gap:.3e}"
 
 
 def check_bound_lemmas(config) -> tuple[bool, str]:
@@ -189,20 +186,21 @@ def check_bound_lemmas(config) -> tuple[bool, str]:
     full = a_derivative_bounds(2.0)
     if not (full.lo == 0.75 and full.hi == 1.0):
         return False, "full-slope interval moved"
-    for a in _BOUND_SLOPES:
-        hw = Word((), kneading(a, 14).symbols)
-        # the tail series is identically 1 at b = 0, so the slope derivative
-        # of the difference is the same number for every tail
-        q_enclosure = partial(eval_q, hw, 13)
-        fd_a = -fd_derivative(q_enclosure, Params(a, 0.0), (1.0, 0.0), _FD_H)
+    # the kneading head of each slope, one per column, at its own slope; the
+    # tail series is identically 1 at b = 0, so the slope derivative of the
+    # difference is the same number for every tail
+    heads = np.transpose([kneading(a, 14).symbols for a in _BOUND_SLOPES])
+    slopes = Params(np.array(_BOUND_SLOPES), 0.0)
+    q_enclosure = partial(eval_q, heads, 13)
+    fd_a = -fd_derivative(q_enclosure, slopes, (1.0, 0.0), _FD_H)
+    fd_q_b = fd_derivative(q_enclosure, slopes, (0.0, 1.0), _FD_H)
+    # the tails on 14 symbol axes, axis k the symbol at index -(k+1): p is
+    # summed once per distinct tail, and axis 1 holds eps2
+    p_enclosure = partial(eval_p, symbol_axes(14), 12)
+    for i, a in enumerate(_BOUND_SLOPES):
         da = a_derivative_bounds(a)
-        worst_excess = max(worst_excess, da.lo - fd_a, fd_a - da.hi)
-
-        fd_q_b = fd_derivative(q_enclosure, Params(a, 0.0), (0.0, 1.0), _FD_H)
-        # the tails on 14 symbol axes, axis k the symbol at index -(k+1): p
-        # is summed once per distinct tail, and axis 1 holds eps2
-        p_enclosure = partial(_p_enclosure, _symbol_axes(14), 12)
-        fd_b = fd_derivative(p_enclosure, Params(a, 0.0), (0.0, 1.0), _FD_H) - fd_q_b
+        worst_excess = max(worst_excess, da.lo - fd_a[i], fd_a[i] - da.hi)
+        fd_b = fd_derivative(p_enclosure, Params(a, 0.0), (0.0, 1.0), _FD_H) - fd_q_b[i]
         for e in (1, -1):
             db = b_derivative_bounds(a, e)
             sel = fd_b[:, 0 if e == 1 else 1]
@@ -379,13 +377,12 @@ def check_orbit_window_consistency(config) -> tuple[bool, str]:
     windows = Counter()
     for _ in range(1000):
         t = rng.randrange(half, len(symbols) - half)
-        windows[Word(tuple(symbols[t - half : t]), tuple(symbols[t : t + half]))] += 1
-    # About 400 of the 1000 windows are distinct; each word is classified once.
-    pruned = sum(
-        count
-        for w, count in windows.items()
-        if classify_cylinder(w, 5, params) is Verdict.CERTIFIED_PRUNED
-    )
+        windows[tuple(symbols[t - half : t + half])] += 1
+    # About 400 of the 1000 windows are distinct; one call classifies each
+    # once, its tail read outward from the dot.
+    blocks = np.array(list(windows), dtype=np.int8)
+    codes = classify_words(blocks[:, half - 1 :: -1], blocks[:, half:], 5, params)
+    pruned = sum(count for count, code in zip(windows.values(), codes) if code == PGM_PRUNED)
     return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
 
 

@@ -32,14 +32,13 @@ from lozi_pruning.pruning import (
     PGM_PRUNED,
     PGM_UNKNOWN,
     Params,
-    _p_enclosure,
-    _symbol_axes,
     closed_form_q,
+    eval_p,
     eval_q,
     pruned_region_raster,
     special_head,
 )
-from lozi_pruning.symbolic import MINUS, Word, coordinate_symbols
+from lozi_pruning.symbolic import MINUS, coordinate_symbols, symbol_axes
 
 
 def read_csv_rows(path):
@@ -763,18 +762,20 @@ def test_verify_report_regression_pin(tmp_path):
 
 
 def _closed_form_worst_per_point():
-    """Criterion 1's worst excess as 2,500 scalar eval_q calls find it."""
-    w = Word((), special_head(60))
-    worst = -math.inf
+    """Criterion 1's worst excess over its 2,500 points built one by one in
+    floats, with one eval_q call on the flat list of points."""
+    points = []
     for i in range(50):
         b = -0.9 + i * (1.8 / 49)
         for j in range(50):
-            a = 1.0 + abs(b) + 0.02 + j * (1.3 / 49)
-            params = Params(a, b)
-            lo, hi = eval_q(w, 40, params)
-            closed = closed_form_q(params)
-            worst = max(worst, lo - closed, closed - hi)
-    return worst
+            points.append((1.0 + abs(b) + 0.02 + j * (1.3 / 49), b))
+    a, b = np.array(points).T
+    lo, hi = eval_q(np.transpose([special_head(60)]), 40, Params(a, b))
+    worst = -math.inf
+    for k, point in enumerate(points):
+        closed = closed_form_q(Params(*point))
+        worst = max(worst, lo[k] - closed, closed - hi[k])
+    return float(worst)
 
 
 def test_closed_form_series_worst_equals_the_per_point_loop(monkeypatch):
@@ -881,8 +882,8 @@ def test_bound_lemmas_broadcast_fd_equals_the_matrix_form_per_tail(a):
     sym = coordinate_symbols(14, MINUS)
     params = Params(a, 0.0)
     matrix, axes = (
-        fd_derivative(functools.partial(_p_enclosure, tails, 12), params, (0.0, 1.0), verify._FD_H)
-        for tails in (sym.T, _symbol_axes(14))
+        fd_derivative(functools.partial(eval_p, tails, 12), params, (0.0, 1.0), verify._FD_H)
+        for tails in (sym.T, symbol_axes(14))
     )
     assert axes.shape == (1,) + (2,) * 13
     per_tail = np.broadcast_to(axes, (2,) * 14)[tuple((sym == MINUS).astype(int).T)]
@@ -924,8 +925,8 @@ def test_plane_anchors_identity_residual_equals_the_per_point_loop():
 
 
 def _orbit_window_check_per_window(config):
-    """Criterion 11 as it was written: one classify_cylinder call per window,
-    repeated windows included."""
+    """Criterion 11 as it was written, every window classified, repeated
+    windows included: one classify_words row per window."""
     params = Params(1.7, 0.5)
     pt = geometry.PlanePoint(0.1, 0.1)
     for _ in range(200):
@@ -938,11 +939,13 @@ def _orbit_window_check_per_window(config):
             return False, "orbit left the trapping box"
     rng = random.Random(config.seed + 13)
     half = 6
-    pruned = 0
+    tails, heads = [], []
     for _ in range(1000):
         t = rng.randrange(half, len(symbols) - half)
-        w = Word(tuple(symbols[t - half : t]), tuple(symbols[t : t + half]))
-        pruned += verify.classify_cylinder(w, 5, params) is pruning.Verdict.CERTIFIED_PRUNED
+        tails.append(symbols[t - half : t][::-1])
+        heads.append(symbols[t : t + half])
+    codes = verify.classify_words(np.array(tails), np.array(heads), 5, params)
+    pruned = int(np.count_nonzero(codes == PGM_PRUNED))
     return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
 
 
@@ -955,22 +958,24 @@ def test_orbit_window_check_equals_the_per_window_loop():
 
 
 def test_orbit_window_check_counts_each_window_of_a_pruned_word(monkeypatch):
-    # A stand-in verdict calls a word pruned by its first two head symbols, so
-    # repeated windows must each count once more, as in the per-window loop.
-    real = verify.classify_cylinder
+    # A stand-in classifier calls a word pruned by its first two head
+    # symbols, so repeated windows must each count once more, as in the
+    # per-window loop.
+    real = verify.classify_words
     calls = []
 
-    def some_pruned(w, depth, params):
-        calls.append(w)
-        if w.head[:2] == (1, -1):
-            return pruning.Verdict.CERTIFIED_PRUNED
-        return real(w, depth, params)
+    def some_pruned(tails, heads, depth, params):
+        calls.append(np.hstack([tails, heads]))
+        codes = real(tails, heads, depth, params)
+        codes[(heads[:, 0] == 1) & (heads[:, 1] == -1)] = PGM_PRUNED
+        return codes
 
-    monkeypatch.setattr(verify, "classify_cylinder", some_pruned)
+    monkeypatch.setattr(verify, "classify_words", some_pruned)
     for seed in (1, 2, 3, 14):
         config = RunConfig(command="verify", seed=seed)
         want = _orbit_window_check_per_window(config)
         calls.clear()
         got = verify.check_orbit_window_consistency(config)
         assert got == want and not got[0], seed
-        assert len(calls) == len(set(calls)) < 1000, seed
+        (words,) = calls
+        assert len(words) == len(np.unique(words, axis=0)) < 1000, seed

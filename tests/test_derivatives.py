@@ -21,14 +21,13 @@ from lozi_pruning import (
     dp_db_at_b0,
     dq_db_at_b0,
     eval_p,
-    eval_pq_cylinder,
     eval_q,
     fd_derivative,
     kneading,
     special_head,
 )
 from lozi_pruning.derivatives import _CONE_MARGIN, CONE_TABLE_HEADER, DerivBounds
-from lozi_pruning.pruning import _p_enclosure
+from lozi_pruning.pruning import _p_enclosure, _q_enclosure
 from lozi_pruning.symbolic import MINUS, PLUS, Word, coordinate_symbols
 
 SLOPES = (1.3, 1.5, 1.7, 2.0)
@@ -39,9 +38,25 @@ def _random_tail(rng: random.Random, m: int) -> tuple[int, ...]:
     return tuple(rng.choice((MINUS, PLUS)) for _ in range(m))
 
 
-def _pq(w: Word):
-    """The (p - q) enclosure of w at the larger full depth of its two sides."""
-    return partial(eval_pq_cylinder, w, max(w.tail_len - 2, w.head_len - 1))
+def _pq(tails, head):
+    """The (p - q) enclosures of tails, one per row read outward from the
+    dot, each with the head, at the larger full depth of the two sides, with
+    series depths capped by the symbols a side holds."""
+    tails = np.asarray(tails)
+    depth = max(tails.shape[1] - 2, len(head) - 1)
+
+    def enclosure(params):
+        plo, phi = _p_enclosure(tails.T, depth, params)
+        qlo, qhi = _q_enclosure(np.transpose([head]), depth, params)
+        return plo - qhi, phi - qlo
+
+    return enclosure
+
+
+def _tails_outward(rng: random.Random, count: int, m: int) -> np.ndarray:
+    """count random tails of m symbols, one per row read outward from the
+    dot, drawn as _random_tail draws them."""
+    return np.array([_random_tail(rng, m)[::-1] for _ in range(count)])
 
 
 # ------------------------------------------------------------ closed forms
@@ -71,11 +86,9 @@ def test_dp_db_insufficient_tail():
 def test_dp_db_matches_fd():
     rng = random.Random(21)
     for a in SLOPES:
-        for _ in range(8):
-            tail = _random_tail(rng, 16)
-            w = Word(tail, ())
-            fd = fd_derivative(partial(eval_p, w, 14), Params(a, 0.0), (0.0, 1.0), H)
-            assert fd == pytest.approx(1.0 / (a * tail[-2]), abs=1e-4)
+        tails = _tails_outward(rng, 8, 16)
+        fd = fd_derivative(partial(eval_p, tails.T, 14), Params(a, 0.0), (0.0, 1.0), H)
+        assert fd == pytest.approx(1.0 / (a * tails[:, 1]), abs=1e-4)
 
 
 def test_dq_db_values():
@@ -93,9 +106,9 @@ def test_dq_db_matches_fd_of_closed_form():
 def test_dq_db_matches_fd_of_series_on_special_head():
     # The truncated tail carries its own b-derivative, so the head must be
     # long enough to push that systematic error under the tolerance.
+    head = np.transpose([special_head(80)])
     for a in SLOPES:
-        w = Word((), special_head(80))
-        fd = fd_derivative(partial(eval_q, w, 79), Params(a, 0.0), (0.0, 1.0), H)
+        (fd,) = fd_derivative(partial(eval_q, head, 79), Params(a, 0.0), (0.0, 1.0), H)
         assert fd == pytest.approx(dq_db_at_b0(a), abs=1e-4)
 
 
@@ -171,14 +184,14 @@ def test_dq_consistent_with_lemma_q_part_at_full_slope():
 def test_fd_derivatives_within_bounds_all_tails(a):
     # Both lemmas, all 2^14 tails of length 14, head = kneading prefix.
     kap = kneading(a, 14).symbols
-    q = partial(eval_q, Word((), kap), 13)
+    q = partial(eval_q, np.transpose([kap]), 13)
     fd_q_b = fd_derivative(q, Params(a, 0.0), (0.0, 1.0), H)
-    fd_a = -fd_derivative(q, Params(a, 0.0), (1.0, 0.0), H)  # tail series is 1 at b=0
+    (fd_a,) = -fd_derivative(q, Params(a, 0.0), (1.0, 0.0), H)  # tail series is 1 at b=0
     da = a_derivative_bounds(a)
     assert da.lo - 1e-3 <= fd_a <= da.hi + 1e-3
 
     sym = coordinate_symbols(14, MINUS)
-    fd_b = fd_derivative(partial(_p_enclosure, sym.T, 12), Params(a, 0.0), (0.0, 1.0), H) - fd_q_b
+    fd_b = fd_derivative(partial(eval_p, sym.T, 12), Params(a, 0.0), (0.0, 1.0), H) - fd_q_b
     eps2 = sym[:, 1]
     for e in (1, -1):
         db = b_derivative_bounds(a, e)
@@ -189,31 +202,28 @@ def test_fd_derivatives_within_bounds_all_tails(a):
 
 
 def test_fd_derivatives_within_bounds_public_oracle():
-    # Same invariant through the scalar public FD entry point.
+    # Same invariant through the public FD entry point, on (p - q) of whole
+    # words.
     rng = random.Random(5)
     for a in SLOPES:
-        kap = kneading(a, 14).symbols
-        for _ in range(6):
-            w = Word(_random_tail(rng, 16), kap)
-            fa = fd_derivative(_pq(w), Params(a, 0.0), (1.0, 0.0), H)
-            fb = fd_derivative(_pq(w), Params(a, 0.0), (0.0, 1.0), H)
-            da, db = a_derivative_bounds(a), b_derivative_bounds(a, w.tail[-2])
-            assert da.lo - 1e-3 <= fa <= da.hi + 1e-3
-            assert db.lo - 1e-3 <= fb <= db.hi + 1e-3
+        tails = _tails_outward(rng, 6, 16)
+        pq = _pq(tails, kneading(a, 14).symbols)
+        fa = fd_derivative(pq, Params(a, 0.0), (1.0, 0.0), H)
+        fb = fd_derivative(pq, Params(a, 0.0), (0.0, 1.0), H)
+        da = a_derivative_bounds(a)
+        assert np.all((da.lo - 1e-3 <= fa) & (fa <= da.hi + 1e-3))
+        for eps2, f in zip(tails[:, 1].tolist(), fb.tolist()):
+            db = b_derivative_bounds(a, eps2)
+            assert db.lo - 1e-3 <= f <= db.hi + 1e-3
 
 
 def test_sign_structure_at_full_slope():
     rng = random.Random(11)
     a = 2.0
-    kap = kneading(a, 14).symbols
-    for _ in range(40):
-        tail = _random_tail(rng, 16)
-        w = Word(tail, kap)
-        fb = fd_derivative(_pq(w), Params(a, 0.0), (0.0, 1.0), H)
-        if tail[-2] == PLUS:
-            assert fb > 0.0
-        else:
-            assert fb < 0.0
+    tails = _tails_outward(rng, 40, 16)
+    fb = fd_derivative(_pq(tails, kneading(a, 14).symbols), Params(a, 0.0), (0.0, 1.0), H)
+    assert np.array_equal(fb > 0.0, tails[:, 1] == PLUS)
+    assert np.array_equal(fb < 0.0, tails[:, 1] == MINUS)
 
 
 # ------------------------------------------------------------------- cones
@@ -245,14 +255,12 @@ def test_cone_directional_fd_positive():
     rng = random.Random(3)
     slopes = (1.5, 1.7, 2.0)
     for a, (n1, n2) in zip(slopes, _cone_slopes(slopes)):
-        kap = kneading(a, 14).symbols
-        for _ in range(6):
-            w = Word(_random_tail(rng, 16), kap)
-            for direction in ((n1, -1.0), (n2, 1.0)):
-                norm = math.hypot(*direction)
-                unit = (direction[0] / norm, direction[1] / norm)
-                fd = fd_derivative(_pq(w), Params(a, 0.0), unit, H)
-                assert fd > 0.0
+        pq = _pq(_tails_outward(rng, 6, 16), kneading(a, 14).symbols)
+        for direction in ((n1, -1.0), (n2, 1.0)):
+            norm = math.hypot(*direction)
+            unit = (direction[0] / norm, direction[1] / norm)
+            fd = fd_derivative(pq, Params(a, 0.0), unit, H)
+            assert np.all(fd > 0.0)
 
 
 def test_cone_slopes_grow_toward_crossover():
@@ -317,22 +325,21 @@ def test_cone_table_evaluates_each_bound_once_per_slope(monkeypatch):
 def test_fd_richardson_consistency():
     # Step halving must agree at second order; Richardson beats both.
     a = 1.7
-    w = Word((), special_head(80))
+    head = np.transpose([special_head(80)])
     truth = dq_db_at_b0(a)
-    q = partial(eval_q, w, 79)
-    value, halved = (fd_derivative(q, Params(a, 0.0), (0.0, 1.0), h) for h in (1e-3, 5e-4))
+    q = partial(eval_q, head, 79)
+    ((value,), (halved,)) = (fd_derivative(q, Params(a, 0.0), (0.0, 1.0), h) for h in (1e-3, 5e-4))
     richardson = (4.0 * halved - value) / 3.0
     assert abs(value - halved) < 1e-5
     assert abs(richardson - truth) <= abs(value - truth) + 1e-12
     for b in (-1e-3, 1e-3):
-        lo, hi = eval_q(w, 79, Params(a, b))
-        assert hi - lo < 2e-12
+        lo, hi = eval_q(head, 79, Params(a, b))
+        assert np.all(hi - lo < 2e-12)
 
 
 def test_fd_not_hyperbolic():
-    w = Word((PLUS,) * 6, (PLUS,) * 6)
     with pytest.raises(NotHyperbolic):
-        fd_derivative(_pq(w), Params(1.2, 0.19), (0.0, 1.0), h=0.02)
+        fd_derivative(_pq([(PLUS,) * 6], (PLUS,) * 6), Params(1.2, 0.19), (0.0, 1.0), h=0.02)
 
 
 @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0)])
@@ -343,7 +350,7 @@ def test_fd_batch_of_tails_matches_scalar_words(direction):
     rows = random.Random(22).sample(range(len(sym)), 256)
     for a, b in ((1.7, 0.0), (1.9, 0.3), (1.6, -0.4)):
         at = Params(a, b)
-        batch = fd_derivative(partial(_p_enclosure, sym.T, 12), at, direction, H)
+        batch = fd_derivative(partial(eval_p, sym.T, 12), at, direction, H)
         for i in rows:
-            w = Word(tuple(int(s) for s in sym[i, ::-1]), ())
-            assert batch[i] == fd_derivative(partial(eval_p, w, 12), at, direction, H)
+            alone = fd_derivative(partial(eval_p, sym[i : i + 1].T, 12), at, direction, H)
+            assert batch[i : i + 1].tobytes() == alone.tobytes()

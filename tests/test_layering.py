@@ -1,8 +1,9 @@
 """Import layering between the package's modules, read from their sources.
 
 The numeric layers sit below the front ends: ``pruning`` builds only on
-``errors`` and ``symbolic``, and ``verify`` takes nothing from ``cli`` but
-``main``, which criterion 12 runs to regenerate artifacts. Every module runs
+``errors`` and ``symbolic``, ``verify`` takes nothing from ``cli`` but
+``main``, which criterion 12 runs to regenerate artifacts, and nothing
+private from ``pruning`` but its ``_require_*`` input rules. Every module runs
 in the calling process and reads no environment variable, so a run is
 fixed by its arguments alone. Every public top-level name of the package,
 and every public method or property of its public classes, is used somewhere
@@ -58,6 +59,14 @@ def test_pruning_imports_only_errors_and_symbolic():
 
 def test_verify_takes_only_main_from_cli():
     assert _package_imports("verify").get("cli", set()) <= {"main"}
+
+
+def test_verify_takes_no_private_pruning_name_but_the_input_rules():
+    # The checks go through the public evaluators, so a check cannot drift
+    # from what a caller of the library gets; the _require_* input rules
+    # refuse a bad scale input before any check runs.
+    private = {n for n in _package_imports("verify").get("pruning", set()) if n.startswith("_")}
+    assert {n for n in private if not n.startswith("_require_")} == set()
 
 
 def _process_and_environment_use(module: str) -> set[str]:

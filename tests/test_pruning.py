@@ -1,4 +1,4 @@
-"""Pruning-pair evaluators, cylinder verdicts, rasters, and word counting.
+"""Pruning-pair evaluators, word verdicts, rasters, and word counting.
 
 Expected values come from independent oracles: fixed points of the level
 recursion solved by quadratic formula, geometric series at b = 0, exact
@@ -26,12 +26,10 @@ from lozi_pruning import (
     InsufficientWord,
     NotHyperbolic,
     Params,
-    Verdict,
     Word,
-    classify_cylinder,
+    classify_words,
     closed_form_q,
     eval_p,
-    eval_pq_cylinder,
     eval_q,
     pruned_region_raster,
     special_head,
@@ -56,7 +54,7 @@ from lozi_pruning.pruning import (
     _q_series,
     entropy_rows,
 )
-from lozi_pruning.symbolic import coordinate_symbols
+from lozi_pruning.symbolic import coordinate_symbols, symbol_axes
 from symbolic_reference import head_coordinate, heads, tail_coordinate, tails
 
 
@@ -94,9 +92,24 @@ def _p_series_mp(eps_tail, a, b, levels=500, terms=200, seed=0.0):
         return p
 
 
-def _contains(enclosure: tuple[float, float], target: float) -> bool:
+def _contains(enclosure, target) -> bool:
     lo, hi = enclosure
-    return lo - ULP_SLACK <= target <= hi + ULP_SLACK
+    return bool(np.all((lo - ULP_SLACK <= target) & (target <= hi + ULP_SLACK)))
+
+
+def _one(symbols) -> np.ndarray:
+    """One word's symbols by position, as eval_p and eval_q take them: a
+    one-column matrix."""
+    return np.transpose([symbols])
+
+
+def _pq_enclosure(tails, heads, depth: int, par: Params):
+    """Enclosure of (p - q) per word, as classify_words compares it: row i of
+    tails and heads is word i, each side read outward from the dot, series
+    depths capped by the symbols a side holds."""
+    plo, phi = _p_enclosure(np.asarray(tails).T, depth, par)
+    qlo, qhi = _q_enclosure(np.asarray(heads).T, depth, par)
+    return plo - qhi, phi - qlo
 
 
 def _s_level(w: Word, n: int, depth: int, par: Params) -> tuple[float, float]:
@@ -134,7 +147,7 @@ def test_hyperbolic_predicate_and_gate():
         with pytest.raises(NotHyperbolic):
             bad.require_hyperbolic()
         with pytest.raises(NotHyperbolic):
-            eval_p(Word((PLUS,) * 5, (PLUS,)), 1, bad)
+            eval_p(_one((PLUS,) * 5), 1, bad)
 
 
 def test_nonfinite_parameters_are_not_hyperbolic():
@@ -184,16 +197,16 @@ def test_r_constant_minus_continuation_fixed_point():
 
 def test_q_all_plus_head_is_third_at_2_0():
     # r_n = 1/2 for every n, so q = sum (-1)^n 2^-(n+1) = 1/3.
-    lo, hi = eval_q(Word((), (PLUS,) * 20), 19, Params(2.0, 0.0))
+    lo, hi = eval_q(_one((PLUS,) * 20), 19, Params(2.0, 0.0))
     assert _contains((lo, hi), 1.0 / 3.0)
-    assert hi - lo <= 2.0 ** -19 + 2e-15
+    assert np.all(hi - lo <= 2.0 ** -19 + 2e-15)
 
 
 def test_q_special_head_geometric_at_b0():
     # r_0 = 1/a, r_n = -1/a afterwards: every term is a^-(n+1), so q = 1/(a-1).
     for a in (1.5, 1.95, 2.0, 3.0):
         par = Params(a, 0.0)
-        assert _contains(eval_q(Word((), special_head(40)), 39, par), 1.0 / (a - 1.0))
+        assert _contains(eval_q(_one(special_head(40)), 39, par), 1.0 / (a - 1.0))
         assert closed_form_q(par) == pytest.approx(1.0 / (a - 1.0), abs=1e-15)
 
 
@@ -206,12 +219,13 @@ def test_closed_form_q_matches_series_oracle():
         oracle2 = _q_series_mp(eps, a, b, seed=1.0 / (a - abs(b)))
         assert float(abs(oracle - oracle2)) < 1e-30  # truncation-insensitive
         assert cf == pytest.approx(float(oracle), abs=1e-12)
-        assert _contains(eval_q(Word((), special_head(50)), 49, par), cf)
+        assert _contains(eval_q(_one(special_head(50)), 49, par), cf)
 
 
 def test_p_is_exactly_one_at_b0():
     for tail in [(MINUS, PLUS, MINUS, PLUS) * 3, (PLUS,) * 8, (MINUS,) * 8]:
-        assert eval_p(Word(tuple(tail), ()), 5, Params(1.7, 0.0)) == (1.0, 1.0)
+        lo, hi = eval_p(_one(tail), 5, Params(1.7, 0.0))
+        assert lo.tolist() == hi.tolist() == [1.0]
 
 
 def test_p_constant_plus_tail_closed_form():
@@ -220,25 +234,59 @@ def test_p_constant_plus_tail_closed_form():
     target = 0.8 + 0.2 * math.sqrt(6.0)
     oracle = _p_series_mp(lambda j: PLUS, 2.0, 0.5)
     assert float(oracle) == pytest.approx(target, abs=1e-13)
-    lo, hi = eval_p(Word((PLUS,) * 40, ()), 30, Params(2.0, 0.5))
+    lo, hi = eval_p(_one((PLUS,) * 40), 30, Params(2.0, 0.5))
     assert _contains((lo, hi), target)
-    assert hi - lo < 2e-8
+    assert np.all(hi - lo < 2e-8)
 
 
 def test_insufficient_word_and_bad_arguments():
     par = Params(2.0, 0.5)
     with pytest.raises(InsufficientWord):
-        eval_p(Word((PLUS,) * 5, ()), 4, par)  # needs depth + 2 = 6
+        eval_p(_one((PLUS,) * 5), 4, par)  # needs depth + 2 = 6
     with pytest.raises(InsufficientWord):
-        eval_q(Word((), (PLUS,) * 5), 5, par)  # needs depth + 1 = 6
+        eval_q(_one((PLUS,) * 5), 5, par)  # needs depth + 1 = 6
     with pytest.raises(ValueError):
-        eval_p(Word((PLUS,) * 5, ()), -1, par)
+        eval_p(_one((PLUS,) * 5), -1, par)
     with pytest.raises(ValueError):
-        eval_pq_cylinder(Word((PLUS,) * 5, (PLUS,) * 5), -1, par)
-    with pytest.raises(ValueError):
-        classify_cylinder(Word((PLUS,) * 5, (PLUS,) * 5), -1, par)
+        classify_words([(PLUS,) * 5], [(PLUS,) * 5], -1, par)
     with pytest.raises(ValueError):
         entropy_rows(Params(1.7, 0.2), 6, -1)
+
+
+def _no_levels(shifts, params):
+    raise AssertionError("a level was built")
+
+
+@pytest.mark.parametrize("bad", [0, 2, -2, 0.5])
+def test_a_symbol_other_than_plus_or_minus_one_is_refused_before_any_level(monkeypatch, bad):
+    # A 0 symbol would reach _levels as the shift 0.
+    monkeypatch.setattr(pruning, "_levels", _no_levels)
+    par = Params(1.7, 0.2)
+    words = np.full((3, 6), PLUS, dtype=np.int8 if bad == int(bad) else float)
+    words[1, 4] = bad
+    with pytest.raises(ValueError):
+        eval_p(words.T, 3, par)
+    with pytest.raises(ValueError):
+        eval_q(words.T, 3, par)
+    with pytest.raises(ValueError):
+        eval_p([*symbol_axes(5), np.array([1.0, bad])], 3, par)
+    good = np.full((3, 6), MINUS, dtype=np.int8)
+    with pytest.raises(ValueError):
+        classify_words(words, good, 3, par)
+    with pytest.raises(ValueError):
+        classify_words(good, words, 3, par)
+
+
+def test_classify_words_refuses_unequal_row_counts_before_any_level(monkeypatch):
+    monkeypatch.setattr(pruning, "_levels", _no_levels)
+    par = Params(1.7, 0.2)
+    tails, heads = np.full((4, 6), PLUS), np.full((5, 6), MINUS)
+    with pytest.raises(ValueError):
+        classify_words(tails, heads, 3, par)
+    with pytest.raises(ValueError):
+        classify_words(heads, tails, 3, par)
+    with pytest.raises(ValueError):
+        classify_words(tails[0], heads[0], 3, par)  # one word, not one per row
 
 
 def _random_word(rng: random.Random, m: int, n: int) -> Word:
@@ -246,17 +294,30 @@ def _random_word(rng: random.Random, m: int, n: int) -> Word:
     return Word(syms(m), syms(n))
 
 
-def test_scalar_evaluators_return_the_kernel_pair():
+def _random_batch(rng: random.Random, words: int, length: int) -> np.ndarray:
+    """words symbol words of one length by position, one per column."""
+    return np.array([[rng.choice((MINUS, PLUS)) for _ in range(words)] for _ in range(length)])
+
+
+def _assert_same_bits(got, want):
+    # Equal values, types and shapes, and equal signs of zero.
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_evaluators_return_the_kernel_pair():
     # eval_p and eval_q hand on the kernel's (lo, hi) as it is; a midpoint
     # and radius round trip would round both ends to nearest.
     rng = random.Random(2200)
-    for _ in range(2000):
+    for _ in range(200):
         b = rng.choice((0.0, rng.uniform(-0.9, 0.9)))
         par = Params(1.0 + abs(b) + rng.uniform(0.01, 2.0), b)
         depth = rng.randint(0, 14)
-        w = _random_word(rng, depth + 2 + rng.randint(0, 6), depth + 1 + rng.randint(0, 6))
-        assert eval_q(w, depth, par) == _q_enclosure(w.head, depth, par)
-        assert eval_p(w, depth, par) == _p_enclosure(w.tail[::-1], depth, par)
+        tails = _random_batch(rng, 8, depth + 2 + rng.randint(0, 6))
+        heads = _random_batch(rng, 8, depth + 1 + rng.randint(0, 6))
+        _assert_same_bits(eval_q(heads, depth, par), _q_enclosure(heads, depth, par))
+        _assert_same_bits(eval_p(tails, depth, par), _p_enclosure(tails, depth, par))
 
 
 def test_enclosures_nest_in_depth_and_word_refinement():
@@ -269,15 +330,15 @@ def test_enclosures_nest_in_depth_and_word_refinement():
         w = _random_word(rng, m, n)
         d1 = rng.randint(0, 5)
         d2 = d1 + rng.randint(1, 4)
-        lo1, hi1 = eval_pq_cylinder(w, d1, par)
-        lo2, hi2 = eval_pq_cylinder(w, d2, par)
-        assert lo1 - ULP_SLACK <= lo2 and hi2 <= hi1 + ULP_SLACK
+        lo1, hi1 = _pq_enclosure([w.tail[::-1]], [w.head], d1, par)
+        lo2, hi2 = _pq_enclosure([w.tail[::-1]], [w.head], d2, par)
+        assert np.all((lo1 - ULP_SLACK <= lo2) & (hi2 <= hi1 + ULP_SLACK))
         ext = Word(
             _random_word(rng, rng.randint(1, 4), 0).tail + w.tail,
             w.head + _random_word(rng, 0, rng.randint(1, 4)).head,
         )
-        lo3, hi3 = eval_pq_cylinder(ext, d1, par)
-        assert lo1 - ULP_SLACK <= lo3 and hi3 <= hi1 + ULP_SLACK
+        lo3, hi3 = _pq_enclosure([ext.tail[::-1]], [ext.head], d1, par)
+        assert np.all((lo1 - ULP_SLACK <= lo3) & (hi3 <= hi1 + ULP_SLACK))
 
 
 def test_enclosures_contain_periodic_word_oracle():
@@ -297,10 +358,9 @@ def test_enclosures_contain_periodic_word_oracle():
         p_true = float(_p_series_mp(eps_tail, a, b))
         q_true = float(_q_series_mp(eps_head, a, b))
         par = Params(a, b)
-        assert _contains(eval_p(w, 14, par), p_true)
-        assert _contains(eval_q(w, 14, par), q_true)
-        lo, hi = eval_pq_cylinder(w, 14, par)
-        assert lo - ULP_SLACK <= p_true - q_true <= hi + ULP_SLACK
+        assert _contains(eval_p(_one(w.tail[::-1]), 14, par), p_true)
+        assert _contains(eval_q(_one(w.head), 14, par), q_true)
+        assert _contains(_pq_enclosure([w.tail[::-1]], [w.head], 14, par), p_true - q_true)
 
 
 def test_classify_all_admissible_at_2_0():
@@ -308,22 +368,23 @@ def test_classify_all_admissible_at_2_0():
     # This holds at the dot; test_counting_full_shift_exact covers every
     # placement.
     rng = random.Random(99)
-    par = Params(2.0, 0.0)
-    for _ in range(60):
-        w = _random_word(rng, 6, 6)
-        assert classify_cylinder(w, 5, par) is Verdict.CERTIFIED_ADMISSIBLE
+    words = [_random_word(rng, 6, 6) for _ in range(60)]
+    tails = [w.tail[::-1] for w in words]
+    codes = classify_words(tails, [w.head for w in words], 5, Params(2.0, 0.0))
+    assert codes.tolist() == [PGM_ADMISSIBLE] * 60
 
 
 def test_classify_pruned_special_head_below_a2():
-    w = Word((PLUS, PLUS), special_head(8))
-    assert classify_cylinder(w, 7, Params(1.95, 0.0)) is Verdict.CERTIFIED_PRUNED
-    assert classify_cylinder(w, 7, Params(2.0, 0.0)) is not Verdict.CERTIFIED_PRUNED
+    tails, heads = [(PLUS, PLUS)], [special_head(8)]
+    assert classify_words(tails, heads, 7, Params(1.95, 0.0)).tolist() == [PGM_PRUNED]
+    assert classify_words(tails, heads, 7, Params(2.0, 0.0)).tolist() != [PGM_PRUNED]
 
 
 def test_classify_unknown_when_enclosure_straddles():
-    # A one-symbol head at depth 0 leaves the whole series tail open.
-    w = Word((), (PLUS,))
-    assert classify_cylinder(w, 0, Params(1.95, 0.0)) is Verdict.UNKNOWN
+    # A one-symbol head at depth 0 leaves the whole series tail open; an
+    # empty tail is one interval for every word.
+    codes = classify_words(np.empty((2, 0)), [(PLUS,), (PLUS,)], 0, Params(1.95, 0.0))
+    assert codes.tolist() == [PGM_UNKNOWN] * 2
 
 
 def test_raster_full_shift_all_admissible():
@@ -389,19 +450,20 @@ def test_raster_counts_match_cell_scan(word_len):
         assert all(type(c) is int for c in counts)
 
 
-def test_raster_matches_scalar_classifier():
-    par = Params(1.7, 0.3)
+@pytest.mark.parametrize("a, b", [(1.7, 0.3), (1.7, 0.0), (1.8, -0.4)])
+def test_raster_matches_word_classifier(a, b):
+    # One classify_words call over all 4^L (tail, head) pairs, the tails and
+    # heads enumerated by the reference in coordinate order.
+    par = Params(a, b)
     length, depth = 5, 4
     r = pruned_region_raster(par, length, depth)
-    code = {
-        Verdict.CERTIFIED_PRUNED: PGM_PRUNED,
-        Verdict.UNKNOWN: PGM_UNKNOWN,
-        Verdict.CERTIFIED_ADMISSIBLE: PGM_ADMISSIBLE,
-    }
-    for i, tail in enumerate(tails(length, PLUS)):
-        for j, head in enumerate(heads(length)):
-            v = classify_cylinder(Word(tail, head), depth, par)
-            assert r.cells[i, j] == code[v]
+    side = 1 << length
+    tail_rows = [t[::-1] for t in tails(length, PLUS if b >= 0 else MINUS)]
+    codes = classify_words(
+        np.repeat(tail_rows, side, axis=0), np.tile(heads(length), (side, 1)), depth, par
+    )
+    assert np.array_equal(codes.reshape(side, side), r.cells)
+    assert 0 < np.count_nonzero(codes == PGM_PRUNED) < codes.size
 
 
 def test_raster_vector_rows_match_symbol_enumeration():
@@ -415,23 +477,6 @@ def test_raster_vector_rows_match_symbol_enumeration():
         for rank, tail in enumerate(tails(L, b_sign)):
             assert tuple(int(x) for x in tails_m[rank]) == tuple(reversed(tail))
             assert tail_coordinate(tail, b_sign) == rank / (1 << L)
-
-
-def test_vectorized_intervals_bitwise_match_scalar():
-    # Every rank at L = 8; (2.0, 0.9) and (1.9, -0.8) are parameters where a
-    # different rounding order of the geometric remainder shows in the last bit.
-    L, d = 8, 6
-    for par in (Params(2.0, 0.9), Params(1.7, 0.3), Params(2.0, 0.0),
-                Params(1.8, -0.4), Params(1.9, -0.8)):
-        b_sign = PLUS if par.b >= 0 else MINUS
-        tails_m = coordinate_symbols(L, MINUS if par.b >= 0 else PLUS)
-        heads_m = coordinate_symbols(L, PLUS)
-        plo, phi = _p_enclosure(tails_m.T, d, par)
-        qlo, qhi = _q_enclosure(heads_m.T, d, par)
-        for rank, tail in enumerate(tails(L, b_sign)):
-            assert _p_enclosure(tail[::-1], d, par) == (plo[rank], phi[rank])
-        for rank, head in enumerate(heads(L)):
-            assert _q_enclosure(head, d, par) == (qlo[rank], qhi[rank])
 
 
 def _ref_extremes(levels):
@@ -516,13 +561,26 @@ _KERNEL_DEPTHS = (0, 1, 12, 40)
 
 
 @pytest.mark.parametrize("a, b", _kernel_points())
+def test_word_alone_equals_its_row_in_the_batch(a, b):
+    # Every word of length 6 per side, alone and as a row of one batch, bit
+    # for bit and sign of zero included.
+    par = Params(a, b)
+    words = coordinate_symbols(6, PLUS)
+    for evaluate, depth in ((eval_p, 1), (eval_p, 4), (eval_q, 0), (eval_q, 5)):
+        batch = evaluate(words.T, depth, par)
+        for rank, word in enumerate(words):
+            alone = evaluate(_one(word), depth, par)
+            _assert_same_bits(alone, tuple(v[rank : rank + 1] for v in batch))
+
+
+@pytest.mark.parametrize("a, b", _kernel_points())
 def test_series_match_four_product_reference_on_words_and_rows(a, b):
     par = Params(a, b)
     rng = random.Random(f"{a},{b}")
     length = max(_KERNEL_DEPTHS) + 2
-    word = [rng.choice((PLUS, MINUS)) for _ in range(length)]
+    word = _one([rng.choice((PLUS, MINUS)) for _ in range(length)])
     rows = np.array([[rng.choice((PLUS, MINUS)) for _ in range(64)] for _ in range(length)])
-    for symbols in (word, list(rows.astype(float))):
+    for symbols in (word, rows):
         # The levels r_0.. and s_{-2}.. as _q_enclosure and _p_enclosure
         # build them, symbols[k] at index k of the head and -(k+1) of the tail.
         r = _levels([a * symbols[k] for k in range(length - 1, -1, -1)], par)[::-1]
@@ -616,7 +674,7 @@ def _per_read_sweep(params, n_max, depth):
     if isinstance(params.a, np.ndarray):
         params = Params(*(v.reshape(v.shape + (1,) * n_max) for v in (params.a, params.b)))
     a = params.a
-    cols = pruning._symbol_axes(n_max)
+    cols = symbol_axes(n_max)
     r = _levels([a * cols[j] for j in range(n_max - 1, -1, -1)], params)[::-1]
     q = {
         L: q_series(r[n_max - L : n_max - L + min(depth, L - 1) + 1])
@@ -628,13 +686,6 @@ def _per_read_sweep(params, n_max, depth):
         dp = max(0, min(depth, k - 1))
         p.append(p_series(y[k - 1 - dp : k - 1][::-1]))
     return p, q
-
-
-def _assert_same_bits(got, want):
-    # Equal values, types and shapes, and equal signs of zero.
-    for g, w in zip(got, want, strict=True):
-        assert type(g) is type(w) and np.shape(g) == np.shape(w)
-        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
 
 
 @pytest.mark.parametrize(
@@ -753,12 +804,12 @@ def test_q_enclosure_on_a_parameter_grid_matches_each_point(depth):
     # every point, bit for bit.
     grid = _grid([-0.85, -0.3, 0.0, 0.2, 0.9], 7, seed=depth)
     rng = random.Random(f"grid head {depth}")
-    head = tuple(rng.choice((PLUS, MINUS)) for _ in range(max(_KERNEL_DEPTHS) + 2))
-    lo, hi = _q_enclosure(head, depth, grid)
+    head = _one([rng.choice((PLUS, MINUS)) for _ in range(max(_KERNEL_DEPTHS) + 2)])
+    lo, hi = eval_q(head, depth, grid)
     want_lo, want_hi = np.empty(lo.shape), np.empty(hi.shape)
     for i, j in np.ndindex(lo.shape):
         point = Params(float(grid.a[i, j]), float(grid.b[i, 0]))
-        want_lo[i, j], want_hi[i, j] = eval_q(Word((), head), depth, point)
+        (want_lo[i, j],), (want_hi[i, j],) = eval_q(head, depth, point)
     assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
@@ -1095,30 +1146,38 @@ def test_entropy_upper_improves_with_longer_words():
 
 
 def test_interval_soundness_ten_thousand_triples():
-    # Tripling the depth must stay inside the shallower enclosure.
+    # Tripling the depth must stay inside the shallower enclosure.  The
+    # triples are drawn one by one, then evaluated in one batch per word
+    # shape and depth, each word at its own point.
     rng = random.Random(1)
+    groups = {}
     for _ in range(10_000):
         b = rng.uniform(-0.9, 0.9)
         a = 1.0 + abs(b) + rng.uniform(0.1, 2.0)
-        par = Params(a, b)
         w = _random_word(rng, rng.randint(0, 8), rng.randint(0, 8))
         d1 = rng.randint(0, 4)
-        d2 = 3 * d1 if d1 else 1
-        lo1, hi1 = eval_pq_cylinder(w, d1, par)
-        lo2, hi2 = eval_pq_cylinder(w, d2, par)
-        assert lo1 - ULP_SLACK <= lo2 and hi2 <= hi1 + ULP_SLACK
+        groups.setdefault((len(w.tail), len(w.head), d1), []).append((a, b, w))
+    for (m, n, d1), triples in groups.items():
+        a, b = (np.array(v) for v in zip(*[(a, b) for a, b, _ in triples]))
+        par = Params(a, b)
+        tails = np.array([w.tail[::-1] for _, _, w in triples]).reshape(len(triples), m)
+        heads = np.array([w.head for _, _, w in triples]).reshape(len(triples), n)
+        lo1, hi1 = _pq_enclosure(tails, heads, d1, par)
+        lo2, hi2 = _pq_enclosure(tails, heads, 3 * d1 if d1 else 1, par)
+        assert np.all((lo1 - ULP_SLACK <= lo2) & (hi2 <= hi1 + ULP_SLACK)), (m, n, d1)
 
 
 def test_closed_form_agreement_on_hyperbolic_grid():
     # 50x50 grid: the special-head series evaluation must agree with the
-    # closed form within its own certified error.
-    w = Word((), special_head(40))
+    # closed form within its own error bound.  One call takes every point.
+    points = []
     for i in range(50):
         for j in range(50):
             b = -0.93 + 1.86 * j / 49
-            a = 1.0 + abs(b) + 0.08 + 2.2 * i / 49
-            par = Params(a, b)
-            assert _contains(eval_q(w, 39, par), closed_form_q(par))
+            points.append((1.0 + abs(b) + 0.08 + 2.2 * i / 49, b))
+    lo, hi = eval_q(_one(special_head(40)), 39, Params(*np.array(points).T))
+    closed = [closed_form_q(Params(*point)) for point in points]
+    assert _contains((lo, hi), np.array(closed))
 
 
 def test_diff_interval_special_head_on_full_shift():
@@ -1126,23 +1185,20 @@ def test_diff_interval_special_head_on_full_shift():
     # enclosure of (p - q) is [0, 2^(1-len)] in exact dyadic arithmetic.
     par = Params(2.0, 0.0)
     for length in (4, 8, 16):
-        w = Word((MINUS, PLUS, MINUS), special_head(length))
-        lo, hi = eval_pq_cylinder(w, length - 1, par)
-        assert lo == 0.0
-        assert hi == 2.0 ** (1 - length)
+        lo, hi = _pq_enclosure([(MINUS, PLUS, MINUS)], [special_head(length)], length - 1, par)
+        assert lo.tolist() == [0.0]
+        assert hi.tolist() == [2.0 ** (1 - length)]
 
 
 def test_diff_positive_for_minus_start_heads_on_full_shift():
     # Heads opening with -1 have q <= 0, so p - q >= 1 on the whole cylinder.
     rng = random.Random(31)
-    par = Params(2.0, 0.0)
+    tails, heads = [], []
     for _ in range(30):
-        w = Word(
-            _random_word(rng, 5, 0).tail,
-            (MINUS,) + _random_word(rng, 0, 7).head,
-        )
-        lo, _ = eval_pq_cylinder(w, 6, par)
-        assert lo > 0.0
+        tails.append(_random_word(rng, 5, 0).tail[::-1])
+        heads.append((MINUS,) + _random_word(rng, 0, 7).head)
+    lo, _ = _pq_enclosure(tails, heads, 6, Params(2.0, 0.0))
+    assert np.all(lo > 0.0)
 
 
 def test_pruned_verdict_stable_under_word_extension():
@@ -1153,10 +1209,10 @@ def test_pruned_verdict_stable_under_word_extension():
     idx = np.argwhere(r.cells == PGM_PRUNED)
     assert len(idx) > 0
     i, j = (int(v) for v in idx[0])
-    w = Word(tails(10, PLUS)[i], heads(10)[j])
-    assert classify_cylinder(w, 9, par) is Verdict.CERTIFIED_PRUNED
-    ext = Word((PLUS,) * 4 + w.tail, w.head + (PLUS,) * 3)
-    assert classify_cylinder(ext, 12, par) is Verdict.CERTIFIED_PRUNED
+    tail, head = tails(10, PLUS)[i][::-1], heads(10)[j]
+    assert classify_words([tail], [head], 9, par).tolist() == [PGM_PRUNED]
+    ext = classify_words([tail + (PLUS,) * 4], [head + (PLUS,) * 3], 12, par)
+    assert ext.tolist() == [PGM_PRUNED]
 
 
 def _lozi_step(a: float, b: float, x: float, y: float) -> tuple[float, float]:
@@ -1190,11 +1246,13 @@ def test_orbit_itineraries_never_certified_pruned():
     for (a, b) in [(1.7, 0.5), (2.0, 0.1)]:
         rng = random.Random(42)
         itin = _bounded_itinerary(a, b, rng, 1200)
-        par = Params(a, b)
+        windows = []
         for _ in range(60):
             i = rng.randrange(0, len(itin) - 16)
-            w = Word(tuple(itin[i : i + 8]), tuple(itin[i + 8 : i + 16]))
-            assert classify_cylinder(w, 7, par) is not Verdict.CERTIFIED_PRUNED
+            windows.append(itin[i : i + 16])
+        words = np.array(windows)
+        codes = classify_words(words[:, 7::-1], words[:, 8:], 7, Params(a, b))
+        assert not np.any(codes == PGM_PRUNED)
 
 
 def test_counting_single_symbol_upper():

@@ -20,7 +20,7 @@ from lozi_pruning import (
     tent_lap_count,
     tent_orbit,
 )
-from lozi_pruning.symbolic import MINUS, PLUS, Word
+from lozi_pruning.symbolic import MINUS, PLUS
 from symbolic_reference import heads
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -278,34 +278,31 @@ def test_kneading_prefixes_track_pruning_front():
     # At b=0 the surviving boundary of the head order is the tent kneading
     # sequence: every kneading prefix cylinder encloses head-series value 1,
     # with the enclosure midpoint converging to 1 geometrically.
-    for a in (1.3, 1.5, 1.7, 2.0):
-        kap = kneading(a, 12).symbols
-        for length in range(2, 13):
-            lo, hi = eval_q(Word((), kap[:length]), length - 1, Params(a, 0.0))
-            assert lo <= 1.0 + 5e-13
-            assert hi >= 1.0 - 5e-13
-            assert abs(0.5 * (lo + hi) - 1.0) <= 3.0 * a ** (-length) / (a - 1.0)
+    # One call per length takes each slope's prefix at that slope.
+    slopes = np.array([1.3, 1.5, 1.7, 2.0])
+    kaps = np.transpose([kneading(a, 12).symbols for a in slopes.tolist()])
+    for length in range(2, 13):
+        lo, hi = eval_q(kaps[:length], length - 1, Params(slopes, 0.0))
+        assert np.all(lo <= 1.0 + 5e-13)
+        assert np.all(hi >= 1.0 - 5e-13)
+        assert np.all(abs(0.5 * (lo + hi) - 1.0) <= 3.0 * slopes ** (-length) / (slopes - 1.0))
 
 
 def test_far_heads_resolve_away_from_front():
+    far = np.transpose([(PLUS,) * 12, (MINUS,) * 12])
     for a in (1.3, 1.5, 1.7, 2.0):
-        for head in ((PLUS,) * 12, (MINUS,) * 12):
-            lo, hi = eval_q(Word((), head), 11, Params(a, 0.0))
-            assert hi < 1.0 or lo > 1.0
+        lo, hi = eval_q(far, 11, Params(a, 0.0))
+        assert np.all((hi < 1.0) | (lo > 1.0))
 
 
 def test_full_slope_unique_straddling_head():
     # At a=2 the +- digit expansion is rigid, so exactly one length-12 head
     # cylinder straddles 1: the kneading prefix itself.
     a = 2.0
-    kap = kneading(a, 12).symbols
-    count = 0
-    for head in heads(12):
-        lo, hi = eval_q(Word((), head), 11, Params(a, 0.0))
-        if lo <= 1.0 <= hi:
-            count += 1
-            assert head == kap
-    assert count == 1
+    every = np.array(heads(12))
+    lo, hi = eval_q(every.T, 11, Params(a, 0.0))
+    (straddling,) = np.flatnonzero((lo <= 1.0) & (1.0 <= hi))
+    assert tuple(every[straddling].tolist()) == kneading(a, 12).symbols
 
 
 def test_slope_range_guard():
