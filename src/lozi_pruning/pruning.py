@@ -68,18 +68,23 @@ class Params:
     a: float
     b: float
 
+    def _hyperbolic_at(self):
+        """a > 1 + |b| with a and b finite, per point: an infinite a is no map."""
+        a, b = self.a, self.b
+        return np.isfinite(a) & np.isfinite(b) & (a > 1.0 + np.abs(b))
+
     @property
     def hyperbolic(self) -> bool:
-        """a > 1 + |b| with a and b finite, at every point when they are
-        arrays: an infinite a describes no map."""
-        a, b = self.a, self.b
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return bool(np.all(np.isfinite(a) & np.isfinite(b) & (a > 1.0 + np.abs(b))))
-        return math.isfinite(a) and math.isfinite(b) and a > 1.0 + abs(b)
+        """Hyperbolic at every point."""
+        return bool(np.all(self._hyperbolic_at()))
 
     def require_hyperbolic(self) -> None:
-        if not self.hyperbolic:
-            raise NotHyperbolic(f"need a > 1 + |b|, got a={self.a}, b={self.b}")
+        """Raise NotHyperbolic naming the first point that is not."""
+        ok = self._hyperbolic_at()
+        if not np.all(ok):
+            a, b = np.broadcast_arrays(self.a, self.b)
+            at = np.unravel_index(np.argmin(ok), np.shape(ok))
+            raise NotHyperbolic(f"need a > 1 + |b|, got a={a[at]}, b={b[at]}")
 
 
 def _require_depth(depth: int) -> None:
@@ -217,11 +222,14 @@ def _q_series(r_pairs, params: Params):
 
 def _p_enclosure(tails, depth: int, params: Params):
     """Enclosure of p over all extensions of each tail, series depth capped
-    by the symbols held; tails by position, as in eval_p."""
+    by the symbols held; tails by position, as in eval_p, and one enclosure
+    per tail at every depth, though no term reads s_{-1}."""
     m = len(tails)
     d = max(0, min(depth, m - 1))
     levels = _levels([-params.a * tails[k] for k in range(m - 1, 0, -1)], params)
-    return _p_series(_p_factors(levels[::-1][:d], params), params)
+    lo, hi = _p_series(_p_factors(levels[::-1][:d], params), params)
+    shape = np.broadcast_shapes(np.shape(lo), *(np.shape(t) for t in tails))
+    return np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
 
 
 def _q_enclosure(heads, depth: int, params: Params):
@@ -244,11 +252,11 @@ def _require_symbols(*sides) -> None:
 def eval_p(tails, depth: int, params: Params):
     """Enclosures (lo, hi) of the tail pruning value p(a, b), one per tail.
 
-    tails[k] holds the symbol at index -(k+1) of every tail: row k of a
-    matrix with one tail per column, or of symbolic.symbol_axes(m) for all
-    2^m tails.  Series terms k = 1..depth use s_{-2}..s_{-(depth+1)}, so a
-    tail must hold at least depth+2 symbols and even the deepest term sees
-    one refined level.  At depth 0 the ends are one interval for all tails.
+    Words go by position, as in classify_words: tails[k] holds the symbol at
+    index -(k+1) of every tail, row k of a matrix with one tail per column,
+    or of symbolic.symbol_axes(m) for all 2^m tails.  Series terms
+    k = 1..depth use s_{-2}..s_{-(depth+1)}, so a tail must hold at least
+    depth+2 symbols and even the deepest term sees one refined level.
     """
     _require_symbols(tails)
     _require_series(params, depth)
@@ -271,20 +279,20 @@ def eval_q(heads, depth: int, params: Params):
     return _q_enclosure(heads, depth, params)
 
 
-def closed_form_q(params: Params) -> float:
-    """q for the head (+1, -1, -1, ...) in closed form.
+def closed_form_q(params: Params):
+    """q for the head (+1, -1, -1, ...) in closed form, per point for arrays.
 
     With x = (a - sqrt(a^2 + 4b))/2: q = b / ((a + x)(b + x)), continued at
     b = 0 by its limit 1/(a - 1).
     """
     params.require_hyperbolic()
-    a, b = params.a, params.b
-    if b == 0.0:
-        return 1.0 / (a - 1.0)
+    a, b = np.asarray(params.a, dtype=float), np.asarray(params.b, dtype=float)
     # Rationalized root: (a - sqrt(a^2+4b))/2 cancels catastrophically as
     # b -> 0, which would poison finite differences of this function.
-    x = -2.0 * b / (a + math.sqrt(a * a + 4.0 * b))
-    return b / ((a + x) * (b + x))
+    x = -2.0 * b / (a + np.sqrt(a * a + 4.0 * b))
+    with np.errstate(invalid="ignore"):  # 0/0 at b = 0, where the limit stands
+        q = np.where(b == 0.0, 1.0 / (a - 1.0), b / ((a + x) * (b + x)))
+    return q[()]
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +309,24 @@ def classify_words(tails, heads, depth: int, params: Params) -> np.ndarray:
     its dot: pruned where phi < qlo, so every extension of the word lies in
     the pruned region; admissible where plo >= qhi; unknown otherwise.
 
-    Row i of tails and of heads is word i: its tail read outward from the
-    dot, column k the symbol at index -(k+1), and its head, column k the
-    symbol at index k.  Series depths are capped by the symbols a side
-    holds, so a short or empty side widens the enclosure and never raises.
-    A raster cell applies the same rule to the same word.
+    Words go by position, as in eval_p and eval_q: column i of the tails
+    and of the heads matrix is word i, tails[k] the symbol at index -(k+1)
+    (the tail read outward from the dot) and heads[k] the symbol at index
+    k.  Series depths are capped by the symbols a side holds, so a short or
+    empty side widens the enclosure and never raises.  A raster cell
+    applies the same rule to the same word.
     """
     tails, heads = np.asarray(tails), np.asarray(heads)
-    if tails.ndim != 2 or heads.ndim != 2 or len(tails) != len(heads):
-        raise ValueError(f"tails {tails.shape} and heads {heads.shape}: need one word per row")
-    _require_symbols(tails.T, heads.T)
+    if tails.ndim != 2 or heads.ndim != 2 or tails.shape[1] != heads.shape[1]:
+        raise ValueError(f"tails {tails.shape} and heads {heads.shape}: need one word per column")
+    _require_symbols(tails, heads)
     _require_series(params, depth)
-    # With no series term a side is one interval for every word.
-    plo, phi = (np.broadcast_to(v, len(tails)) for v in _p_enclosure(tails.T, depth, params))
-    qlo, qhi = (np.broadcast_to(v, len(heads)) for v in _q_enclosure(heads.T, depth, params))
-    codes = np.full(len(tails), PGM_UNKNOWN, dtype=np.uint8)
-    codes[phi < qlo] = PGM_PRUNED
-    codes[plo >= qhi] = PGM_ADMISSIBLE
+    plo, phi = _p_enclosure(tails, depth, params)
+    qlo, qhi = _q_enclosure(heads, depth, params)
+    # An empty head side is one q interval for every word.
+    codes = np.full(tails.shape[1], PGM_UNKNOWN, dtype=np.uint8)
+    np.copyto(codes, PGM_PRUNED, where=phi < qlo)
+    np.copyto(codes, PGM_ADMISSIBLE, where=plo >= qhi)
     return codes
 
 
@@ -423,8 +432,7 @@ def pruned_region_raster(params: Params, word_len: int, depth: int) -> Raster:
     _require_word_len(word_len)
     tails = coordinate_symbols(word_len, MINUS if params.b >= 0 else PLUS)
     heads = coordinate_symbols(word_len, PLUS)
-    # With depth 0 the p enclosure is one interval shared by every tail.
-    plo, phi = (np.broadcast_to(v, len(tails)) for v in _p_enclosure(tails.T, depth, params))
+    plo, phi = _p_enclosure(tails.T, depth, params)
     qlo, qhi = _q_enclosure(heads.T, depth, params)
     # The q endpoints are finite and the p endpoints finite, or +-inf where
     # the p remainder diverges (|b| > 1): no NaN reaches the rank compare.

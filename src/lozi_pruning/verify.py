@@ -117,7 +117,7 @@ def check_closed_form_series(config) -> tuple[bool, str]:
     b = -0.9 + np.arange(50)[:, None] * (1.8 / 49)
     a = 1.0 + np.abs(b) + 0.02 + np.arange(50) * (1.3 / 49)
     lo, hi = eval_q(np.transpose([special_head(60)]), 40, Params(a, b))
-    closed = np.vectorize(lambda x, y: closed_form_q(Params(float(x), float(y))))(a, b)
+    closed = closed_form_q(Params(a, b))
     worst = float(max(np.max(lo - closed), np.max(closed - hi)))
     return (
         worst <= ULP_SLACK,
@@ -379,9 +379,9 @@ def check_orbit_window_consistency(config) -> tuple[bool, str]:
         t = rng.randrange(half, len(symbols) - half)
         windows[tuple(symbols[t - half : t + half])] += 1
     # About 400 of the 1000 windows are distinct; one call classifies each
-    # once, its tail read outward from the dot.
-    blocks = np.array(list(windows), dtype=np.int8)
-    codes = classify_words(blocks[:, half - 1 :: -1], blocks[:, half:], 5, params)
+    # once, one window per column, its tail read outward from the dot.
+    blocks = np.array(list(windows), dtype=np.int8).T
+    codes = classify_words(blocks[half - 1 :: -1], blocks[half:], 5, params)
     pruned = sum(count for count, code in zip(windows.values(), codes) if code == PGM_PRUNED)
     return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
 

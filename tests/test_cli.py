@@ -885,8 +885,8 @@ def test_bound_lemmas_broadcast_fd_equals_the_matrix_form_per_tail(a):
         fd_derivative(functools.partial(eval_p, tails, 12), params, (0.0, 1.0), verify._FD_H)
         for tails in (sym.T, symbol_axes(14))
     )
-    assert axes.shape == (1,) + (2,) * 13
-    per_tail = np.broadcast_to(axes, (2,) * 14)[tuple((sym == MINUS).astype(int).T)]
+    assert axes.shape == (2,) * 14
+    per_tail = axes[tuple((sym == MINUS).astype(int).T)]
     assert np.array_equal(per_tail, matrix)
 
 
@@ -926,7 +926,7 @@ def test_plane_anchors_identity_residual_equals_the_per_point_loop():
 
 def _orbit_window_check_per_window(config):
     """Criterion 11 as it was written, every window classified, repeated
-    windows included: one classify_words row per window."""
+    windows included: one classify_words column per window."""
     params = Params(1.7, 0.5)
     pt = geometry.PlanePoint(0.1, 0.1)
     for _ in range(200):
@@ -944,7 +944,7 @@ def _orbit_window_check_per_window(config):
         t = rng.randrange(half, len(symbols) - half)
         tails.append(symbols[t - half : t][::-1])
         heads.append(symbols[t : t + half])
-    codes = verify.classify_words(np.array(tails), np.array(heads), 5, params)
+    codes = verify.classify_words(np.transpose(tails), np.transpose(heads), 5, params)
     pruned = int(np.count_nonzero(codes == PGM_PRUNED))
     return pruned == 0, f"{pruned} of 1000 orbit windows certified pruned"
 
@@ -965,9 +965,9 @@ def test_orbit_window_check_counts_each_window_of_a_pruned_word(monkeypatch):
     calls = []
 
     def some_pruned(tails, heads, depth, params):
-        calls.append(np.hstack([tails, heads]))
+        calls.append(np.vstack([tails, heads]))
         codes = real(tails, heads, depth, params)
-        codes[(heads[:, 0] == 1) & (heads[:, 1] == -1)] = PGM_PRUNED
+        codes[(heads[0] == 1) & (heads[1] == -1)] = PGM_PRUNED
         return codes
 
     monkeypatch.setattr(verify, "classify_words", some_pruned)
@@ -978,4 +978,4 @@ def test_orbit_window_check_counts_each_window_of_a_pruned_word(monkeypatch):
         got = verify.check_orbit_window_consistency(config)
         assert got == want and not got[0], seed
         (words,) = calls
-        assert len(words) == len(np.unique(words, axis=0)) < 1000, seed
+        assert words.shape[1] == np.unique(words, axis=1).shape[1] < 1000, seed

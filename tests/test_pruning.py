@@ -98,17 +98,16 @@ def _contains(enclosure, target) -> bool:
 
 
 def _one(symbols) -> np.ndarray:
-    """One word's symbols by position, as eval_p and eval_q take them: a
-    one-column matrix."""
+    """One word's symbols by position, as eval_p, eval_q and classify_words
+    take them: a one-column matrix."""
     return np.transpose([symbols])
 
 
 def _pq_enclosure(tails, heads, depth: int, par: Params):
-    """Enclosure of (p - q) per word, as classify_words compares it: row i of
-    tails and heads is word i, each side read outward from the dot, series
-    depths capped by the symbols a side holds."""
-    plo, phi = _p_enclosure(np.asarray(tails).T, depth, par)
-    qlo, qhi = _q_enclosure(np.asarray(heads).T, depth, par)
+    """Enclosure of (p - q) per word, as classify_words compares it: words
+    by position, series depths capped by the symbols a side holds."""
+    plo, phi = _p_enclosure(tails, depth, par)
+    qlo, qhi = _q_enclosure(heads, depth, par)
     return plo - qhi, phi - qlo
 
 
@@ -161,6 +160,31 @@ def test_nonfinite_parameters_are_not_hyperbolic():
             pruned_region_raster(bad, 2, 12)
         with pytest.raises(NotHyperbolic):
             entropy_rows(bad, 3, 12)
+
+
+def test_not_hyperbolic_names_the_first_failing_point_of_a_grid():
+    grid = Params(np.array([1.7, 1.7, 1.2]), np.array([0.2, 0.9, 0.5]))
+    assert not grid.hyperbolic
+    with pytest.raises(NotHyperbolic, match=r"got a=1\.7, b=0\.9$"):
+        grid.require_hyperbolic()
+    with pytest.raises(NotHyperbolic, match=r"got a=1\.7, b=0\.9$"):
+        entropy_rows(grid, 3, 12)
+    with pytest.raises(NotHyperbolic, match=r"got a=inf, b=0\.0$"):
+        Params(np.array([[2.0], [math.inf]]), 0.0).require_hyperbolic()
+
+
+def test_eval_p_gives_one_enclosure_per_tail_at_every_depth():
+    # No series term reads s_{-1}, nor at depth 0 any symbol, yet every
+    # tail gets its own ends, so the shape never depends on the depth.
+    par = Params(1.7, 0.2)
+    tails = _random_batch(random.Random(7), 5, 6)
+    for depth in range(5):
+        for ends in eval_p(tails, depth, par):
+            assert ends.shape == (5,), depth
+        for ends in eval_p(symbol_axes(6), depth, par):
+            assert ends.shape == (2,) * 6, depth
+    lo, hi = eval_p(tails, 0, Params(np.array([[1.7], [1.9]]), 0.2))
+    assert lo.shape == hi.shape == (2, 5)
 
 
 def test_level_values_exact_at_b0():
@@ -248,7 +272,7 @@ def test_insufficient_word_and_bad_arguments():
     with pytest.raises(ValueError):
         eval_p(_one((PLUS,) * 5), -1, par)
     with pytest.raises(ValueError):
-        classify_words([(PLUS,) * 5], [(PLUS,) * 5], -1, par)
+        classify_words(_one((PLUS,) * 5), _one((PLUS,) * 5), -1, par)
     with pytest.raises(ValueError):
         entropy_rows(Params(1.7, 0.2), 6, -1)
 
@@ -270,23 +294,23 @@ def test_a_symbol_other_than_plus_or_minus_one_is_refused_before_any_level(monke
         eval_q(words.T, 3, par)
     with pytest.raises(ValueError):
         eval_p([*symbol_axes(5), np.array([1.0, bad])], 3, par)
-    good = np.full((3, 6), MINUS, dtype=np.int8)
+    good = np.full((6, 3), MINUS, dtype=np.int8)
     with pytest.raises(ValueError):
-        classify_words(words, good, 3, par)
+        classify_words(words.T, good, 3, par)
     with pytest.raises(ValueError):
-        classify_words(good, words, 3, par)
+        classify_words(good, words.T, 3, par)
 
 
-def test_classify_words_refuses_unequal_row_counts_before_any_level(monkeypatch):
+def test_classify_words_refuses_unequal_word_counts_before_any_level(monkeypatch):
     monkeypatch.setattr(pruning, "_levels", _no_levels)
     par = Params(1.7, 0.2)
-    tails, heads = np.full((4, 6), PLUS), np.full((5, 6), MINUS)
+    tails, heads = np.full((6, 4), PLUS), np.full((6, 5), MINUS)
     with pytest.raises(ValueError):
         classify_words(tails, heads, 3, par)
     with pytest.raises(ValueError):
         classify_words(heads, tails, 3, par)
     with pytest.raises(ValueError):
-        classify_words(tails[0], heads[0], 3, par)  # one word, not one per row
+        classify_words(tails[:, 0], heads[:, 0], 3, par)  # one word, not a matrix
 
 
 def _random_word(rng: random.Random, m: int, n: int) -> Word:
@@ -330,14 +354,14 @@ def test_enclosures_nest_in_depth_and_word_refinement():
         w = _random_word(rng, m, n)
         d1 = rng.randint(0, 5)
         d2 = d1 + rng.randint(1, 4)
-        lo1, hi1 = _pq_enclosure([w.tail[::-1]], [w.head], d1, par)
-        lo2, hi2 = _pq_enclosure([w.tail[::-1]], [w.head], d2, par)
+        lo1, hi1 = _pq_enclosure(_one(w.tail[::-1]), _one(w.head), d1, par)
+        lo2, hi2 = _pq_enclosure(_one(w.tail[::-1]), _one(w.head), d2, par)
         assert np.all((lo1 - ULP_SLACK <= lo2) & (hi2 <= hi1 + ULP_SLACK))
         ext = Word(
             _random_word(rng, rng.randint(1, 4), 0).tail + w.tail,
             w.head + _random_word(rng, 0, rng.randint(1, 4)).head,
         )
-        lo3, hi3 = _pq_enclosure([ext.tail[::-1]], [ext.head], d1, par)
+        lo3, hi3 = _pq_enclosure(_one(ext.tail[::-1]), _one(ext.head), d1, par)
         assert np.all((lo1 - ULP_SLACK <= lo3) & (hi3 <= hi1 + ULP_SLACK))
 
 
@@ -360,7 +384,7 @@ def test_enclosures_contain_periodic_word_oracle():
         par = Params(a, b)
         assert _contains(eval_p(_one(w.tail[::-1]), 14, par), p_true)
         assert _contains(eval_q(_one(w.head), 14, par), q_true)
-        assert _contains(_pq_enclosure([w.tail[::-1]], [w.head], 14, par), p_true - q_true)
+        assert _contains(_pq_enclosure(_one(w.tail[::-1]), _one(w.head), 14, par), p_true - q_true)
 
 
 def test_classify_all_admissible_at_2_0():
@@ -369,13 +393,13 @@ def test_classify_all_admissible_at_2_0():
     # placement.
     rng = random.Random(99)
     words = [_random_word(rng, 6, 6) for _ in range(60)]
-    tails = [w.tail[::-1] for w in words]
-    codes = classify_words(tails, [w.head for w in words], 5, Params(2.0, 0.0))
+    tails = np.transpose([w.tail[::-1] for w in words])
+    codes = classify_words(tails, np.transpose([w.head for w in words]), 5, Params(2.0, 0.0))
     assert codes.tolist() == [PGM_ADMISSIBLE] * 60
 
 
 def test_classify_pruned_special_head_below_a2():
-    tails, heads = [(PLUS, PLUS)], [special_head(8)]
+    tails, heads = _one((PLUS, PLUS)), _one(special_head(8))
     assert classify_words(tails, heads, 7, Params(1.95, 0.0)).tolist() == [PGM_PRUNED]
     assert classify_words(tails, heads, 7, Params(2.0, 0.0)).tolist() != [PGM_PRUNED]
 
@@ -383,7 +407,7 @@ def test_classify_pruned_special_head_below_a2():
 def test_classify_unknown_when_enclosure_straddles():
     # A one-symbol head at depth 0 leaves the whole series tail open; an
     # empty tail is one interval for every word.
-    codes = classify_words(np.empty((2, 0)), [(PLUS,), (PLUS,)], 0, Params(1.95, 0.0))
+    codes = classify_words(np.empty((0, 2)), [(PLUS, PLUS)], 0, Params(1.95, 0.0))
     assert codes.tolist() == [PGM_UNKNOWN] * 2
 
 
@@ -458,9 +482,9 @@ def test_raster_matches_word_classifier(a, b):
     length, depth = 5, 4
     r = pruned_region_raster(par, length, depth)
     side = 1 << length
-    tail_rows = [t[::-1] for t in tails(length, PLUS if b >= 0 else MINUS)]
+    tail_cols = np.transpose([t[::-1] for t in tails(length, PLUS if b >= 0 else MINUS)])
     codes = classify_words(
-        np.repeat(tail_rows, side, axis=0), np.tile(heads(length), (side, 1)), depth, par
+        np.repeat(tail_cols, side, axis=1), np.tile(np.transpose(heads(length)), side), depth, par
     )
     assert np.array_equal(codes.reshape(side, side), r.cells)
     assert 0 < np.count_nonzero(codes == PGM_PRUNED) < codes.size
@@ -851,7 +875,7 @@ def test_raster_budget_gate():
 def _raster_enclosures(par, word_len, depth):
     tails = coordinate_symbols(word_len, MINUS if par.b >= 0 else PLUS)
     heads = coordinate_symbols(word_len, PLUS)
-    plo, phi = (np.broadcast_to(v, len(tails)) for v in _p_enclosure(tails.T, depth, par))
+    plo, phi = _p_enclosure(tails.T, depth, par)
     qlo, qhi = _q_enclosure(heads.T, depth, par)
     return plo, phi, qlo, qhi
 
@@ -1160,8 +1184,8 @@ def test_interval_soundness_ten_thousand_triples():
     for (m, n, d1), triples in groups.items():
         a, b = (np.array(v) for v in zip(*[(a, b) for a, b, _ in triples]))
         par = Params(a, b)
-        tails = np.array([w.tail[::-1] for _, _, w in triples]).reshape(len(triples), m)
-        heads = np.array([w.head for _, _, w in triples]).reshape(len(triples), n)
+        tails = np.array([w.tail[::-1] for _, _, w in triples]).reshape(len(triples), m).T
+        heads = np.array([w.head for _, _, w in triples]).reshape(len(triples), n).T
         lo1, hi1 = _pq_enclosure(tails, heads, d1, par)
         lo2, hi2 = _pq_enclosure(tails, heads, 3 * d1 if d1 else 1, par)
         assert np.all((lo1 - ULP_SLACK <= lo2) & (hi2 <= hi1 + ULP_SLACK)), (m, n, d1)
@@ -1175,17 +1199,20 @@ def test_closed_form_agreement_on_hyperbolic_grid():
         for j in range(50):
             b = -0.93 + 1.86 * j / 49
             points.append((1.0 + abs(b) + 0.08 + 2.2 * i / 49, b))
-    lo, hi = eval_q(_one(special_head(40)), 39, Params(*np.array(points).T))
-    closed = [closed_form_q(Params(*point)) for point in points]
-    assert _contains((lo, hi), np.array(closed))
+    grid = Params(*np.array(points).T)
+    lo, hi = eval_q(_one(special_head(40)), 39, grid)
+    closed = closed_form_q(grid)
+    assert closed[0] == closed_form_q(Params(*points[0]))
+    assert _contains((lo, hi), closed)
 
 
 def test_diff_interval_special_head_on_full_shift():
     # p = 1 and the special head maximizes q at exactly 1, so the cylinder
     # enclosure of (p - q) is [0, 2^(1-len)] in exact dyadic arithmetic.
     par = Params(2.0, 0.0)
+    tail = _one((MINUS, PLUS, MINUS))
     for length in (4, 8, 16):
-        lo, hi = _pq_enclosure([(MINUS, PLUS, MINUS)], [special_head(length)], length - 1, par)
+        lo, hi = _pq_enclosure(tail, _one(special_head(length)), length - 1, par)
         assert lo.tolist() == [0.0]
         assert hi.tolist() == [2.0 ** (1 - length)]
 
@@ -1197,7 +1224,7 @@ def test_diff_positive_for_minus_start_heads_on_full_shift():
     for _ in range(30):
         tails.append(_random_word(rng, 5, 0).tail[::-1])
         heads.append((MINUS,) + _random_word(rng, 0, 7).head)
-    lo, _ = _pq_enclosure(tails, heads, 6, Params(2.0, 0.0))
+    lo, _ = _pq_enclosure(np.transpose(tails), np.transpose(heads), 6, Params(2.0, 0.0))
     assert np.all(lo > 0.0)
 
 
@@ -1210,8 +1237,8 @@ def test_pruned_verdict_stable_under_word_extension():
     assert len(idx) > 0
     i, j = (int(v) for v in idx[0])
     tail, head = tails(10, PLUS)[i][::-1], heads(10)[j]
-    assert classify_words([tail], [head], 9, par).tolist() == [PGM_PRUNED]
-    ext = classify_words([tail + (PLUS,) * 4], [head + (PLUS,) * 3], 12, par)
+    assert classify_words(_one(tail), _one(head), 9, par).tolist() == [PGM_PRUNED]
+    ext = classify_words(_one(tail + (PLUS,) * 4), _one(head + (PLUS,) * 3), 12, par)
     assert ext.tolist() == [PGM_PRUNED]
 
 
@@ -1250,8 +1277,8 @@ def test_orbit_itineraries_never_certified_pruned():
         for _ in range(60):
             i = rng.randrange(0, len(itin) - 16)
             windows.append(itin[i : i + 16])
-        words = np.array(windows)
-        codes = classify_words(words[:, 7::-1], words[:, 8:], 7, Params(a, b))
+        words = np.transpose(windows)
+        codes = classify_words(words[7::-1], words[8:], 7, Params(a, b))
         assert not np.any(codes == PGM_PRUNED)
 
 
