@@ -54,7 +54,7 @@ from .pruning import (
     pruned_region_raster,
     special_head,
 )
-from .symbolic import MINUS, PLUS, Word
+from .symbolic import MINUS, PLUS
 from .tent import (
     Kneading,
     check_identity_shifted,

@@ -2,7 +2,10 @@
 
 Each subcommand maps onto one library call and writes PGM or CSV artifacts.
 A run is described by a flat RunConfig; values resolve in the order
-built-in defaults, then a key=value config file, then explicit flags.
+built-in defaults, then a key=value config file, then explicit flags. A
+command takes as flags only the fields it reads (``_READS``), typed by
+RunConfig's hints, so a flag it would ignore is a usage error; a config
+file may set any field.
 Every command is deterministic given its config: sampling is always seeded,
 artifact writers are timestamp-free, and files land atomically (temp file
 plus rename). Existing outputs are only replaced under --force, and every
@@ -37,7 +40,6 @@ from .geometry import (
     unstable_manifold,
 )
 from .pruning import ENTROPY_HEADER, Params, entropy_rows, pruned_region_raster
-from .symbolic import Word
 
 _CODE_TO_VERDICT = {code: name for name, code in ZERO_ENTROPY_CODES.items()}
 
@@ -82,7 +84,8 @@ class RunConfig:
     force: bool = False
 
 
-# Value type of each field; an optional field "float | None" reads as float.
+# Value type of each field, for its flag and its config-file key; an
+# optional field "float | None" reads as float.
 _FIELD_TYPES = {
     name: (typing.get_args(hint) or (hint,))[0]
     for name, hint in typing.get_type_hints(RunConfig).items()
@@ -186,8 +189,8 @@ def cmd_derivatives(config: RunConfig) -> int:
         (
             a,
             dq_db_at_b0(a),
-            dp_db_at_b0(Word((+1, +1), (+1,)), a),
-            dp_db_at_b0(Word((-1, +1), (+1,)), a),
+            dp_db_at_b0(a, +1),
+            dp_db_at_b0(a, -1),
             *bounds,  # lo/hi of d_a, d_b at eps_-2 = +1, d_b at eps_-2 = -1
         )
         for a, *bounds, _n1, _n2 in cone_table(
@@ -311,6 +314,39 @@ _COMMANDS = {
 }
 
 
+# The RunConfig fields each command reads, and so takes as flags, besides
+# --config, --out and --force; a config file may set any field.
+_READS = {
+    "pruned-region": ("a", "b", "word_len", "depth"),
+    "entropy": ("a", "b", "n_max", "depth"),
+    "derivatives": ("grid", "a_min", "a_max"),
+    "cones": ("grid", "a_min", "a_max"),
+    "zero-scan": ("grid", "a_min", "a_max", "b_min", "b_max", "arc_budget"),
+    "manifolds": ("a", "b", "branch", "arc_budget"),
+    "verify": ("criteria", "seed", "depth", "word_len", "n_max", "grid", "arc_budget"),
+}
+
+# The help line of each flag that takes a value.
+_HELP = {
+    "a": "slope parameter",
+    "b": "fold parameter",
+    "word_len": "symbols per side",
+    "depth": "series truncation depth",
+    "n_max": "largest block length",
+    "arc_budget": "manifold arc threshold: growth stops after the first pass that reaches"
+    " it, so the arc can exceed it by a factor of up to about 1 + mu^2",
+    "grid": "sweep points / scan resolution",
+    "a_min": "sweep lower a",
+    "a_max": "sweep upper a",
+    "b_min": "sweep lower b",
+    "b_max": "sweep upper b",
+    "branch": "manifold branch seed",
+    "criteria": "comma list of criteria numbers, or 'all'",
+    "seed": "seed for any sampling",
+    "out": "output path (directory for verify)",
+}
+
+
 # Built once per process: parsing reads the parser and never changes it.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -321,29 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sp = sub.add_parser(name)
+        # No prefix matching: verify would read --a as --arc-budget.
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", help="flat key=value settings file")
-        sp.add_argument("--a", type=float, help="slope parameter")
-        sp.add_argument("--b", type=float, help="fold parameter")
-        sp.add_argument("--word-len", dest="word_len", type=int, help="symbols per side")
-        sp.add_argument("--depth", type=int, help="series truncation depth")
-        sp.add_argument("--n-max", dest="n_max", type=int, help="largest block length")
-        sp.add_argument(
-            "--arc-budget",
-            dest="arc_budget",
-            type=float,
-            help="manifold arc threshold: growth stops after the first pass that reaches"
-            " it, so the arc can exceed it by a factor of up to about 1 + mu^2",
-        )
-        sp.add_argument("--grid", type=int, help="sweep points / scan resolution")
-        sp.add_argument("--a-min", dest="a_min", type=float, help="sweep lower a")
-        sp.add_argument("--a-max", dest="a_max", type=float, help="sweep upper a")
-        sp.add_argument("--b-min", dest="b_min", type=float, help="sweep lower b")
-        sp.add_argument("--b-max", dest="b_max", type=float, help="sweep upper b")
-        sp.add_argument("--branch", help="manifold branch seed")
-        sp.add_argument("--criteria", help="comma list of criteria numbers, or 'all'")
-        sp.add_argument("--seed", type=int, help="seed for any sampling")
-        sp.add_argument("--out", help="output path (directory for verify)")
+        for field in (*_READS[name], "out"):
+            flag = "--" + field.replace("_", "-")
+            sp.add_argument(flag, type=_FIELD_TYPES[field], help=_HELP[field])
         sp.add_argument("--force", action="store_true", default=None, help="overwrite outputs")
     return parser
 

@@ -8,9 +8,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import InsufficientWord, NotHyperbolic
 from .pruning import Params
-from .symbolic import Word
 from .tent import require_slope
 
 
@@ -26,11 +24,11 @@ class DerivBounds:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def dp_db_at_b0(w: Word, a: float) -> float:
+def dp_db_at_b0(a: float, eps_minus2: int) -> float:
     """d(tail series)/db at b = 0: exactly 1/(a * eps_{-2})."""
-    if w.tail_len < 2:
-        raise InsufficientWord("tail symbol at index -2 is required")
-    return 1.0 / (a * w.tail[-2])
+    if eps_minus2 not in (-1, 1):
+        raise ValueError("eps_minus2 must be -1 or +1")
+    return 1.0 / (a * eps_minus2)
 
 
 def dq_db_at_b0(a: float) -> float:
@@ -51,10 +49,8 @@ def a_derivative_bounds(a: float) -> DerivBounds:
 def b_derivative_bounds(a: float, eps_minus2: int) -> DerivBounds:
     """Two-sided bound on d(p - q)/db at (a, 0), split by eps_{-2}."""
     require_slope(a)
-    if eps_minus2 not in (-1, 1):
-        raise ValueError("eps_minus2 must be -1 or +1")
+    head_part = dp_db_at_b0(a, eps_minus2)
     den = 2.0 * a**3 * (a - 1.0)
-    head_part = 1.0 / (a * eps_minus2)
     lo = head_part - (-2.0 * a * a + 7.0 * a - 2.0) / den
     hi = head_part - (-2.0 * a * a + 7.0 * a - 8.0) / den
     return DerivBounds(lo=lo, hi=hi)
@@ -109,13 +105,13 @@ def fd_derivative(
 ):
     """Central finite difference, along a parameter direction, of the
     midpoint of an enclosure: enclosure maps Params to (lo, hi), as floats
-    or as arrays, and the difference has the same shape."""
+    or as arrays, and the difference has the same shape. A step that leaves
+    the hyperbolic region raises NotHyperbolic naming the point it reaches."""
     da, db = direction
     plus = Params(params.a + h * da, params.b + h * db)
     minus = Params(params.a - h * da, params.b - h * db)
     for pt in (plus, minus):
-        if not pt.hyperbolic:
-            raise NotHyperbolic(f"step leaves the hyperbolic region at {pt}")
+        pt.require_hyperbolic()
     lo_p, hi_p = enclosure(plus)
     lo_m, hi_m = enclosure(minus)
     return (0.5 * (lo_p + hi_p) - 0.5 * (lo_m + hi_m)) / (2.0 * h)

@@ -68,19 +68,10 @@ class Params:
     a: float
     b: float
 
-    def _hyperbolic_at(self):
-        """a > 1 + |b| with a and b finite, per point: an infinite a is no map."""
-        a, b = self.a, self.b
-        return np.isfinite(a) & np.isfinite(b) & (a > 1.0 + np.abs(b))
-
-    @property
-    def hyperbolic(self) -> bool:
-        """Hyperbolic at every point."""
-        return bool(np.all(self._hyperbolic_at()))
-
     def require_hyperbolic(self) -> None:
-        """Raise NotHyperbolic naming the first point that is not."""
-        ok = self._hyperbolic_at()
+        """Raise NotHyperbolic naming the first point that is not hyperbolic:
+        a > 1 + |b| with a and b finite (an infinite a is no map)."""
+        ok = np.isfinite(self.a) & np.isfinite(self.b) & (self.a > 1.0 + np.abs(self.b))
         if not np.all(ok):
             a, b = np.broadcast_arrays(self.a, self.b)
             at = np.unravel_index(np.argmin(ok), np.shape(ok))

@@ -1,49 +1,20 @@
-"""Two-sided symbol words and the symbol tables of their coordinate orders
-and of every block on broadcast axes.
+"""Symbol tables of one-sided words: their coordinate orders, and every
+block on broadcast axes.
 
-A bi-infinite itinerary splits at the dot into a tail (symbols at negative
-indices, read leftward from the dot) and a head (symbols at non-negative
-indices).  Finite words carry a finite block of each side and stand for the
-cylinder of all bi-infinite extensions.
+A bi-infinite itinerary of symbols +1 and -1 splits at the dot into a tail
+(symbols at negative indices) and a head (symbols at non-negative indices).
+Both sides are read outward from the dot: position k of a tail holds the
+symbol at index -(k+1), and position k of a head the symbol at index k.  A
+finite block of each side stands for the cylinder of all bi-infinite
+extensions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 MINUS = -1
 PLUS = 1
-
-
-def _check_symbols(symbols: tuple[int, ...], side: str) -> None:
-    for s in symbols:
-        if s != PLUS and s != MINUS:
-            raise ValueError(f"{side} symbol must be +1 or -1, got {s!r}")
-
-
-@dataclass(frozen=True)
-class Word:
-    """A finite symbol block with a dot.
-
-    ``tail`` stores (eps_{-m}, ..., eps_{-1}) in increasing index order, so
-    ``tail[-j]`` is the symbol at index -j.  ``head`` stores
-    (eps_0, ..., eps_{n-1}) and ``head[i]`` is the symbol at index i.
-    """
-
-    tail: tuple[int, ...]
-    head: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tail", tuple(self.tail))
-        object.__setattr__(self, "head", tuple(self.head))
-        _check_symbols(self.tail, "tail")
-        _check_symbols(self.head, "head")
-
-    @property
-    def tail_len(self) -> int:
-        return len(self.tail)
 
 
 def coordinate_symbols(n: int, counted: int) -> np.ndarray:

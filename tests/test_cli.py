@@ -4,9 +4,11 @@ error exit codes. Commands run in process through main()."""
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +100,72 @@ def test_config_serializes_round_trip(tmp_path):
     parsed = formats.read_config(str(path))
     rebuilt = config_from_sources(parsed.pop("command"), parsed)
     assert rebuilt == cfg
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zero-scan", "--a", "1.7", "--b", "0.5"],
+        ["entropy", "--word-len", "9"],
+        ["verify", "--a", "1.9"],
+        ["manifolds", "--grid", "5"],
+    ],
+    ids=["zero-scan", "entropy", "verify", "manifolds"],
+)
+def test_a_flag_the_command_does_not_read_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # verify --a is not taken as a prefix of --arc-budget either.
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda config: pytest.fail("the command ran"))
+    with pytest.raises(SystemExit) as done:
+        main(argv + ["--out", str(tmp_path / "out"), "--force"])
+    assert done.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each command's flags besides --config, --out and --force: the fields its
+# code reads.
+COMMAND_FLAGS = {
+    "pruned-region": {"--a", "--b", "--word-len", "--depth"},
+    "entropy": {"--a", "--b", "--n-max", "--depth"},
+    "derivatives": {"--grid", "--a-min", "--a-max"},
+    "cones": {"--grid", "--a-min", "--a-max"},
+    "zero-scan": {"--grid", "--a-min", "--a-max", "--b-min", "--b-max", "--arc-budget"},
+    "manifolds": {"--a", "--b", "--branch", "--arc-budget"},
+    "verify": {"--criteria", "--seed", "--depth", "--word-len", "--n-max", "--grid",
+               "--arc-budget"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_the_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == COMMAND_FLAGS[command] | {"--config", "--out", "--force", "--help"}
+
+
+@functools.cache
+def _bench_workloads():
+    """bench/workloads.py, loaded from its path under a name of its own."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1, 14])
+def test_every_benchmark_argv_sets_only_flags_its_command_takes(tmp_path, seed):
+    workloads = _bench_workloads()
+    for workload in workloads.WORKLOADS.values():
+        job = workload()
+        for op in [*job.ops(seed, str(tmp_path)), job.warmup(str(tmp_path))]:
+            args = vars(cli._build_parser().parse_args(op.argv))
+            given = {key for key, value in args.items() if value is not None}
+            assert given <= {"command", *cli._READS[args["command"]], "out", "force"}, op.argv
 
 
 def test_config_file_feeds_command(tmp_path):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from lozi_pruning import (
-    InsufficientWord,
     NotHyperbolic,
     Params,
     a_derivative_bounds,
@@ -28,7 +27,7 @@ from lozi_pruning import (
 )
 from lozi_pruning.derivatives import _CONE_MARGIN, CONE_TABLE_HEADER, DerivBounds
 from lozi_pruning.pruning import _p_enclosure, _q_enclosure
-from lozi_pruning.symbolic import MINUS, PLUS, Word, coordinate_symbols
+from lozi_pruning.symbolic import MINUS, PLUS, coordinate_symbols
 
 SLOPES = (1.3, 1.5, 1.7, 2.0)
 H = 1e-6
@@ -63,24 +62,22 @@ def _tails_outward(rng: random.Random, count: int, m: int) -> np.ndarray:
 
 
 def test_dp_db_values():
-    w_plus = Word((PLUS, PLUS), ())
-    w_minus = Word((MINUS, PLUS), ())  # eps_{-2} is the left symbol
-    assert dp_db_at_b0(w_plus, 2.0) == 0.5
-    assert dp_db_at_b0(w_minus, 2.0) == -0.5
-    assert dp_db_at_b0(w_plus, 1.6) == pytest.approx(1.0 / 1.6)
+    assert dp_db_at_b0(2.0, PLUS) == 0.5
+    assert dp_db_at_b0(2.0, MINUS) == -0.5
+    assert dp_db_at_b0(1.6, PLUS) == pytest.approx(1.0 / 1.6)
 
 
 def test_dp_db_reads_eps_minus2():
-    # Only the symbol two left of the dot matters.
-    rng = random.Random(7)
-    for _ in range(20):
-        tail = _random_tail(rng, 9)
-        assert dp_db_at_b0(Word(tail, ()), 1.7) == 1.0 / (1.7 * tail[-2])
-
-
-def test_dp_db_insufficient_tail():
-    with pytest.raises(InsufficientWord):
-        dp_db_at_b0(Word((PLUS,), ()), 2.0)
+    # eps_{-2} is a symbol: +-1 give +-1/a, and anything else is refused, as
+    # b_derivative_bounds refuses it.
+    for a in SLOPES:
+        for eps in (PLUS, MINUS):
+            assert dp_db_at_b0(a, eps) == eps / a
+        for bad in (0, 2, -2, 0.5):
+            with pytest.raises(ValueError):
+                dp_db_at_b0(a, bad)
+            with pytest.raises(ValueError):
+                b_derivative_bounds(a, bad)
 
 
 def test_dp_db_matches_fd():
@@ -340,6 +337,13 @@ def test_fd_richardson_consistency():
 def test_fd_not_hyperbolic():
     with pytest.raises(NotHyperbolic):
         fd_derivative(_pq([(PLUS,) * 6], (PLUS,) * 6), Params(1.2, 0.19), (0.0, 1.0), h=0.02)
+
+
+def test_fd_step_off_a_slope_grid_names_the_one_failing_point():
+    # Only the step from a = 1.3 to b = 0.32 leaves a > 1 + |b|.
+    q = partial(eval_q, np.transpose([special_head(20)]), 19)
+    with pytest.raises(NotHyperbolic, match=r"got a=1\.3, b=0\.32$"):
+        fd_derivative(q, Params(np.array(SLOPES), 0.0), (0.0, 1.0), h=0.32)
 
 
 @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0)])

@@ -7,7 +7,8 @@ private from ``pruning`` but its ``_require_*`` input rules. Every module runs
 in the calling process and reads no environment variable, so a run is
 fixed by its arguments alone. Every public top-level name of the package,
 and every public method or property of its public classes, is used somewhere
-in the package or the benchmark, not only by its own tests.
+in the package or the benchmark, not only by its own tests. Each ``lozi``
+command takes as flags exactly the ``RunConfig`` fields its code reads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import ast
 from pathlib import Path
 
 import lozi_pruning
+from lozi_pruning import cli
 
 PACKAGE_DIR = Path(lozi_pruning.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py"))
@@ -192,3 +194,49 @@ def test_every_public_member_has_a_reader():
     read = _bench_attributes().union(*(_loads(tree)[1] for tree in trees.values()))
     unread = {member for member, name in members.items() if name not in read}
     assert not unread, f"public members with no reader: {sorted(unread)}"
+
+
+# RunConfig fields that are not a command's own input: where its files go,
+# whether they may be replaced, and which command runs.
+_RUN_FIELDS = {"out", "force", "command"}
+
+
+def _config_reads(node: ast.AST) -> set[str]:
+    """The fields read as config.<field> anywhere under node."""
+    return {
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "config"
+    }
+
+
+def _command_reads(functions: dict[str, ast.FunctionDef], name: str) -> set[str]:
+    """The config.<field> reads of the named function and of every function
+    of the same module it passes config to, such as cli._a_sweep."""
+    found, seen, todo = set(), set(), [name]
+    while todo:
+        function = functions[todo.pop()]
+        if function.name in seen:
+            continue
+        seen.add(function.name)
+        found |= _config_reads(function)
+        todo += [
+            call.func.id
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in functions
+            and any(isinstance(arg, ast.Name) and arg.id == "config" for arg in call.args)
+        ]
+    return found
+
+
+def test_each_command_takes_as_flags_exactly_the_fields_it_reads():
+    # A listed flag the command never reads would be silently dropped, and a
+    # field it reads without listing it could be set only by a config file.
+    functions = {s.name: s for s in _tree("cli").body if isinstance(s, ast.FunctionDef)}
+    reads = {name: _command_reads(functions, fn.__name__) for name, fn in cli._COMMANDS.items()}
+    reads["verify"] |= _config_reads(_tree("verify"))
+    assert {name: set(fields) for name, fields in cli._READS.items()} == {
+        name: fields - _RUN_FIELDS for name, fields in reads.items()
+    }

@@ -26,7 +26,6 @@ from lozi_pruning import (
     InsufficientWord,
     NotHyperbolic,
     Params,
-    Word,
     classify_words,
     closed_form_q,
     eval_p,
@@ -111,17 +110,18 @@ def _pq_enclosure(tails, heads, depth: int, par: Params):
     return plo - qhi, phi - qlo
 
 
-def _s_level(w: Word, n: int, depth: int, par: Params) -> tuple[float, float]:
+def _s_level(tail, n: int, depth: int, par: Params) -> tuple[float, float]:
     """Enclosure of the tail level s_n (n <= -2) from the symbols at
-    indices n - depth .. n, innermost first."""
-    shifts = [-par.a * w.tail[-j] for j in range(depth - n, -n - 1, -1)]
+    indices n - depth .. n, innermost first; tail[k] is the symbol at index
+    -(k+1)."""
+    shifts = [-par.a * tail[j - 1] for j in range(depth - n, -n - 1, -1)]
     return _levels(shifts, par)[-1]
 
 
-def _r_level(w: Word, n: int, depth: int, par: Params) -> tuple[float, float]:
+def _r_level(head, n: int, depth: int, par: Params) -> tuple[float, float]:
     """Enclosure of the head level r_n (n >= 0) from the symbols at
     indices n + depth .. n, innermost first."""
-    shifts = [par.a * w.head[j] for j in range(n + depth, n - 1, -1)]
+    shifts = [par.a * head[j] for j in range(n + depth, n - 1, -1)]
     return _levels(shifts, par)[-1]
 
 
@@ -138,10 +138,9 @@ def _estimate(par: Params, n_max: int, depth: int) -> tuple[float, float]:
 
 
 def test_hyperbolic_predicate_and_gate():
-    assert Params(2.0, 0.5).hyperbolic
-    assert Params(1.2, -0.1).hyperbolic
-    assert not Params(1.5, 0.5).hyperbolic  # boundary a = 1 + |b|
-    assert not Params(1.0, 0.0).hyperbolic
+    Params(2.0, 0.5).require_hyperbolic()
+    Params(1.2, -0.1).require_hyperbolic()
+    # Params(1.5, 0.5) is on the boundary a = 1 + |b|
     for bad in (Params(1.5, 0.5), Params(1.0, 0.0), Params(2.0, 1.1), Params(1.3, -0.4)):
         with pytest.raises(NotHyperbolic):
             bad.require_hyperbolic()
@@ -153,7 +152,6 @@ def test_nonfinite_parameters_are_not_hyperbolic():
     inf, nan = math.inf, math.nan
     for bad in (Params(inf, 0.5), Params(inf, 0.0), Params(inf, -inf), Params(nan, 0.0),
                 Params(2.0, nan), Params(inf, inf)):
-        assert not bad.hyperbolic
         with pytest.raises(NotHyperbolic):
             bad.require_hyperbolic()
         with pytest.raises(NotHyperbolic):
@@ -164,7 +162,6 @@ def test_nonfinite_parameters_are_not_hyperbolic():
 
 def test_not_hyperbolic_names_the_first_failing_point_of_a_grid():
     grid = Params(np.array([1.7, 1.7, 1.2]), np.array([0.2, 0.9, 0.5]))
-    assert not grid.hyperbolic
     with pytest.raises(NotHyperbolic, match=r"got a=1\.7, b=0\.9$"):
         grid.require_hyperbolic()
     with pytest.raises(NotHyperbolic, match=r"got a=1\.7, b=0\.9$"):
@@ -190,22 +187,22 @@ def test_eval_p_gives_one_enclosure_per_tail_at_every_depth():
 def test_level_values_exact_at_b0():
     # With b = 0 a level is 1/(+-a) exactly and the enclosure collapses.
     par = Params(2.0, 0.0)
-    w = Word((PLUS, MINUS, PLUS), (MINUS, PLUS))
-    s = -1.0 / (2.0 * w.tail[-2])
-    assert _s_level(w, -2, 0, par) == (s, s)
-    s3 = -1.0 / (2.0 * w.tail[-3])
-    assert _s_level(w, -3, 0, par) == (s3, s3)
-    r0 = w.head[0] / 2.0
-    assert _r_level(w, 0, 0, par) == (r0, r0)
-    r1 = w.head[1] / 2.0
-    assert _r_level(w, 1, 0, par) == (r1, r1)
+    tail, head = (PLUS, MINUS, PLUS), (MINUS, PLUS)
+    s = -1.0 / (2.0 * tail[1])
+    assert _s_level(tail, -2, 0, par) == (s, s)
+    s3 = -1.0 / (2.0 * tail[2])
+    assert _s_level(tail, -3, 0, par) == (s3, s3)
+    r0 = head[0] / 2.0
+    assert _r_level(head, 0, 0, par) == (r0, r0)
+    r1 = head[1] / 2.0
+    assert _r_level(head, 1, 0, par) == (r1, r1)
 
 
 def test_s_constant_plus_tail_fixed_point():
     # s = 1/(-a + b s) with a=2, b=0.5 gives s^2 - 4s - 2 = 0, root 2 - sqrt(6)
     # inside the invariant disc.
     target = 2.0 - math.sqrt(6.0)
-    lo, hi = _s_level(Word((PLUS,) * 40, ()), -2, 30, Params(2.0, 0.5))
+    lo, hi = _s_level((PLUS,) * 40, -2, 30, Params(2.0, 0.5))
     assert _contains((lo, hi), target)
     assert hi - lo < 2e-10
 
@@ -214,7 +211,7 @@ def test_r_constant_minus_continuation_fixed_point():
     # On the head (+1, -1, -1, ...) the levels from index 1 on satisfy the
     # same fixed-point equation as the constant tail above.
     target = 2.0 - math.sqrt(6.0)
-    lo, hi = _r_level(Word((), special_head(40)), 1, 30, Params(2.0, 0.5))
+    lo, hi = _r_level(special_head(40), 1, 30, Params(2.0, 0.5))
     assert _contains((lo, hi), target)
     assert hi - lo < 2e-10
 
@@ -313,9 +310,11 @@ def test_classify_words_refuses_unequal_word_counts_before_any_level(monkeypatch
         classify_words(tails[:, 0], heads[:, 0], 3, par)  # one word, not a matrix
 
 
-def _random_word(rng: random.Random, m: int, n: int) -> Word:
+def _random_word(rng: random.Random, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(tail, head) of m and n random symbols, both read outward from the
+    dot; the tail's are drawn outermost first."""
     syms = lambda k: tuple(rng.choice((MINUS, PLUS)) for _ in range(k))
-    return Word(syms(m), syms(n))
+    return syms(m)[::-1], syms(n)
 
 
 def _random_batch(rng: random.Random, words: int, length: int) -> np.ndarray:
@@ -351,17 +350,15 @@ def test_enclosures_nest_in_depth_and_word_refinement():
         a = 1.0 + abs(b) + rng.uniform(0.1, 2.0)
         par = Params(a, b)
         m, n = rng.randint(0, 10), rng.randint(0, 10)
-        w = _random_word(rng, m, n)
+        tail, head = _random_word(rng, m, n)
         d1 = rng.randint(0, 5)
         d2 = d1 + rng.randint(1, 4)
-        lo1, hi1 = _pq_enclosure(_one(w.tail[::-1]), _one(w.head), d1, par)
-        lo2, hi2 = _pq_enclosure(_one(w.tail[::-1]), _one(w.head), d2, par)
+        lo1, hi1 = _pq_enclosure(_one(tail), _one(head), d1, par)
+        lo2, hi2 = _pq_enclosure(_one(tail), _one(head), d2, par)
         assert np.all((lo1 - ULP_SLACK <= lo2) & (hi2 <= hi1 + ULP_SLACK))
-        ext = Word(
-            _random_word(rng, rng.randint(1, 4), 0).tail + w.tail,
-            w.head + _random_word(rng, 0, rng.randint(1, 4)).head,
-        )
-        lo3, hi3 = _pq_enclosure(_one(ext.tail[::-1]), _one(ext.head), d1, par)
+        ext_tail = tail + _random_word(rng, rng.randint(1, 4), 0)[0]
+        ext_head = head + _random_word(rng, 0, rng.randint(1, 4))[1]
+        lo3, hi3 = _pq_enclosure(_one(ext_tail), _one(ext_head), d1, par)
         assert np.all((lo1 - ULP_SLACK <= lo3) & (hi3 <= hi1 + ULP_SLACK))
 
 
@@ -375,16 +372,14 @@ def test_enclosures_contain_periodic_word_oracle():
         eps_head = lambda j: pat[j % period]
         eps_tail = lambda j: pat[(j - 1) % period]
         m = n = 18
-        w = Word(
-            tuple(eps_tail(m - i) for i in range(m)),
-            tuple(eps_head(j) for j in range(n)),
-        )
+        tail = _one([eps_tail(k + 1) for k in range(m)])
+        head = _one([eps_head(j) for j in range(n)])
         p_true = float(_p_series_mp(eps_tail, a, b))
         q_true = float(_q_series_mp(eps_head, a, b))
         par = Params(a, b)
-        assert _contains(eval_p(_one(w.tail[::-1]), 14, par), p_true)
-        assert _contains(eval_q(_one(w.head), 14, par), q_true)
-        assert _contains(_pq_enclosure(_one(w.tail[::-1]), _one(w.head), 14, par), p_true - q_true)
+        assert _contains(eval_p(tail, 14, par), p_true)
+        assert _contains(eval_q(head, 14, par), q_true)
+        assert _contains(_pq_enclosure(tail, head, 14, par), p_true - q_true)
 
 
 def test_classify_all_admissible_at_2_0():
@@ -393,8 +388,8 @@ def test_classify_all_admissible_at_2_0():
     # placement.
     rng = random.Random(99)
     words = [_random_word(rng, 6, 6) for _ in range(60)]
-    tails = np.transpose([w.tail[::-1] for w in words])
-    codes = classify_words(tails, np.transpose([w.head for w in words]), 5, Params(2.0, 0.0))
+    tails, heads = (np.transpose(side) for side in zip(*words))
+    codes = classify_words(tails, heads, 5, Params(2.0, 0.0))
     assert codes.tolist() == [PGM_ADMISSIBLE] * 60
 
 
@@ -1178,14 +1173,14 @@ def test_interval_soundness_ten_thousand_triples():
     for _ in range(10_000):
         b = rng.uniform(-0.9, 0.9)
         a = 1.0 + abs(b) + rng.uniform(0.1, 2.0)
-        w = _random_word(rng, rng.randint(0, 8), rng.randint(0, 8))
+        tail, head = _random_word(rng, rng.randint(0, 8), rng.randint(0, 8))
         d1 = rng.randint(0, 4)
-        groups.setdefault((len(w.tail), len(w.head), d1), []).append((a, b, w))
+        groups.setdefault((len(tail), len(head), d1), []).append((a, b, tail, head))
     for (m, n, d1), triples in groups.items():
-        a, b = (np.array(v) for v in zip(*[(a, b) for a, b, _ in triples]))
+        a, b = (np.array(v) for v in zip(*[(a, b) for a, b, _, _ in triples]))
         par = Params(a, b)
-        tails = np.array([w.tail[::-1] for _, _, w in triples]).reshape(len(triples), m).T
-        heads = np.array([w.head for _, _, w in triples]).reshape(len(triples), n).T
+        tails = np.array([t for _, _, t, _ in triples]).reshape(len(triples), m).T
+        heads = np.array([h for _, _, _, h in triples]).reshape(len(triples), n).T
         lo1, hi1 = _pq_enclosure(tails, heads, d1, par)
         lo2, hi2 = _pq_enclosure(tails, heads, 3 * d1 if d1 else 1, par)
         assert np.all((lo1 - ULP_SLACK <= lo2) & (hi2 <= hi1 + ULP_SLACK)), (m, n, d1)
@@ -1222,8 +1217,8 @@ def test_diff_positive_for_minus_start_heads_on_full_shift():
     rng = random.Random(31)
     tails, heads = [], []
     for _ in range(30):
-        tails.append(_random_word(rng, 5, 0).tail[::-1])
-        heads.append((MINUS,) + _random_word(rng, 0, 7).head)
+        tails.append(_random_word(rng, 5, 0)[0])
+        heads.append((MINUS,) + _random_word(rng, 0, 7)[1])
     lo, _ = _pq_enclosure(np.transpose(tails), np.transpose(heads), 6, Params(2.0, 0.0))
     assert np.all(lo > 0.0)
 

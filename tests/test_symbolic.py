@@ -9,7 +9,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from lozi_pruning.symbolic import MINUS, PLUS, Word
+from lozi_pruning.symbolic import MINUS, PLUS
 from symbolic_reference import (
     compare_heads,
     compare_tails,
@@ -106,9 +106,3 @@ def test_coordinates_land_in_unit_interval():
         assert 0.0 <= head_coordinate(h) < 1.0
         assert 0.0 <= tail_coordinate(h) < 1.0
 
-
-def test_word_rejects_bad_symbols():
-    with pytest.raises(ValueError):
-        Word((0,), ())
-    with pytest.raises(ValueError):
-        Word((), (2,))
