@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 import typing
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import formats
 from .derivatives import CONE_TABLE_HEADER, cone_table, dp_db_at_b0, dq_db_at_b0
@@ -40,8 +38,6 @@ from .geometry import (
     unstable_manifold,
 )
 from .pruning import ENTROPY_HEADER, Params, entropy_rows, pruned_region_raster
-
-_CODE_TO_VERDICT = {code: name for name, code in ZERO_ENTROPY_CODES.items()}
 
 DERIVATIVES_HEADER = (
     "a",
@@ -230,26 +226,11 @@ def cmd_zero_scan(config: RunConfig) -> int:
         },
         force=config.force,
     )
-    rows = []
-    for i in range(scan.resolution):
-        for j in range(scan.resolution):
-            wx, wy = scan.witnesses[i, j]
-            rows.append(
-                (
-                    scan.a_of(j),
-                    scan.b_of(i),
-                    _CODE_TO_VERDICT[int(scan.codes[i, j])],
-                    None if math.isnan(wx) else wx,
-                    None if math.isnan(wy) else wy,
-                )
-            )
+    rows = [(a, b, v.label, *(v.witness or (None, None))) for a, b, v in scan.pixels]
     formats.write_csv(out + ".csv", ZERO_SCAN_HEADER, rows, force=config.force)
-    counts = {
-        name: int(np.count_nonzero(scan.codes == code))
-        for name, code in ZERO_ENTROPY_CODES.items()
-        if np.any(scan.codes == code)
-    }
-    print(f"zero-scan: {scan.resolution}x{scan.resolution} pixels {counts} -> {out}")
+    labels = Counter(v.label for _, _, v in scan.pixels)
+    counts = {name: labels[name] for name in ZERO_ENTROPY_CODES if name in labels}
+    print(f"zero-scan: {resolution}x{resolution} pixels {counts} -> {out}")
     return 0
 
 
@@ -347,6 +328,18 @@ _HELP = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which reports arguments it does not take itself,
+    under its own usage line, where argparse would hand them back to the
+    root parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 # Built once per process: parsing reads the parser and never changes it.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -355,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pruning-front and plane-geometry toolkit for the piecewise"
         " affine horseshoe family.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name in _COMMANDS:
         # No prefix matching: verify would read --a as --arc-budget.
         sp = sub.add_parser(name, allow_abbrev=False)

@@ -85,7 +85,8 @@ def lozi_apply_n(params: Params, p: PlanePoint, n: int) -> PlanePoint:
 @dataclass(frozen=True)
 class FixedData:
     """Saddles p1/p2, the period-2 pair n1/n2 when present, and the
-    eigen-slopes of the affine pieces at each saddle.
+    eigen-slopes of the affine pieces at the saddles: both at p1, and the
+    unstable one at p2, the only branch of p2 that grows.
 
     Slopes are the lambda of eigenvectors (lambda, 1); None when the
     respective fixed point is absent or the eigenvalues are complex.
@@ -97,7 +98,6 @@ class FixedData:
     n2: PlanePoint | None
     stable_slope_p1: float | None
     unstable_slope_p1: float | None
-    stable_slope_p2: float | None
     unstable_slope_p2: float | None
     period2_attracting: bool | None
 
@@ -137,7 +137,7 @@ def fixed_data(params: Params) -> FixedData:
                     stable = 0.5 * (-a * s + s * root)
                     unstable = 0.5 * (-a * s - s * root)
         saddles.append((point, stable, unstable))
-    (p1, s1, u1), (p2, s2, u2) = saddles
+    (p1, s1, u1), (p2, _, u2) = saddles
     if p1 is None and p2 is None:
         raise NoFixedPoint(f"no fixed point at (a, b) = ({a}, {b})")
 
@@ -164,7 +164,6 @@ def fixed_data(params: Params) -> FixedData:
         n2=n2,
         stable_slope_p1=s1,
         unstable_slope_p1=u1,
-        stable_slope_p2=s2,
         unstable_slope_p2=u2,
         period2_attracting=attracting,
     )
@@ -351,8 +350,11 @@ class _Growth:
             raise ValueError(f"seed must be one of {names}")
         saddle, _, sign, self.kind = MANIFOLD_BRANCHES[seed]
         fd = _fixed_data(params)
-        start = getattr(fd, saddle)
-        lam = getattr(fd, f"{'stable' if inverse else 'unstable'}_slope_{saddle}")
+        start, lam = {
+            ("p1", False): (fd.p1, fd.unstable_slope_p1),
+            ("p2", False): (fd.p2, fd.unstable_slope_p2),
+            ("p1", True): (fd.p1, fd.stable_slope_p1),
+        }[saddle, inverse]
         if start is None or lam is None:
             raise NoFixedPoint(f"{saddle} missing or non-real eigenvalues")
         if inverse and params.b == 0.0:
@@ -900,18 +902,14 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
 
 @dataclass(frozen=True)
 class ZeroEntropyScan:
-    a_range: tuple[float, float]
-    b_range: tuple[float, float]
-    resolution: int
-    codes: np.ndarray  # [i, j] = row i over b rank, column j over a rank
-    # [i, j] = crossing point for homoclinic pixels, NaN elsewhere
-    witnesses: np.ndarray
+    """The pixels of a scan, each the (a, b) it was classified at and its
+    verdict, row by row over b and then over a; every reader (the PGM, the
+    CSV listing, criterion 10) formats these records. codes is the PGM
+    grid, built once from the verdicts' labels: [i, j] is the gray level of
+    pixel j of row i."""
 
-    def a_of(self, j: int) -> float:
-        return _cell_centre(self.a_range, j, self.resolution)
-
-    def b_of(self, i: int) -> float:
-        return _cell_centre(self.b_range, i, self.resolution)
+    pixels: list[tuple[float, float, ZeroEntropyVerdict]]
+    codes: np.ndarray
 
 
 def _cell_centre(span: tuple[float, float], k: int, resolution: int) -> float:
@@ -926,11 +924,11 @@ def scan_zero_entropy(
     arc_budget: float = 20.0,
 ) -> ZeroEntropyScan:
     """Classify the cell centres of a parameter grid, one pixel after
-    another in this process. Each pixel's code is its verdict's entry in
-    ZERO_ENTROPY_CODES and its witness the verdict's crossing point (NaN
-    when there is none); a pixel whose classification raises a LoziError
-    scores as unknown, and any other error propagates. A grid end that is
-    not finite, or an arc budget that is not finite and > 0, raises
+    another in this process. Each pixel is its (a, b) cell centre and its
+    verdict, and its code in the PGM grid is the verdict's entry in
+    ZERO_ENTROPY_CODES; a pixel whose classification raises a LoziError
+    gets the unknown verdict, and any other error propagates. A grid end
+    that is not finite, or an arc budget that is not finite and > 0, raises
     ValueError before any pixel runs.
     """
     _require_arc_budget(arc_budget)
@@ -939,8 +937,7 @@ def scan_zero_entropy(
     if not (-1.0 <= b_range[0] <= 1.0 and -1.0 <= b_range[1] <= 1.0):
         raise ValueError("b grid must stay within |b| <= 1")
     _require_resolution(resolution)
-    codes = np.full((resolution, resolution), ZERO_ENTROPY_CODES["unknown"], np.uint8)
-    witnesses = np.full((resolution, resolution, 2), math.nan)
+    pixels = []
     for i in range(resolution):
         b = _cell_centre(b_range, i, resolution)
         for j in range(resolution):
@@ -948,15 +945,8 @@ def scan_zero_entropy(
             try:
                 verdict = classify_zero_entropy(Params(a, b), arc_budget)
             except LoziError:
-                continue
-            codes[i, j] = ZERO_ENTROPY_CODES[verdict.label]
-            if verdict.witness is not None:
-                witnesses[i, j] = verdict.witness
-    return ZeroEntropyScan(
-        a_range=(float(a_range[0]), float(a_range[1])),
-        b_range=(float(b_range[0]), float(b_range[1])),
-        resolution=resolution,
-        codes=codes,
-        witnesses=witnesses,
-    )
+                verdict = ZeroEntropyVerdict(kind="unknown")
+            pixels.append((a, b, verdict))
+    codes = [ZERO_ENTROPY_CODES[verdict.label] for _, _, verdict in pixels]
+    return ZeroEntropyScan(pixels, np.array(codes, np.uint8).reshape(resolution, resolution))
 

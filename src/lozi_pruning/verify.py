@@ -38,7 +38,6 @@ from .derivatives import (
 from .errors import NotInvariant
 from .formats import or_default
 from .geometry import (
-    ZERO_ENTROPY_CODES,
     PlanePoint,
     classify_zero_entropy,
     fixed_data,
@@ -335,20 +334,16 @@ def check_zero_entropy_atlas(config) -> tuple[bool, str]:
     scan = scan_zero_entropy((0.0, 2.5), (0.0, 1.0), resolution, arc_budget)
     zone_bad = 0
     zone_hits = [0, 0, 0]
-    for i in range(resolution):
-        b = scan.b_of(i)
-        for j in range(resolution):
-            a = scan.a_of(j)
-            code = int(scan.codes[i, j])
-            if a < 1.0 - b:
-                zone_hits[0] += 1
-                zone_bad += code != ZERO_ENTROPY_CODES["analytic_zero_ii"]
-            if abs(a - 1.0) <= 0.05 and abs(b - 0.5) <= 0.025:
-                zone_hits[1] += 1
-                zone_bad += code != ZERO_ENTROPY_CODES["numeric_zero"]
-            if a >= 2.0:
-                zone_hits[2] += 1
-                zone_bad += code != ZERO_ENTROPY_CODES["homoclinic"]
+    for a, b, verdict in scan.pixels:
+        if a < 1.0 - b:
+            zone_hits[0] += 1
+            zone_bad += verdict.label != "analytic_zero_ii"
+        if abs(a - 1.0) <= 0.05 and abs(b - 0.5) <= 0.025:
+            zone_hits[1] += 1
+            zone_bad += verdict.label != "numeric_zero"
+        if a >= 2.0:
+            zone_hits[2] += 1
+            zone_bad += verdict.label != "homoclinic"
     if config.out:
         (path,) = _artifacts(config.out, check_zero_entropy_atlas)
         formats.write_pgm(path, scan.codes, force=config.force)
@@ -440,15 +435,17 @@ CHECKS = {
 def parse_criteria(text: str) -> list[int]:
     if text.strip().lower() == "all":
         return sorted(CHECKS)
-    indices = sorted({int(part) for part in text.split(",") if part.strip()})
-    if not indices:
-        raise ValueError("no criterion selected")
-    for index in indices:
+    indices = set()
+    for part in filter(None, map(str.strip, text.split(","))):
+        index = int(part) if part.isdecimal() else None
         if index not in CHECKS:
             raise ValueError(
-                f"criterion {index} does not exist (valid: {min(CHECKS)}..{max(CHECKS)})"
+                f"criterion {part!r} does not exist (valid: {min(CHECKS)}..{max(CHECKS)} or all)"
             )
-    return indices
+        indices.add(index)
+    if not indices:
+        raise ValueError("no criterion selected")
+    return sorted(indices)
 
 
 def output_paths(config) -> list[str]:

@@ -115,12 +115,15 @@ def test_config_serializes_round_trip(tmp_path):
 def test_a_flag_the_command_does_not_read_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, argv
 ):
-    # verify --a is not taken as a prefix of --arc-budget either.
+    # verify --a is not taken as a prefix of --arc-budget either. The
+    # command's own parser reports the flag, under its own usage line.
     monkeypatch.setitem(cli._COMMANDS, argv[0], lambda config: pytest.fail("the command ran"))
     with pytest.raises(SystemExit) as done:
         main(argv + ["--out", str(tmp_path / "out"), "--force"])
     assert done.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lozi {argv[0]} ")
+    assert f"lozi {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -565,6 +568,30 @@ def test_zero_scan_deterministic_bytes(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_zero_scan_outputs_pin(tmp_path, capsys):
+    # PGM, CSV, sidecar and stdout of a grid whose middle row lies on b = 0,
+    # where every pixel raises NonInvertible and so is unknown without a
+    # witness. Digest taken before the scan returned its pixels as
+    # (a, b, verdict) records.
+    out = tmp_path / "scan.pgm"
+    assert main(["zero-scan", "--grid", "7", "--a-min", "-1.0", "--a-max", "2.5",
+                 "--b-min", "-0.5", "--b-max", "0.5", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    assert stdout == (
+        "zero-scan: 7x7 pixels {'analytic_zero_ii': 10, 'numeric_zero': 2,"
+        " 'homoclinic': 12, 'unknown': 25} -> OUT\n"
+    )
+    _, rows = read_csv_rows(tmp_path / "scan.pgm.csv")
+    assert [row[1:] for row in rows[21:28]] == [["0.0", "unknown", "", ""]] * 7
+    digest = hashlib.sha256()
+    for path in (out, tmp_path / "scan.pgm.csv", tmp_path / "scan.pgm.txt"):
+        digest.update(path.read_bytes())
+    digest.update(stdout.encode())
+    assert digest.hexdigest() == (
+        "be7e630052fd8bf55615b7958ca947db2d2b718fe81f0f57e0500fe6662a317b"
+    )
+
+
 def _refuse_growth(monkeypatch):
     # Without the input rule these runs grow branches for minutes or until
     # memory runs out; here they fail at once instead.
@@ -777,8 +804,12 @@ def test_verify_reports_a_polygon_escape_as_a_failing_criterion(monkeypatch, cap
 
 
 def test_verify_rejects_unknown_criterion(capsys):
-    assert main(["verify", "--criteria", "13"]) == 2
-    assert "criterion" in capsys.readouterr().err
+    # The message names the entry it cannot read and what is valid.
+    for criteria, entry in (("13", "13"), ("1,x", "x"), ("2.5", "2.5")):
+        assert main(["verify", "--criteria", criteria]) == 2
+        captured = capsys.readouterr()
+        assert f"criterion {entry!r} does not exist (valid: 1..12 or all)" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("criteria", ["", ",", " , "])

@@ -236,9 +236,8 @@ def test_eigen_slopes_satisfy_characteristic_equations():
             assert abs(-a * lam + b - lam * lam) <= 1e-12
         if fd.p2 is not None:
             assert abs(fd.unstable_slope_p2 - 0.5 * (a + root)) <= 1e-14
-            assert abs(fd.stable_slope_p2 - 0.5 * (a - root)) <= 1e-14
-            for lam in (fd.stable_slope_p2, fd.unstable_slope_p2):
-                assert abs(a * lam + b - lam * lam) <= 1e-12
+            lam = fd.unstable_slope_p2
+            assert abs(a * lam + b - lam * lam) <= 1e-12
 
 
 def test_two_cycle_jury_test_matches_eigenvalues():
@@ -276,7 +275,7 @@ def _ref_fixed_data(params):
     disc = a * a + 4.0 * b
     root = math.sqrt(disc) if disc >= 0.0 else None
     p1 = p2 = None
-    s1 = u1 = s2 = u2 = None
+    s1 = u1 = u2 = None
     if 1.0 + a - b > 0.0:
         x = 1.0 / (1.0 + a - b)
         cand = PlanePoint(x, x)
@@ -290,7 +289,7 @@ def _ref_fixed_data(params):
         if cand.dist(lozi_apply(params, cand)) <= 1e-10:
             p2 = cand
             if root is not None:
-                s2, u2 = 0.5 * (a - root), 0.5 * (a + root)
+                u2 = 0.5 * (a + root)
     if p1 is None and p2 is None:
         raise NoFixedPoint("no fixed point")
     n1 = n2 = attracting = None
@@ -306,7 +305,7 @@ def _ref_fixed_data(params):
             attracting = _two_cycle_attracting(
                 a, b, math.copysign(1.0, n1.x), math.copysign(1.0, n2.x)
             )
-    return geometry.FixedData(p1, p2, n1, n2, s1, u1, s2, u2, attracting)
+    return geometry.FixedData(p1, p2, n1, n2, s1, u1, u2, attracting)
 
 
 def test_fixed_data_matches_planepoint_reference():
@@ -1267,7 +1266,11 @@ def test_scan_atlas_regression_pin():
     )
     # the crossing points too, taken before the zero certificate ran first
     # and before the sweep stopped branches inside the sink
-    assert hashlib.sha256(scan.witnesses.tobytes()).hexdigest() == (
+    witnesses = np.full((40, 40, 2), math.nan)
+    for k, (_, _, verdict) in enumerate(scan.pixels):
+        if verdict.witness is not None:
+            witnesses[divmod(k, 40)] = verdict.witness
+    assert hashlib.sha256(witnesses.tobytes()).hexdigest() == (
         "efe49e9546c3da9fe8cf6dbaef90e2d39038cac9bc7b5e6b0e74799e2eed6ba5"
     )
 
@@ -1310,13 +1313,20 @@ def test_scan_b_zero_pixel_scores_unknown():
     # inverse map (hence the sweep) is unavailable
     scan = scan_zero_entropy((1.2, 1.4), (-0.1, 0.1), 1, arc_budget=10.0)
     assert scan.codes[0, 0] == ZERO_ENTROPY_CODES["unknown"]
+    ((_, b, verdict),) = scan.pixels
+    assert b == 0.0 and verdict == ZeroEntropyVerdict(kind="unknown")
 
 
 def test_scan_grid_axes_and_guards():
     scan = scan_zero_entropy((1.0, 2.0), (0.0, 0.5), 4, arc_budget=5.0)
-    assert abs(scan.a_of(0) - 1.125) <= 1e-15
-    assert abs(scan.b_of(3) - 0.4375) <= 1e-15
+    # row by row over b, then over a: pixel 4 i + j is (a_j, b_i)
+    assert len(scan.pixels) == 16
+    assert abs(scan.pixels[0][0] - 1.125) <= 1e-15
+    assert abs(scan.pixels[12][1] - 0.4375) <= 1e-15
+    assert [a for a, _, _ in scan.pixels[4:8]] == [a for a, _, _ in scan.pixels[:4]]
+    assert {b for _, b, _ in scan.pixels[4:8]} == {scan.pixels[4][1]}
     assert scan.codes.shape == (4, 4)
+    assert scan.codes.ravel().tolist() == [ZERO_ENTROPY_CODES[v.label] for *_, v in scan.pixels]
     with pytest.raises(ValueError):
         scan_zero_entropy((1.0, 2.0), (0.5, 1.5), 2)
     with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ The numeric layers sit below the front ends: ``pruning`` builds only on
 private from ``pruning`` but its ``_require_*`` input rules. Every module runs
 in the calling process and reads no environment variable, so a run is
 fixed by its arguments alone. Every public top-level name of the package,
-and every public method or property of its public classes, is used somewhere
-in the package or the benchmark, not only by its own tests. Each ``lozi``
-command takes as flags exactly the ``RunConfig`` fields its code reads.
+and every public method, property or annotated field of its public classes,
+is used somewhere in the package or the benchmark, not only by its own
+tests. Each ``lozi`` command takes as flags exactly the ``RunConfig`` fields
+its code reads.
 """
 
 from __future__ import annotations
@@ -177,19 +178,30 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names with no caller: {unused}"
 
 
+def _member_names(cls: ast.ClassDef) -> list[str]:
+    """The public methods, properties and annotated fields of a class body."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_member_has_a_reader():
-    # A method or property counts as read where the package or the benchmark
-    # loads an attribute of its name outside the member's own definition and
-    # outside its class's dunder methods. Dunders and private names are
-    # exempt.
+    # A method, property or annotated field (of a dataclass or NamedTuple)
+    # counts as read where the package or the benchmark loads an attribute
+    # of its name outside the member's own definition and outside its
+    # class's dunder methods. A field read only through getattr with a
+    # computed name has no reader. Dunders and private names are exempt.
     trees = _package_trees()
     members = {
-        f"{module}.{cls.name}.{node.name}": node.name
+        f"{module}.{cls.name}.{name}": name
         for module, tree in trees.items()
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for name in _member_names(cls)
     }
     read = _bench_attributes().union(*(_loads(tree)[1] for tree in trees.values()))
     unread = {member for member, name in members.items() if name not in read}
