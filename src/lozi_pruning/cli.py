@@ -5,7 +5,8 @@ A run is described by a flat RunConfig; values resolve in the order
 built-in defaults, then a key=value config file, then explicit flags. A
 command takes as flags only the fields it reads (``_READS``), typed by
 RunConfig's hints, so a flag it would ignore is a usage error; a config
-file may set any field.
+file may set any field once, and the fields the command does not read are
+named on stderr.
 Every command is deterministic given its config: sampling is always seeded,
 artifact writers are timestamp-free, and files land atomically (temp file
 plus rename). Existing outputs are only replaced under --force, and every
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import typing
 from collections import Counter
@@ -331,7 +333,14 @@ _HELP = {
 class _CommandParser(argparse.ArgumentParser):
     """A command's parser, which reports arguments it does not take itself,
     under its own usage line, where argparse would hand them back to the
-    root parser."""
+    root parser. It reads every argument that starts with "-" and a digit,
+    or "-." and a digit, as a value: argparse's own pattern takes -0.5 but
+    not -1e-05 for a number, and would refuse "--a-min -1e-05", the float
+    repr of a small negative a, as a flag without its value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extra = super().parse_known_args(args, namespace)
@@ -360,6 +369,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_unread(path: str, command: str, file_settings: dict[str, str]) -> None:
+    """One stderr line naming the keys of the config file that the command
+    does not read. They are not an error, so one file can serve several
+    commands."""
+    read = ("command", *_READS[command], "out", "force")
+    unread = [key for key in file_settings if key not in read]
+    if unread:
+        print(f"warning: {path}: {command} does not read {', '.join(unread)}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
@@ -368,7 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         if key not in ("command", "config")
     }
     try:
-        file_settings = formats.read_config(args.config) if args.config else None
+        file_settings = {}
+        if args.config:
+            file_settings = formats.read_config(args.config, _FIELD_TYPES)
+            _report_unread(args.config, args.command, file_settings)
         config = config_from_sources(args.command, file_settings, overrides)
         return _COMMANDS[args.command](config)
     except LoziError as exc:

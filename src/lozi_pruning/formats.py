@@ -177,16 +177,31 @@ def write_csv(
     atomic_write_bytes(path, (csv_bytes(header, rows),), force=force)
 
 
-def read_config(path: str) -> dict[str, str]:
-    """Flat key=value file: one setting per line, # starts a comment."""
+def read_config(path: str, kinds: Mapping[str, type] | None = None) -> dict[str, str]:
+    """Flat key=value file: one setting per line, # starts a comment, no key
+    set twice. With kinds, every key must be one of its keys and every
+    value must parse (parse_value) as that key's type; the values are
+    returned as text either way. Each refusal names the file and the line."""
     settings: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+                raise ValueError(f"{where}: expected key=value, got {raw.rstrip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise ValueError(f"{where}: {key} is set twice, on lines {lines[key]} and {lineno}")
+            if kinds is not None:
+                if key not in kinds:
+                    raise ValueError(f"{where}: unknown config key {key!r}")
+                try:
+                    parse_value(value, kinds[key])
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {key}: {exc}") from None
+            lines[key] = lineno
+            settings[key] = value
     return settings

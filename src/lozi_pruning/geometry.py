@@ -52,7 +52,7 @@ class PlanePoint(NamedTuple):
 
 def _iterate(a: float, b: float, x: float, y: float, n: int) -> tuple[float, float]:
     """n forward steps (x, y) -> (1 - a|x| + by, x) on floats: the one
-    written form of the map, except _map_polyline's inline copy."""
+    written form of the map, except the copies inlined in _double_step."""
     for _ in range(n):
         x, y = 1.0 - a * abs(x) + b * y, x
     return x, y
@@ -200,16 +200,22 @@ def _xy_array(points, n: int) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(points), float, 2 * n).reshape(-1, 2)
 
 
-def _map_polyline(params: Params, pts, inverse: bool) -> list:
-    """Image of an (x, y) polyline under one forward or inverse step,
-    inserting an exact vertex wherever a segment crosses the step's fold
-    (x = 0 forward, y = 0 inverse). One loop maps each vertex as it is
-    reached; where the segment into it crosses the fold, the inner loop maps
-    the fold vertex first with the same written step. The steps are
-    lozi_apply and lozi_apply_inverse written out on floats."""
+def _double_step(params: Params, pts, inverse: bool) -> list:
+    """Image of an (x, y) polyline under two forward or two inverse steps,
+    inserting an exact vertex wherever a segment crosses a step's fold
+    (x = 0 forward, y = 0 inverse): the vertices, in order, that two calls
+    of a one-step map would give, with no list in between. One loop takes
+    each vertex through both steps as it is reached; where the segment into
+    it crosses the fold, the inner loop takes the fold vertex through both
+    steps first. Likewise the second step maps the fold vertex of the
+    segment from the last first image before the new one. The steps are
+    lozi_apply and lozi_apply_inverse written out on floats, the second
+    one twice."""
     a, b = params.a, params.b
     out = []
-    ux = uy = 0.0  # no fold vertex comes before the first vertex
+    # (ux, uy) is the last vertex in and (vx, vy) the last first image; no
+    # fold vertex comes before the first of either
+    ux = uy = vx = vy = 0.0
     if inverse:
         for wx, wy in pts:
             fold = uy * wy < 0.0
@@ -219,7 +225,13 @@ def _map_polyline(params: Params, pts, inverse: bool) -> list:
             else:
                 x, y = wx, wy
             while True:
+                x, y = y, (x - 1.0 + a * abs(y)) / b
+                if vy * y < 0.0:
+                    t = vy / (vy - y)
+                    fx, fy = vx + t * (x - vx), vy + t * (y - vy)
+                    out.append((fy, (fx - 1.0 + a * abs(fy)) / b))
                 out.append((y, (x - 1.0 + a * abs(y)) / b))
+                vx, vy = x, y
                 if not fold:
                     break
                 fold, x, y = False, wx, wy
@@ -233,7 +245,13 @@ def _map_polyline(params: Params, pts, inverse: bool) -> list:
             else:
                 x, y = wx, wy
             while True:
+                x, y = 1.0 - a * abs(x) + b * y, x
+                if vx * x < 0.0:
+                    t = vx / (vx - x)
+                    fx, fy = vx + t * (x - vx), vy + t * (y - vy)
+                    out.append((1.0 - a * abs(fx) + b * fy, fx))
                 out.append((1.0 - a * abs(x) + b * y, x))
+                vx, vy = x, y
                 if not fold:
                     break
                 fold, x, y = False, wx, wy
@@ -326,10 +344,10 @@ class _Growth:
     The branch leaves its saddle p along sign * (lam, 1), where lam is the
     eigenvalue of that eigenvector: mu = lam forward, 1/lam inverse.
     Fundamental-domain growth: piece0 = [p + (t0/mu^2) u, p + t0 u] and each
-    pass maps only the newest piece by the double step, which is exact
-    because the map is piecewise affine. A branch with mu^2 <= 1 does not
-    expand and has no fundamental domain; it is the seed segment
-    [p, p + t0 u], not truncated.
+    pass maps only the newest piece by the double step, one _double_step
+    call, which is exact because the map is piecewise affine. A branch with
+    mu^2 <= 1 does not expand and has no fundamental domain; it is the seed
+    segment [p, p + t0 u], not truncated.
 
     arc_budget is a stopping threshold, not a cap: growth stops after the
     first pass whose running arc reaches it, and that pass's piece is about
@@ -384,9 +402,10 @@ class _Growth:
 
     def _passes(self, params, start, lam, sign, inverse, arc_budget, sinks):
         """The one growth loop. It yields each pass's new raw vertices as one
-        list: first the saddle and the seed piece, then each mapped piece
-        without its first vertex, which is the last piece's end up to
-        rounding. arc and truncated are final once it ends."""
+        list: first the saddle and the seed piece, then each piece
+        _double_step maps, without its first vertex, which is the last
+        piece's end up to rounding. arc and truncated are final once it
+        ends."""
         dx, dy = sign * lam, float(sign)
         norm = math.hypot(dx, dy)
         ux, uy = dx / norm, dy / norm
@@ -410,7 +429,7 @@ class _Growth:
         for _ in range(_MAX_PASSES):
             # Double step keeps a branch on its own side when the eigenvalue
             # is negative and the two branches swap under a single step.
-            piece = _map_polyline(params, _map_polyline(params, piece, inverse), inverse)
+            piece = _double_step(params, piece, inverse)
             if len(piece) == 2:
                 # Most pieces meet no fold: nothing to drop, and _arc's sum of
                 # one hypot is that hypot.
@@ -620,16 +639,17 @@ def _convex_hull(points) -> list[PlanePoint]:
 
 def _signed_dist_to_convex(poly, q) -> np.ndarray:
     """Per row of the (n, 2) array q, its distance to the nearest edge line
-    of a counterclockwise convex polygon, positive inside: the first minimum
-    over the edges, as a loop over them would keep it. The distances are
-    laid out (edges, n), so each array operation runs along the n rows."""
+    of a counterclockwise convex polygon, positive inside: the minimum over
+    the edges. Where two edges tie at zero, its sign is either edge's, so a
+    reader that keeps a zero keeps it as +0.0. The distances are laid out
+    (edges, n), so each array operation runs along the n rows."""
     edges = []
     for (ux, uy), (wx, wy) in zip(poly, [*poly[1:], poly[0]]):
         ex, ey = wx - ux, wy - uy
         edges.append((ux, uy, ex, ey, math.hypot(ex, ey)))
     ux, uy, ex, ey, elen = np.array(edges).T[:, :, None]
     dist = (ex * (q[:, 1] - uy) - ey * (q[:, 0] - ux)) / elen
-    return dist[dist.argmin(axis=0), np.arange(dist.shape[1])]
+    return dist.min(axis=0)
 
 
 def _corner_polygon(params: Params) -> list[PlanePoint]:
@@ -659,7 +679,7 @@ def polygon_invariance(params: Params) -> PolygonReport:
     exactly zero. Raises NotInvariant on escape.
     """
     poly = _corner_polygon(params)
-    image = _map_polyline(params, _map_polyline(params, poly + [poly[0]], False), False)
+    image = _double_step(params, poly + [poly[0]], False)
     boundary = _drop_collinear(image)
     dist = _signed_dist_to_convex(poly, _xy_array(boundary, len(boundary)))
     first = int(np.argmin(dist))  # the first vertex at the minimum
@@ -670,7 +690,8 @@ def polygon_invariance(params: Params) -> PolygonReport:
             witness=witness,
             margin=worst,
         )
-    return PolygonReport(corners=tuple(poly), margin=max(worst, 0.0))
+    # max keeps its first argument on a tie: a -0.0 minimum is margin 0.0
+    return PolygonReport(corners=tuple(poly), margin=max(0.0, worst))
 
 
 # -------------------------------------------------------------- homoclinic
@@ -728,7 +749,9 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> PlanePoin
     The witness is the first proper crossing in W^u's segment order (p1_right
     then p1_left, each from the saddle out), and within a segment in W^s's
     order (p1_plus then p1_minus); contacts within 1e-8 of p1 are the saddle
-    itself and do not count. The sweep runs in two stages, and W^u grows
+    itself and do not count. Every branch is a _Growth read as the (x, y)
+    pairs it keeps, with no Polyline built; W^s is the vertices that
+    stable_manifold returns. The sweep runs in two stages, and W^u grows
     only as far as the verdict needs. Stage 1 grows both branches of W^s to
     the arc budget (finite and > 0), and p1_right only until its first
     _STAGE_SEGMENTS segments are settled, and tests those. Only when they do
@@ -747,7 +770,7 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> PlanePoin
         raise NoFixedPoint("homoclinic sweep anchored at p1")
     sinks = _sink_ellipses(params, fd)
     s_cols = _seg_columns(
-        *(stable_manifold(params, s, arc_budget).vertices for s in ("p1_plus", "p1_minus"))
+        *(_Growth(params, s, True, arc_budget).finish() for s in ("p1_plus", "p1_minus"))
     )
     right = _Growth(params, "p1_right", False, arc_budget, sinks)
     head = right.settle(_STAGE_SEGMENTS + 1)

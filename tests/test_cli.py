@@ -171,6 +171,39 @@ def test_every_benchmark_argv_sets_only_flags_its_command_takes(tmp_path, seed):
             assert given <= {"command", *cli._READS[args["command"]], "out", "force"}, op.argv
 
 
+# sha256 of the PGM and CSV bytes of the benchmark's atlas body, scan after
+# scan, taken before each growth pass mapped its piece through both steps in
+# one loop. At seed 2944 the eighth scan's --a-min is -2.4185394305589827e-05,
+# which the command parser once refused; its digest was taken with the flags
+# written --flag=value.
+ATLAS_BODY_DIGESTS = {
+    1: "f438a8eb9d83873df90614afcadbb27427a794a547ea5aba8d37f5db3f22327e",
+    2944: "1b58a4c6944570b5b758c7f0bbb81abf0c72719acf9674d9e0584c531d8b0aca",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ATLAS_BODY_DIGESTS))
+def test_atlas_body_exits_0_passes_its_check_and_keeps_its_bytes(tmp_path, capsys, seed):
+    # A benchmark run fails when any call of its body exits nonzero or fails
+    # the check that follows it; the body is 16 zero-scans of 10x10 pixels.
+    atlas = _bench_workloads().Atlas()
+    digest = hashlib.sha256()
+    for op in atlas.ops(seed, str(tmp_path)):
+        assert main(list(op.argv)) == 0, op.argv
+        assert atlas.check(lozi_pruning, op, capsys.readouterr().out) == [], op.argv
+        digest.update(Path(op.out).read_bytes())
+        digest.update(Path(op.out + ".csv").read_bytes())
+    assert digest.hexdigest() == ATLAS_BODY_DIGESTS[seed]
+
+
+def test_a_negative_value_in_exponent_form_is_a_value():
+    # float repr writes a small negative a as -1e-05, which argparse's own
+    # pattern does not read as a number
+    for text in ("-1e-05", "-2.5E+00", "-.5", "-3"):
+        args = cli._build_parser().parse_args(["zero-scan", "--a-min", text])
+        assert args.a_min == float(text)
+
+
 def test_config_file_feeds_command(tmp_path):
     out = tmp_path / "r.pgm"
     cfg_file = tmp_path / "run.cfg"
@@ -178,6 +211,56 @@ def test_config_file_feeds_command(tmp_path):
     assert main(["pruned-region", "--config", str(cfg_file)]) == 0
     grid = formats.read_pgm(str(out))
     assert grid.shape == (32, 32)
+
+
+def test_config_keys_the_command_does_not_read_are_named_once(tmp_path, capsys):
+    # One file can serve several commands: the run is the one without the
+    # unread keys, with one stderr line naming them.
+    runs = {}
+    for name, text in (("plain", "grid=2\n"), ("extra", "a=1.7\ngrid=2\nb=0.5\n")):
+        work = tmp_path / name
+        work.mkdir()
+        cfg_file = work / "zs.cfg"
+        cfg_file.write_text(text)
+        assert main(["zero-scan", "--config", str(cfg_file), "--out", str(work / "z.pgm")]) == 0
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.name != "zs.cfg"}
+        runs[name] = (out.replace(str(work), ""), files, err)
+    assert runs["extra"][:2] == runs["plain"][:2]
+    assert runs["plain"][2] == ""
+    assert runs["extra"][2] == (
+        f"warning: {tmp_path / 'extra' / 'zs.cfg'}: zero-scan does not read a, b\n"
+    )
+
+
+def test_config_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "zero-scan", lambda config: pytest.fail("the command ran"))
+    cfg_file = tmp_path / "zs.cfg"
+    cfg_file.write_text("grid=2\n# the same key again\ngrid=3\n")
+    assert main(["zero-scan", "--config", str(cfg_file), "--out", str(tmp_path / "z")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg_file}:3: grid is set twice, on lines 1 and 3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("grid=", "invalid literal for int() with base 10: ''"),
+        ("arc_budget = twenty", "could not convert string to float: 'twenty'"),
+        ("force=yes", "expected true/false, got 'yes'"),
+    ],
+    ids=["empty", "unparsable", "bool"],
+)
+def test_config_value_that_does_not_parse_names_file_line_and_key(
+    tmp_path, capsys, monkeypatch, line, reason
+):
+    monkeypatch.setitem(cli._COMMANDS, "zero-scan", lambda config: pytest.fail("the command ran"))
+    cfg_file = tmp_path / "zs.cfg"
+    cfg_file.write_text(f"a_min=0.5\n{line}\n")
+    key = line.split("=")[0].strip()
+    assert main(["zero-scan", "--config", str(cfg_file), "--out", str(tmp_path / "z")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_file}:2: {key}: {reason}\n"
 
 
 # --------------------------------------------------------- pruned region

@@ -221,6 +221,27 @@ def test_read_config_rejects_bad_lines(tmp_path):
         formats.read_config(str(path))
 
 
+def test_read_config_refuses_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("a=1.7\n\nb=0.5\na = 1.8\n")
+    with pytest.raises(ValueError, match=r"twice.cfg:4: a is set twice, on lines 1 and 4"):
+        formats.read_config(str(path))
+
+
+def test_read_config_checks_keys_and_values_against_kinds(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("grid=3\nscale=2.5\n")
+    # the values stay text
+    assert formats.read_config(str(path), {"grid": int, "scale": float}) == {
+        "grid": "3",
+        "scale": "2.5",
+    }
+    with pytest.raises(ValueError, match=r"run.cfg:2: unknown config key 'scale'"):
+        formats.read_config(str(path), {"grid": int})
+    with pytest.raises(ValueError, match=r"run.cfg:2: scale: invalid literal for int"):
+        formats.read_config(str(path), {"grid": int, "scale": int})
+
+
 def test_sidecar_preserves_order_and_values():
     text = formats.sidecar_text({"a": 1.7, "flag": True, "n": 12})
     assert text == "a=1.7\nflag=true\nn=12\n"

@@ -562,6 +562,48 @@ def test_float_growth_matches_planepoint_reference(ab, seed):
     assert pl.truncated == truncated
 
 
+def _bits(pts):
+    return [(x.hex(), y.hex()) for x, y in pts]
+
+
+def _fold_polylines(rng):
+    """Seeded polylines about both folds for _double_step: single segments,
+    whose vertex counts tell which step met a fold, and longer walks; now
+    and then a coordinate is exactly 0.0, a vertex on a fold."""
+    for _ in range(300):
+        pts = []
+        for _ in range(rng.choice((2, 2, 3, 6))):
+            x, y = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            if rng.random() < 0.1:
+                x = 0.0
+            if rng.random() < 0.1:
+                y = 0.0
+            pts.append(PlanePoint(x, y))
+        yield pts
+    # (1, 0) lies on the inverse fold and maps onto a fold in both
+    # directions at a = 1, and (0, y) lies on the forward fold
+    yield [PlanePoint(0.5, -0.25), PlanePoint(1.0, 0.0), PlanePoint(1.5, 0.5)]
+    yield [PlanePoint(-0.5, 0.3), PlanePoint(0.0, 0.2), PlanePoint(0.7, -0.1)]
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_double_step_is_two_single_steps_bit_for_bit(inverse):
+    # Each vertex goes through both steps in one loop, and each step's fold
+    # vertex lands where two calls of the single step put it. A single
+    # segment splits in the first step only, in the second only, in both or
+    # in neither.
+    rng = random.Random(36)
+    split = set()
+    for params in (Params(*ab) for ab in GROWTH_POINTS):
+        for pts in _fold_polylines(rng):
+            mid = _ref_map_polyline(params, pts, inverse)
+            want = _ref_map_polyline(params, mid, inverse)
+            assert _bits(geometry._double_step(params, pts, inverse)) == _bits(want), pts
+            if len(pts) == 2:
+                split.add((len(mid) > 2, len(want) > len(mid)))
+    assert split == {(False, False), (True, False), (False, True), (True, True)}
+
+
 def test_drop_collinear_yields_each_vertex_once_its_successor_is_known():
     # Random walks with slopes -1, 0 and 1 have collinear runs to drop, fed
     # to the drop in pieces of 0 to 4 vertices. The vertex at x = i is
@@ -672,19 +714,23 @@ def test_pass_cap_marks_branch_truncated():
 def test_growth_maps_each_vertex_once(monkeypatch, ab):
     # Only the newest piece is mapped, so the vertices mapped per branch grow
     # linearly in the passes. At the spiral into the sink, re-mapping the
-    # whole polyline would map about 25 vertices per pass.
+    # whole polyline would map about 25 vertices per pass. A pass maps its
+    # piece's vertices and then their first images, which are no more than
+    # the vertices it returns.
     mapped = []
-    step = geometry._map_polyline
+    step = geometry._double_step
 
     def spy(params, pts, inverse):
-        mapped.append(len(pts))
-        return step(params, pts, inverse)
+        out = step(params, pts, inverse)
+        mapped.append(len(pts) + len(out))
+        return out
 
-    monkeypatch.setattr(geometry, "_map_polyline", spy)
+    monkeypatch.setattr(geometry, "_double_step", spy)
     for seed in sorted(MANIFOLD_BRANCHES):
         mapped.clear()
         _grow(Params(*ab), seed, 20.0)
-        passes = len(mapped) // 2
+        passes = len(mapped)
+        assert passes > 0, seed
         assert sum(mapped) <= 8 * passes, (seed, passes, sum(mapped))
 
 
@@ -791,6 +837,13 @@ def test_polygon_invariance_holds_under_perturbation():
         assert report.margin >= 0.0
 
 
+def test_polygon_margin_of_touching_contact_is_plus_zero():
+    # Two edges give this boundary vertex distance 0.0 and -0.0; the minimum
+    # over the edges may keep either, and the margin reads 0.0 all the same.
+    report = polygon_invariance(Params(1.3337447998677807, -0.3277567086581661))
+    assert math.copysign(1.0, report.margin) == 1.0
+
+
 def test_polygon_invariance_fails_in_chaotic_regime():
     with pytest.raises(NotInvariant) as info:
         polygon_invariance(CHAOTIC)
@@ -839,13 +892,14 @@ def test_homoclinic_no_false_positive_near_certified_params():
 
 def _spy_growth(monkeypatch):
     """Spy on the one growth loop; returns one [kind, last raw vertex drawn,
-    raw vertices drawn, _map_polyline calls] entry per branch whose growth
-    started, in the order they started. The loop yields each pass's new raw
-    vertices as one piece, and the calls are those made while it ran."""
+    raw vertices drawn, passes] entry per branch whose growth started, in
+    the order they started. The loop yields each pass's new raw vertices as
+    one piece, and its passes are the _double_step calls made while it
+    ran."""
     grown = []
     calls = [0]
     passes = geometry._Growth._passes
-    step = geometry._map_polyline
+    step = geometry._double_step
 
     def count(params, pts, inverse):
         calls[0] += 1
@@ -864,7 +918,7 @@ def _spy_growth(monkeypatch):
             entry[1:3] = piece[-1], entry[2] + len(piece)
             yield piece
 
-    monkeypatch.setattr(geometry, "_map_polyline", count)
+    monkeypatch.setattr(geometry, "_double_step", count)
     monkeypatch.setattr(geometry._Growth, "_passes", spy)
     return grown
 
@@ -887,9 +941,9 @@ def test_stage_one_hit_never_grows_p1_left(monkeypatch):
     )
     assert [kind for kind, *_ in grown] == SWEEP_ORDER[:3]
     full = unstable_manifold(CHAOTIC, "p1_right", arc_budget=20.0)
-    # 13 raw vertices against 21 kept, from 8 passes of two steps each: the
-    # counts of the vertex-by-vertex growth this replaced
-    assert grown[2][2:] == [13, 16]
+    # 13 raw vertices against 21 kept, from 8 passes: the counts of the
+    # vertex-by-vertex growth this replaced
+    assert grown[2][2:] == [13, 8]
     assert len(full.vertices) == 21
 
 
@@ -912,9 +966,9 @@ def test_sweep_grows_each_branch_once(monkeypatch, ab, witness):
         assert w is None
     else:
         assert (w.x.hex(), w.y.hex()) == witness
-        # p1_right's map steps over both stages, as the vertex-by-vertex
-        # growth made them
-        assert grown[2][3] == 36
+        # p1_right's passes over both stages, as the vertex-by-vertex growth
+        # made them
+        assert grown[2][3] == 18
 
 
 def _ellipse_form(ellipse):
@@ -975,24 +1029,24 @@ def test_numeric_zero_pixels_have_no_crossing():
 
 
 def test_sweep_stops_unstable_branches_in_the_sink(monkeypatch):
-    # Without the stop the sweep made 210 _map_polyline calls here: the
-    # unstable branches spiral into the 2-cycle for the whole budget.
+    # Without the stop the sweep made 105 passes here: the unstable branches
+    # spiral into the 2-cycle for the whole budget.
     calls = []
-    step = geometry._map_polyline
+    step = geometry._double_step
 
     def spy(params, pts, inverse):
         calls.append(inverse)
         return step(params, pts, inverse)
 
-    monkeypatch.setattr(geometry, "_map_polyline", spy)
+    monkeypatch.setattr(geometry, "_double_step", spy)
     assert homoclinic_intersects(CENTER, arc_budget=20.0) is None
-    assert len(calls) < 105
+    assert len(calls) <= 52
     swept_forward = calls.count(False)
     # the public branches still run until they converge
     calls.clear()
     for seed in ("p1_right", "p1_left", "p1_plus", "p1_minus"):
         _grow(CENTER, seed, 20.0)
-    assert len(calls) == 210
+    assert len(calls) == 105
     assert calls.count(False) > 2 * swept_forward
 
 
