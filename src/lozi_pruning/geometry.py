@@ -541,6 +541,13 @@ def _require_arc_budget(arc_budget: float) -> None:
         raise ValueError(f"arc budget must be finite and > 0, got {arc_budget}")
 
 
+def _require_finite(**values: float) -> None:
+    """The input rule of parameter values and grid ends: every one finite.
+    An infinite a or b is no map, and NaN fails every region test."""
+    if not all(map(math.isfinite, values.values())):
+        raise ValueError(f"parameters must be finite, got {values}")
+
+
 def _require_resolution(resolution: int) -> None:
     """The input rule of a scan grid: at least one pixel a side."""
     if resolution < 1:
@@ -897,10 +904,12 @@ def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntro
     cannot change a verdict: a transversal homoclinic point means positive
     entropy, so the certificate cannot pass at such a pixel. No crossing
     within the arc budget is unknown. At b = 0 the 2-cycle never attracts,
-    so the certificate fails and the sweep raises NonInvertible.
+    so the certificate fails and the sweep raises NonInvertible. A non-finite
+    a or b, or |b| > 1, raises ValueError before any test.
     """
     _require_arc_budget(arc_budget)
     a, b = params.a, params.b
+    _require_finite(a=a, b=b)
     if abs(b) > 1.0:
         raise ValueError("classifier covers |b| <= 1 only")
     if -1.0 <= b < 0.0 and a <= b - 1.0:
@@ -951,12 +960,16 @@ def scan_zero_entropy(
     verdict, and its code in the PGM grid is the verdict's entry in
     ZERO_ENTROPY_CODES; a pixel whose classification raises a LoziError
     gets the unknown verdict, and any other error propagates. A grid end
-    that is not finite, or an arc budget that is not finite and > 0, raises
-    ValueError before any pixel runs.
+    that is not finite, an a range too wide for a float (its cell centres
+    would be inf), or an arc budget that is not finite and > 0, raises
+    ValueError before any pixel runs, as a non-finite (a, b) does in
+    classify_zero_entropy.
     """
     _require_arc_budget(arc_budget)
-    if not all(map(math.isfinite, (*a_range, *b_range))):
-        raise ValueError(f"grid ends must be finite, got a {a_range}, b {b_range}")
+    a_min, a_max = a_range
+    _require_finite(
+        a_min=a_min, a_max=a_max, a_span=a_max - a_min, b_min=b_range[0], b_max=b_range[1]
+    )
     if not (-1.0 <= b_range[0] <= 1.0 and -1.0 <= b_range[1] <= 1.0):
         raise ValueError("b grid must stay within |b| <= 1")
     _require_resolution(resolution)

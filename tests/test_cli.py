@@ -196,6 +196,33 @@ def test_atlas_body_exits_0_passes_its_check_and_keeps_its_bytes(tmp_path, capsy
     assert digest.hexdigest() == ATLAS_BODY_DIGESTS[seed]
 
 
+# sha256 of every file the raster, entropy and verify benchmark bodies write
+# (PGMs, sidecars, entropy CSVs, and the verify directory with report.txt),
+# path and bytes in path order, taken before the head levels became the
+# negated levels of the one level map. stdout names paths, so it is not hashed.
+BENCH_BODY_DIGESTS = {
+    ("entropy", 1): "12754406186c5dac382a87dd25efa03545dd4a7e9be194d0b6f4669370813692",
+    ("entropy", 7): "ea3f7689c8fa03cfe1ee646154d975dc0a28f773e8872c246138460e62d60f10",
+    ("raster", 1): "9eae81e6593bc6935ecb4dc95176a0a991ebfab6a2212e4b122bfa32debc29ca",
+    ("raster", 7): "4da2c0ac0285ea3458f85d69e6b9616c30321f71412713034102d39023f5b9e3",
+    ("verify", 1): "a5f0f746e1f086e090a991579b3978b8a329091d65b39a0984ae7746c411061b",
+    ("verify", 7): "fd32d84143793d9a104a006f33ef53d3cd881855081425903de4141a24a5f5ea",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(BENCH_BODY_DIGESTS))
+def test_bench_body_exits_0_passes_its_check_and_keeps_its_bytes(tmp_path, capsys, name, seed):
+    # As the atlas body above, for the three bodies the pruning engine serves.
+    job = _bench_workloads().WORKLOADS[name]()
+    for op in job.ops(seed, str(tmp_path)):
+        assert main(list(op.argv)) == 0, op.argv
+        assert job.check(lozi_pruning, op, capsys.readouterr().out) == [], op.argv
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(tmp_path)).encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == BENCH_BODY_DIGESTS[name, seed]
+
+
 def test_a_negative_value_in_exponent_form_is_a_value():
     # float repr writes a small negative a as -1e-05, which argparse's own
     # pattern does not read as a number
@@ -693,6 +720,7 @@ def _refuse_growth(monkeypatch):
         ["--arc-budget", "-1"],
         ["--a-min", "nan"],
         ["--a-max", "inf"],
+        ["--a-min", "-1e308", "--a-max", "1e308"],  # the span overflows
     ],
 )
 def test_zero_scan_rejects_bad_budget_or_range(tmp_path, capsys, monkeypatch, flags):

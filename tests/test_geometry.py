@@ -1258,6 +1258,21 @@ def test_classify_analytic_cases_partition():
     assert classify_zero_entropy(Params(-1.5, -0.5)).case == "i"
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(-math.inf, 0.5), (-math.inf, -0.5), (math.inf, 0.2), (math.nan, 0.2), (1.7, math.nan)],
+)
+def test_classify_refuses_a_non_finite_parameter_before_any_test(monkeypatch, a, b):
+    # -inf once fell in analytic strips (ii) and (i) and got a proven verdict.
+    def no_test(*args, **kwargs):
+        raise AssertionError("a zero-entropy test ran")
+
+    monkeypatch.setattr(geometry, "_numeric_zero_check", no_test)
+    monkeypatch.setattr(geometry, "homoclinic_intersects", no_test)
+    with pytest.raises(ValueError, match="must be finite"):
+        classify_zero_entropy(Params(a, b))
+
+
 def test_classify_rejects_large_b():
     with pytest.raises(ValueError):
         classify_zero_entropy(Params(1.0, 1.2))

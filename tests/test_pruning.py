@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
@@ -114,15 +115,14 @@ def _s_level(tail, n: int, depth: int, par: Params) -> tuple[float, float]:
     """Enclosure of the tail level s_n (n <= -2) from the symbols at
     indices n - depth .. n, innermost first; tail[k] is the symbol at index
     -(k+1)."""
-    shifts = [-par.a * tail[j - 1] for j in range(depth - n, -n - 1, -1)]
-    return _levels(shifts, par)[-1]
+    return _levels([tail[j - 1] for j in range(depth - n, -n - 1, -1)], par)[-1]
 
 
 def _r_level(head, n: int, depth: int, par: Params) -> tuple[float, float]:
     """Enclosure of the head level r_n (n >= 0) from the symbols at
-    indices n + depth .. n, innermost first."""
-    shifts = [par.a * head[j] for j in range(n + depth, n - 1, -1)]
-    return _levels(shifts, par)[-1]
+    indices n + depth .. n, innermost first: _levels of the negated
+    symbols, as the engine's own head levels are -r_n."""
+    return _levels([-head[j] for j in range(n + depth, n - 1, -1)], par)[-1]
 
 
 def _counts(par: Params, n: int, depth: int) -> tuple[int, int]:
@@ -223,6 +223,15 @@ def test_q_all_plus_head_is_third_at_2_0():
     assert np.all(hi - lo <= 2.0 ** -19 + 2e-15)
 
 
+def test_q_lower_end_that_cancels_to_zero_is_positive_zero():
+    # At (2, 0) the head (+1, +1) has r_0 = r_1 = 1/2, so at depth 1 the
+    # lower end is 1/2 - 1/4 less the remainder 1/4: +0.0.  Negating the
+    # sum of the negated levels after widening it would give -0.0.
+    lo, hi = eval_q(_one((PLUS, PLUS)), 1, Params(2.0, 0.0))
+    assert lo[0] == 0.0 and not np.signbit(lo[0])
+    assert hi[0] == 0.5
+
+
 def test_q_special_head_geometric_at_b0():
     # r_0 = 1/a, r_n = -1/a afterwards: every term is a^-(n+1), so q = 1/(a-1).
     for a in (1.5, 1.95, 2.0, 3.0):
@@ -274,13 +283,13 @@ def test_insufficient_word_and_bad_arguments():
         entropy_rows(Params(1.7, 0.2), 6, -1)
 
 
-def _no_levels(shifts, params):
+def _no_levels(symbols, params):
     raise AssertionError("a level was built")
 
 
 @pytest.mark.parametrize("bad", [0, 2, -2, 0.5])
 def test_a_symbol_other_than_plus_or_minus_one_is_refused_before_any_level(monkeypatch, bad):
-    # A 0 symbol would reach _levels as the shift 0.
+    # A 0 symbol would give _levels the shift 0.
     monkeypatch.setattr(pruning, "_levels", _no_levels)
     par = Params(1.7, 0.2)
     words = np.full((3, 6), PLUS, dtype=np.int8 if bad == int(bad) else float)
@@ -555,13 +564,21 @@ def _ref_q_series(r_levels, params):
     return lo - bound, hi + bound
 
 
+def _ref_q_series_of_negated(pairs, params):
+    """_ref_q_series fed the levels r_n, where the engine hands _q_series
+    the (near, far) pairs of the levels -r_n."""
+    return _ref_q_series([(-near, -far) for near, far in pairs], params)
+
+
 def _assert_same_enclosure(got, want):
-    # Floats stay floats and arrays arrays, with equal endpoints.
+    # Floats stay floats and arrays arrays, with equal endpoints and equal
+    # signs of zero.
     for g, w in zip(got, want, strict=True):
         if isinstance(w, np.ndarray):
             assert isinstance(g, np.ndarray) and np.array_equal(g, w)
         else:
             assert not isinstance(g, np.ndarray) and g == w
+        assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 def _kernel_points():
@@ -600,15 +617,17 @@ def test_series_match_four_product_reference_on_words_and_rows(a, b):
     word = _one([rng.choice((PLUS, MINUS)) for _ in range(length)])
     rows = np.array([[rng.choice((PLUS, MINUS)) for _ in range(64)] for _ in range(length)])
     for symbols in (word, rows):
-        # The levels r_0.. and s_{-2}.. as _q_enclosure and _p_enclosure
-        # build them, symbols[k] at index k of the head and -(k+1) of the tail.
-        r = _levels([a * symbols[k] for k in range(length - 1, -1, -1)], par)[::-1]
-        s = _levels([-a * symbols[k] for k in range(length - 1, 0, -1)], par)[::-1]
+        # The levels -r_0.. and s_{-2}.. as _q_enclosure and _p_enclosure
+        # build them, symbols[k] at index k of the head and -(k+1) of the
+        # tail, and the levels r_0.. that the reference sums.
+        neg_r = _levels(symbols[::-1], par)[::-1]
+        r = _levels(-symbols[::-1], par)[::-1]
+        s = _levels(symbols[:0:-1], par)[::-1]
         for depth in _KERNEL_DEPTHS:
             # The engine splits the levels and forms the p factors; the
             # reference takes the levels' (lo, hi) ends as they are.
             r_taken, s_taken = r[: depth + 1], s[:depth]
-            got_q = _q_series(_near_far(r_taken), par)
+            got_q = _q_series(_near_far(neg_r[: depth + 1]), par)
             _assert_same_enclosure(got_q, _ref_q_series(r_taken, par))
             got_p = _p_series(_p_factors(s_taken, par), par)
             _assert_same_enclosure(got_p, _ref_p_series(_ref_p_factors(s_taken, par), par))
@@ -621,7 +640,7 @@ def test_series_match_four_product_reference_on_sweep_axes(monkeypatch, a, b):
         p, q = _enclosure_sweep(par, 12, depth)
         with monkeypatch.context() as patch:
             patch.setattr(pruning, "_p_series", _ref_p_series)
-            patch.setattr(pruning, "_q_series", _ref_q_series)
+            patch.setattr(pruning, "_q_series", _ref_q_series_of_negated)
             ref_p, ref_q = _enclosure_sweep(par, 12, depth)
         assert len(p) == len(ref_p) and q.keys() == ref_q.keys()
         for got, want in zip(p, ref_p):
@@ -692,14 +711,14 @@ def _per_read_sweep(params, n_max, depth):
 
     if isinstance(params.a, np.ndarray):
         params = Params(*(v.reshape(v.shape + (1,) * n_max) for v in (params.a, params.b)))
-    a = params.a
     cols = symbol_axes(n_max)
-    r = _levels([a * cols[j] for j in range(n_max - 1, -1, -1)], params)[::-1]
+    # The levels r_j, from the negated symbols, and s, from the symbols.
+    r = _levels([-c for c in cols[::-1]], params)[::-1]
     q = {
         L: q_series(r[n_max - L : n_max - L + min(depth, L - 1) + 1])
         for L in range(n_max, 0, -1)
     }
-    y = _levels([-a * cols[t] for t in range(n_max - 2)], params)
+    y = _levels(cols[:-2], params)
     p = []
     for k in range(n_max):
         dp = max(0, min(depth, k - 1))
@@ -841,7 +860,7 @@ def test_levels_on_a_parameter_grid_raise_where_one_point_raises():
 
     def raises(a, b):
         try:
-            _levels([a * s for s in head[::-1]], Params(a, b))
+            _levels(head[::-1], Params(a, b))
         except ArithmeticError:
             return True
         return False
@@ -1006,10 +1025,9 @@ def test_counting_gate_admits_20_and_refuses_21(monkeypatch):
 def _ref_window_masks(params, n, depth):
     """Block masks on the full (2^n, n) symbol matrix, every series run on
     all 2^n blocks at every placement; rows in head coordinate order."""
-    a = params.a
     cols = coordinate_symbols(n, PLUS).T
-    r = _levels([a * cols[j] for j in range(n - 1, -1, -1)], params)[::-1]
-    y = _levels([-a * cols[t] for t in range(n)], params)
+    r = _levels(cols[::-1], params)[::-1]  # the engine's head levels -r_j
+    y = _levels(cols, params)
     pruned_any = np.zeros(1 << n, dtype=bool)
     cert_all = np.ones(1 << n, dtype=bool)
     for k in range(n):
@@ -1083,15 +1101,41 @@ def test_entropy_rows_peak_memory():
     assert peak <= 16_000_000
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.array([1.5, 1.7]), np.array([0.0])),
+        (np.array([1.5, 1.7]), 0.0),
+        (1.7, np.array([0.2, 0.1])),
+        (np.array([[1.5, 1.7]]), np.array([[0.0, 0.1]])),
+        (np.array([1.5, 1.7]), np.array([0.0, 0.1, 0.2])),
+    ],
+    ids=["2-1", "2-float", "float-2", "2-D", "2-3"],
+)
+def test_entropy_rows_refuse_points_of_unlike_shapes_before_any_level(monkeypatch, a, b):
+    # a of two points and b of one gave four rows, all of the first point;
+    # the other pairs failed with errors that named neither shape.
+    monkeypatch.setattr(pruning, "_levels", _no_levels)
+    with pytest.raises(ValueError, match=re.escape(f"a {np.shape(a)} and b {np.shape(b)}")):
+        entropy_rows(Params(a, b), 4, 6)
+
+
+def test_entropy_rows_take_0d_arrays_as_scalars():
+    # A 0-d array is a scalar too; it raised IndexError.
+    want = entropy_rows(Params(1.7, 0.2), 4, 6)
+    for a, b in [(np.float64(1.7), 0.2), (np.array(1.7), np.array(0.2)), (1.7, np.array(0.2))]:
+        _assert_same_rows(entropy_rows(Params(a, b), 4, 6), want)
+
+
 @pytest.mark.parametrize("n_max", [4, 12])
 def test_entropy_rows_sweep_levels_once(monkeypatch, n_max):
     # One level sweep for the suffixes and one for the prefixes serve every
     # block length; rebuilding per length would call _levels 2 * n_max times.
     calls = []
 
-    def counting_levels(shifts, params):
-        calls.append(len(shifts))
-        return _levels(shifts, params)
+    def counting_levels(symbols, params):
+        calls.append(len(symbols))
+        return _levels(symbols, params)
 
     monkeypatch.setattr(pruning, "_levels", counting_levels)
     entropy_rows(Params(1.7, 0.2), n_max, 12)
