@@ -33,13 +33,10 @@ from .geometry import (
     fixed_data,
     homoclinic_intersects,
     lozi_apply,
-    lozi_apply_inverse,
-    lozi_apply_n,
     lyapunov_delta,
+    manifold,
     polygon_invariance,
     scan_zero_entropy,
-    stable_manifold,
-    unstable_manifold,
 )
 from .pruning import (
     PGM_ADMISSIBLE,

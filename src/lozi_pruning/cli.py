@@ -32,13 +32,7 @@ from . import formats
 from .derivatives import CONE_TABLE_HEADER, cone_table, dp_db_at_b0, dq_db_at_b0
 from .errors import LoziError
 from .formats import or_default
-from .geometry import (
-    MANIFOLD_BRANCHES,
-    ZERO_ENTROPY_CODES,
-    scan_zero_entropy,
-    stable_manifold,
-    unstable_manifold,
-)
+from .geometry import ZERO_ENTROPY_CODES, manifold, scan_zero_entropy
 from .pruning import ENTROPY_HEADER, Params, entropy_rows, pruned_region_raster
 
 DERIVATIVES_HEADER = (
@@ -241,11 +235,7 @@ def cmd_manifolds(config: RunConfig) -> int:
     out = _require_out(config, ".txt")
     params = Params(config.a, config.b)
     arc_budget = or_default(config.arc_budget, 50.0)
-    if config.branch not in MANIFOLD_BRANCHES:
-        raise ValueError(f"branch must be one of {', '.join(MANIFOLD_BRANCHES)}")
-    _, inverse, _, _ = MANIFOLD_BRANCHES[config.branch]
-    grow = stable_manifold if inverse else unstable_manifold
-    line = grow(params, seed=config.branch, arc_budget=arc_budget)
+    line = manifold(params, config.branch, arc_budget)
     formats.write_csv(out, MANIFOLD_HEADER, line.vertices, force=config.force)
     formats.write_sidecar(
         out + ".txt",

@@ -26,6 +26,7 @@ class DerivBounds:
 
 def dp_db_at_b0(a: float, eps_minus2: int) -> float:
     """d(tail series)/db at b = 0: exactly 1/(a * eps_{-2})."""
+    require_slope(a)
     if eps_minus2 not in (-1, 1):
         raise ValueError("eps_minus2 must be -1 or +1")
     return 1.0 / (a * eps_minus2)

@@ -3,8 +3,9 @@ piecewise-affine invariant-manifold polylines, the quartic-step Lyapunov
 certificate, homoclinic detection, and the zero-entropy classifier/scan.
 
 Each manifold branch is one row of ``MANIFOLD_BRANCHES``: its saddle, whether
-it grows under the inverse map, the sign of its seed eigenvector (lambda, 1),
-and its kind. The period-2 orbit n1, n2 is attracting iff b^2 < 1 and
+it grows under the inverse map (lozi_apply's step with n < 0) or the forward
+one, the sign of its seed eigenvector (lambda, 1), and its kind; manifold()
+grows any row. The period-2 orbit n1, n2 is attracting iff b^2 < 1 and
 |a^2 s1 s2 + 2b| < 1 + b^2 (s_i the sign of n_i.x): the Jury criterion on
 J(n2) J(n1), whose determinant is b^2 and whose trace is a^2 s1 s2 + 2b.
 
@@ -52,30 +53,23 @@ class PlanePoint(NamedTuple):
 
 def _iterate(a: float, b: float, x: float, y: float, n: int) -> tuple[float, float]:
     """n forward steps (x, y) -> (1 - a|x| + by, x) on floats: the one
-    written form of the map, except the copies inlined in _double_step."""
+    written form of the forward map, except the copies inlined in
+    _double_step; lozi_apply writes the inverse step."""
     for _ in range(n):
         x, y = 1.0 - a * abs(x) + b * y, x
     return x, y
 
 
-def lozi_apply(params: Params, p: PlanePoint) -> PlanePoint:
-    """One exact piecewise-affine step (x, y) -> (1 - a|x| + by, x)."""
-    return PlanePoint(*_iterate(params.a, params.b, p.x, p.y, 1))
-
-
-def lozi_apply_inverse(params: Params, p: PlanePoint) -> PlanePoint:
-    """One exact inverse step; needs b != 0."""
-    if params.b == 0.0:
-        raise NonInvertible("the map collapses the plane at b = 0")
-    return PlanePoint(p.y, (p.x - 1.0 + params.a * abs(p.y)) / params.b)
-
-
-def lozi_apply_n(params: Params, p: PlanePoint, n: int) -> PlanePoint:
-    """n-fold image; negative n iterates the inverse (b != 0)."""
+def lozi_apply(params: Params, p: PlanePoint, n: int = 1) -> PlanePoint:
+    """n exact piecewise-affine steps (x, y) -> (1 - a|x| + by, x); a
+    negative n takes -n inverse steps (x, y) -> (y, (x - 1 + a|y|) / b),
+    which need b != 0."""
     if n >= 0:
         return PlanePoint(*_iterate(params.a, params.b, p.x, p.y, n))
+    if params.b == 0.0:
+        raise NonInvertible("the map collapses the plane at b = 0")
     for _ in range(-n):
-        p = lozi_apply_inverse(params, p)
+        p = PlanePoint(p.y, (p.x - 1.0 + params.a * abs(p.y)) / params.b)
     return p
 
 
@@ -122,7 +116,7 @@ def fixed_data(params: Params) -> FixedData:
     """
     a, b = params.a, params.b
     disc = a * a + 4.0 * b
-    root = math.sqrt(disc) if disc >= 0.0 else None
+    root = math.sqrt(disc) if 0.0 <= disc < math.inf else None  # no slope past overflow
 
     # One saddle per fold side s: p1 has s = +1 (x > 0) and p2 has s = -1.
     saddles = []
@@ -143,8 +137,11 @@ def fixed_data(params: Params) -> FixedData:
 
     n1 = n2 = None
     attracting = None
-    den = (b - 1.0) ** 2 + a * a
-    if b != 1.0 and den > 0.0:
+    try:  # ** raises OverflowError where * would give inf; no 2-cycle then
+        den = (b - 1.0) ** 2 + a * a
+    except OverflowError:
+        den = math.inf
+    if b != 1.0 and 0.0 < den < math.inf:
         x = (1.0 + a - b) / den
         y = (1.0 - a * x) / (1.0 - b)
         genuine = math.hypot(x - y, y - x) > 1e-10  # otherwise it collapses onto p1
@@ -209,8 +206,8 @@ def _double_step(params: Params, pts, inverse: bool) -> list:
     it crosses the fold, the inner loop takes the fold vertex through both
     steps first. Likewise the second step maps the fold vertex of the
     segment from the last first image before the new one. The steps are
-    lozi_apply and lozi_apply_inverse written out on floats, the second
-    one twice."""
+    lozi_apply's forward and inverse steps written out on floats, the
+    second one twice."""
     a, b = params.a, params.b
     out = []
     # (ux, uy) is the last vertex in and (vx, vy) the last first image; no
@@ -359,14 +356,11 @@ class _Growth:
     branch stops, converged, once its newest piece lies inside one of them.
     """
 
-    def __init__(
-        self, params: Params, seed: str, inverse: bool, arc_budget: float, sinks=()
-    ):
+    def __init__(self, params: Params, branch: str, arc_budget: float, sinks=()):
         _require_arc_budget(arc_budget)
-        if seed not in MANIFOLD_BRANCHES or MANIFOLD_BRANCHES[seed][1] != inverse:
-            names = sorted(k for k, row in MANIFOLD_BRANCHES.items() if row[1] == inverse)
-            raise ValueError(f"seed must be one of {names}")
-        saddle, _, sign, self.kind = MANIFOLD_BRANCHES[seed]
+        if branch not in MANIFOLD_BRANCHES:
+            raise ValueError(f"branch must be one of {', '.join(MANIFOLD_BRANCHES)}")
+        saddle, inverse, sign, self.kind = MANIFOLD_BRANCHES[branch]
         fd = _fixed_data(params)
         start, lam = {
             ("p1", False): (fd.p1, fd.unstable_slope_p1),
@@ -452,16 +446,6 @@ class _Growth:
                 truncated = False
                 break
         self.arc, self.truncated = arc, truncated
-
-
-def _grow_branch(growth: _Growth) -> Polyline:
-    """Run growth to its end: the branch as a Polyline."""
-    return Polyline(
-        vertices=tuple(map(PlanePoint._make, growth.finish())),
-        kind=growth.kind,
-        truncated=growth.truncated,
-        arc_length=growth.arc,
-    )
 
 
 def _captured(piece, sinks) -> bool:
@@ -554,36 +538,20 @@ def _require_resolution(resolution: int) -> None:
         raise ValueError("resolution must be positive")
 
 
-def _manifold(
-    params: Params, seed: str, inverse: bool, arc_budget: float, sinks=()
-) -> Polyline:
-    return _grow_branch(_Growth(params, seed, inverse, arc_budget, sinks))
-
-
-def unstable_manifold(params: Params, seed: str, arc_budget: float = 50.0) -> Polyline:
-    """Unstable branch polyline seeded at a saddle.
-
-    seed is one of p1_right (the branch through the x-axis crossing),
-    p1_left (the opposite branch), or p2.  Growth stops after the first pass
-    whose arc reaches arc_budget, so the arc returned can exceed the budget
-    by up to about a factor 1 + mu^2, mu the unstable eigenvalue.
-    """
-    return _manifold(params, seed, False, arc_budget)
-
-
-def stable_manifold(
-    params: Params, seed: str = "p1_plus", arc_budget: float = 50.0
-) -> Polyline:
-    """Stable branch polyline of p1, grown with the inverse map.
-
-    p1_plus follows (stable_slope, 1) into the half-plane x > 0 (straight
-    whenever it never meets the fold); p1_minus is the opposite branch.
+def manifold(params: Params, branch: str, arc_budget: float) -> Polyline:
+    """The polyline of one branch of MANIFOLD_BRANCHES, grown from its saddle
+    with the map its row names: p1_right (the unstable branch through the
+    x-axis crossing), p1_left (the opposite one) and p2 forward, and the
+    stable branches of p1 with the inverse map, p1_plus into x > 0
+    (straight whenever it never meets the fold) and p1_minus opposite.
     Growth stops after the first pass whose arc reaches arc_budget, so the
-    arc returned can exceed the budget by up to about a factor 1 + mu^2,
-    mu = 1/stable eigenvalue, which is large: p1_minus at (1.4, 0.3) ends at
-    arc 945.5 for a budget of 50.
+    arc returned can exceed the budget by up to about a factor 1 + mu^2
+    (see _Growth): p1_minus at (1.4, 0.3) ends at arc 945.5 for a budget
+    of 50.
     """
-    return _manifold(params, seed, True, arc_budget)
+    growth = _Growth(params, branch, arc_budget)
+    vertices = tuple(map(PlanePoint._make, growth.finish()))
+    return Polyline(vertices, growth.kind, growth.truncated, growth.arc)
 
 
 # ------------------------------------------------------------- lyapunov
@@ -666,7 +634,7 @@ def _corner_polygon(params: Params) -> list[PlanePoint]:
     z = _axis_crossing_of_unstable_line(fd)
     corners = [z]
     for _ in range(3):
-        corners.append(lozi_apply_n(params, corners[-1], 2))
+        corners.append(lozi_apply(params, corners[-1], 2))
     hull = _convex_hull(corners)
     if len(hull) < 3:
         raise WrongParams("corner orbit is collinear; no polygon to test")
@@ -749,7 +717,7 @@ def _first_crossing(u, s, p1: PlanePoint) -> PlanePoint | None:
 _STAGE_SEGMENTS = 2
 
 
-def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> PlanePoint | None:
+def homoclinic_intersects(params: Params, arc_budget: float) -> PlanePoint | None:
     """Sweep for a transversal crossing of W^u(p1) with W^s(p1): the
     witness crossing point, or None when no proper crossing is found.
 
@@ -758,13 +726,13 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> PlanePoin
     order (p1_plus then p1_minus); contacts within 1e-8 of p1 are the saddle
     itself and do not count. Every branch is a _Growth read as the (x, y)
     pairs it keeps, with no Polyline built; W^s is the vertices that
-    stable_manifold returns. The sweep runs in two stages, and W^u grows
-    only as far as the verdict needs. Stage 1 grows both branches of W^s to
-    the arc budget (finite and > 0), and p1_right only until its first
-    _STAGE_SEGMENTS segments are settled, and tests those. Only when they do
-    not cross does stage 2 finish p1_right, grow p1_left, and test every
-    other segment of W^u. The witness is the one a sweep over all of W^u
-    would give.
+    manifold returns for p1_plus and p1_minus. The sweep runs in two
+    stages, and W^u grows only as far as the verdict needs. Stage 1 grows
+    both branches of W^s to the arc budget (finite and > 0), and p1_right
+    only until its first _STAGE_SEGMENTS segments are settled, and tests
+    those. Only when they do not cross does stage 2 finish p1_right, grow
+    p1_left, and test every other segment of W^u. The witness is the one a
+    sweep over all of W^u would give.
 
     When the period-2 orbit attracts, an unstable branch stops once its
     newest piece lies in a trapping ellipse of the sink, whose basin W^s(p1)
@@ -777,16 +745,16 @@ def homoclinic_intersects(params: Params, arc_budget: float = 50.0) -> PlanePoin
         raise NoFixedPoint("homoclinic sweep anchored at p1")
     sinks = _sink_ellipses(params, fd)
     s_cols = _seg_columns(
-        *(_Growth(params, s, True, arc_budget).finish() for s in ("p1_plus", "p1_minus"))
+        *(_Growth(params, s, arc_budget).finish() for s in ("p1_plus", "p1_minus"))
     )
-    right = _Growth(params, "p1_right", False, arc_budget, sinks)
+    right = _Growth(params, "p1_right", arc_budget, sinks)
     head = right.settle(_STAGE_SEGMENTS + 1)
     witness = _first_crossing(_seg_columns(head), s_cols, fd.p1)
     if witness is not None:
         return witness
     # Stage 2: every segment of W^u that stage 1 did not test, in order.
     rest = right.finish()[_STAGE_SEGMENTS:]
-    left = _Growth(params, "p1_left", False, arc_budget, sinks).finish()
+    left = _Growth(params, "p1_left", arc_budget, sinks).finish()
     return _first_crossing(_seg_columns(rest, left), s_cols, fd.p1)
 
 
@@ -892,7 +860,7 @@ def _numeric_zero_check(params: Params) -> bool:
     return not np.any(lyapunov_delta(params, PlanePoint(xs, ys)) >= 0.0)
 
 
-def classify_zero_entropy(params: Params, arc_budget: float = 50.0) -> ZeroEntropyVerdict:
+def classify_zero_entropy(params: Params, arc_budget: float) -> ZeroEntropyVerdict:
     """Zero-entropy verdict: exact analytic regions first, then the numeric
     sink certificate, then the homoclinic sweep's crossings. Only the
     analytic regions are proven. The sink certificate is sampled, and a
@@ -953,7 +921,7 @@ def scan_zero_entropy(
     a_range: tuple[float, float],
     b_range: tuple[float, float],
     resolution: int,
-    arc_budget: float = 20.0,
+    arc_budget: float,
 ) -> ZeroEntropyScan:
     """Classify the cell centres of a parameter grid, one pixel after
     another in this process. Each pixel is its (a, b) cell centre and its

@@ -574,14 +574,16 @@ def entropy_rows(params: Params, n_max: int, depth: int) -> list[tuple]:
     Upper counts are submultiplicative so the running min over log(upper)/n
     is a valid upper bound at every n; the lower bound uses only the current
     length and is clamped into [0, h_upper].  params may hold equal-length
-    1-D float64 arrays a and b: the rows are then those of each point in
-    turn, with a and b as floats, from one sweep per chunk of at most
-    _BLOCK_LIMIT / 2^n_max points.  Any other pair of shapes raises
-    ValueError before any level is built.
+    1-D sequences a and b, read as float64 arrays: the rows are then those
+    of each point in turn, with a and b as floats, from one sweep per chunk
+    of at most _BLOCK_LIMIT / 2^n_max points.  Any other pair of shapes
+    raises ValueError before any level is built.
     """
     shapes = np.shape(params.a), np.shape(params.b)
     if shapes[0] != shapes[1] or len(shapes[0]) > 1:
         raise ValueError(f"a {shapes[0]} and b {shapes[1]}: need two scalars or two 1-D arrays")
+    if shapes[0]:  # a scalar pair stays floats, for _levels' float branch
+        params = Params(np.asarray(params.a, float), np.asarray(params.b, float))
     _require_blocks(n_max)
     _require_series(params, depth)
     points = list(zip(np.atleast_1d(params.a).tolist(), np.atleast_1d(params.b).tolist()))

@@ -42,7 +42,6 @@ from .geometry import (
     classify_zero_entropy,
     fixed_data,
     lozi_apply,
-    lozi_apply_n,
     lyapunov_delta,
     polygon_invariance,
     scan_zero_entropy,
@@ -296,8 +295,8 @@ def check_plane_anchors(config) -> tuple[bool, str]:
     residual = max(
         fd.p1.dist(lozi_apply(params, fd.p1)),
         fd.p2.dist(lozi_apply(params, fd.p2)),
-        fd.n1.dist(lozi_apply_n(params, fd.n1, 2)),
-        fd.n2.dist(lozi_apply_n(params, fd.n2, 2)),
+        fd.n1.dist(lozi_apply(params, fd.n1, 2)),
+        fd.n2.dist(lozi_apply(params, fd.n2, 2)),
         fd.n1.dist(PlanePoint(1.2, -0.4)),
     )
     try:
@@ -307,7 +306,7 @@ def check_plane_anchors(config) -> tuple[bool, str]:
     worst_identity = _identity_residual(params, report.corners, config.seed + 99)
 
     z = _axis_crossing_of_unstable_line(fd)
-    corner_gap = lozi_apply_n(params, z, 8).dist(PlanePoint(1.223, -0.375))
+    corner_gap = lozi_apply(params, z, 8).dist(PlanePoint(1.223, -0.375))
     passed = (
         residual <= 1e-12
         and worst_identity <= 1e-12

@@ -392,7 +392,7 @@ _WRITERS = pytest.mark.parametrize(
         (["pruned-region", "--a", "1.7", "--b", "0.5", "--word-len", "3"],
          "front.pgm", "front.pgm.txt", "pruned_region_raster"),
         (["zero-scan", "--grid", "2"], "atlas.pgm", "atlas.pgm.csv", "scan_zero_entropy"),
-        (["manifolds", "--a", "1.4", "--b", "0.3"], "w.csv", "w.csv.txt", "unstable_manifold"),
+        (["manifolds", "--a", "1.4", "--b", "0.3"], "w.csv", "w.csv.txt", "manifold"),
         (["entropy", "--a", "1.7", "--b", "0.2", "--n-max", "6"], "e.csv", "e.csv",
          "entropy_rows"),
         (["derivatives", "--grid", "2"], "d.csv", "d.csv", "cone_table"),
@@ -704,11 +704,12 @@ def test_zero_scan_outputs_pin(tmp_path, capsys):
 
 def _refuse_growth(monkeypatch):
     # Without the input rule these runs grow branches for minutes or until
-    # memory runs out; here they fail at once instead.
+    # memory runs out; here they fail at once instead. The one growth loop is
+    # patched, so zero-scan's sweep is guarded as manifolds is.
     def no_growth(*args):
         raise AssertionError("grew a branch")
 
-    monkeypatch.setattr(geometry, "_grow_branch", no_growth)
+    monkeypatch.setattr(geometry._Growth, "_passes", no_growth)
 
 
 @pytest.mark.parametrize(
@@ -749,6 +750,25 @@ def test_manifolds_refuses_a_branch_past_the_vertex_cap(tmp_path, capsys, monkey
                  "--arc-budget", "1e6", "--out", str(out)]) == 2
     assert "BudgetExceeded" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_manifolds_past_float_overflow(tmp_path, capsys):
+    # a * a + 4b overflows at a = 1e300, so p1 has no eigen-slope: exit 2 and
+    # no file, where the seed direction was inf/inf and 62 vertices were nan.
+    out = tmp_path / "wu.csv"
+    assert main(["manifolds", "--a", "1e300", "--b", "0.5", "--out", str(out)]) == 2
+    assert "NoFixedPoint" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # (b - 1) ** 2 overflows at b = 1e300, so there is no 2-cycle, where an
+    # OverflowError escaped with a traceback. p1 is absent there; p2 grows.
+    args = ["manifolds", "--a", "1.4", "--b", "1e300", "--out", str(out)]
+    assert main(args + ["--branch", "p1_right"]) == 2
+    assert "NoFixedPoint" in capsys.readouterr().err
+    assert main(args + ["--branch", "p2"]) == 0
+    _, rows = read_csv_rows(out)
+    sidecar = formats.read_config(str(out) + ".txt")
+    values = [v for row in rows for v in row] + [sidecar["arc_length"]]
+    assert all(math.isfinite(float(v)) for v in values)
 
 
 # -------------------------------------------------------------- manifolds
@@ -830,7 +850,8 @@ def test_manifolds_regression_pin_at_sink(tmp_path, branch):
 
 def test_manifolds_rejects_unknown_branch(capsys):
     assert main(["manifolds", "--branch", "p3", "--out", "/tmp/nope.csv"]) == 2
-    assert "branch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "branch must be one of p1_right, p1_left, p2, p1_plus, p1_minus" in err
 
 
 # ------------------------------------------------------------ module entry

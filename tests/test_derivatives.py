@@ -114,6 +114,12 @@ def test_dq_db_slope_guard():
         dq_db_at_b0(2.5)
     with pytest.raises(ValueError):
         dq_db_at_b0(1.0)
+    # dp_db_at_b0 takes the same rule: at a = 0 it raised ZeroDivisionError,
+    # and at a = 3 it gave 1/3 where dq_db_at_b0 refused it.
+    for a in (0.0, 1.0, 2.5, 3.0, -1.5, math.nan):
+        for eps in (PLUS, MINUS):
+            with pytest.raises(ValueError, match="slope"):
+                dp_db_at_b0(a, eps)
 
 
 # ------------------------------------------------------------ bound lemmas

@@ -29,13 +29,10 @@ from lozi_pruning.geometry import (
     fixed_data,
     homoclinic_intersects,
     lozi_apply,
-    lozi_apply_inverse,
-    lozi_apply_n,
     lyapunov_delta,
+    manifold,
     polygon_invariance,
     scan_zero_entropy,
-    stable_manifold,
-    unstable_manifold,
 )
 from lozi_pruning.geometry import (
     MANIFOLD_BRANCHES,
@@ -108,8 +105,8 @@ def test_plane_point_is_an_xy_pair():
 
 
 def test_polyline_vertices_are_an_n_by_2_array():
-    for grow, seed in ((unstable_manifold, "p1_right"), (stable_manifold, "p1_minus")):
-        pl = grow(CHAOTIC, seed, arc_budget=20.0)
+    for branch in ("p1_right", "p1_minus"):
+        pl = manifold(CHAOTIC, branch, arc_budget=20.0)
         pts = np.array(pl.vertices)
         assert pts.shape == (len(pl.vertices), 2) and pts.dtype == np.float64
         assert all(type(v) is PlanePoint for v in pl.vertices)
@@ -139,14 +136,17 @@ def test_apply_inverse_roundtrip():
     params = Params(1.3, 0.4)
     for p in _rand_points(50, seed=2):
         there = lozi_apply(params, p)
-        back = lozi_apply_inverse(params, there)
+        back = lozi_apply(params, there, -1)
         assert back.dist(p) <= 1e-12
-        assert lozi_apply(params, lozi_apply_inverse(params, p)).dist(p) <= 1e-12
+        assert lozi_apply(params, lozi_apply(params, p, -1)).dist(p) <= 1e-12
 
 
 def test_apply_inverse_needs_nonzero_b():
-    with pytest.raises(NonInvertible):
-        lozi_apply_inverse(Params(1.5, 0.0), PlanePoint(0.1, 0.2))
+    for n in (-1, -3):
+        with pytest.raises(NonInvertible):
+            lozi_apply(Params(1.5, 0.0), PlanePoint(0.1, 0.2), n)
+    # forward steps, and no step at all, need no inverse
+    assert lozi_apply(Params(1.5, 0.0), PlanePoint(0.1, 0.2), 0) == (0.1, 0.2)
 
 
 def test_apply_n_composes_and_inverts():
@@ -155,9 +155,9 @@ def test_apply_n_composes_and_inverts():
     q = p
     for _ in range(5):
         q = lozi_apply(params, q)
-    assert lozi_apply_n(params, p, 5).dist(q) <= 1e-14
-    assert lozi_apply_n(params, p, 0).dist(p) == 0.0
-    assert lozi_apply_n(params, q, -5).dist(p) <= 1e-11
+    assert lozi_apply(params, p, 5).dist(q) <= 1e-14
+    assert lozi_apply(params, p, 0) == p
+    assert lozi_apply(params, q, -5).dist(p) <= 1e-11
 
 
 def test_orientation_flips_sign_with_b():
@@ -195,8 +195,8 @@ def test_period_two_pair_at_certified_params():
     fd = fixed_data(CENTER)
     assert fd.n1.dist(PlanePoint(6.0 / 5.0, -2.0 / 5.0)) <= 1e-12
     assert fd.n2.dist(PlanePoint(-2.0 / 5.0, 6.0 / 5.0)) <= 1e-12
-    assert fd.n1.dist(lozi_apply_n(CENTER, fd.n1, 2)) <= 1e-12
-    assert fd.n2.dist(lozi_apply_n(CENTER, fd.n2, 2)) <= 1e-12
+    assert fd.n1.dist(lozi_apply(CENTER, fd.n1, 2)) <= 1e-12
+    assert fd.n2.dist(lozi_apply(CENTER, fd.n2, 2)) <= 1e-12
     assert lozi_apply(CENTER, fd.n1).dist(fd.n2) <= 1e-12
     assert fd.period2_attracting is True
 
@@ -222,6 +222,25 @@ def test_unique_saddle_region_has_no_companions():
 def test_no_fixed_point_raises():
     with pytest.raises(NoFixedPoint):
         fixed_data(Params(-2.5, -0.6))
+
+
+@pytest.mark.parametrize("ab", [(1e300, 0.5), (1.4, 1e300), (1.4, -1e300), (1e200, 1e300)])
+def test_fixed_data_past_float_overflow(ab):
+    # An overflowing formula gives no slope or no 2-cycle, as complex
+    # eigenvalues do: (b - 1) ** 2 raised OverflowError past |b - 1| =
+    # 1.34e154, and a * a + 4b = inf gave the slopes +-inf.
+    params = Params(*ab)
+    fd = fixed_data(params)
+    assert fd.n1 is None and fd.period2_attracting is None
+    slopes = (fd.stable_slope_p1, fd.unstable_slope_p1, fd.unstable_slope_p2)
+    assert all(s is None or math.isfinite(s) for s in slopes)
+    for test in (
+        polygon_invariance,
+        lambda p: homoclinic_intersects(p, 50.0),
+        lambda p: lyapunov_delta(p, PlanePoint(0.1, 0.2)),
+    ):
+        with pytest.raises(NoFixedPoint):
+            test(params)
 
 
 def test_eigen_slopes_satisfy_characteristic_equations():
@@ -269,8 +288,8 @@ def test_period_two_closed_form_at_center():
 
 
 def _ref_fixed_data(params):
-    """fixed_data on PlanePoint, validating candidates with lozi_apply,
-    lozi_apply_n and PlanePoint.dist."""
+    """fixed_data on PlanePoint, validating candidates with lozi_apply and
+    PlanePoint.dist."""
     a, b = params.a, params.b
     disc = a * a + 4.0 * b
     root = math.sqrt(disc) if disc >= 0.0 else None
@@ -299,7 +318,7 @@ def _ref_fixed_data(params):
         cand1 = PlanePoint(big_n, (1.0 - a * big_n) / (1.0 - b))
         cand2 = PlanePoint(cand1.y, cand1.x)
         if cand1.dist(cand2) > 1e-10 and all(
-            c.dist(lozi_apply_n(params, c, 2)) <= 1e-10 for c in (cand1, cand2)
+            c.dist(lozi_apply(params, c, 2)) <= 1e-10 for c in (cand1, cand2)
         ):
             n1, n2 = cand1, cand2
             attracting = _two_cycle_attracting(
@@ -336,7 +355,7 @@ def test_fixed_data_matches_planepoint_reference():
 
 
 def test_unstable_right_passes_through_axis_crossing():
-    pl = unstable_manifold(CENTER, "p1_right", arc_budget=10.0)
+    pl = manifold(CENTER, "p1_right", arc_budget=10.0)
     z = PlanePoint((3.0 + math.sqrt(3.0)) / 3.0, 0.0)
     assert _distance(pl, z) <= 1e-12
     assert pl.kind == "unstable_right"
@@ -347,12 +366,8 @@ def test_unstable_right_passes_through_axis_crossing():
 def test_unstable_vertices_map_into_extended_polyline(params):
     # One step maps each branch into the union of both branches (the
     # unstable eigenvalue at p1 is negative, so single steps swap sides).
-    short = [
-        unstable_manifold(params, s, arc_budget=8.0) for s in ("p1_right", "p1_left")
-    ]
-    long = [
-        unstable_manifold(params, s, arc_budget=40.0) for s in ("p1_right", "p1_left")
-    ]
+    short = [manifold(params, s, arc_budget=8.0) for s in ("p1_right", "p1_left")]
+    long = [manifold(params, s, arc_budget=40.0) for s in ("p1_right", "p1_left")]
     worst = 0.0
     for pl in short:
         for v in pl.vertices:
@@ -364,17 +379,17 @@ def test_unstable_vertices_map_into_extended_polyline(params):
 def test_unstable_converges_into_sink_at_certified_params():
     fd = fixed_data(CENTER)
     for seed in ("p1_right", "p1_left"):
-        pl = unstable_manifold(CENTER, seed, arc_budget=50.0)
+        pl = manifold(CENTER, seed, arc_budget=50.0)
         assert not pl.truncated
         end = pl.vertices[-1]
         assert min(end.dist(fd.n1), end.dist(fd.n2)) <= 1e-8
-    right = unstable_manifold(CENTER, "p1_right", arc_budget=50.0)
+    right = manifold(CENTER, "p1_right", arc_budget=50.0)
     # straight stretch p1 -> Z (length 1.128) plus the spiral into the sink
     assert 2.0 < right.arc_length < 2.5
 
 
 def test_unstable_budget_truncation_in_chaotic_regime():
-    pl = unstable_manifold(CHAOTIC, "p1_right", arc_budget=50.0)
+    pl = manifold(CHAOTIC, "p1_right", arc_budget=50.0)
     assert pl.truncated
     assert pl.arc_length >= 50.0
     xs = [v.x for v in pl.vertices]
@@ -386,15 +401,15 @@ def test_unstable_budget_truncation_in_chaotic_regime():
 
 def test_p2_branch_is_self_invariant():
     # p2's unstable eigenvalue is positive: no side swap under single steps.
-    short = unstable_manifold(CENTER, "p2", arc_budget=5.0)
-    long = unstable_manifold(CENTER, "p2", arc_budget=25.0)
+    short = manifold(CENTER, "p2", arc_budget=5.0)
+    long = manifold(CENTER, "p2", arc_budget=25.0)
     worst = max(_distance(long, lozi_apply(CENTER, v)) for v in short.vertices)
     assert worst <= 1e-9
     assert short.kind == "unstable_right"
 
 
 def test_stable_halfline_is_straight_and_invariant():
-    pl = stable_manifold(CENTER, "p1_plus", arc_budget=10.0)
+    pl = manifold(CENTER, "p1_plus", arc_budget=10.0)
     assert pl.kind == "stable_halfline"
     assert len(pl.vertices) == 2  # never meets the fold: an exact half-line
     fd = fixed_data(CENTER)
@@ -407,7 +422,7 @@ def test_stable_halfline_is_straight_and_invariant():
 
 
 def test_stable_other_branch_bends():
-    pl = stable_manifold(CENTER, "p1_minus", arc_budget=8.0)
+    pl = manifold(CENTER, "p1_minus", arc_budget=8.0)
     assert pl.kind == "stable_right"
     assert len(pl.vertices) > 2
 
@@ -418,7 +433,7 @@ def test_non_expanding_branch_returns_seed_segment(ab):
     # |lambda| < 1: no fundamental domain, so the seed segment comes back.
     params = Params(*ab)
     fd = fixed_data(params)
-    pl = unstable_manifold(params, "p1_right", arc_budget=20.0)
+    pl = manifold(params, "p1_right", arc_budget=20.0)
     assert len(pl.vertices) == 2 and pl.vertices[0] == fd.p1
     assert not pl.truncated
     assert abs(pl.arc_length - 1e-4) <= 1e-15
@@ -428,31 +443,36 @@ def test_non_expanding_branch_returns_seed_segment(ab):
 
 
 def test_manifold_seed_and_invertibility_guards():
-    with pytest.raises(ValueError):
-        unstable_manifold(CENTER, "p3")
-    with pytest.raises(ValueError):
-        stable_manifold(CENTER, "nope")
-    with pytest.raises(NonInvertible):
-        stable_manifold(Params(1.5, 0.0), "p1_plus")
+    for branch in ("p3", "nope", "p1", ""):
+        with pytest.raises(ValueError) as info:
+            manifold(CENTER, branch, 50.0)
+        assert str(info.value) == (
+            "branch must be one of p1_right, p1_left, p2, p1_plus, p1_minus"
+        )
+    for branch in ("p1_plus", "p1_minus"):
+        with pytest.raises(NonInvertible):
+            manifold(Params(1.5, 0.0), branch, 50.0)
 
 
 # Scalar references for manifold growth, written on PlanePoint with
-# lozi_apply / lozi_apply_inverse and PlanePoint.dist. _ref_manifold is the
-# whole-polyline scheme (every pass re-maps every vertex and re-pins the
-# saddle), kept as a geometric oracle; _ref_piece_manifold is the library's
-# fundamental-domain scheme, which the float growth must match bit for bit.
+# lozi_apply's forward and inverse steps and PlanePoint.dist. _ref_manifold
+# is the whole-polyline scheme (every pass re-maps every vertex and re-pins
+# the saddle), kept as a geometric oracle; _ref_piece_manifold is the
+# library's fundamental-domain scheme, which the float growth must match bit
+# for bit.
 
 
 def _ref_map_polyline(params, pts, inverse):
-    step = lozi_apply_inverse if inverse else lozi_apply
+    n = -1 if inverse else 1
     out = []
     for u, w in zip(pts, pts[1:]):
-        out.append(step(params, u))
+        out.append(lozi_apply(params, u, n))
         cu, cw = (u.y, w.y) if inverse else (u.x, w.x)
         if cu * cw < 0.0:
             t = cu / (cu - cw)
-            out.append(step(params, PlanePoint(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y))))
-    out.append(step(params, pts[-1]))
+            fold = PlanePoint(u.x + t * (w.x - u.x), u.y + t * (w.y - u.y))
+            out.append(lozi_apply(params, fold, n))
+    out.append(lozi_apply(params, pts[-1], n))
     return out
 
 
@@ -546,16 +566,11 @@ GROWTH_POINTS = [
 ]
 
 
-def _grow(params, seed, arc_budget):
-    grow = stable_manifold if MANIFOLD_BRANCHES[seed][1] else unstable_manifold
-    return grow(params, seed, arc_budget=arc_budget)
-
-
 @pytest.mark.parametrize("ab", GROWTH_POINTS)
 @pytest.mark.parametrize("seed", sorted(MANIFOLD_BRANCHES))
 def test_float_growth_matches_planepoint_reference(ab, seed):
     params = Params(*ab)
-    pl = _grow(params, seed, 30.0)
+    pl = manifold(params, seed, 30.0)
     pts, arc, truncated = _ref_piece_manifold(params, seed, 30.0)
     assert [(v.x, v.y) for v in pl.vertices] == [(v.x, v.y) for v in pts]
     assert pl.arc_length == arc
@@ -642,7 +657,7 @@ def _far_side(points, line):
 def test_piece_growth_matches_whole_polyline_oracle(ab, seed):
     params = Params(*ab)
     for budget in (20.0, 30.0, 50.0):
-        pl = _grow(params, seed, budget)
+        pl = manifold(params, seed, budget)
         pts, arc, stop = _ref_manifold(params, seed, budget)
         assert _far_side(pl.vertices, pts) <= 1e-12, budget
         assert _far_side(pts, pl.vertices) <= 1e-12, budget
@@ -672,17 +687,18 @@ def test_branch_growth_regression_pin():
             digest.update(type(exc).__name__.encode())
             continue
         sinks = geometry._sink_ellipses(params, fd)
-        runs = [(seed, row[1], ()) for seed, row in MANIFOLD_BRANCHES.items()]
-        runs += [(seed, False, sinks) for seed in ("p1_right", "p1_left", "p2") if sinks]
-        for seed, inverse, ellipses in runs:
+        runs = [(branch, ()) for branch in MANIFOLD_BRANCHES]
+        runs += [(branch, sinks) for branch in ("p1_right", "p1_left", "p2") if sinks]
+        for branch, ellipses in runs:
             try:
-                pl = geometry._manifold(params, seed, inverse, 50.0, ellipses)
+                growth = geometry._Growth(params, branch, 50.0, ellipses)
+                vertices = growth.finish()
             except (NoFixedPoint, NonInvertible) as exc:
                 digest.update(type(exc).__name__.encode())
                 continue
-            digest.update(np.array(pl.vertices, float).tobytes())
-            digest.update(struct.pack("<d?", pl.arc_length, pl.truncated))
-            captured += bool(ellipses) and not pl.truncated
+            digest.update(np.array(vertices, float).tobytes())
+            digest.update(struct.pack("<d?", growth.arc, growth.truncated))
+            captured += bool(ellipses) and not growth.truncated
     assert captured == 10
     assert digest.hexdigest() == (
         "82267006cd62ce23b0372b59d4d4ba597049a6449c23a235d80c2f894c5f83bf"
@@ -695,15 +711,15 @@ def test_branch_growth_is_capped_in_vertices(monkeypatch):
     # patched low, a modest budget shows the refusal at once.
     monkeypatch.setattr(geometry, "_MAX_VERTICES", 1000)
     params = Params(1.875, 0.25)
-    assert len(unstable_manifold(params, "p1_right", 50.0).vertices) < 1000
+    assert len(manifold(params, "p1_right", 50.0).vertices) < 1000
     with pytest.raises(BudgetExceeded, match="1000 vertices"):
-        unstable_manifold(params, "p1_right", 1e6)
+        manifold(params, "p1_right", 1e6)
 
 
 def test_pass_cap_marks_branch_truncated():
     # Near (1, 0) the branch crawls: 60 passes leave it far below the budget
     # and still growing, which is a truncation, not convergence.
-    pl = unstable_manifold(Params(1.03125, 0.0125), "p1_right", arc_budget=20.0)
+    pl = manifold(Params(1.03125, 0.0125), "p1_right", arc_budget=20.0)
     assert pl.truncated
     assert pl.arc_length < 20.0
 
@@ -728,14 +744,14 @@ def test_growth_maps_each_vertex_once(monkeypatch, ab):
     monkeypatch.setattr(geometry, "_double_step", spy)
     for seed in sorted(MANIFOLD_BRANCHES):
         mapped.clear()
-        _grow(Params(*ab), seed, 20.0)
+        manifold(Params(*ab), seed, 20.0)
         passes = len(mapped)
         assert passes > 0, seed
         assert sum(mapped) <= 8 * passes, (seed, passes, sum(mapped))
 
 
 def test_polyline_point_distance_basics():
-    pl = unstable_manifold(CENTER, "p1_right", arc_budget=10.0)
+    pl = manifold(CENTER, "p1_right", arc_budget=10.0)
     v = pl.vertices[len(pl.vertices) // 2]
     assert _distance(pl, v) <= 1e-15
     assert _distance(pl, PlanePoint(10.0, 10.0)) > 8.0
@@ -798,7 +814,7 @@ def test_lyapunov_delta_matches_planepoint_reference(ab):
     params = Params(*ab)
     n1 = fixed_data(params).n1
     for q in _rand_points(1000, seed=11):
-        img = lozi_apply_n(params, q, 4)
+        img = lozi_apply(params, q, 4)
         want = ((img.x - n1.x) ** 2 + (img.y - n1.y) ** 2) - (
             (q.x - n1.x) ** 2 + (q.y - n1.y) ** 2
         )
@@ -824,7 +840,7 @@ def test_polygon_invariance_at_certified_params():
 
 def test_polygon_contains_eighth_image_of_axis_crossing():
     z = PlanePoint((3.0 + math.sqrt(3.0)) / 3.0, 0.0)
-    img = lozi_apply_n(CENTER, z, 8)
+    img = lozi_apply(CENTER, z, 8)
     assert abs(img.x - 1.223) <= 1e-3
     assert abs(img.y + 0.375) <= 1e-3
     poly = list(polygon_invariance(CENTER).corners)
@@ -863,11 +879,11 @@ def test_homoclinic_present_in_chaotic_regime():
     assert w is not None
     # the witness lies on both manifolds
     wu = min(
-        _distance(unstable_manifold(CHAOTIC, s, arc_budget=30.0), w)
+        _distance(manifold(CHAOTIC, s, arc_budget=30.0), w)
         for s in ("p1_right", "p1_left")
     )
     ws = min(
-        _distance(stable_manifold(CHAOTIC, s, arc_budget=30.0), w)
+        _distance(manifold(CHAOTIC, s, arc_budget=30.0), w)
         for s in ("p1_plus", "p1_minus")
     )
     assert wu <= 1e-9 and ws <= 1e-9
@@ -882,7 +898,7 @@ def test_homoclinic_found_quickly_at_high_slope():
 
 def test_homoclinic_needs_invertible_map():
     with pytest.raises(NonInvertible):
-        homoclinic_intersects(Params(1.7, 0.0))
+        homoclinic_intersects(Params(1.7, 0.0), 50.0)
 
 
 def test_homoclinic_no_false_positive_near_certified_params():
@@ -940,7 +956,7 @@ def test_stage_one_hit_never_grows_p1_left(monkeypatch):
         "0x1.d568f0858a7f0p-4",
     )
     assert [kind for kind, *_ in grown] == SWEEP_ORDER[:3]
-    full = unstable_manifold(CHAOTIC, "p1_right", arc_budget=20.0)
+    full = manifold(CHAOTIC, "p1_right", arc_budget=20.0)
     # 13 raw vertices against 21 kept, from 8 passes: the counts of the
     # vertex-by-vertex growth this replaced
     assert grown[2][2:] == [13, 8]
@@ -1002,7 +1018,7 @@ def test_trapping_ellipse_at_certified_params():
             # in first's L^2 sign cell, where L^2 is z -> first + M (z - first)
             assert s1 * px > 0.0
             assert s2 * (1.0 - a * s1 * px + b * py) > 0.0
-            q = lozi_apply_n(CENTER, PlanePoint(px, py), 2)
+            q = lozi_apply(CENTER, PlanePoint(px, py), 2)
             d = np.array(q) - c
             assert d @ x @ d < r2
 
@@ -1045,7 +1061,7 @@ def test_sweep_stops_unstable_branches_in_the_sink(monkeypatch):
     # the public branches still run until they converge
     calls.clear()
     for seed in ("p1_right", "p1_left", "p1_plus", "p1_minus"):
-        _grow(CENTER, seed, 20.0)
+        manifold(CENTER, seed, 20.0)
     assert len(calls) == 105
     assert calls.count(False) > 2 * swept_forward
 
@@ -1107,7 +1123,7 @@ def _ref_numeric_zero_check(params, accepted=None):
     z = _axis_crossing_of_unstable_line(fd)
     for q in (z, lozi_apply(params, z)):
         for _ in range(10_000):
-            q = lozi_apply_n(params, q, 4)
+            q = lozi_apply(params, q, 4)
             if min(q.dist(fd.n1), q.dist(fd.n2)) < 1e-8:
                 break
         else:
@@ -1240,7 +1256,7 @@ def test_sink_sampler_bound_near_one_zero(monkeypatch, ab, kind):
 
 
 def test_classify_analytic_strip():
-    v = classify_zero_entropy(Params(0.2, 0.5))
+    v = classify_zero_entropy(Params(0.2, 0.5), 50.0)
     assert v.kind == "analytic_zero" and v.case == "ii"
 
 
@@ -1251,11 +1267,11 @@ def test_classify_chaotic_homoclinic():
 
 
 def test_classify_analytic_cases_partition():
-    assert classify_zero_entropy(Params(-2.5, -0.5)).case == "i"
-    assert classify_zero_entropy(Params(0.3, 0.3)).case == "ii"
-    assert classify_zero_entropy(Params(0.5, 0.5)).case == "iii"  # a = 1 - b
+    assert classify_zero_entropy(Params(-2.5, -0.5), 50.0).case == "i"
+    assert classify_zero_entropy(Params(0.3, 0.3), 50.0).case == "ii"
+    assert classify_zero_entropy(Params(0.5, 0.5), 50.0).case == "iii"  # a = 1 - b
     # boundary of (i): a = b - 1 included
-    assert classify_zero_entropy(Params(-1.5, -0.5)).case == "i"
+    assert classify_zero_entropy(Params(-1.5, -0.5), 50.0).case == "i"
 
 
 @pytest.mark.parametrize(
@@ -1270,12 +1286,12 @@ def test_classify_refuses_a_non_finite_parameter_before_any_test(monkeypatch, a,
     monkeypatch.setattr(geometry, "_numeric_zero_check", no_test)
     monkeypatch.setattr(geometry, "homoclinic_intersects", no_test)
     with pytest.raises(ValueError, match="must be finite"):
-        classify_zero_entropy(Params(a, b))
+        classify_zero_entropy(Params(a, b), 50.0)
 
 
 def test_classify_rejects_large_b():
     with pytest.raises(ValueError):
-        classify_zero_entropy(Params(1.0, 1.2))
+        classify_zero_entropy(Params(1.0, 1.2), 50.0)
 
 
 def test_verdict_type_guards():
@@ -1301,7 +1317,7 @@ def test_analytic_pixels_are_never_homoclinic():
     # In the open strip (ii) the saddle has no homoclinic crossing; the two
     # verdicts must not overlap.
     for ab in ((0.2, 0.5), (0.3, 0.6), (0.1, 0.8)):
-        assert classify_zero_entropy(Params(*ab)).kind == "analytic_zero"
+        assert classify_zero_entropy(Params(*ab), 50.0).kind == "analytic_zero"
         assert homoclinic_intersects(Params(*ab), arc_budget=10.0) is None
 
 
@@ -1397,9 +1413,9 @@ def test_scan_grid_axes_and_guards():
     assert scan.codes.shape == (4, 4)
     assert scan.codes.ravel().tolist() == [ZERO_ENTROPY_CODES[v.label] for *_, v in scan.pixels]
     with pytest.raises(ValueError):
-        scan_zero_entropy((1.0, 2.0), (0.5, 1.5), 2)
+        scan_zero_entropy((1.0, 2.0), (0.5, 1.5), 2, 20.0)
     with pytest.raises(ValueError):
-        scan_zero_entropy((1.0, 2.0), (0.0, 0.5), 0)
+        scan_zero_entropy((1.0, 2.0), (0.0, 0.5), 0, 20.0)
 
 
 def test_scan_other_errors_propagate(monkeypatch):
@@ -1416,22 +1432,20 @@ def test_scan_other_errors_propagate(monkeypatch):
 @pytest.fixture
 def no_growth(monkeypatch):
     # Growing a branch fails the test at once: under inf or nan growth never
-    # stops short of the pass cap, so the input rule must refuse first.
+    # stops short of the pass cap, so the input rule must refuse first. The
+    # one growth loop is patched, so every way in to growth is guarded.
     def grow(*args):
         raise AssertionError("grew a branch")
 
-    monkeypatch.setattr(geometry, "_grow_branch", grow)
+    monkeypatch.setattr(geometry._Growth, "_passes", grow)
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
 def test_arc_budget_must_be_finite_and_positive(no_growth, budget):
     # A budget <= 0 would stop every branch after one pass.
-    for seed in ("p1_right", "p1_left", "p2"):
+    for branch in MANIFOLD_BRANCHES:
         with pytest.raises(ValueError, match="arc budget"):
-            unstable_manifold(CHAOTIC, seed, budget)
-    for seed in ("p1_plus", "p1_minus"):
-        with pytest.raises(ValueError, match="arc budget"):
-            stable_manifold(CHAOTIC, seed, budget)
+            manifold(CHAOTIC, branch, budget)
     with pytest.raises(ValueError, match="arc budget"):
         homoclinic_intersects(CHAOTIC, budget)
     for params in (CHAOTIC, Params(0.2, 0.5)):
@@ -1482,7 +1496,7 @@ def _period4_points(b: float, n: int) -> list[PlanePoint]:
     xs = np.linspace(-4.0, 0.0, 4096).tolist()
     line = [PlanePoint(x, -x + _period4_intercept(b)) for x in xs]
     feasible = [
-        q for q in line if lozi_apply(params, q).x >= 0.0 and lozi_apply_n(params, q, 2).x <= 0.0
+        q for q in line if lozi_apply(params, q).x >= 0.0 and lozi_apply(params, q, 2).x <= 0.0
     ]
     return feasible[:: max(1, len(feasible) // n)][:n]
 
@@ -1493,18 +1507,18 @@ def test_period4_sampled_points_close_orbits():
     assert len(pts) == 24
     for q in pts:
         assert abs(q.y - (-q.x + 0.4)) <= 1e-15
-        assert lozi_apply_n(params, q, 4).dist(q) <= 1e-10
+        assert lozi_apply(params, q, 4).dist(q) <= 1e-10
         # genuinely period four, not fixed
         assert lozi_apply(params, q).dist(q) > 1e-3
         # the image segment consists of period-4 points as well
         img = lozi_apply(params, q)
-        assert lozi_apply_n(params, img, 4).dist(img) <= 1e-10
+        assert lozi_apply(params, img, 4).dist(img) <= 1e-10
 
 
 def test_period4_constraint_violators_move():
     params = Params(1.5, 0.5)
     bad = PlanePoint(0.5, -0.5 + _period4_intercept(0.5))  # on the line but x > 0
-    assert lozi_apply_n(params, bad, 4).dist(bad) > 1e-3
+    assert lozi_apply(params, bad, 4).dist(bad) > 1e-3
 
 
 def test_period4_other_depths():
@@ -1513,4 +1527,4 @@ def test_period4_other_depths():
         pts = _period4_points(b, 8)
         assert pts, "feasible stretch must be nonempty"
         for q in pts:
-            assert lozi_apply_n(params, q, 4).dist(q) <= 1e-10
+            assert lozi_apply(params, q, 4).dist(q) <= 1e-10

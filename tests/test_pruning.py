@@ -1127,6 +1127,15 @@ def test_entropy_rows_take_0d_arrays_as_scalars():
         _assert_same_rows(entropy_rows(Params(a, b), 4, 6), want)
 
 
+def test_entropy_rows_take_1d_sequences_as_arrays():
+    # np.shape reads a list as 1-D, so lists passed the shape rule and then
+    # raised AttributeError on reshape.
+    want = entropy_rows(Params(np.array([1.5, 1.7]), np.array([0.0, 0.1])), 4, 6)
+    pairs = [([1.5, 1.7], [0.0, 0.1]), ((1.5, 1.7), (0, 0.1)), ([1.5, 1.7], np.array([0, 0.1]))]
+    for a, b in pairs:
+        _assert_same_rows(entropy_rows(Params(a, b), 4, 6), want)
+
+
 @pytest.mark.parametrize("n_max", [4, 12])
 def test_entropy_rows_sweep_levels_once(monkeypatch, n_max):
     # One level sweep for the suffixes and one for the prefixes serve every
